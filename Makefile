@@ -73,9 +73,10 @@ smoke: build
 # estimate -> execute -> feedback rounds on a tiny corpus and assert the
 # per-round q-error median never increases (the paper's Figure 1 loop).
 # Then exercise the serve telemetry surface end to end (METRICS scrape,
-# flight records, drift summary) and the telemetry/audit-overhead bench
-# guards (< 5% median estimate latency vs. an untapped engine, plus the
-# audit/offline q-error agreement check).
+# flight records, drift summary, and --metrics-out snapshots from a
+# 2-worker pool carrying the serving totals) and the telemetry/audit-overhead
+# bench guards (< 5% median estimate latency vs. an untapped engine, plus
+# the audit/offline q-error agreement check).
 bench-smoke: build
 	@mkdir -p $(SMOKE_DIR)
 	$(XSEED) generate xmark --scale 40 -o $(SMOKE_DIR)/bench.xml
@@ -91,6 +92,14 @@ bench-smoke: build
 	@grep -q '^# TYPE xseed_engine_cache_misses counter' $(SMOKE_DIR)/serve.out
 	@grep -q '^xseed_engine_drift_qerror_p90' $(SMOKE_DIR)/serve.out
 	@grep -q '"cache":"miss"' $(SMOKE_DIR)/flights.jsonl
+	printf 'ESTIMATE //item\nESTIMATE //item\n' \
+	  | $(XSEED) serve $(SMOKE_DIR)/bench.syn --workers 2 --snapshot-every 1 \
+	      --metrics-out $(SMOKE_DIR)/snapshots-w2.jsonl > /dev/null
+	@grep -q '"engine.cache.misses":' $(SMOKE_DIR)/snapshots-w2.jsonl
+	printf 'ESTIMATE //item\nFEEDBACK //item 12\n' \
+	  | $(XSEED) serve $(SMOKE_DIR)/bench.syn --snapshot-every 1 \
+	      --metrics-out $(SMOKE_DIR)/snapshots-w1.jsonl > /dev/null
+	@grep -q '"matcher.match_steps":' $(SMOKE_DIR)/snapshots-w1.jsonl
 	$(DUNE) exec --no-build bench/main.exe -- --quick telemetry audit
 	@echo "bench-smoke: OK"
 
@@ -154,9 +163,7 @@ stress: build
 	      > $(SMOKE_DIR)/stress.out
 	@grep -q '^OK 3' $(SMOKE_DIR)/stress.out
 	@grep -q '^xseed_engine_cache_misses' $(SMOKE_DIR)/stress.out
-	@if [ "$(WORKERS)" -gt 1 ]; then \
-	  grep -q '^xseed_engine_pool_workers $(WORKERS)' $(SMOKE_DIR)/stress.out; \
-	fi
+	@grep -q '^xseed_engine_pool_workers $(WORKERS)' $(SMOKE_DIR)/stress.out
 	@echo "stress: OK (WORKERS=$(WORKERS))"
 
 ci: fmt build test fuzz-smoke chaos-smoke tcp-smoke smoke bench-smoke trace-smoke audit-smoke stress

@@ -581,14 +581,14 @@ let chunk_sweep_legs =
     ("chunked_steal", None, None) ]
 
 let pool_mismatches estimator queries =
-  let engine = Engine.create ~telemetry:false estimator in
+  let engine = Engine.Pool.create ~workers:1 ~telemetry:false estimator in
   let pool = Engine.Pool.create ~workers:4 ~telemetry:false estimator in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
   List.fold_left
     (fun acc q ->
       let ev =
-        match Engine.estimate engine q with
-        | Ok s -> s.Engine.outcome.Core.Estimator.value
+        match Engine.Pool.estimate engine q with
+        | Ok r -> r.Engine.Serve.value
         | Error _ -> nan
       and pv =
         match Engine.Pool.estimate pool q with
@@ -607,7 +607,7 @@ let parallel () =
     (List.length queries);
   pf "host: %d recommended domain(s)\n\n" host_cores;
   let mismatches = pool_mismatches estimator queries in
-  pf "pool vs single engine: %d/%d mismatched estimates%s\n" mismatches
+  pf "4-domain pool vs inline pool: %d/%d mismatched estimates%s\n" mismatches
     (List.length queries)
     (if mismatches = 0 then " (bit-identical)" else "  <- BUG");
   assert (mismatches = 0);
@@ -652,6 +652,19 @@ let parallel () =
       "\n4-domain speedup %.2fx; host has only %d recommended domain(s), \
        >= 2.5x gate skipped\n"
       speedup4 host_cores
+
+(* One timed pass for the overhead gates: drop every cached estimate, then
+   time each estimate of [queries] on the inline pool into [sink]. *)
+let timed_pass pool queries sink =
+  Engine.Pool.invalidate pool;
+  List.iter
+    (fun q ->
+      let t0 = Unix.gettimeofday () in
+      (match Engine.Pool.estimate pool q with
+       | Ok _ -> ()
+       | Error e -> raise (Core.Error.Xseed e));
+      sink := (Unix.gettimeofday () -. t0) :: !sink)
+    queries
 
 (* ------------------------------------------------------------------ *)
 (* Causal profile: the serving path's per-stage breakdown (queue-wait /
@@ -714,25 +727,15 @@ let profile_section () =
   (* Tracing-overhead gate, alternating passes as in [telemetry ()]. *)
   let passes = scale 10 16 in
   let engine_with ~trace =
-    Engine.create ~telemetry:false ~cache_capacity:4096 ?trace
+    Engine.Pool.create ~workers:1 ~telemetry:false ~cache_capacity:4096 ?trace
       (Core.Estimator.create ~card_threshold:ds.card_threshold
          (Lazy.force ds.kernel))
   in
-  let asts = bp_queries ds @ cp_queries ds in
+  let texts = List.map Xpath.Ast.to_string (bp_queries ds @ cp_queries ds) in
   let traced = engine_with ~trace:(Some (Obs.Trace.create ())) in
   let plain = engine_with ~trace:None in
   let lat_traced = ref [] and lat_plain = ref [] in
-  let run_pass engine sink =
-    Engine.invalidate engine;
-    List.iter
-      (fun q ->
-        let t0 = Unix.gettimeofday () in
-        (match Engine.estimate_ast engine q with
-         | Ok _ -> ()
-         | Error e -> raise (Core.Error.Xseed e));
-        sink := (Unix.gettimeofday () -. t0) :: !sink)
-      asts
-  in
+  let run_pass engine = timed_pass engine texts in
   run_pass traced (ref []);
   run_pass plain (ref []);
   for _ = 1 to passes do
@@ -747,7 +750,7 @@ let profile_section () =
   let m_traced = median !lat_traced and m_plain = median !lat_plain in
   let overhead = (m_traced -. m_plain) /. m_plain in
   pf "\ntracing overhead: %d queries x %d passes (cache invalidated per pass)\n"
-    (List.length asts) passes;
+    (List.length texts) passes;
   pf "%-24s %11.1f us\n" "tracing off" (1e6 *. m_plain);
   pf "%-24s %11.1f us\n" "tracing on" (1e6 *. m_traced);
   pf "%-24s %+12.2f%%\n" "overhead" (100.0 *. overhead);
@@ -935,14 +938,14 @@ let feedback () =
         Core.Estimator.create ~card_threshold:ds.card_threshold ~het
           (Lazy.force ds.kernel)
       in
-      let engine = Engine.create ~cache_capacity:4096 estimator in
+      let engine = Engine.Pool.create ~workers:1 ~cache_capacity:4096 estimator in
       let queries = bp_queries ds @ cp_queries ds in
       for round = 1 to rounds do
         let pairs =
           List.map
             (fun q ->
-              match Engine.estimate_ast engine q with
-              | Ok s -> (s.Engine.outcome.Core.Estimator.value, actual ds q)
+              match Engine.Pool.estimate engine (Xpath.Ast.to_string q) with
+              | Ok r -> (r.Engine.Serve.value, actual ds q)
               | Error e -> raise (Core.Error.Xseed e))
             queries
         in
@@ -950,18 +953,18 @@ let feedback () =
         List.iter
           (fun q ->
             match
-              Engine.feedback_ast engine q
+              Engine.Pool.feedback engine (Xpath.Ast.to_string q)
                 ~actual:(int_of_float (actual ds q))
             with
             | Ok _ -> ()
             | Error e -> raise (Core.Error.Xseed e))
           queries;
-        let c = Engine.cache_counters engine in
+        let c = Engine.Pool.cache_counters engine in
         let lookups = c.Engine.Lru_cache.hits + c.Engine.Lru_cache.misses in
         pf "%-12s %5d %10.3f %10.3f %12.4g %6d %6d %8.1f%%\n" ds.name round
           s.q_error_median s.q_error_p90 s.q_error_max
           (Core.Het.active_count het)
-          (Engine.feedback_rounds engine)
+          (Engine.Pool.feedback_rounds engine)
           (100.0 *. float_of_int c.Engine.Lru_cache.hits
           /. float_of_int (max 1 lookups))
       done;
@@ -983,26 +986,18 @@ let telemetry () =
   header "Telemetry overhead: estimate latency, recorder+drift vs. off";
   let ds = xmark10 in
   let passes = scale 10 16 in
-  let queries = bp_queries ds @ cp_queries ds in
+  let queries =
+    List.map Xpath.Ast.to_string (bp_queries ds @ cp_queries ds)
+  in
   let engine_with ~telemetry =
-    Engine.create ~telemetry ~cache_capacity:4096
+    Engine.Pool.create ~workers:1 ~telemetry ~cache_capacity:4096
       (Core.Estimator.create ~card_threshold:ds.card_threshold
          (Lazy.force ds.kernel))
   in
   let on = engine_with ~telemetry:true in
   let off = engine_with ~telemetry:false in
   let lat_on = ref [] and lat_off = ref [] in
-  let run_pass engine sink =
-    Engine.invalidate engine;
-    List.iter
-      (fun q ->
-        let t0 = Unix.gettimeofday () in
-        (match Engine.estimate_ast engine q with
-         | Ok _ -> ()
-         | Error e -> raise (Core.Error.Xseed e));
-        sink := (Unix.gettimeofday () -. t0) :: !sink)
-      queries
-  in
+  let run_pass engine = timed_pass engine queries in
   (* Warm both (first EPT build, allocator) outside the measurement. *)
   run_pass on (ref []);
   run_pass off (ref []);
@@ -1023,12 +1018,7 @@ let telemetry () =
   pf "%-24s %11.1f us\n" "telemetry off (Noop)" (1e6 *. m_off);
   pf "%-24s %11.1f us\n" "recorder + drift" (1e6 *. m_on);
   pf "%-24s %+13.2f%%\n" "overhead" (100.0 *. overhead);
-  (match Engine.recorder on with
-   | Some fr ->
-     pf "\nflight records written: %d (ring %d)\n"
-       (Engine.Flight_recorder.total fr)
-       (Engine.Flight_recorder.capacity fr)
-   | None -> ());
+  pf "\nflight records kept: %d\n" (List.length (Engine.Pool.recent on));
   if overhead >= 0.05 then begin
     Printf.eprintf
       "telemetry: median overhead %.2f%% >= 5%% budget (on %.1f us, off %.1f \
@@ -1060,29 +1050,21 @@ let audit_bench () =
   in
   let storage = Lazy.force ds.storage in
   (* Overhead: alternating passes over a cold cache, as in [telemetry]. *)
-  let audited_engine = Engine.create ~telemetry:false ~cache_capacity:4096
-      (mk_estimator ())
-  in
   let auditor =
     Engine.Auditor.create ~rate:0.01
       (Engine.Auditor.Loaded { estimator = mk_estimator (); storage })
   in
-  Engine.set_auditor audited_engine auditor;
+  let audited_engine =
+    Engine.Pool.create ~workers:1 ~telemetry:false ~cache_capacity:4096
+      ~auditor (mk_estimator ())
+  in
   let bare_engine =
-    Engine.create ~telemetry:false ~cache_capacity:4096 (mk_estimator ())
+    Engine.Pool.create ~workers:1 ~telemetry:false ~cache_capacity:4096
+      (mk_estimator ())
   in
   let lat_on = ref [] and lat_off = ref [] in
-  let run_pass engine sink =
-    Engine.invalidate engine;
-    List.iter
-      (fun q ->
-        let t0 = Unix.gettimeofday () in
-        (match Engine.estimate_ast engine q with
-         | Ok _ -> ()
-         | Error e -> raise (Core.Error.Xseed e));
-        sink := (Unix.gettimeofday () -. t0) :: !sink)
-      queries
-  in
+  let texts = List.map Xpath.Ast.to_string queries in
+  let run_pass engine = timed_pass engine texts in
   run_pass audited_engine (ref []);
   run_pass bare_engine (ref []);
   for _ = 1 to passes do
@@ -1090,7 +1072,7 @@ let audit_bench () =
     run_pass audited_engine lat_on
   done;
   ignore (Engine.Auditor.settle auditor : bool);
-  Engine.drain_audits audited_engine;
+  Engine.Pool.drain_audits audited_engine;
   Engine.Auditor.shutdown auditor;
   let median samples =
     let a = Array.of_list samples in

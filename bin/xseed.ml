@@ -190,6 +190,12 @@ let estimator_of ?obs ~threshold syn =
     ?obs
     (Core.Synopsis.kernel syn)
 
+(* The estimator behind a pool counts into a registry of its own: the pool
+   merges it with its shards' registries, and [Pool.publish_telemetry]
+   mirrors that merge into the CLI registry for snapshots. It shares the
+   CLI registry's sink, so drift alerts still reach --metrics-out. *)
+let pipeline_obs obs = Obs.create ~sink:(Obs.sink obs) ()
+
 let strict_failures ~clamped ~unknown_labels =
   if clamped > 0 then
     Format.eprintf "xseed: strict: estimate was clamped from a degenerate value@.";
@@ -437,10 +443,10 @@ let drift_p90_arg =
 let workers_arg =
   Arg.(value & opt int 1
        & info [ "workers" ] ~docv:"N"
-           ~doc:"Worker domains. 1 (default) serves on a single engine; \
-                 N >= 2 shares the synopsis across an $(b,Engine.Pool) of \
-                 $(docv) domains with per-domain caches and single-writer \
-                 feedback")
+           ~doc:"Worker shards of the $(b,Engine.Pool) serving the synopsis. \
+                 1 (default) serves every request on the serving thread; \
+                 N >= 2 spreads estimates across $(docv) domains with \
+                 per-domain caches and single-writer feedback")
 
 let trace_out_arg =
   Arg.(value & opt (some string) None
@@ -660,13 +666,13 @@ let serve_cmd =
      | _ -> ());
     if manifest <> None then begin
       (* The registry is the many-documents axis: each tenant is one
-         single-threaded engine behind the registry lock. The pool's
-         many-cores knobs (and the single-synopsis journal/trace flags)
-         don't compose with it, so refuse rather than silently ignore. *)
+         one-worker pool behind the registry lock. The many-cores knobs
+         (and the single-synopsis journal/trace flags) don't compose with
+         it, so refuse rather than silently ignore. *)
       if workers <> 1 then
         Core.Error.raisef Core.Error.Malformed_query
           "--workers is not supported with --manifest (tenants serve on \
-           single-threaded engines behind the registry lock)";
+           one-worker pools behind the registry lock)";
       List.iter
         (fun (present, flag, hint) ->
           if present then
@@ -711,9 +717,9 @@ let serve_cmd =
     let idle_timeout_s =
       if idle_timeout_ms = 0.0 then None else Some (idle_timeout_ms /. 1000.0)
     in
-    (* Serving always keeps a metrics registry (the METRICS scrape needs
-       one even without --trace/--metrics-out), shared with the estimator
-       so pipeline counters land beside the engine's. *)
+    (* Serving always keeps a metrics registry: it carries the
+       --trace/--metrics-out sink, and the snapshot hook mirrors the pool's
+       METRICS view into it. *)
     let obs =
       match obs_of obs_spec with Some o -> o | None -> Obs.create ()
     in
@@ -840,7 +846,6 @@ let serve_cmd =
         journal := Some w;
         fun s -> Engine.Journal.wrap_server w s
     in
-    let with_journal base_server = journal_wrap base_server base_server in
     (match manifest with
      | Some manifest_path ->
        let reg =
@@ -869,7 +874,7 @@ let serve_cmd =
      | None ->
        let synopsis_file = Option.get synopsis_file in
        let syn = load_synopsis synopsis_file in
-       let estimator = estimator_of ~obs ~threshold syn in
+       let estimator = estimator_of ~obs:(pipeline_obs obs) ~threshold syn in
        Format.eprintf "xseed serve: %s loaded (%d worker%s)@." synopsis_file
          workers
          (if workers = 1 then "" else "s");
@@ -889,58 +894,46 @@ let serve_cmd =
                 (Engine.Auditor.Paths { synopsis = synopsis_file; doc }))
          | _ -> None
        in
-       if workers = 1 then begin
-         let engine =
-           Engine.create ~qerror_threshold ~cache_capacity
-             ~drift_p90_threshold:drift_p90 ~obs ?trace ?deadline_s estimator
-         in
-         Option.iter (Engine.set_auditor engine) auditor;
-         set_on_record (Engine.set_on_record engine);
-         let server = with_journal (Engine.server engine) in
-         run_transport
-           ~make_session:(fun () -> (server, no_extra))
-           (fun () -> Engine.publish_telemetry engine);
-         (* Drain: let in-flight audits finish and fold them into the
-            final telemetry snapshot before the registry is flushed. *)
-         (match auditor with
-          | None -> ()
-          | Some a ->
-            ignore (Engine.Auditor.settle a : bool);
-            Engine.drain_audits engine;
-            Engine.Auditor.shutdown a);
-         Engine.publish_telemetry engine
-       end
-       else begin
-         let pool =
-           Engine.Pool.create ~workers ~qerror_threshold ~cache_capacity
-             ~drift_p90_threshold:drift_p90 ~queue_capacity ?trace ?deadline_s
-             ~shed_policy ?auditor estimator
-         in
-         set_on_record (Engine.Pool.set_on_record pool);
-         (* Journal recovery replays once through a no-affinity vtable;
-            each TCP connection then gets its own vtable with the
-            connection counter as affinity token, so a session's chunks
-            keep landing on the shard whose cache it has warmed (stdin is
-            a single session — plain round-robin planning serves it
-            better than pinning one shard). *)
-         let wrap = journal_wrap (Engine.Pool.server pool) in
-         let base_server = wrap (Engine.Pool.server pool) in
-         let next_conn = ref 0 in
-         Fun.protect
-           ~finally:(fun () ->
-             Engine.Pool.shutdown pool;
-             Option.iter Engine.Auditor.shutdown auditor)
-           (fun () ->
-             run_transport
-               ~make_session:(fun () ->
-                 match port with
-                 | None -> (base_server, no_extra)
-                 | Some _ ->
-                   incr next_conn;
-                   ( wrap (Engine.Pool.server ~affinity:!next_conn pool),
-                     no_extra ))
-               (fun () -> ()))
-       end);
+       let pool =
+         Engine.Pool.create ~workers ~qerror_threshold ~cache_capacity
+           ~drift_p90_threshold:drift_p90 ~queue_capacity ?trace ?deadline_s
+           ~shed_policy ?auditor estimator
+       in
+       set_on_record (Engine.Pool.set_on_record pool);
+       (* The snapshot hook mirrors the pool's METRICS view (serving
+          totals and every pipeline counter) into the CLI registry. *)
+       let publish () = Engine.Pool.publish_telemetry pool obs in
+       (* Journal recovery replays once through a no-affinity vtable;
+          each TCP connection then gets its own vtable with the
+          connection counter as affinity token, so a session's chunks
+          keep landing on the shard whose cache it has warmed (stdin is
+          a single session — plain round-robin planning serves it
+          better than pinning one shard). *)
+       let wrap = journal_wrap (Engine.Pool.server pool) in
+       let base_server = wrap (Engine.Pool.server pool) in
+       let next_conn = ref 0 in
+       Fun.protect
+         ~finally:(fun () ->
+           (* Let in-flight audits finish and fold them into the final
+              telemetry before the pool stops. *)
+           (match auditor with
+            | None -> ()
+            | Some a ->
+              ignore (Engine.Auditor.settle a : bool);
+              Engine.Pool.drain_audits pool);
+           Engine.Pool.shutdown pool;
+           Option.iter Engine.Auditor.shutdown auditor;
+           publish ())
+         (fun () ->
+           run_transport
+             ~make_session:(fun () ->
+               match port with
+               | None -> (base_server, no_extra)
+               | Some _ ->
+                 incr next_conn;
+                 ( wrap (Engine.Pool.server ~affinity:!next_conn pool),
+                   no_extra ))
+             publish));
     (* Drain ordering (DESIGN.md §13): admission already stopped (the serve
        loop has exited) and in-flight work drained (Pool.shutdown above);
        now flush durable state — trace, journal, telemetry, metrics. *)
@@ -1231,18 +1224,21 @@ let replay_cmd =
     let estimator =
       Core.Estimator.create
         ~card_threshold:(Option.value threshold ~default:0.5)
-        ~het ?obs kernel
+        ~het ?obs:(Option.map pipeline_obs obs) kernel
     in
-    let engine =
-      Engine.create ~qerror_threshold ~cache_capacity ?obs ?trace estimator
+    let pool =
+      Engine.Pool.create ~workers:1 ~qerror_threshold ~cache_capacity ?trace
+        estimator
     in
+    Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
     let storage = Nok.Storage.of_string ~with_values:true doc in
     let actuals =
       List.map (fun q -> Nok.Eval.cardinality storage q) queries
     in
+    let texts = List.map Xpath.Ast.to_string queries in
     let estimate_of q =
-      match Engine.estimate_ast engine q with
-      | Ok s -> s.Engine.outcome.Core.Estimator.value
+      match Engine.Pool.estimate pool q with
+      | Ok r -> r.Engine.Serve.value
       | Error e -> raise (Core.Error.Xseed e)
     in
     let medians = ref [] in
@@ -1251,17 +1247,17 @@ let replay_cmd =
           let pairs =
             List.map2
               (fun q a -> (estimate_of q, float_of_int a))
-              queries actuals
+              texts actuals
           in
           let s = Stats.Metrics.summarize pairs in
           medians := s.Stats.Metrics.q_error_median :: !medians;
           List.iter2
             (fun q actual ->
-              match Engine.feedback_ast engine q ~actual with
+              match Engine.Pool.feedback pool q ~actual with
               | Ok _ -> ()
               | Error e -> raise (Core.Error.Xseed e))
-            queries actuals;
-          let c = Engine.cache_counters engine in
+            texts actuals;
+          let c = Engine.Pool.cache_counters pool in
           Format.printf
             "round %d  queries %d  q-error median %.3f p90 %.3f max %.3f  \
              cache %d hits / %d misses  HET %d active (%d B)  refinements %d@."
@@ -1270,8 +1266,8 @@ let replay_cmd =
             c.Engine.Lru_cache.hits c.Engine.Lru_cache.misses
             (Core.Het.active_count het)
             (Core.Het.size_in_bytes het)
-            (Engine.feedback_rounds engine);
-          match Engine.drift engine with
+            (Engine.Pool.feedback_rounds pool);
+          match Engine.Pool.drift pool with
           | None -> ()
           | Some d ->
             Format.printf
@@ -1285,7 +1281,7 @@ let replay_cmd =
               (Engine.Drift.alerts d)
               (if Engine.Drift.alerting d then "  [ALERTING]" else ""))
     done;
-    Engine.publish_counters engine;
+    Option.iter (Engine.Pool.publish_telemetry pool) obs;
     write_trace ();
     finish_obs obs;
     let medians = List.rev !medians in

@@ -18,6 +18,7 @@ let values t = t.values
 let card_threshold t = t.card_threshold
 let max_ept_nodes t = t.max_ept_nodes
 let recursion_aware t = t.recursion_aware
+let obs t = t.obs
 
 let ept t =
   let traveler =

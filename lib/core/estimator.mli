@@ -33,6 +33,9 @@ val card_threshold : t -> float
 val max_ept_nodes : t -> int
 val recursion_aware : t -> bool
 
+val obs : t -> Obs.t option
+(** The registry given to {!create}, if any. *)
+
 val estimate : t -> Xpath.Ast.t -> float
 (** Estimated cardinality |p|. The EPT is regenerated per call, matching the
     paper's per-query estimation cost; use {!ept}+{!estimate_on} to amortize

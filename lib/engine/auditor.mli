@@ -149,9 +149,9 @@ val pending : t -> int
 
 val drain : t -> (audited -> unit) -> unit
 (** Hand every completed audit to [f], oldest first, on the caller's
-    thread. The caller must be the serving side's single writer (the
-    engine's serving thread; the pool drained under its submit lock) so
-    [f] may safely run {!Drift.observe} and HET refinement. *)
+    thread. The caller must be the serving side's single writer (the pool
+    drained under its submit lock) so [f] may safely run
+    {!Drift.observe} and HET refinement. *)
 
 val note_refined : t -> unit
 (** Count one audit-driven HET refinement (the drain callback reports

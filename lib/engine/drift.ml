@@ -126,7 +126,6 @@ let observe ?obs t ~estimate ~actual =
   else if p90 >= t.p90_threshold then begin
     t.alerting <- true;
     t.alerts <- t.alerts + 1;
-    Obs.add_to ?obs "engine.drift.alerts" 1;
     Obs.event ?obs "drift_alert"
       ~fields:
         [ ("p90_qerror", Obs.Json.Float p90);

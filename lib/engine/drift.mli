@@ -29,8 +29,9 @@ val qerror : estimate:float -> actual:int -> float
 val observe : ?obs:Obs.t -> t -> estimate:float -> actual:int -> float
 (** Record one feedback observation; returns its q-error. Rotates the
     window when the current slot is full, then evaluates the alert
-    condition (bumping [engine.drift.alerts] / emitting the event on
-    [obs] when it newly fires). *)
+    condition (counting the alert and emitting a [drift_alert] event on
+    [obs] when it newly fires; {!publish} exports the count as
+    [engine.drift.alerts]). *)
 
 val note_estimate : t -> cache_hit:bool -> unit
 (** Count one served estimate (and whether it was a cache hit) against the

@@ -1,6 +1,5 @@
-(* Root module of the [engine] library: re-export the serving submodules
-   and the single-domain engine itself ([Engine_core]). [Pool] and [Serve]
-   depend on [Engine_core] directly so this module stays a pure facade. *)
+(* Root module of the [engine] library: re-export the serving submodules.
+   The serving core itself is [Pool]. *)
 
 module Canonical = Canonical
 module Lru_cache = Lru_cache
@@ -14,4 +13,3 @@ module Journal = Journal
 module Registry = Registry
 module Auditor = Auditor
 module Scrape_meter = Scrape_meter
-include Engine_core

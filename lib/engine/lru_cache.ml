@@ -34,6 +34,9 @@ let capacity t = t.cap
 let length t = Hashtbl.length t.table
 let mem t key = Hashtbl.mem t.table key
 
+let peek t key =
+  Option.map (fun node -> node.value) (Hashtbl.find_opt t.table key)
+
 let unlink t node =
   (match node.prev with
    | Some p -> p.next <- node.next
@@ -107,11 +110,3 @@ let counters (t : _ t) =
     insertions = t.insertions;
     evictions = t.evictions;
     invalidations = t.invalidations }
-
-let publish_counters ?obs (t : _ t) =
-  Obs.add_to ?obs "engine.cache.hits" t.hits;
-  Obs.add_to ?obs "engine.cache.misses" t.misses;
-  Obs.add_to ?obs "engine.cache.insertions" t.insertions;
-  Obs.add_to ?obs "engine.cache.evictions" t.evictions;
-  Obs.add_to ?obs "engine.cache.invalidations" t.invalidations;
-  Obs.max_to ?obs "engine.cache.size" (length t)

@@ -3,8 +3,8 @@
     String-keyed (canonical query text), polymorphic in the value. A
     [find] refreshes recency; a [put] past capacity evicts the least
     recently used entry. Counters account for every operation —
-    [hits + misses = lookups] always — and can be published into an Obs
-    context as [engine.cache.*]. *)
+    [hits + misses = lookups] always; the pool publishes their per-shard
+    sums as [engine.cache.*]. *)
 
 type 'v t
 
@@ -18,7 +18,10 @@ val find : 'v t -> string -> 'v option
 (** Counted: a hit refreshes the entry's recency. *)
 
 val mem : 'v t -> string -> bool
-(** Uncounted, recency-neutral peek. *)
+(** Uncounted, recency-neutral membership test. *)
+
+val peek : 'v t -> string -> 'v option
+(** Uncounted, recency-neutral lookup. *)
 
 val put : 'v t -> string -> 'v -> unit
 (** Insert (counted, possibly evicting the LRU entry) or refresh the value
@@ -40,7 +43,3 @@ type counters = {
 }
 
 val counters : 'v t -> counters
-
-val publish_counters : ?obs:Obs.t -> 'v t -> unit
-(** Add current totals to [engine.cache.{hits,misses,insertions,evictions,
-    invalidations}] counters (and [engine.cache.size] via max). *)

@@ -1,26 +1,30 @@
-(* Multi-domain serving pool.
+(* The serving core: one synopsis, N shards.
 
    One synopsis (kernel + HET + values) and one materialized EPT are shared
-   read-only by N worker domains; everything written on the estimate hot
-   path is per-shard (LRU cache, flight-recorder ring, Obs registry, drift
+   read-only by every shard; everything written on the estimate hot path
+   is per-shard (LRU cache, flight-recorder ring, Obs registry, drift
    volume ring), so answering an estimate takes no lock beyond the work
    queue's own mutex. Writes to the shared state — HET refinement and the
    EPT rebuild — happen only on the feedback path, which is single-writer:
    it takes the submission lock (stopping new chunks), waits for in-flight
    chunks to drain, mutates, bumps the epoch, and only then lets
-   submissions resume. Workers notice the epoch change at their next
-   dequeue and drop their own stale cache; the queue mutex's
+   submissions resume. Shards notice the epoch change when they next take
+   a chunk and drop their own stale cache; the queue mutex's
    acquire/release pairs give the happens-before edge that makes the new
    EPT pointer and HET contents visible to them.
 
-   Since PR 10 the unit of dispatch is a chunk: BATCH n is split into
-   contiguous per-shard slices (DESIGN.md §16), one queue operation per
-   chunk. Replies are written lock-free into the batch's preallocated
-   submission-order result array; the only latch is one idempotent
-   completion per chunk, published to the submitter by the batch mutex.
-   Idle shards steal chunks from the tail of busy shards' deques
-   (half-splitting a victim's last divisible chunk), so a straggler no
-   longer serializes the batch. *)
+   The unit of dispatch is a chunk: BATCH n is split into contiguous
+   per-shard slices (DESIGN.md §16). With two or more workers each shard
+   runs on its own domain and chunks travel through the work queue; idle
+   shards steal chunks from the tail of busy shards' deques (half-splitting
+   a victim's last divisible chunk), so a straggler does not serialize the
+   batch. With one worker no domain is spawned: the submitter serves each
+   chunk itself, under the submission lock, through the same chunk body
+   and crash cleanup the domains run — that choice in [run_batch] is the
+   only place the worker count changes the request path. Replies are
+   written lock-free into the batch's preallocated submission-order result
+   array; the only latch is one idempotent completion per chunk, published
+   to a queued batch's submitter by the batch mutex. *)
 
 (* Interned trace-event names, resolved once at create so worker hot loops
    record integer ids only. *)
@@ -65,8 +69,8 @@ type hot = {
   mutable affinity_hits : int;
       (* affinity-routed chunks this shard served as the preferred shard *)
   mutable current : chunk option;
-      (* the chunk being executed, set between dequeue and completion so
-         the supervisor can answer its unserved slots if the worker body
+      (* the chunk being executed, set between taking it and completion so
+         [recover_crash] can answer its unserved slots if the chunk body
          dies mid-chunk *)
   mutable pad0 : int;
   mutable pad1 : int;
@@ -89,7 +93,7 @@ and shard = {
   cache : Core.Estimator.outcome Lru_cache.t;
   recorder : Flight_recorder.t option;
   drift_shard : Drift.shard option;
-  tbuf : Obs.Trace.buf option;  (* written only by this shard's domain *)
+  tbuf : Obs.Trace.buf option;  (* written only by the thread serving it *)
   hot : hot;  (* all per-shard mutable scalars live here, padded *)
   queue_wait_us : Obs.histogram;  (* in [obs]; merges pool-wide by key *)
   gc_minor_words : Obs.counter;
@@ -99,14 +103,14 @@ and shard = {
 }
 
 (* A submitted batch: [remaining] counts unanswered slots; each chunk
-   decrements it exactly once (by its slot count) when it completes, and
-   the submitter waits on the condition until it reaches zero. The batch
-   mutex also publishes the workers' lock-free result-array writes to the
-   submitter. *)
+   decrements it exactly once (by its slot count) when it completes. A
+   queued batch carries a mutex and condition: the submitter waits on them
+   until [remaining] reaches zero, and the mutex publishes the workers'
+   lock-free result-array writes to it. An inline batch completes on its
+   submitter's thread and carries neither. *)
 and batch = {
   mutable remaining : int;
-  batch_lock : Mutex.t;
-  batch_done : Condition.t;
+  sync : (Mutex.t * Condition.t) option;
 }
 
 (* A contiguous slice [c_base, c_hi) of one batch, the unit of dispatch.
@@ -122,7 +126,7 @@ and chunk = {
   c_fin : float array;  (* per-slot finish stamps (0 = never) *)
   c_seq_base : int;  (* global seq of batch slot 0 *)
   c_parent : batch;
-  c_enqueued_at : float;  (* deadline + queue-wait baseline, mono clock *)
+  c_enqueued_at : float;  (* admission: deadline + queue-wait baseline *)
   c_shard : int;  (* planned shard (≠ server when stolen) *)
   c_affinity : bool;  (* routed by client affinity *)
   c_span : bool;
@@ -131,7 +135,7 @@ and chunk = {
   c_base : int;  (* first slot this record owns *)
   mutable c_hi : int;  (* exclusive; reduced on the victim by a split *)
   mutable c_cursor : int;  (* next slot to serve *)
-  mutable c_done : bool;  (* under [c_parent.batch_lock]: idempotent latch *)
+  mutable c_done : bool;  (* idempotent latch; a queued batch's mutex guards it *)
 }
 
 type t = {
@@ -143,14 +147,14 @@ type t = {
   mutable domains : unit Domain.t array;
   epoch : int Atomic.t;
   inflight : int Atomic.t;  (* chunks queued or executing *)
-  deadline_s : float option;  (* per-request budget from enqueue, mono clock *)
+  deadline_s : float option;  (* per-request budget from admission, mono clock *)
   shed_policy : [ `Block | `Shed_newest ];
   shed_total : int Atomic.t;
   timeout_total : int Atomic.t;
   worker_restarts : int Atomic.t;
   chaos : (string -> bool) option;
-      (* test-only fault hook, called on the worker domain right before a
-         query executes; returning true kills the worker body there *)
+      (* test-only fault hook, called on the serving thread right before a
+         query executes; returning true kills the chunk body there *)
   quarantine_lock : Mutex.t;
   crash_counts : (string, int) Hashtbl.t;  (* under quarantine_lock *)
   quarantined_queries : (string, unit) Hashtbl.t;  (* under quarantine_lock *)
@@ -161,6 +165,10 @@ type t = {
   drain_cond : Condition.t;
   submit_lock : Mutex.t;  (* serializes submissions against feedback *)
   mutable ept : (Core.Matcher.ept, Core.Error.t) result;
+  feedback_memo : Core.Estimator.outcome Lru_cache.t;
+      (* the estimates FEEDBACK judged, by canonical text; valid for
+         [memo_epoch] only and touched only drained *)
+  mutable memo_epoch : int;
   mutable next_seq : int;  (* under submit_lock *)
   drift : Drift.t option;  (* q-error window + coordinator volume ring *)
   recorder : Flight_recorder.t option;  (* coordinator ring: feedback/explain *)
@@ -226,6 +234,13 @@ let plan_chunks ~n ~workers ~chunk_target ?preferred () =
         (lo, hi, shard))
   end
 
+(* Hand a fresh flight record to the [set_on_record] sink, serialized so
+   the sink itself need not be domain-safe. *)
+let deliver t r =
+  match t.on_record with
+  | None -> ()
+  | Some f -> with_lock t.record_lock (fun () -> f r)
+
 let emit_record t recorder ~seq ~(key : Canonical.key) ~status
     ~(outcome : Core.Estimator.outcome) ~canonicalize_s ~ept_s ~match_s
     ~ept_nodes ~frontier_peak ~het_hits =
@@ -240,9 +255,7 @@ let emit_record t recorder ~seq ~(key : Canonical.key) ~status
         ~degenerate_clamps:outcome.Core.Estimator.clamped ~het_hits
         ~feedback_round:t.feedback_rounds
     in
-    (match t.on_record with
-     | None -> ()
-     | Some f -> with_lock t.record_lock (fun () -> f r))
+    deliver t r
 
 let timeout_error () =
   Core.Error.make Core.Error.Timeout "request deadline exceeded"
@@ -271,9 +284,7 @@ let emit_refusal t recorder ~seq ~query ~hash ~cache =
         ~frontier_peak:0 ~degenerate_clamps:0 ~het_hits:0
         ~feedback_round:t.feedback_rounds
     in
-    (match t.on_record with
-     | None -> ()
-     | Some f -> with_lock t.record_lock (fun () -> f r))
+    deliver t r
 
 let past_deadline t ~enqueued_at ~now =
   match t.deadline_s with None -> false | Some d -> now -. enqueued_at > d
@@ -324,10 +335,7 @@ let het_hits_since t before =
     max 0 (d.Core.Het.simple_hits + d.Core.Het.branching_hits)
   | _ -> 0
 
-(* The estimate hot path, run on a worker domain against its own shard.
-   Mirrors Engine_core.estimate_ast step for step so pool estimates are
-   bit-identical to single-engine ones over the same synopsis. *)
-(* Stage sub-slices on the serving shard's track, inside the worker's
+(* Stage sub-slices on the serving shard's track, inside the shard's
    [execute] slice. No-ops unless the pool is tracing. *)
 let trace_stage t shard ~name ~t0 ~dur =
   match (t.tracing, shard.tbuf) with
@@ -339,6 +347,10 @@ let trace_stage t shard ~name ~t0 ~dur =
     Obs.Trace.complete tb ~name ~ts:(Obs.Trace.rel tg.tr t0) ~dur
   | _ -> ()
 
+(* The estimate hot path, run against the serving shard: canonicalize,
+   consult the shard cache, check the deadline, run the pipeline on a
+   miss. Every shard estimator is built from the same kernel/HET/values,
+   so the estimate does not depend on which shard serves it. *)
 let serve_query t shard ~seq ~enqueued_at query =
   match parse query with
   | Error e -> Error e
@@ -415,28 +427,34 @@ let serve_query t shard ~seq ~enqueued_at query =
         | Error e -> Error e))
 
 (* Retire a chunk exactly once: decrement the parent batch by the chunk's
-   slot count and the pool's in-flight chunk count. Both the worker that
-   executed the chunk and the supervisor cleaning up after a crashed
-   worker call this; [c_done] (under the batch lock, which also publishes
-   the result-array writes) makes the second call a no-op. *)
+   slot count and, for a queued chunk, the pool's in-flight chunk count.
+   Both the chunk body and [recover_crash] cleaning up after it call this;
+   [c_done] makes the second call a no-op. For a queued chunk the batch
+   mutex guards the latch and publishes the result-array writes. *)
 let complete_chunk t (c : chunk) =
-  let slots = c.c_hi - c.c_base in
-  let first =
-    with_lock c.c_parent.batch_lock (fun () ->
-        if c.c_done then false
-        else begin
-          c.c_done <- true;
-          c.c_parent.remaining <- c.c_parent.remaining - slots;
-          if c.c_parent.remaining = 0 then
-            Condition.broadcast c.c_parent.batch_done;
-          true
-        end)
+  let b = c.c_parent in
+  let retire () =
+    if c.c_done then false
+    else begin
+      c.c_done <- true;
+      b.remaining <- b.remaining - (c.c_hi - c.c_base);
+      true
+    end
   in
-  if first then begin
-    let before = Atomic.fetch_and_add t.inflight (-1) in
-    if before = 1 then
-      with_lock t.drain_lock (fun () -> Condition.broadcast t.drain_cond)
-  end
+  match b.sync with
+  | None -> ignore (retire () : bool)
+  | Some (m, cond) ->
+    let first =
+      with_lock m (fun () ->
+          let first = retire () in
+          if b.remaining = 0 then Condition.broadcast cond;
+          first)
+    in
+    if first then begin
+      let before = Atomic.fetch_and_add t.inflight (-1) in
+      if before = 1 then
+        with_lock t.drain_lock (fun () -> Condition.broadcast t.drain_cond)
+    end
 
 (* The thief-side split for a victim's last queued chunk: the victim keeps
    the leading (ceil) half [cursor, mid), the thief takes [mid, hi). Runs
@@ -460,172 +478,215 @@ let split_chunk t (c : chunk) =
     Some (c, thief)
   end
 
-(* One dequeue-and-serve iteration cycle over whole chunks. Raises only if
-   the worker body itself dies (chaos injection, or a bug outside the
-   per-query guard) — the supervisor catches that, answers the chunk's
-   unserved slots, and restarts. *)
-let worker_loop t shard =
-  let sampling_gc = t.telemetry || Option.is_some t.tracing in
+(* Taking a chunk: drop a cache made stale by a refining feedback, count
+   the steal or the affinity hit, and close the chunk's queue-wait span. *)
+let begin_chunk t shard (c : chunk) ~stolen t_deq =
+  let epoch = Atomic.get t.epoch in
+  if epoch <> shard.hot.epoch_seen then begin
+    (* Feedback refined the synopsis since this shard last served: every
+       cached outcome may be stale. *)
+    Lru_cache.clear shard.cache;
+    shard.hot.epoch_seen <- epoch
+  end;
+  if stolen then begin
+    shard.hot.steals <- shard.hot.steals + 1;
+    match (t.tracing, shard.tbuf) with
+    | Some tg, Some tb ->
+      Obs.Trace.instant tb ~name:tg.names.n_steal
+        ~ts:(Obs.Trace.rel tg.tr t_deq)
+    | _ -> ()
+  end
+  else if c.c_affinity && c.c_shard = shard.id then
+    shard.hot.affinity_hits <- shard.hot.affinity_hits + 1;
+  if t.telemetry then
+    Obs.hobserve shard.queue_wait_us (1e6 *. (t_deq -. c.c_enqueued_at));
+  match (t.tracing, shard.tbuf) with
+  | Some tg, Some tb when c.c_span ->
+    (* Close the queue-wait async span the submitter opened for this
+       chunk; async spans may overlap, which B/E slices on this track
+       could not. Split offspring carry no span. *)
+    Obs.Trace.async_end tb ~name:tg.names.n_queue_wait
+      ~ts:(Obs.Trace.rel tg.tr t_deq) ~id:(c.c_seq_base + c.c_base)
+  | _ -> ()
+
+(* The GC figures a chunk is bracketed with: the serving domain's own
+   allocation (major words include promotions) and the process-wide
+   collection counts — allocation-free reads cheap enough for every
+   request, unlike [Gc.quick_stat]. *)
+type gc_sample = {
+  minor_words : float;
+  major_words : float;
+  minor_collections : int;
+  major_collections : int;
+}
+
+let gc_sample () =
+  { minor_words = Gc.minor_words ();
+    major_words = Obs.major_words ();
+    minor_collections = Obs.minor_collections ();
+    major_collections = Obs.major_collections () }
+
+(* The chunk body: serve every remaining slot in order, then retire the
+   chunk, returning the instant it finished. Slots run back to back, so a
+   slot starts at its predecessor's finish stamp (the first at [t_deq]).
+   Raises only if the body itself dies (chaos injection, or a bug outside
+   the per-query guard) — [recover_crash] then answers the chunk's
+   unserved slots. *)
+let serve_chunk t shard (c : chunk) t_deq =
+  shard.hot.current <- Some c;
+  let gc0 =
+    if t.telemetry || Option.is_some t.tracing then Some (gc_sample ())
+    else None
+  in
+  let clock = ref t_deq in
+  while c.c_cursor < c.c_hi do
+    let slot = c.c_cursor in
+    let seq = c.c_seq_base + slot in
+    let query = c.c_queries.(slot) in
+    let t_slot = !clock in
+    c.c_deq.(slot) <- t_slot;
+    let result =
+      if is_quarantined t query then
+        (* Refused before any execution: a query that has already
+           crashed two workers never runs again. *)
+        Error (quarantined_error ())
+      else if past_deadline t ~enqueued_at:c.c_enqueued_at ~now:t_slot
+      then begin
+        (* First deadline checkpoint, per slot: the budget runs from the
+           batch's admission, so a deadline can expire mid-chunk — earlier
+           slots answered, later ones refused. *)
+        Atomic.incr t.timeout_total;
+        emit_refusal t shard.recorder ~seq ~query ~hash:0
+          ~cache:Flight_recorder.Timed_out;
+        Error (timeout_error ())
+      end
+      else begin
+        (* The chaos hook sits outside the per-query guard below on
+           purpose: returning true kills the chunk body the way a real
+           bug outside the guard would, exercising the crash cleanup. *)
+        (match t.chaos with
+         | Some kill when kill query -> failwith "chaos: worker killed"
+         | Some _ | None -> ());
+        try serve_query t shard ~seq ~enqueued_at:c.c_enqueued_at query
+        with exn ->
+          Error
+            (match Core.Error.of_exn exn with
+             | Some e -> e
+             | None ->
+               Core.Error.make Core.Error.Internal (Printexc.to_string exn))
+      end
+    in
+    (* Lock-free reply write, straight into the submission-order slot;
+       the batch mutex inside [complete_chunk] publishes it. *)
+    c.c_results.(slot) <- Some result;
+    clock := Obs.now_mono ();
+    c.c_fin.(slot) <- !clock;
+    c.c_cursor <- slot + 1
+  done;
+  let t_fin = !clock in
+  shard.hot.busy_s <- shard.hot.busy_s +. (t_fin -. t_deq);
+  shard.hot.last_served_at <- t_fin;
+  (match gc0 with
+   | None -> ()
+   | Some gc0 ->
+     let gc1 = gc_sample () in
+     Obs.add shard.gc_minor_words
+       (int_of_float (gc1.minor_words -. gc0.minor_words));
+     Obs.add shard.gc_major_words
+       (int_of_float (gc1.major_words -. gc0.major_words));
+     Obs.add shard.gc_minor_collections
+       (gc1.minor_collections - gc0.minor_collections);
+     Obs.add shard.gc_major_collections
+       (gc1.major_collections - gc0.major_collections);
+     match (t.tracing, shard.tbuf) with
+     | Some tg, Some tb ->
+       let ts = Obs.Trace.rel tg.tr t_fin in
+       Obs.Trace.counter tb ~name:tg.names.n_gc_minor_words ~ts
+         ~value:gc1.minor_words;
+       Obs.Trace.counter tb ~name:tg.names.n_gc_major_words ~ts
+         ~value:gc1.major_words
+     | _ -> ());
+  (match (t.tracing, shard.tbuf) with
+   | Some tg, Some tb ->
+     let ts = Obs.Trace.rel tg.tr t_deq in
+     let dur = t_fin -. t_deq in
+     Obs.Trace.complete_seq tb ~name:tg.names.n_execute ~ts ~dur
+       ~seq:(c.c_seq_base + c.c_base);
+     (* The flow arrow touches down mid-slice so Perfetto anchors it
+        inside the execute slice rather than on its edge. *)
+     if c.c_span then
+       Obs.Trace.flow_step tb ~name:tg.names.n_query
+         ~ts:(ts +. (dur /. 2.0)) ~id:(c.c_seq_base + c.c_base)
+   | _ -> ());
+  complete_chunk t c;
+  shard.hot.current <- None;
+  t_fin
+
+let run_chunk t shard c ~stolen ~t_deq =
+  begin_chunk t shard c ~stolen t_deq;
+  serve_chunk t shard c t_deq
+
+(* Crash cleanup: an exception escaped a chunk body. Answer the unserved
+   slots of the chunk the shard was holding ([ERR internal], via the
+   idempotent completion), note the crash against the slot that was
+   executing, for quarantine, and count the restart — the shard itself
+   (caches, rings, registries) carries on unchanged. *)
+let recover_crash t shard exn =
+  Atomic.incr t.worker_restarts;
+  (match shard.hot.current with
+   | Some c ->
+     if c.c_cursor < c.c_hi then note_crash t c.c_queries.(c.c_cursor);
+     let err =
+       Core.Error.make Core.Error.Internal
+         (Printf.sprintf
+            "worker %d died serving this query: %s (worker restarted)"
+            shard.id (Printexc.to_string exn))
+     in
+     let now = Obs.now_mono () in
+     for slot = c.c_cursor to c.c_hi - 1 do
+       if c.c_results.(slot) = None then begin
+         c.c_results.(slot) <- Some (Error err);
+         if c.c_deq.(slot) = 0.0 then c.c_deq.(slot) <- now;
+         c.c_fin.(slot) <- now
+       end
+     done;
+     c.c_cursor <- c.c_hi;
+     complete_chunk t c
+   | None -> ());
+  shard.hot.current <- None
+
+(* A worker domain: dequeue and serve whole chunks until the queue closes.
+   Supervision restarts the loop in place — same domain, same shard — after
+   [recover_crash]; what matters for liveness is that the loop re-enters
+   [Work_queue.pop], not that a fresh domain spawns. *)
+let rec supervise t shard =
   let split = split_chunk t in
   let rec loop () =
     match Work_queue.pop t.queue ~shard:shard.id ~split with
     | None -> ()
     | Some (c, stolen_from) ->
-      let t_deq = Obs.now_mono () in
-      let epoch = Atomic.get t.epoch in
-      if epoch <> shard.hot.epoch_seen then begin
-        (* Feedback refined the synopsis since this shard last served:
-           every cached outcome may be stale. *)
-        Lru_cache.clear shard.cache;
-        shard.hot.epoch_seen <- epoch
-      end;
-      (match stolen_from with
-       | Some _victim ->
-         shard.hot.steals <- shard.hot.steals + 1;
-         (match (t.tracing, shard.tbuf) with
-          | Some tg, Some tb ->
-            Obs.Trace.instant tb ~name:tg.names.n_steal
-              ~ts:(Obs.Trace.rel tg.tr t_deq)
-          | _ -> ())
-       | None ->
-         if c.c_affinity && c.c_shard = shard.id then
-           shard.hot.affinity_hits <- shard.hot.affinity_hits + 1);
-      if t.telemetry then
-        Obs.hobserve shard.queue_wait_us (1e6 *. (t_deq -. c.c_enqueued_at));
-      (match (t.tracing, shard.tbuf) with
-       | Some tg, Some tb when c.c_span ->
-         (* Close the queue-wait async span the submitter opened for this
-            chunk; async spans may overlap, which B/E slices on this track
-            could not. Split offspring carry no span. *)
-         Obs.Trace.async_end tb ~name:tg.names.n_queue_wait
-           ~ts:(Obs.Trace.rel tg.tr t_deq) ~id:(c.c_seq_base + c.c_base)
-       | _ -> ());
-      serve_chunk c t_deq
-  and serve_chunk c t_deq =
-    shard.hot.current <- Some c;
-    let gc0 = if sampling_gc then Some (Gc.quick_stat ()) else None in
-    while c.c_cursor < c.c_hi do
-      let slot = c.c_cursor in
-      let seq = c.c_seq_base + slot in
-      let query = c.c_queries.(slot) in
-      let t_slot = Obs.now_mono () in
-      c.c_deq.(slot) <- t_slot;
-      let result =
-        if is_quarantined t query then
-          (* Refused before any execution: a query that has already
-             crashed two workers never runs again. *)
-          Error (quarantined_error ())
-        else if past_deadline t ~enqueued_at:c.c_enqueued_at ~now:t_slot
-        then begin
-          (* First deadline checkpoint, per slot: the budget runs from the
-             chunk's enqueue, so a deadline can expire mid-chunk — earlier
-             slots answered, later ones refused. *)
-          Atomic.incr t.timeout_total;
-          emit_refusal t shard.recorder ~seq ~query ~hash:0
-            ~cache:Flight_recorder.Timed_out;
-          Error (timeout_error ())
-        end
-        else begin
-          (* The chaos hook sits outside the per-query guard below on
-             purpose: returning true kills the worker body the way a real
-             bug outside the guard would, exercising the supervisor. *)
-          (match t.chaos with
-           | Some kill when kill query -> failwith "chaos: worker killed"
-           | Some _ | None -> ());
-          try
-            serve_query t shard ~seq ~enqueued_at:c.c_enqueued_at query
-          with exn ->
-            Error
-              (match Core.Error.of_exn exn with
-               | Some e -> e
-               | None ->
-                 Core.Error.make Core.Error.Internal (Printexc.to_string exn))
-        end
-      in
-      (* Lock-free reply write, straight into the submission-order slot;
-         the batch mutex inside [complete_chunk] publishes it. *)
-      c.c_results.(slot) <- Some result;
-      c.c_fin.(slot) <- Obs.now_mono ();
-      c.c_cursor <- slot + 1
-    done;
-    let t_fin = Obs.now_mono () in
-    shard.hot.busy_s <- shard.hot.busy_s +. (t_fin -. t_deq);
-    shard.hot.last_served_at <- t_fin;
-    (match gc0 with
-     | None -> ()
-     | Some gc0 ->
-       let gc1 = Gc.quick_stat () in
-       Obs.add shard.gc_minor_words
-         (int_of_float (gc1.Gc.minor_words -. gc0.Gc.minor_words));
-       Obs.add shard.gc_major_words
-         (int_of_float
-            (gc1.Gc.major_words +. gc1.Gc.promoted_words
-            -. (gc0.Gc.major_words +. gc0.Gc.promoted_words)));
-       Obs.add shard.gc_minor_collections
-         (gc1.Gc.minor_collections - gc0.Gc.minor_collections);
-       Obs.add shard.gc_major_collections
-         (gc1.Gc.major_collections - gc0.Gc.major_collections);
-       match (t.tracing, shard.tbuf) with
-       | Some tg, Some tb ->
-         let ts = Obs.Trace.rel tg.tr t_fin in
-         Obs.Trace.counter tb ~name:tg.names.n_gc_minor_words ~ts
-           ~value:gc1.Gc.minor_words;
-         Obs.Trace.counter tb ~name:tg.names.n_gc_major_words ~ts
-           ~value:(gc1.Gc.major_words +. gc1.Gc.promoted_words)
-       | _ -> ());
-    (match (t.tracing, shard.tbuf) with
-     | Some tg, Some tb ->
-       let ts = Obs.Trace.rel tg.tr t_deq in
-       let dur = t_fin -. t_deq in
-       Obs.Trace.complete_seq tb ~name:tg.names.n_execute ~ts ~dur
-         ~seq:(c.c_seq_base + c.c_base);
-       (* The flow arrow touches down mid-slice so Perfetto anchors it
-          inside the execute slice rather than on its edge. *)
-       if c.c_span then
-         Obs.Trace.flow_step tb ~name:tg.names.n_query
-           ~ts:(ts +. (dur /. 2.0)) ~id:(c.c_seq_base + c.c_base)
-     | _ -> ());
-    complete_chunk t c;
-    shard.hot.current <- None;
-    loop ()
+      ignore
+        (run_chunk t shard c ~stolen:(Option.is_some stolen_from)
+           ~t_deq:(Obs.now_mono ())
+          : float);
+      loop ()
   in
-  loop ()
-
-(* Worker supervision: an exception escaping the loop body is a dead
-   worker. Restart it in place — same domain, same shard — after answering
-   the unserved slots of whatever chunk it was holding ([ERR internal],
-   via the idempotent completion) and noting the crash against the slot
-   that was executing, for quarantine. Restarting on the same domain keeps
-   shard identity (caches, rings, registries) stable and costs nothing;
-   what matters for liveness is that the loop re-enters [Work_queue.pop],
-   not that a fresh domain spawns. *)
-let rec supervise t shard =
-  match worker_loop t shard with
+  match loop () with
   | () -> ()  (* queue closed: clean shutdown *)
   | exception exn ->
-    Atomic.incr t.worker_restarts;
-    (match shard.hot.current with
-     | Some c ->
-       if c.c_cursor < c.c_hi then note_crash t c.c_queries.(c.c_cursor);
-       let err =
-         Core.Error.make Core.Error.Internal
-           (Printf.sprintf
-              "worker %d died serving this query: %s (worker restarted)"
-              shard.id (Printexc.to_string exn))
-       in
-       let now = Obs.now_mono () in
-       for slot = c.c_cursor to c.c_hi - 1 do
-         if c.c_results.(slot) = None then begin
-           c.c_results.(slot) <- Some (Error err);
-           if c.c_deq.(slot) = 0.0 then c.c_deq.(slot) <- now;
-           c.c_fin.(slot) <- now
-         end
-       done;
-       c.c_cursor <- c.c_hi;
-       complete_chunk t c
-     | None -> ());
-    shard.hot.current <- None;
+    recover_crash t shard exn;
     supervise t shard
+
+(* The one-worker pool serves a chunk on the submitting thread, which
+   holds the submission lock, through the same body and crash cleanup.
+   The chunk starts at [t_deq], when the previous one finished (or the
+   batch was admitted); returns the instant it finished. *)
+let serve_inline t c ~t_deq =
+  let shard = t.shards.(0) in
+  try run_chunk t shard c ~stolen:false ~t_deq
+  with exn ->
+    recover_crash t shard exn;
+    Obs.now_mono ()
 
 let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
     ?(telemetry = true) ?(recorder_capacity = 256) ?(drift_slots = 6)
@@ -748,6 +809,8 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
       drain_cond = Condition.create ();
       submit_lock = Mutex.create ();
       ept = materialize_ept estimator;
+      feedback_memo = Lru_cache.create ~capacity:cache_capacity;
+      memo_epoch = 0;
       next_seq = 0;
       drift;
       recorder =
@@ -768,9 +831,11 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
       scrape = Scrape_meter.create () }
   in
   (* The EPT and shards are fully built before any domain spawns, so the
-     workers' first reads are ordered by the spawn itself. *)
-  t.domains <-
-    Array.map (fun shard -> Domain.spawn (fun () -> supervise t shard)) shards;
+     workers' first reads are ordered by the spawn itself. One worker
+     spawns nothing: its submitters serve inline. *)
+  if workers > 1 then
+    t.domains <-
+      Array.map (fun shard -> Domain.spawn (fun () -> supervise t shard)) shards;
   t
 
 let workers t = Array.length t.shards
@@ -808,9 +873,9 @@ let with_coord tracing f =
 
 (* Submit a batch as per-shard chunks and wait for all of it; replies land
    in the preallocated submission-order result array regardless of which
-   shard served which slot. Returns the raw results, the per-slot
+   shard served which slot. Returns the raw results and the per-slot
    enqueue/dequeue/finish stamp arrays (for PROFILE; refused slots keep
-   zero stamps) and the monotonic instant reassembly finished.
+   zero stamps).
 
    When tracing, the coordinator track shows a [batch_submit] slice with,
    per chunk, a [chunk_dispatch] instant, a flow start and a queue-wait
@@ -819,19 +884,22 @@ let with_coord tracing f =
 let run_batch ?affinity t queries =
   let queries = Array.of_list queries in
   let n = Array.length queries in
-  if n = 0 then ([||], [||], [||], [||], Obs.now_mono ())
+  if n = 0 then ([||], [||], [||], [||])
   else begin
+    let inline = workers t = 1 in
     let results = Array.make n None in
     let enq = Array.make n 0.0 in
     let deq = Array.make n 0.0 in
     let fin = Array.make n 0.0 in
     let parent =
       { remaining = n;
-        batch_lock = Mutex.create ();
-        batch_done = Condition.create () }
+        sync =
+          (if inline then None else Some (Mutex.create (), Condition.create ()))
+      }
     in
     let flows = ref [] in  (* admitted chunk flow ids, ended at gather *)
-    let t_sub0 = Obs.now_mono () in
+    let traced = Option.is_some t.tracing in
+    let t_sub0 = if traced then Obs.now_mono () else 0.0 in
     with_lock t.submit_lock (fun () ->
         if t.telemetry then Obs.hobserve t.batch_chunk (float_of_int n);
         let seq_base = t.next_seq in
@@ -840,7 +908,8 @@ let run_batch ?affinity t queries =
           for slot = 0 to n - 1 do
             results.(slot) <- Some (Error (closed_error ()))
           done;
-          with_lock parent.batch_lock (fun () -> parent.remaining <- 0)
+          (* No shard has seen this batch. *)
+          parent.remaining <- 0
         end
         else begin
           let preferred =
@@ -850,12 +919,15 @@ let run_batch ?affinity t queries =
             plan_chunks ~n ~workers:(workers t)
               ~chunk_target:t.chunk_target ?preferred ()
           in
+          (* Every chunk carries the batch's admission instant: its deadline
+             and queue-wait run from there, also for a chunk that waits
+             behind earlier ones — in a full deque, or served inline after
+             them. *)
+          let c_enq = Obs.now_mono () in
+          Array.fill enq 0 n c_enq;
+          let inline_clock = ref c_enq in
           Array.iter
             (fun (lo, hi, shard_id) ->
-              let c_enq = Obs.now_mono () in
-              for slot = lo to hi - 1 do
-                enq.(slot) <- c_enq
-              done;
               let c =
                 { c_queries = queries;
                   c_results = results;
@@ -866,13 +938,12 @@ let run_batch ?affinity t queries =
                   c_enqueued_at = c_enq;
                   c_shard = shard_id;
                   c_affinity = Option.is_some preferred;
-                  c_span = Option.is_some t.tracing;
+                  c_span = traced;
                   c_base = lo;
                   c_hi = hi;
                   c_cursor = lo;
                   c_done = false }
               in
-              Atomic.incr t.inflight;
               let id = seq_base + lo in
               with_coord t.tracing (fun tg ->
                   let ts = Obs.Trace.rel tg.tr c_enq in
@@ -883,16 +954,26 @@ let run_batch ?affinity t queries =
                   Obs.Trace.async_begin tg.coord ~name:tg.names.n_queue_wait
                     ~ts ~id);
               let admitted =
-                match t.shed_policy with
-                | `Block ->
-                  if Work_queue.push t.queue ~shard:shard_id c then `Ok
-                  else `Closed
-                | `Shed_newest -> Work_queue.try_push t.queue ~shard:shard_id c
+                if inline then begin
+                  inline_clock := serve_inline t c ~t_deq:!inline_clock;
+                  `Ok
+                end
+                else begin
+                  (* A queued chunk is in flight until it completes; an
+                     inline one runs under the submission lock, which
+                     every drain takes first. *)
+                  Atomic.incr t.inflight;
+                  match t.shed_policy with
+                  | `Block ->
+                    if Work_queue.push t.queue ~shard:shard_id c then `Ok
+                    else `Closed
+                  | `Shed_newest ->
+                    Work_queue.try_push t.queue ~shard:shard_id c
+                end
               in
               match admitted with
               | `Ok -> flows := id :: !flows
               | (`Closed | `Full) as refusal ->
-                ignore (Atomic.fetch_and_add t.inflight (-1) : int);
                 for slot = lo to hi - 1 do
                   let error =
                     match refusal with
@@ -918,20 +999,21 @@ let run_batch ?affinity t queries =
                       ~ts ~id;
                     Obs.Trace.flow_end tg.coord ~name:tg.names.n_query ~ts
                       ~id);
-                with_lock parent.batch_lock (fun () ->
-                    c.c_done <- true;
-                    parent.remaining <- parent.remaining - (hi - lo)))
+                complete_chunk t c)
             plan
         end;
         with_coord t.tracing (fun tg ->
             Obs.Trace.complete tg.coord ~name:tg.names.n_batch_submit
               ~ts:(Obs.Trace.rel tg.tr t_sub0)
               ~dur:(Obs.now_mono () -. t_sub0)));
-    with_lock parent.batch_lock (fun () ->
-        while parent.remaining > 0 do
-          Condition.wait parent.batch_done parent.batch_lock
-        done);
-    let t_gather0 = Obs.now_mono () in
+    (match parent.sync with
+     | None -> ()
+     | Some (m, cond) ->
+       with_lock m (fun () ->
+           while parent.remaining > 0 do
+             Condition.wait cond m
+           done));
+    let t_gather0 = if traced then Obs.now_mono () else 0.0 in
     let out =
       Array.map
         (function
@@ -939,8 +1021,8 @@ let run_batch ?affinity t queries =
           | None -> Error (closed_error ()))
         results
     in
-    let t_done = Obs.now_mono () in
     with_coord t.tracing (fun tg ->
+        let t_done = Obs.now_mono () in
         let ts0 = Obs.Trace.rel tg.tr t_gather0 in
         let dur = Float.max 1e-9 (t_done -. t_gather0) in
         List.iter
@@ -950,11 +1032,11 @@ let run_batch ?affinity t queries =
           !flows;
         Obs.Trace.complete tg.coord ~name:tg.names.n_batch_gather ~ts:ts0
           ~dur);
-    (out, enq, deq, fin, t_done)
+    (out, enq, deq, fin)
   end
 
 let estimate_batch ?affinity t queries =
-  let results, _, _, _, _ = run_batch ?affinity t queries in
+  let results, _, _, _ = run_batch ?affinity t queries in
   Array.to_list results
 
 let estimate ?affinity t query =
@@ -972,7 +1054,8 @@ let estimate ?affinity t query =
    delta across the batch (exact when the pool is otherwise quiet). *)
 let profile ?affinity t queries =
   let s0 = steals_total t in
-  let out, enq, deq, fin, t_done = run_batch ?affinity t queries in
+  let out, enq, deq, fin = run_batch ?affinity t queries in
+  let t_done = Obs.now_mono () in
   let s1 = steals_total t in
   let count kind =
     Array.fold_left
@@ -1040,14 +1123,12 @@ let emit_audit_record t ~seq (r : Auditor.audited) =
         ~frontier_peak:0 ~degenerate_clamps:0 ~het_hits:0
         ~feedback_round:t.feedback_rounds
     in
-    (match t.on_record with
-     | None -> ()
-     | Some f -> with_lock t.record_lock (fun () -> f fr))
+    deliver t fr
 
 (* Fold completed shadow audits into the coordinator's telemetry. Callers
-   hold [submit_lock] with the workers drained — the single-writer state the
+   hold [submit_lock] with the shards drained — the single-writer state the
    feedback path already establishes — so [Drift.observe] cannot race a
-   worker's [note_shard] and the audit-feedback EPT rebuild below follows
+   shard's [note_shard] and the audit-feedback EPT rebuild below follows
    the same epoch protocol as client feedback. *)
 let drain_audits_locked t =
   match t.auditor with
@@ -1057,8 +1138,8 @@ let drain_audits_locked t =
         (match t.drift with
          | Some d ->
            ignore
-             (Drift.observe d ~estimate:r.Auditor.estimate
-                ~actual:r.Auditor.actual
+             (Drift.observe ?obs:(Core.Estimator.obs t.base) d
+                ~estimate:r.Auditor.estimate ~actual:r.Auditor.actual
                : float)
          | None -> ());
         emit_audit_record t ~seq:(next_seq_locked t) r;
@@ -1077,11 +1158,6 @@ let drain_audits_locked t =
           end
         end)
 
-(* Single-writer feedback: stop submissions, drain the workers, and only
-   then touch the shared HET/EPT. The estimate judged by the q-error is
-   recomputed inline on the drained pool (recorded as a cache Bypass on the
-   coordinator ring — it deliberately skips the shard caches), matching the
-   single engine's arithmetic exactly. *)
 (* One coordinator-track slice for a drained verb (feedback/explain). *)
 let trace_coord_verb t which t0 =
   with_coord t.tracing (fun tg ->
@@ -1091,64 +1167,113 @@ let trace_coord_verb t which t0 =
       Obs.Trace.complete tg.coord ~name ~ts:(Obs.Trace.rel tg.tr t0)
         ~dur:(Obs.now_mono () -. t0))
 
+(* Run [f] in the single-writer state: submissions stopped by the
+   submission lock, every in-flight chunk drained. [verb] names the
+   coordinator trace slice covering the call. *)
+let with_drained ?verb t f =
+  with_lock t.submit_lock (fun () ->
+      if t.stopped then Error (closed_error ())
+      else begin
+        let t0 = Obs.now_mono () in
+        Fun.protect
+          ~finally:(fun () -> Option.iter (fun v -> trace_coord_verb t v t0) verb)
+        @@ fun () ->
+        wait_drained t;
+        f ()
+      end)
+
+(* The estimate FEEDBACK judges: one this epoch already computed — in the
+   feedback memo, or in a shard cache that has caught up with the epoch —
+   or else a fresh one from the base estimator, memoized. The HET and EPT
+   only change together with an epoch bump, so every one of these is the
+   float a recomputation would give. Journal replay at page-in feeds back
+   the same queries over and over; the memo keeps it from re-running the
+   matcher for each. Runs drained, so no shard is touching its cache.
+   Returns the matcher stats when it ran the matcher. *)
+let feedback_estimate t (key : Canonical.key) cast =
+  let epoch = Atomic.get t.epoch in
+  if epoch <> t.memo_epoch then begin
+    Lru_cache.clear t.feedback_memo;
+    t.memo_epoch <- epoch
+  end;
+  let text = key.Canonical.text in
+  let known =
+    Array.fold_left
+      (fun acc (s : shard) ->
+        match acc with
+        | None when s.hot.epoch_seen = epoch -> Lru_cache.peek s.cache text
+        | acc -> acc)
+      (Lru_cache.find t.feedback_memo text)
+      t.shards
+  in
+  match known with
+  | Some outcome -> Ok (outcome, None)
+  | None ->
+    let ept =
+      lazy
+        (match t.ept with
+         | Ok e -> e
+         | Error err -> raise (Core.Error.Xseed err))
+    in
+    (match Core.Estimator.estimate_result_stats_on t.base ept cast with
+     | Ok (outcome, ms) ->
+       Lru_cache.put t.feedback_memo text outcome;
+       Ok (outcome, Some ms)
+     | Error e -> Error e)
+
+(* Single-writer feedback: only the drained state touches the shared
+   HET/EPT. The estimate judged by the q-error comes from the base
+   estimator (recorded as a cache Bypass on the coordinator ring — it
+   deliberately skips the shard caches); every shard estimator computes
+   the same float, so the q-error does not depend on who served the
+   query. *)
 let feedback t query ~actual =
   match parse query with
   | Error e -> Error e
   | Ok ast ->
-    with_lock t.submit_lock (fun () ->
-        if t.stopped then Error (closed_error ())
-        else begin
-          let tv0 = Obs.now_mono () in
-          Fun.protect ~finally:(fun () -> trace_coord_verb t `Feedback tv0)
-          @@ fun () ->
-          wait_drained t;
-          drain_audits_locked t;
-          let t0 = Obs.now_mono () in
-          let cast = Canonical.canonicalize ast in
-          let key = Canonical.of_ast cast in
-          let canonicalize_s = Obs.now_mono () -. t0 in
-          let ept_or_err = t.ept in
-          let lazy_ept =
-            lazy
-              (match ept_or_err with
-               | Ok e -> e
-               | Error err -> raise (Core.Error.Xseed err))
-          in
-          let t1 = Obs.now_mono () in
-          match
-            Core.Estimator.estimate_result_stats_on t.base lazy_ept cast
-          with
-          | Error e -> Error e
-          | Ok (outcome, ms) ->
-            let match_s = Obs.now_mono () -. t1 in
-            t.feedback_seen <- t.feedback_seen + 1;
-            (match t.drift with
-             | Some d ->
-               Drift.note_estimate d ~cache_hit:false;
-               ignore
-                 (Drift.observe d ~estimate:outcome.Core.Estimator.value
-                    ~actual
-                   : float)
-             | None -> ());
-            let fb =
-              Feedback.apply
-                ?ept:(Result.to_option ept_or_err)
-                ~threshold:t.threshold t.base cast
-                ~estimate:outcome.Core.Estimator.value ~actual
-            in
-            if fb.Feedback.refined then begin
-              t.feedback_rounds <- t.feedback_rounds + 1;
-              (* Rebuild eagerly while drained; workers drop their caches
-                 when they observe the new epoch at their next dequeue. *)
-              t.ept <- materialize_ept t.base;
-              Atomic.incr t.epoch
-            end;
-            emit_record t t.recorder ~seq:(next_seq_locked t) ~key
-              ~status:Flight_recorder.Bypass ~outcome ~canonicalize_s
-              ~ept_s:0.0 ~match_s ~ept_nodes:ms.Core.Matcher.ept_nodes
-              ~frontier_peak:ms.Core.Matcher.frontier_peak ~het_hits:0;
-            Ok fb
-        end)
+    with_drained ~verb:`Feedback t @@ fun () ->
+    drain_audits_locked t;
+    let t0 = Obs.now_mono () in
+    let cast = Canonical.canonicalize ast in
+    let key = Canonical.of_ast cast in
+    let canonicalize_s = Obs.now_mono () -. t0 in
+    let ept_or_err = t.ept in
+    let t1 = Obs.now_mono () in
+    match feedback_estimate t key cast with
+    | Error e -> Error e
+    | Ok (outcome, ms) ->
+      let match_s = Obs.now_mono () -. t1 in
+      t.feedback_seen <- t.feedback_seen + 1;
+      (match t.drift with
+       | Some d ->
+         Drift.note_estimate d ~cache_hit:false;
+         ignore
+           (Drift.observe ?obs:(Core.Estimator.obs t.base) d
+              ~estimate:outcome.Core.Estimator.value ~actual
+             : float)
+       | None -> ());
+      let fb =
+        Feedback.apply
+          ?ept:(Result.to_option ept_or_err)
+          ~threshold:t.threshold t.base cast
+          ~estimate:outcome.Core.Estimator.value ~actual
+      in
+      if fb.Feedback.refined then begin
+        t.feedback_rounds <- t.feedback_rounds + 1;
+        (* Rebuild eagerly while drained; shards drop their caches when
+           they observe the new epoch at their next chunk. *)
+        t.ept <- materialize_ept t.base;
+        Atomic.incr t.epoch
+      end;
+      let ept_nodes, frontier_peak =
+        match ms with
+        | Some ms -> (ms.Core.Matcher.ept_nodes, ms.Core.Matcher.frontier_peak)
+        | None -> (0, 0)
+      in
+      emit_record t t.recorder ~seq:(next_seq_locked t) ~key
+        ~status:Flight_recorder.Bypass ~outcome ~canonicalize_s ~ept_s:0.0
+        ~match_s ~ept_nodes ~frontier_peak ~het_hits:0;
+      Ok fb
 
 (* EXPLAIN re-runs the whole pipeline (it reports per-stage numbers), so it
    runs drained on the base estimator like feedback does. *)
@@ -1156,58 +1281,66 @@ let explain t query =
   match parse query with
   | Error e -> Error e
   | Ok ast ->
-    with_lock t.submit_lock (fun () ->
-        if t.stopped then Error (closed_error ())
-        else begin
-          let tv0 = Obs.now_mono () in
-          Fun.protect ~finally:(fun () -> trace_coord_verb t `Explain tv0)
-          @@ fun () ->
-          wait_drained t;
-          let cast = Canonical.canonicalize ast in
-          let key = Canonical.of_ast cast in
-          let cached =
-            Array.exists
-              (fun (s : shard) -> Lru_cache.mem s.cache key.Canonical.text)
-              t.shards
-          in
-          let het_before = het_counters t in
-          match
-            Core.Error.guard (fun () ->
-                let qt = Xpath.Query_tree.of_path cast in
-                if qt.Xpath.Query_tree.size > 62 then
-                  Core.Error.raisef Core.Error.Malformed_query
-                    "query tree has %d nodes; the matcher's bitset encoding \
-                     supports 62"
-                    qt.Xpath.Query_tree.size;
-                match Core.Explain.run t.base cast with
-                | r -> r
-                | exception Core.Matcher.Ept_too_large n ->
-                  Core.Error.raisef Core.Error.Limit_exceeded
-                    "EPT exceeded max_ept_nodes while materializing (%d \
-                     nodes)"
-                    n)
-          with
-          | Error e -> Error e
-          | Ok r ->
-            let status =
-              if cached then Core.Explain.Hit else Core.Explain.Miss
-            in
-            emit_record t t.recorder ~seq:(next_seq_locked t) ~key
-              ~status:(if cached then Flight_recorder.Hit else Flight_recorder.Miss)
-              ~outcome:
-                { Core.Estimator.value = r.Core.Explain.estimate;
-                  clamped = r.Core.Explain.degenerate_clamps;
-                  unknown_labels = r.Core.Explain.unknown_labels }
-              ~canonicalize_s:0.0 ~ept_s:r.Core.Explain.ept_seconds
-              ~match_s:r.Core.Explain.match_seconds
-              ~ept_nodes:r.Core.Explain.ept_nodes
-              ~frontier_peak:r.Core.Explain.matcher.Core.Matcher.frontier_peak
-              ~het_hits:(het_hits_since t het_before);
-            Ok
-              { r with
-                Core.Explain.cache = status;
-                feedback_rounds = t.feedback_rounds }
-        end)
+    with_drained ~verb:`Explain t @@ fun () ->
+    let cast = Canonical.canonicalize ast in
+    let key = Canonical.of_ast cast in
+    let cached =
+      Array.exists
+        (fun (s : shard) -> Lru_cache.mem s.cache key.Canonical.text)
+        t.shards
+    in
+    let het_before = het_counters t in
+    match
+      Core.Error.guard (fun () ->
+          let qt = Xpath.Query_tree.of_path cast in
+          if qt.Xpath.Query_tree.size > 62 then
+            Core.Error.raisef Core.Error.Malformed_query
+              "query tree has %d nodes; the matcher's bitset encoding \
+               supports 62"
+              qt.Xpath.Query_tree.size;
+          match Core.Explain.run t.base cast with
+          | r -> r
+          | exception Core.Matcher.Ept_too_large n ->
+            Core.Error.raisef Core.Error.Limit_exceeded
+              "EPT exceeded max_ept_nodes while materializing (%d nodes)" n)
+    with
+    | Error e -> Error e
+    | Ok r ->
+      let status = if cached then Core.Explain.Hit else Core.Explain.Miss in
+      emit_record t t.recorder ~seq:(next_seq_locked t) ~key
+        ~status:(if cached then Flight_recorder.Hit else Flight_recorder.Miss)
+        ~outcome:
+          { Core.Estimator.value = r.Core.Explain.estimate;
+            clamped = r.Core.Explain.degenerate_clamps;
+            unknown_labels = r.Core.Explain.unknown_labels }
+        ~canonicalize_s:0.0 ~ept_s:r.Core.Explain.ept_seconds
+        ~match_s:r.Core.Explain.match_seconds
+        ~ept_nodes:r.Core.Explain.ept_nodes
+        ~frontier_peak:r.Core.Explain.matcher.Core.Matcher.frontier_peak
+        ~het_hits:(het_hits_since t het_before);
+      Ok
+        { r with
+          Core.Explain.cache = status;
+          feedback_rounds = t.feedback_rounds }
+
+let drain_audits t =
+  ignore (with_drained t (fun () -> Ok (drain_audits_locked t)) : (unit, _) result)
+
+(* The AUDIT verb settles outside the submission lock, so clients keep
+   being served while the audit domain catches up, then folds the results
+   in under the drained single-writer state. *)
+let audit_reply t =
+  match t.auditor with
+  | None ->
+    Error
+      (Core.Error.make Core.Error.Internal
+         "auditing is disabled (serve with --audit-rate and a source \
+          document)")
+  | Some a ->
+    ignore (Auditor.settle ~timeout_s:5.0 a : bool);
+    with_drained t (fun () ->
+        drain_audits_locked t;
+        Ok (Auditor.status_json a))
 
 (* Aggregate cache counters: the per-shard sums. *)
 let cache_counters t =
@@ -1222,43 +1355,70 @@ let cache_counters t =
       invalidations = 0 }
     (shard_cache_counters t)
 
-let cache_length t =
-  Array.fold_left (fun acc (s : shard) -> acc + Lru_cache.length s.cache) 0 t.shards
+type het_totals = {
+  het_active : int;
+  het_total : int;
+  het_bytes : int;
+  usage : Core.Het.counters;
+}
 
-let cache_capacity t =
-  Array.fold_left (fun acc (s : shard) -> acc + Lru_cache.capacity s.cache) 0 t.shards
+(* Every serving total STATS and METRICS report, read once per call so the
+   two renderings cannot disagree. *)
+type totals = {
+  cache : Lru_cache.counters;  (* summed across shards *)
+  cache_size : int;
+  cache_capacity : int;
+  seen : int;
+  rounds : int;
+  het : het_totals option;
+  synopsis_bytes : int;
+  flight_records : int;
+  pool_epoch : int;
+  queue_depth : int;
+  queue : Work_queue.stats;
+  affinity : int;
+  shed : int;
+  timeouts : int;
+  restarts : int;
+  quarantined : int;
+}
 
-let flight_total t =
-  Array.fold_left
-    (fun acc (s : shard) ->
-      acc + match s.recorder with None -> 0 | Some r -> Flight_recorder.total r)
-    (match t.recorder with None -> 0 | Some r -> Flight_recorder.total r)
-    t.shards
+let totals t =
+  let sum f = Array.fold_left (fun acc (s : shard) -> acc + f s) 0 t.shards in
+  let records = function None -> 0 | Some r -> Flight_recorder.total r in
+  { cache = cache_counters t;
+    cache_size = sum (fun s -> Lru_cache.length s.cache);
+    cache_capacity = sum (fun s -> Lru_cache.capacity s.cache);
+    seen = t.feedback_seen;
+    rounds = t.feedback_rounds;
+    het =
+      Option.map
+        (fun h ->
+          { het_active = Core.Het.active_count h;
+            het_total = Core.Het.total_count h;
+            het_bytes = Core.Het.size_in_bytes h;
+            usage = Core.Het.counters h })
+        (Core.Estimator.het t.base);
+    synopsis_bytes = Core.Estimator.size_in_bytes t.base;
+    flight_records = records t.recorder + sum (fun s -> records s.recorder);
+    pool_epoch = epoch t;
+    queue_depth = Work_queue.length t.queue;
+    queue = Work_queue.stats t.queue;
+    affinity = affinity_hits t;
+    shed = shed_total t;
+    timeouts = timeout_total t;
+    restarts = worker_restarts t;
+    quarantined = quarantined_count t }
 
 let stats_json t =
   let open Obs.Json in
-  let c = cache_counters t in
-  let het_json =
-    match Core.Estimator.het t.base with
-    | None -> Null
-    | Some h ->
-      let u = Core.Het.counters h in
-      Obj
-        [ ("active", Int (Core.Het.active_count h));
-          ("total", Int (Core.Het.total_count h));
-          ("bytes", Int (Core.Het.size_in_bytes h));
-          ("simple_lookups", Int u.Core.Het.simple_lookups);
-          ("simple_hits", Int u.Core.Het.simple_hits);
-          ("branching_lookups", Int u.Core.Het.branching_lookups);
-          ("branching_hits", Int u.Core.Het.branching_hits);
-          ("feedback_inserts", Int u.Core.Het.feedback_inserts);
-          ("collisions", Int u.Core.Het.collisions) ]
-  in
+  let s = totals t in
+  let c = s.cache and q = s.queue in
   Obj
     [ ( "cache",
         Obj
-          [ ("capacity", Int (cache_capacity t));
-            ("size", Int (cache_length t));
+          [ ("capacity", Int s.cache_capacity);
+            ("size", Int s.cache_size);
             ("hits", Int c.Lru_cache.hits);
             ("misses", Int c.Lru_cache.misses);
             ("insertions", Int c.Lru_cache.insertions);
@@ -1266,18 +1426,31 @@ let stats_json t =
             ("invalidations", Int c.Lru_cache.invalidations) ] );
       ( "feedback",
         Obj
-          [ ("seen", Int t.feedback_seen);
-            ("rounds", Int t.feedback_rounds);
+          [ ("seen", Int s.seen);
+            ("rounds", Int s.rounds);
             ("qerror_threshold", Float t.threshold) ] );
-      ("het", het_json);
-      ("synopsis_bytes", Int (Core.Estimator.size_in_bytes t.base));
+      ( "het",
+        match s.het with
+        | None -> Null
+        | Some h ->
+          let u = h.usage in
+          Obj
+            [ ("active", Int h.het_active);
+              ("total", Int h.het_total);
+              ("bytes", Int h.het_bytes);
+              ("simple_lookups", Int u.Core.Het.simple_lookups);
+              ("simple_hits", Int u.Core.Het.simple_hits);
+              ("branching_lookups", Int u.Core.Het.branching_lookups);
+              ("branching_hits", Int u.Core.Het.branching_hits);
+              ("feedback_inserts", Int u.Core.Het.feedback_inserts);
+              ("collisions", Int u.Core.Het.collisions) ] );
+      ("synopsis_bytes", Int s.synopsis_bytes);
       ( "pool",
-        let q = Work_queue.stats t.queue in
         Obj
           [ ("workers", Int (workers t));
-            ("epoch", Int (epoch t));
+            ("epoch", Int s.pool_epoch);
             ("chunk_target", Int t.chunk_target);
-            ("queue_depth", Int (Work_queue.length t.queue));
+            ("queue_depth", Int s.queue_depth);
             ("queue_pushes", Int q.Work_queue.pushes);
             ("queue_pops", Int q.Work_queue.pops);
             ("queue_steals", Int q.Work_queue.steals);
@@ -1286,89 +1459,100 @@ let stats_json t =
             ("queue_push_wait_s", Float q.Work_queue.push_wait_s);
             ("queue_pop_wait_s", Float q.Work_queue.pop_wait_s);
             ("queue_max_occupancy", Int q.Work_queue.max_occupancy);
-            ("affinity_hits", Int (affinity_hits t));
-            ("shed_total", Int (shed_total t));
-            ("timeout_total", Int (timeout_total t));
-            ("worker_restarts", Int (worker_restarts t));
-            ("quarantined", Int (quarantined_count t)) ] ) ]
+            ("affinity_hits", Int s.affinity);
+            ("shed_total", Int s.shed);
+            ("timeout_total", Int s.timeouts);
+            ("worker_restarts", Int s.restarts);
+            ("quarantined", Int s.quarantined) ] ) ]
+
+(* The pool-level series, rendered from one [totals] read into a fresh
+   registry per scrape. *)
+let publish_totals t obs =
+  let s = totals t in
+  let c = s.cache and q = s.queue in
+  let counter name v = Obs.max_to ~obs name v in
+  let gauge name v = Obs.set_to ~obs name (float_of_int v) in
+  counter "engine.cache.hits" c.Lru_cache.hits;
+  counter "engine.cache.misses" c.Lru_cache.misses;
+  counter "engine.cache.insertions" c.Lru_cache.insertions;
+  counter "engine.cache.evictions" c.Lru_cache.evictions;
+  counter "engine.cache.invalidations" c.Lru_cache.invalidations;
+  gauge "engine.cache.size" s.cache_size;
+  gauge "engine.cache.capacity" s.cache_capacity;
+  counter "engine.feedback.seen" s.seen;
+  counter "engine.feedback.rounds" s.rounds;
+  gauge "engine.synopsis_bytes" s.synopsis_bytes;
+  (match s.het with
+   | None -> ()
+   | Some h ->
+     let u = h.usage in
+     gauge "engine.het.active" h.het_active;
+     gauge "engine.het.total" h.het_total;
+     gauge "engine.het.bytes" h.het_bytes;
+     counter "het.simple_lookups" u.Core.Het.simple_lookups;
+     counter "het.simple_hits" u.Core.Het.simple_hits;
+     counter "het.branching_lookups" u.Core.Het.branching_lookups;
+     counter "het.branching_hits" u.Core.Het.branching_hits;
+     counter "het.feedback_inserts" u.Core.Het.feedback_inserts;
+     counter "het.collisions" u.Core.Het.collisions);
+  counter "engine.flight.records" s.flight_records;
+  (match t.auditor with None -> () | Some a -> Auditor.publish a obs);
+  Scrape_meter.publish t.scrape ~obs
+    ~served:
+      (c.Lru_cache.hits + c.Lru_cache.misses + s.seen + s.timeouts + s.shed);
+  (match t.drift with None -> () | Some d -> Drift.publish d obs);
+  gauge "engine.pool.workers" (workers t);
+  gauge "engine.pool.epoch" s.pool_epoch;
+  gauge "engine.pool.queue_depth" s.queue_depth;
+  counter "engine.pool.queue.pushes" q.Work_queue.pushes;
+  counter "engine.pool.queue.pops" q.Work_queue.pops;
+  counter "engine.pool.queue.push_waits" q.Work_queue.push_waits;
+  counter "engine.pool.queue.pop_waits" q.Work_queue.pop_waits;
+  Obs.set_to ~obs "engine.pool.queue.push_wait_s" q.Work_queue.push_wait_s;
+  Obs.set_to ~obs "engine.pool.queue.pop_wait_s" q.Work_queue.pop_wait_s;
+  counter "engine.pool.queue.max_occupancy" q.Work_queue.max_occupancy;
+  counter "engine.pool.steals_total" q.Work_queue.steals;
+  counter "engine.pool.affinity_hits" s.affinity;
+  counter "engine.pool.shed_total" s.shed;
+  counter "engine.pool.timeout_total" s.timeouts;
+  counter "engine.pool.worker_restarts" s.restarts;
+  gauge "engine.pool.quarantined" s.quarantined;
+  (* Busy fraction per shard: serving time over the shard's active window
+     (create to last completed chunk), so a quiet re-scrape stays
+     byte-identical — a live-uptime denominator would tick on its own.
+     [busy_s]/[last_served_at] are written by the serving shard without
+     synchronization; a scrape may read a slightly stale pair, which is
+     fine for a utilization gauge. *)
+  Array.iter
+    (fun (sh : shard) ->
+      let fraction =
+        if sh.hot.last_served_at <= t.created_at then 0.0
+        else
+          Float.min 1.0
+            (sh.hot.busy_s /. (sh.hot.last_served_at -. t.created_at))
+      in
+      Obs.gset
+        (Obs.gauge_with obs "engine.pool.busy_fraction"
+           [ ("shard", string_of_int sh.id) ])
+        fraction)
+    t.shards
 
 (* One scrape: pool-level totals published into a scratch registry, merged
-   with every shard's pipeline registry. The merge orders series by key, so
+   with the coordinator's registry, every shard's pipeline registry and the
+   base estimator's (FEEDBACK/EXPLAIN). The merge orders series by key, so
    the exposition is deterministic no matter how work was scheduled; it is
    rebuilt per scrape, so repeated scrapes without traffic are identical. *)
 let merged_metrics t =
   let obs = Obs.create () in
-  let c = cache_counters t in
-  Obs.add_to ~obs "engine.cache.hits" c.Lru_cache.hits;
-  Obs.add_to ~obs "engine.cache.misses" c.Lru_cache.misses;
-  Obs.add_to ~obs "engine.cache.insertions" c.Lru_cache.insertions;
-  Obs.add_to ~obs "engine.cache.evictions" c.Lru_cache.evictions;
-  Obs.add_to ~obs "engine.cache.invalidations" c.Lru_cache.invalidations;
-  Obs.set_to ~obs "engine.cache.size" (float_of_int (cache_length t));
-  Obs.set_to ~obs "engine.cache.capacity" (float_of_int (cache_capacity t));
-  Obs.max_to ~obs "engine.feedback.seen" t.feedback_seen;
-  Obs.max_to ~obs "engine.feedback.rounds" t.feedback_rounds;
-  Obs.set_to ~obs "engine.synopsis_bytes"
-    (float_of_int (Core.Estimator.size_in_bytes t.base));
-  (match Core.Estimator.het t.base with
-   | None -> ()
-   | Some h ->
-     let u = Core.Het.counters h in
-     Obs.set_to ~obs "engine.het.active" (float_of_int (Core.Het.active_count h));
-     Obs.set_to ~obs "engine.het.total" (float_of_int (Core.Het.total_count h));
-     Obs.set_to ~obs "engine.het.bytes" (float_of_int (Core.Het.size_in_bytes h));
-     Obs.max_to ~obs "het.simple_lookups" u.Core.Het.simple_lookups;
-     Obs.max_to ~obs "het.simple_hits" u.Core.Het.simple_hits;
-     Obs.max_to ~obs "het.branching_lookups" u.Core.Het.branching_lookups;
-     Obs.max_to ~obs "het.branching_hits" u.Core.Het.branching_hits;
-     Obs.max_to ~obs "het.feedback_inserts" u.Core.Het.feedback_inserts;
-     Obs.max_to ~obs "het.collisions" u.Core.Het.collisions);
-  Obs.max_to ~obs "engine.flight.records" (flight_total t);
-  (match t.auditor with None -> () | Some a -> Auditor.publish a obs);
-  Scrape_meter.publish t.scrape ~obs
-    ~served:
-      (c.Lru_cache.hits + c.Lru_cache.misses + t.feedback_seen
-      + timeout_total t + shed_total t);
-  (match t.drift with None -> () | Some d -> Drift.publish d obs);
-  Obs.set_to ~obs "engine.pool.workers" (float_of_int (workers t));
-  Obs.set_to ~obs "engine.pool.epoch" (float_of_int (epoch t));
-  Obs.set_to ~obs "engine.pool.queue_depth"
-    (float_of_int (Work_queue.length t.queue));
-  let q = Work_queue.stats t.queue in
-  Obs.add_to ~obs "engine.pool.queue.pushes" q.Work_queue.pushes;
-  Obs.add_to ~obs "engine.pool.queue.pops" q.Work_queue.pops;
-  Obs.add_to ~obs "engine.pool.queue.push_waits" q.Work_queue.push_waits;
-  Obs.add_to ~obs "engine.pool.queue.pop_waits" q.Work_queue.pop_waits;
-  Obs.set_to ~obs "engine.pool.queue.push_wait_s" q.Work_queue.push_wait_s;
-  Obs.set_to ~obs "engine.pool.queue.pop_wait_s" q.Work_queue.pop_wait_s;
-  Obs.max_to ~obs "engine.pool.queue.max_occupancy" q.Work_queue.max_occupancy;
-  Obs.add_to ~obs "engine.pool.steals_total" q.Work_queue.steals;
-  Obs.add_to ~obs "engine.pool.affinity_hits" (affinity_hits t);
-  Obs.add_to ~obs "engine.pool.shed_total" (shed_total t);
-  Obs.add_to ~obs "engine.pool.timeout_total" (timeout_total t);
-  Obs.add_to ~obs "engine.pool.worker_restarts" (worker_restarts t);
-  Obs.set_to ~obs "engine.pool.quarantined" (float_of_int (quarantined_count t));
-  (* Busy fraction per shard: serving time over the shard's active window
-     (create to last completed chunk), so a quiet re-scrape stays
-     byte-identical — a live-uptime denominator would tick on its own.
-     [busy_s]/[last_served_at] are written by the shard's own domain
-     without synchronization; a scrape may read a slightly stale pair,
-     which is fine for a utilization gauge. *)
-  Array.iter
-    (fun (s : shard) ->
-      let fraction =
-        if s.hot.last_served_at <= t.created_at then 0.0
-        else
-          Float.min 1.0 (s.hot.busy_s /. (s.hot.last_served_at -. t.created_at))
-      in
-      Obs.gset
-        (Obs.gauge_with obs "engine.pool.busy_fraction"
-           [ ("shard", string_of_int s.id) ])
-        fraction)
-    t.shards;
+  publish_totals t obs;
   Obs.merged
     (obs :: t.coord_obs
-    :: Array.to_list (Array.map (fun (s : shard) -> s.obs) t.shards))
+    :: (Option.to_list (Core.Estimator.obs t.base)
+       @ Array.to_list (Array.map (fun (s : shard) -> s.obs) t.shards)))
+
+(* The METRICS view, mirrored into a caller's registry (a snapshot sink):
+   counters only rise, so mirroring before every snapshot is idempotent. *)
+let publish_telemetry t obs = Obs.mirror ~into:obs (merged_metrics t)
 
 let metrics_text t =
   let t0 = Obs.now_mono () in
@@ -1398,13 +1582,12 @@ let recent ?n t =
   in
   match n with
   | None -> sorted
-  | Some n ->
-    let rec take k = function
-      | [] -> []
-      | _ when k = 0 -> []
-      | x :: rest -> x :: take (k - 1) rest
-    in
-    take (max 0 n) sorted
+  | Some n -> List.filteri (fun i _ -> i < n) sorted
+
+let set_tenant t name =
+  let stamp = Option.iter (fun r -> Flight_recorder.set_tenant r name) in
+  stamp t.recorder;
+  Array.iter (fun (s : shard) -> stamp s.recorder) t.shards
 
 let telemetry_disabled () =
   Core.Error.make Core.Error.Internal "telemetry is disabled on this pool"
@@ -1418,41 +1601,18 @@ let server ?affinity t =
     metrics_text = (fun () -> metrics_text t);
     recent =
       (fun n ->
-        if
-          Option.is_none t.recorder
-          && Array.for_all (fun (s : shard) -> Option.is_none s.recorder) t.shards
-        then Error (telemetry_disabled ())
-        else Ok (recent ?n t));
+        if t.telemetry then Ok (recent ?n t) else Error (telemetry_disabled ()));
     drift_json =
       (fun () ->
         match t.drift with
         | None -> Error (telemetry_disabled ())
         | Some d -> Ok (Drift.to_json d));
     profile = (fun qs -> profile ?affinity t qs);
-    audit =
-      (fun () ->
-        match t.auditor with
-        | None ->
-          Error
-            (Core.Error.make Core.Error.Internal
-               "auditing is disabled (serve with --audit-rate and a source \
-                document)")
-        | Some a ->
-          (* Settle outside the submission lock so clients keep being
-             served while the audit domain catches up; then fold the
-             results in under the drained single-writer state. *)
-          ignore (Auditor.settle ~timeout_s:5.0 a : bool);
-          with_lock t.submit_lock (fun () ->
-              if t.stopped then Error (closed_error ())
-              else begin
-                wait_drained t;
-                drain_audits_locked t;
-                Ok (Auditor.status_json a)
-              end)) }
+    audit = (fun () -> audit_reply t) }
 
 (* Drop every shard cache by bumping the epoch (applied at each shard's
-   next dequeue), without touching the synopsis. Used by benchmarks to
-   force cold-cache passes. *)
+   next chunk), without touching the synopsis. Used by benchmarks to force
+   cold-cache passes. *)
 let invalidate t =
   with_lock t.submit_lock (fun () ->
       wait_drained t;

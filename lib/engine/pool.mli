@@ -1,33 +1,42 @@
-(** Multi-domain serving pool: one shared synopsis, N worker shards.
+(** The serving core: one shared synopsis, N shards.
 
     The pool owns one immutable synopsis (kernel + HET + value synopsis)
-    and one materialized EPT, shared read-only by [workers] domains. Each
-    worker has a private shard — its own {!Lru_cache}, {!Flight_recorder}
-    ring, {!Obs} registry and {!Drift} volume shard — so the estimate hot
-    path takes no lock beyond the sharded {!Work_queue}'s own mutex.
+    and one materialized EPT, shared read-only by [workers] shards. Each
+    shard is private — its own {!Lru_cache}, {!Flight_recorder} ring,
+    {!Obs} registry and {!Drift} volume shard — so the estimate hot path
+    takes no lock beyond the sharded {!Work_queue}'s own mutex.
+
+    {b One worker runs inline.} [create ~workers:1] spawns no domain: each
+    chunk is served on the submitting thread, under the submission lock,
+    by the same chunk body, deadline checks, flight records and crash
+    cleanup the worker domains run. Only the dispatch differs — a chunk is
+    queued for a domain, or served on the spot. This is the
+    single-threaded engine of [xseed serve --workers 1], [xseed replay]
+    and every {!Registry} tenant; it is domain-safe (concurrent callers
+    serialize on the submission lock) and its queue counters stay zero.
 
     {b Chunk dispatch} (DESIGN.md §16). A batch of [n] queries is cut by
     {!plan_chunks} into contiguous per-shard slices, one queue operation
-    per chunk rather than per query. Workers write replies lock-free into
+    per chunk rather than per query. Shards write replies lock-free into
     the batch's preallocated submission-order result array; the only
-    synchronization per chunk is one idempotent completion latch. Idle
-    shards steal chunks from the tail of busy shards' deques — a victim's
-    last divisible chunk is split in half, and a lone length-1 chunk is
-    never stolen — so a straggler no longer serializes the batch.
-    Per-shard mutable hot state is padded past a cache line to kill false
-    sharing between worker domains.
+    synchronization per chunk is one idempotent completion latch. With
+    two or more workers, idle shards steal chunks from the tail of busy
+    shards' deques — a victim's last divisible chunk is split in half, and
+    a lone length-1 chunk is never stolen — so a straggler does not
+    serialize the batch. Per-shard mutable hot state is padded past a
+    cache line to kill false sharing between worker domains.
 
     {b Single-writer feedback.} [feedback] (and [explain]) take the
     submission lock, wait for in-flight chunks to drain, and only then
     touch the shared HET/EPT. A refining feedback bumps the pool {!epoch};
-    workers compare it at their next dequeue and drop their now-stale
-    caches. No estimate ever observes a half-applied refinement.
+    shards compare it when they next take a chunk and drop their
+    now-stale caches. No estimate ever observes a half-applied refinement.
 
-    {b Determinism.} Over the same synopsis, pool estimates are
-    bit-identical to a single {!Engine_core.t}'s — with chunking, stealing
-    and affinity in any combination: the matcher keeps all per-query
-    scratch off the shared EPT, and every shard estimator is built from
-    the same kernel/HET/values. Merged metrics ({!metrics_text}) are
+    {b Determinism.} Over the same synopsis, estimates are bit-identical
+    whatever the worker count — with chunking, stealing and affinity in
+    any combination: the matcher keeps all per-query scratch off the
+    shared EPT, and every shard estimator is built from the same
+    kernel/HET/values. Merged metrics ({!metrics_text}) are
     rendered from a per-scrape registry with series sorted by key, so the
     exposition does not depend on scheduling. *)
 
@@ -52,19 +61,27 @@ val create :
   ?auditor:Auditor.t ->
   Core.Estimator.t ->
   t
-(** Spawns [workers] (default 2) domains immediately; call {!shutdown}
-    when done. [cache_capacity] (default 1024) and [recorder_capacity]
-    (default 256) are {e per shard}; [queue_capacity] (default 256) is
-    chunk slots {e per shard deque}. [chunk_target] (default 8) is the
-    preferred slots-per-chunk fed to {!plan_chunks}; [~chunk_target:1]
-    restores per-query dispatch (deterministic shed tests use it).
-    [steal] (default [true]) gates work stealing. The EPT is materialized
-    eagerly (a failure surfaces as [Limit_exceeded] on the first
-    estimate, as with the single engine). Other knobs as
-    {!Engine_core.create}.
+(** With [workers] (default 2) above one, spawns that many domains
+    immediately; one worker spawns none. Call {!shutdown} when done.
+    [qerror_threshold] (default 2.0) is the minimum q-error at which
+    feedback refines the HET. [cache_capacity] (default 1024) and
+    [recorder_capacity] (default 256) are {e per shard}; [queue_capacity]
+    (default 256) is chunk slots {e per shard deque}. [chunk_target]
+    (default 8) is the preferred slots-per-chunk fed to {!plan_chunks};
+    [~chunk_target:1] restores per-query dispatch (deterministic shed
+    tests use it). [steal] (default [true]) gates work stealing. The EPT
+    is materialized eagerly (a failure surfaces as [Limit_exceeded] on the
+    first estimate). [telemetry] (default [true]) enables the flight
+    recorders and the {!Drift} monitor ([drift_slots] x [drift_per_slot]
+    feedback observations, default 6 x 64, alerting at window-p90 q-error
+    [drift_p90_threshold], default 8.0); [~telemetry:false] turns them off
+    for baseline benchmarking. Pipeline metrics of cache misses land in
+    per-shard registries; FEEDBACK and EXPLAIN run on [estimator] itself,
+    so its own registry (if any) sees theirs, plus the drift monitor's
+    [drift_alert] events.
 
     {b Failure model} (DESIGN.md §13). [deadline_s] gives every request a
-    wall-clock budget, measured from its {e chunk}'s enqueue on the
+    wall-clock budget, measured from its batch's admission on the
     monotonic clock ({!Obs.now_mono}) and checked per slot: before the
     slot executes (so a deadline can expire mid-chunk — earlier slots
     answered, later ones refused [ERR timeout]) and again between
@@ -72,15 +89,16 @@ val create :
     answer. [shed_policy] (default [`Block]) governs a full shard deque:
     [`Block] applies backpressure (the submitter waits), [`Shed_newest]
     refuses the chunk being submitted — every slot it carries — with
-    [ERR overloaded] without blocking. Workers are supervised: an
-    exception escaping a worker's loop body answers the chunk's unserved
-    slots with [ERR internal], bumps {!worker_restarts} and restarts the
-    loop in place — a batch never hangs on a dead worker. A query whose
-    execution has killed workers twice is quarantined (refused
-    [ERR internal] before executing). [chaos] is a test-only fault hook
-    called on the worker domain right before each query executes;
-    returning [true] kills the worker body there, exercising the
-    supervisor.
+    [ERR overloaded] without blocking; a one-worker pool has no deque, so
+    it never sheds. Workers are supervised: an exception escaping a chunk
+    body answers the chunk's unserved slots with [ERR internal] and bumps
+    {!worker_restarts}; a worker domain then restarts its loop in place,
+    an inline worker simply returns — a batch never hangs on a dead
+    worker. A query whose execution has killed workers twice is
+    quarantined (refused [ERR internal] before executing). [chaos] is a
+    test-only fault hook called on the serving thread right before each
+    query executes; returning [true] kills the chunk body there,
+    exercising the supervisor.
 
     [trace] attaches the pool to an {!Obs.Trace} session: the coordinator
     registers tid 0 and each shard tid [id+1]. Per chunk the trace carries
@@ -90,16 +108,20 @@ val create :
     sub-slices on the shard track, and a [query] flow arrow linking
     submit -> execute -> gather; a [steal] instant lands on the thief's
     track at every stolen dequeue, and [batch_submit] / [batch_gather]
-    slices frame the coordinator's work. Shard buffers are written only by
-    their own domain; the coordinator buffer is guarded by an internal
-    innermost lock. Without [trace] the hot path never touches a ring.
+    slices frame the coordinator's work ([feedback] / [explain] slices
+    frame the drained verbs). Shard buffers are written only by the
+    thread serving the shard (its domain, or the submitter holding the
+    submission lock inline); the coordinator buffer is guarded by an
+    internal innermost lock. Without [trace] the hot path never touches a
+    ring.
 
-    [auditor] attaches a shadow auditor: every estimate a worker serves is
+    [auditor] attaches a shadow auditor: every estimate a shard serves is
     offered to {!Auditor.sample} (thread-safe, lock-then-drop — never
     blocks the reply), and completed audits are folded back into the
     coordinator's drift window and flight ring only under the drained
-    single-writer state (on the feedback path and the [AUDIT] verb), so
-    audit feedback follows the same epoch protocol as client feedback.
+    single-writer state (on the feedback path, the [AUDIT] verb and
+    {!drain_audits}), so audit feedback follows the same epoch protocol as
+    client feedback.
     The pool does not own the auditor's lifecycle: the caller shuts it
     down after {!shutdown}.
     @raise Invalid_argument when [workers] < 1, [chunk_target] < 1 or the
@@ -108,6 +130,11 @@ val create :
 val shutdown : t -> unit
 (** Close the queue, let queued chunks drain, and join all worker domains.
     Idempotent; subsequent requests answer with an [internal] error. *)
+
+val drain_audits : t -> unit
+(** Fold completed shadow audits into the telemetry now, under the
+    drained single-writer state — the drain epilogue's flush. A no-op
+    without an auditor or after {!shutdown}. *)
 
 val workers : t -> int
 
@@ -169,6 +196,10 @@ val set_on_record : t -> (Flight_recorder.record -> unit) -> unit
     it (serialized by an internal lock — the sink itself need not be
     domain-safe). *)
 
+val set_tenant : t -> string -> unit
+(** Stamp every flight record written from now on, on every ring, with
+    this tenant name ({!Flight_recorder.set_tenant}). *)
+
 val estimate :
   ?affinity:int -> t -> string -> (Serve.estimate_reply, Core.Error.t) result
 (** Submit one query and wait for its reply. Domain-safe. [affinity]
@@ -186,9 +217,17 @@ val estimate_batch :
     answer the overflowing chunk's slots [ERR overloaded] immediately. *)
 
 val feedback : t -> string -> actual:int -> (Feedback.outcome, Core.Error.t) result
-(** Drain the pool, judge the query's estimate against [actual], and
-    refine the HET when the q-error exceeds the threshold. Refinements
-    rebuild the shared EPT and bump {!epoch} before submissions resume. *)
+(** Drain the pool, fold in finished audits, take the query's estimate,
+    judge it against [actual], and refine the HET when the q-error
+    reaches the threshold. Refinements rebuild the shared EPT and bump
+    {!epoch} before submissions resume. The estimate is one the current
+    epoch already computed — feedback's own memo, or an entry of a shard
+    cache that has caught up with the epoch, read without counting or
+    touching recency — or else a fresh one from the base estimator, then
+    memoized; all are the same float. The flight record says [bypass]
+    and the cache counters do not see it. Replaying a journal of repeated
+    feedback thus runs the matcher once per query and refinement, not
+    once per entry. *)
 
 val explain : t -> string -> (Core.Explain.report, Core.Error.t) result
 (** Full-pipeline explain, run drained on the base estimator. The cache
@@ -200,17 +239,20 @@ val profile :
     per-stage percentiles from per-slot monotonic stamps. The stages
     partition each query's life: queue-wait (submit to execution start —
     for a slot deep in a chunk that includes its predecessors' execute
-    time), execute (start to result), reassemble (result to batch
-    completion). Refused slots (shed, pool shut down mid-submit) are
-    excluded from [profiled]. [steals] reports the pool-wide steal delta
-    across the batch. *)
+    time, inline as well as on a domain), execute (start to result),
+    reassemble (result to batch completion). Refused slots (shed, pool
+    shut down mid-submit) are excluded from [profiled]. [steals] reports
+    the pool-wide steal delta across the batch (always 0 with one
+    worker). *)
 
 val invalidate : t -> unit
 (** Bump {!epoch} without touching the synopsis, dropping every shard's
     cache at its next dequeue — cold-cache benchmark passes. *)
 
 val stats_json : t -> Obs.Json.t
-(** Engine stats with cache counters summed across shards, plus a
+(** Cache counters and occupancy summed across shards, feedback totals,
+    HET active/total/bytes and lookup counters (or [null] without a HET),
+    the synopsis footprint, plus a
     ["pool"] object ([workers], [epoch], [chunk_target], [queue_depth],
     and the work queue's contention counters [queue_pushes] /
     [queue_pops] / [queue_steals] / [queue_push_waits] /
@@ -218,22 +260,35 @@ val stats_json : t -> Obs.Json.t
     [queue_max_occupancy], plus [affinity_hits] and the failure counters
     [shed_total] / [timeout_total] / [worker_restarts] / [quarantined]). *)
 
+val publish_telemetry : t -> Obs.t -> unit
+(** Mirror {!merged_metrics} into a registry with {!Obs.mirror} — the
+    CLI's [--snapshot-every] and shutdown hook, so a [--metrics-out]
+    snapshot carries exactly the series METRICS exports. Counters only
+    rise, so publishing again and again is idempotent. The target must not
+    be the base estimator's own registry, which {!merged_metrics} already
+    reads. *)
+
 val metrics_text : t -> string
 (** Prometheus exposition of {!merged_metrics}. *)
 
 val merged_metrics : t -> Obs.t
-(** A fresh registry per call: pool-level totals merged with every
-    shard's pipeline registry via {!Obs.merged} (series sorted by key;
-    repeated calls without traffic are identical). Includes, when
-    telemetry is on: the pool-wide [engine.pool.queue_wait_us] histogram
-    (per-chunk dequeue waits; shard observations merge by key),
-    [engine.pool.batch_chunk], [engine.pool.queue.*] contention counters
-    from {!Work_queue.stats}, [engine.pool.steals_total] and
-    [engine.pool.affinity_hits], per-shard [engine.gc.*] counters
-    (labelled [shard="N"]) and [engine.pool.busy_fraction] gauges
-    (serving time over the shard's create-to-last-served window, so quiet
-    re-scrapes stay byte-identical; best-effort reads of per-domain
-    accumulators). *)
+(** A fresh registry per call, merged via {!Obs.merged} (series sorted by
+    key; repeated calls without traffic are identical) from: the
+    pool-level totals {!stats_json} reports (read once per call, so the
+    two cannot disagree) under their [engine.cache.*],
+    [engine.feedback.*], [engine.het.*], [het.*], [engine.flight.records]
+    and [engine.pool.*] names, plus the drift, audit and scrape-meter
+    series; every shard's pipeline registry; and the base estimator's
+    registry, if it was given one (the pipeline counters of [feedback] and
+    [explain]). Includes, when telemetry is on: the pool-wide
+    [engine.pool.queue_wait_us] histogram (per-chunk dequeue waits; shard
+    observations merge by key), [engine.pool.batch_chunk],
+    [engine.pool.queue.*] contention counters from {!Work_queue.stats},
+    [engine.pool.steals_total] and [engine.pool.affinity_hits], per-shard
+    [engine.gc.*] counters (labelled [shard="N"]) and
+    [engine.pool.busy_fraction] gauges (serving time over the shard's
+    create-to-last-served window, so quiet re-scrapes stay byte-identical;
+    best-effort reads of per-domain accumulators). *)
 
 val recent : ?n:int -> t -> Flight_recorder.record list
 (** Flight records merged across all shard rings plus the coordinator's
@@ -246,7 +301,7 @@ val shard_cache_counters : t -> Lru_cache.counters array
 (** One entry per shard, in shard order (test hook for the sum law). *)
 
 val server : ?affinity:int -> t -> Serve.server
-(** The serve-protocol vtable ([xseed serve --workers N]). [affinity]
+(** The serve-protocol vtable ([xseed serve]). [affinity]
     bakes a client identity into the vtable, routing every submission
     through it to {!preferred_shard} — the net layer passes a
     per-connection token here so a session's shard cache stays hot. *)

@@ -3,8 +3,10 @@
    session — so an eviction can never race a USE into a half-released
    engine. That serialization is the point: the registry is the
    many-documents axis of scaling (millions of users across many corpora),
-   while [Pool] remains the many-cores axis for one hot synopsis; the two
-   compose at the process level, not inside one registry. *)
+   while a multi-worker [Pool] is the many-cores axis for one hot synopsis.
+   Each resident tenant is a one-worker pool, which serves on the calling
+   thread and spawns no domain, so residency is not capped by the
+   runtime's domain limit. *)
 
 let with_lock m f =
   Mutex.lock m;
@@ -12,9 +14,9 @@ let with_lock m f =
 
 (* A resident tenant: its engine plus everything eviction must release. *)
 type resident = {
-  engine : Engine_core.t;
+  engine : Pool.t;
   syn_bytes : int;  (* Synopsis.size_in_bytes at page-in, charged to the budget *)
-  obs : Obs.t;  (* the tenant's private metric registry *)
+  auditor : Auditor.t option;
   journal : Journal.writer option;
   tenant_server : Serve.server;  (* engine server, journal-wrapped *)
 }
@@ -203,18 +205,16 @@ let touch_locked t tenant =
   tenant.last_used <- t.tick
 
 (* Page-out: flush the journal (the ack contract says every acknowledged
-   FEEDBACK is already framed on disk — close makes it durable), drop the
-   engine's caches through its epoch/invalidate path, and release the
-   synopsis. The tenant record survives so a later USE pages it back in. *)
+   FEEDBACK is already framed on disk — close makes it durable), shut the
+   engine and its auditor down, and release the synopsis. The tenant
+   record survives so a later USE pages it back in. *)
 let evict_locked t tenant =
   match tenant.state with
   | None -> false
   | Some r ->
     (match r.journal with Some w -> Journal.close w | None -> ());
-    (match Engine_core.auditor r.engine with
-     | Some a -> Auditor.shutdown a
-     | None -> ());
-    Engine_core.invalidate r.engine;
+    Pool.shutdown r.engine;
+    Option.iter Auditor.shutdown r.auditor;
     tenant.state <- None;
     t.resident_bytes <- t.resident_bytes - r.syn_bytes;
     t.evictions <- t.evictions + 1;
@@ -288,35 +288,37 @@ let page_in_locked t tenant =
           (match (t.het_budget, Core.Synopsis.het syn) with
            | Some b, Some het -> Core.Het.set_budget het ~bytes:b
            | _ -> ());
-          let obs = Obs.create () in
+          (* The tenant estimator counts FEEDBACK/EXPLAIN pipeline work
+             into a registry of its own, which the pool's merged metrics
+             (the tenant's labeled METRICS series) include. *)
           let estimator =
             Core.Estimator.create
               ~card_threshold:(Core.Synopsis.card_threshold syn)
               ?het:(Core.Synopsis.het syn)
               ?values:(Core.Synopsis.values syn)
-              ~obs
+              ~obs:(Obs.create ())
               (Core.Synopsis.kernel syn)
           in
-          let engine =
-            Engine_core.create ~qerror_threshold:t.qerror_threshold
-              ~cache_capacity:t.cache_capacity ~telemetry:t.telemetry
-              ~drift_p90_threshold:t.drift_p90_threshold ~obs estimator
-          in
-          (match Engine_core.recorder engine with
-           | Some r -> Flight_recorder.set_tenant r tenant.name
-           | None -> ());
           (* Shadow auditing arms only for tenants that declared a source
              document, and only when the registry was given a sample rate.
              The auditor dies with the residency: eviction shuts it down,
              a later page-in builds a fresh one. *)
-          (match (tenant.doc, t.audit_rate > 0.0) with
-           | Some doc, true ->
-             Engine_core.set_auditor engine
-               (Auditor.create ?seed:t.audit_seed ~feedback:t.audit_feedback
-                  ~rate:t.audit_rate
-                  (Auditor.Paths { synopsis = tenant.path; doc }))
-           | _ -> ());
-          let base = Engine_core.server engine in
+          let auditor =
+            match (tenant.doc, t.audit_rate > 0.0) with
+            | Some doc, true ->
+              Some
+                (Auditor.create ?seed:t.audit_seed ~feedback:t.audit_feedback
+                   ~rate:t.audit_rate
+                   (Auditor.Paths { synopsis = tenant.path; doc }))
+            | _ -> None
+          in
+          let engine =
+            Pool.create ~workers:1 ~qerror_threshold:t.qerror_threshold
+              ~cache_capacity:t.cache_capacity ~telemetry:t.telemetry
+              ~drift_p90_threshold:t.drift_p90_threshold ?auditor estimator
+          in
+          Pool.set_tenant engine tenant.name;
+          let base = Pool.server engine in
           let journal_result =
             match journal_path t tenant with
             | None -> Ok None
@@ -341,11 +343,14 @@ let page_in_locked t tenant =
                   | Error e -> Error e))
           in
           (match journal_result with
-           | Error e -> Error e
+           | Error e ->
+             Pool.shutdown engine;
+             Option.iter Auditor.shutdown auditor;
+             Error e
            | Ok journal ->
              let tenant_server = tenant_server_of tenant ~journal base in
              tenant.state <-
-               Some { engine; syn_bytes = bytes; obs; journal; tenant_server };
+               Some { engine; syn_bytes = bytes; auditor; journal; tenant_server };
              tenant.page_ins <- tenant.page_ins + 1;
              t.page_ins_total <- t.page_ins_total + 1;
              t.resident_bytes <- t.resident_bytes + bytes;
@@ -402,12 +407,6 @@ let evictions t = with_lock t.mutex (fun () -> t.evictions)
 let page_ins t = with_lock t.mutex (fun () -> t.page_ins_total)
 let journal_replayed t = with_lock t.mutex (fun () -> t.journal_replayed)
 
-let engine t name =
-  with_lock t.mutex (fun () ->
-      match Hashtbl.find_opt t.table name with
-      | Some { state = Some r; _ } -> Some r.engine
-      | _ -> None)
-
 (* Registry-level series, republished idempotently before every scrape so
    quiet re-scrapes render byte-identical. *)
 let publish_locked t =
@@ -441,8 +440,7 @@ let metrics_text t =
             match tenant.state with
             | None -> acc
             | Some r ->
-              Engine_core.publish_telemetry r.engine;
-              ([ ("tenant", name) ], r.obs) :: acc)
+              ([ ("tenant", name) ], Pool.merged_metrics r.engine) :: acc)
           t.table
           [ ([], t.obs) ]
       in

@@ -2,18 +2,19 @@
     process, paged in and out under a global memory budget.
 
     A {!t} maps tenant names to synopsis files. A tenant is {e resident}
-    when its synopsis is loaded into an {!Engine_core.t} of its own (private
-    estimate cache, flight ring, drift window, metric registry, and — with a
-    journal directory — a crash-safe feedback journal); otherwise it is
+    when its synopsis is loaded into a one-worker {!Pool.t} of its own
+    (private estimate cache, flight rings, drift window, metric registries,
+    and — with a journal directory — a crash-safe feedback journal); a
+    one-worker pool serves on the calling thread and spawns no domain, so
+    any number of tenants can be resident at once. Otherwise it is
     {e paged out} and costs nothing but its registry entry. [USE]-ing a
     paged-out tenant loads it on demand; when the global budget would
     overflow, least-recently-used residents are evicted first. Eviction
-    flushes the tenant's journal, drops its caches through the engine's
-    epoch/invalidate path, and releases the synopsis — the checksummed v2
-    file format makes the reload cheap and safe, and replaying the journal
-    on page-in reproduces the learned HET/feedback state, so an
-    evict/reload round trip is estimate-for-estimate identical to a tenant
-    that was never evicted.
+    flushes the tenant's journal, shuts its pool and auditor down, and
+    releases the synopsis — the checksummed v2 file format makes the
+    reload cheap and safe, and replaying the journal on page-in reproduces
+    the learned HET/feedback state, so an evict/reload round trip is
+    estimate-for-estimate identical to a tenant that was never evicted.
 
     {b Protocol surface.} A {!session} (one per client connection) carries
     the active tenant selected with [USE <tenant>]; {!extra} adds the
@@ -33,11 +34,13 @@
     {b Concurrency.} Every registry operation — including serving an
     estimate through a session — runs under one internal mutex, so a [USE]
     racing an eviction can never observe a half-released engine. The
-    registry is the many-documents axis; {!Pool} remains the many-cores
-    axis for a single hot synopsis.
+    registry is the many-documents axis; a multi-worker {!Pool} is the
+    many-cores axis for a single hot synopsis.
 
-    {b Metrics.} {!metrics_text} merges every resident tenant's registry
-    with a [tenant="<name>"] label on each series ({!Obs.merged_labeled})
+    {b Metrics.} {!metrics_text} merges every resident tenant's
+    {!Pool.merged_metrics} — its tenant estimator's FEEDBACK/EXPLAIN
+    pipeline counters included — with a [tenant="<name>"] label on each
+    series ({!Obs.merged_labeled})
     plus registry-level [registry.*] series, rendered sorted so quiet
     scrapes are byte-identical across repeats. *)
 
@@ -70,7 +73,7 @@ val create :
     [audit_feedback] the audited ground truth also drives the tenant's
     q-error-gated HET refinement); tenants without a document are never
     audited, and eviction shuts the tenant's auditor down. The remaining
-    knobs are per-tenant {!Engine_core.create} parameters.
+    knobs are per-tenant {!Pool.create} parameters.
     @raise Invalid_argument when [memory_budget]/[het_budget] < 1 or
     [audit_rate] is outside [0, 1]. *)
 
@@ -98,8 +101,8 @@ val use : t -> string -> ([ `Resident | `Loaded ], Core.Error.t) result
     in. *)
 
 val evict : t -> string -> bool
-(** Page the tenant out now (flush + close its journal, invalidate its
-    engine, release the synopsis). [false] when it was not resident.
+(** Page the tenant out now (flush + close its journal, shut its engine
+    down, release the synopsis). [false] when it was not resident.
     Mostly a test hook — serving evicts through the budget. *)
 
 val tenants : t -> (string * int option) list
@@ -118,10 +121,6 @@ val page_ins : t -> int
 
 val journal_replayed : t -> int
 (** Journal entries replayed through feedback across all page-ins. *)
-
-val engine : t -> string -> Engine_core.t option
-(** The tenant's live engine when resident. Test hook: does not touch LRU
-    order. *)
 
 val metrics_text : t -> string
 (** Prometheus exposition of every resident tenant's registry (each series

@@ -1,9 +1,7 @@
-(* The serve line protocol, factored out of the single engine so the same
-   verb surface (ESTIMATE/BATCH/FEEDBACK/EXPLAIN/STATS/METRICS/RECENT/DRIFT)
-   can front either an Engine.t or a Pool.t: a server is just a record of
-   closures, and the protocol layer owns parsing, error rendering, and the
-   BATCH framing (which needs to pull extra request lines, hence
-   [read_line]). *)
+(* The serve line protocol. A server is just a record of closures (a pool,
+   a registry session, a journal wrapper), and the protocol layer owns
+   parsing, error rendering, and the BATCH framing (which needs to pull
+   extra request lines, hence [read_line]). *)
 
 type estimate_reply = { value : float; status : Core.Explain.cache_status }
 

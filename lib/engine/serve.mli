@@ -1,8 +1,9 @@
 (** The serve line protocol, generic over what answers it.
 
     A {!server} is a record of closures — the protocol layer neither knows
-    nor cares whether a single-threaded {!Engine.t} or a multi-domain
-    {!Pool.t} sits behind it. One request per line:
+    nor cares what sits behind it: a {!Pool.t} (with one worker or many),
+    a {!Registry} session, or a {!Journal}-wrapped vtable. One request per
+    line:
 
     {v
     ESTIMATE <xpath>            ->  OK <estimate> <hit|miss>
@@ -37,10 +38,12 @@
     [PROFILE n] frames exactly like [BATCH n] (the n following lines are
     ESTIMATE requests, verb prefix optional) but runs them as one traced
     batch and answers with a single line giving exact p50/p90/p99 of the
-    three serving stages in microseconds: queue-wait (submit to dequeue),
-    execute (dequeue to result), reassemble (result to batch completion).
-    On a single-threaded engine queue-wait and reassemble are zero. Hitting
-    end of input inside the frame is one [ERR io-error] line.
+    three serving stages in microseconds: queue-wait (submit to execution
+    start, which for a slot deep in a chunk includes its predecessors'
+    execute time), execute (start to result), reassemble (result to batch
+    completion). The stages mean the same with one worker, where the
+    submitter serves each chunk itself, as with many. Hitting end of input
+    inside the frame is one [ERR io-error] line.
 
     [BATCH n] consumes exactly [n] further input lines, each an ESTIMATE
     request (the [ESTIMATE ] verb prefix is optional on payload lines), and
@@ -72,7 +75,7 @@ type profile_reply = {
   shed : int;  (** queries refused with [ERR overloaded] during the run *)
   steals : int;
       (** chunks stolen across shards while the run was in flight,
-          rendered as [steals=<n>]; 0 on a single engine *)
+          rendered as [steals=<n>]; always 0 with one worker *)
   tenant : string option;
       (** the tenant that served the run, rendered as a trailing
           [tenant=<name>] field; [None] outside a registry session *)
@@ -115,7 +118,7 @@ val max_batch : int
 
 val percentiles : float array -> stage_percentiles
 (** Exact rank selection over a copy of [samples] (all zeros when empty).
-    Exposed for the engine/pool profile implementations and the bench. *)
+    Exposed for {!Pool.profile} and the bench. *)
 
 val handle_request :
   ?max_batch:int ->

@@ -248,6 +248,16 @@ external now_mono : unit -> (float[@unboxed])
   = "xseed_obs_monotonic_s" "xseed_obs_monotonic_s_unboxed"
 [@@noalloc]
 
+external minor_collections : unit -> int = "xseed_obs_minor_collections"
+[@@noalloc]
+
+external major_collections : unit -> int = "xseed_obs_major_collections"
+[@@noalloc]
+
+external major_words : unit -> (float[@unboxed])
+  = "xseed_obs_major_words" "xseed_obs_major_words_unboxed"
+[@@noalloc]
+
 type sink = Noop | Stderr | Jsonl of out_channel
 
 type labels = (string * string) list
@@ -826,6 +836,34 @@ let merged_labeled lts =
   out
 
 let merged ts = merged_labeled (List.map (fun t -> ([], t)) ts)
+
+(* Copy [src]'s current values into [into], series by series, so that
+   republishing a growing source before every snapshot is idempotent:
+   counters only rise (a source total never shrinks), gauges and
+   histograms are overwritten with the source's state. *)
+let mirror ~into src =
+  let copies =
+    with_lock src (fun () ->
+        List.rev_map
+          (fun key ->
+            match Hashtbl.find src.registry key with
+            | Counter c -> `C (c.cname, c.clabels, c.n)
+            | Gauge g -> `G (g.gname, g.glabels, g.g)
+            | Histogram h ->
+              `H (h.hname, h.hlabels, h.count, h.sum, h.max, Array.copy h.buckets))
+          src.order)
+  in
+  List.iter
+    (function
+      | `C (name, labels, n) -> set_max (counter_with into name labels) n
+      | `G (name, labels, v) -> gset (gauge_with into name labels) v
+      | `H (name, labels, count, sum, mx, buckets) ->
+        let h = histogram_with into name labels in
+        h.count <- count;
+        h.sum <- sum;
+        h.max <- mx;
+        Array.blit buckets 0 h.buckets 0 hbuckets)
+    copies
 
 (* ------------------------------------------------------------------ *)
 (* Causal tracing: per-domain ring buffers of timestamped events merged

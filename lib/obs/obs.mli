@@ -227,6 +227,21 @@ val now_mono : unit -> float
     for stage timing throughout the pipeline. The origin is arbitrary;
     only differences are meaningful. Reading it does not allocate. *)
 
+val minor_collections : unit -> int
+(** Process-wide minor collections so far — [Gc.quick_stat]'s
+    [minor_collections], read in one load instead of a summation over
+    every domain's statistics, so a serving loop can bracket each request
+    with it. Does not allocate. *)
+
+val major_collections : unit -> int
+(** Process-wide completed major cycles — [Gc.quick_stat]'s
+    [major_collections], as cheaply as {!minor_collections}. *)
+
+val major_words : unit -> float
+(** The calling domain's words allocated in or promoted to the major heap
+    so far — [Gc.counters]' promoted plus major words, read without
+    allocating. *)
+
 val event : ?obs:t -> ?fields:(string * Json.t) list -> string -> unit
 (** Emit one event to the sink (nothing on [Noop]). *)
 
@@ -290,6 +305,16 @@ val merged_labeled : (labels * t) list -> t
     engine registries under [[("tenant", name)]] so one scrape exposes
     every tenant's series side by side. Identical label sets after widening
     combine exactly as in {!merged}. *)
+
+val mirror : into:t -> t -> unit
+(** Copy every series of the source into [into]: counters are raised to
+    the source's value ({!set_max}), gauges and histograms take the
+    source's state. Mirroring a registry whose counters only grow is
+    idempotent, so a serving layer can mirror its merged view into a
+    sink-bearing registry before every snapshot. Series of [into] the
+    source lacks are left alone.
+    @raise Invalid_argument when a series key has different metric kinds
+    in the two registries. *)
 
 (** {1 Causal tracing}
 

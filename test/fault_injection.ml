@@ -426,7 +426,8 @@ let net_codec_case rng ~seed ~case =
       (Printexc.to_string e)
 
 let net_engine_server () =
-  Engine.server (Engine.create (estimator_of (Lazy.force good_synopsis)))
+  Engine.Pool.server
+    (Engine.Pool.create ~workers:1 (estimator_of (Lazy.force good_synopsis)))
 
 let net_live_case rng ~seed ~case =
   let category = "net" in

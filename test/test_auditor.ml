@@ -156,32 +156,41 @@ let queries =
   [ "/site/people/person"; "//open_auction[bidder]/price"; "//item";
     "/site/regions//item[location]"; "//person[emailaddress]" ]
 
+(* The engine under test is the one-worker pool, serving inline. *)
+let audit_reply engine = (Engine.Pool.server engine).Engine.Serve.audit ()
+
+let handle_line engine line =
+  Engine.Serve.handle_request (Engine.Pool.server engine)
+    ~read_line:(fun () -> None) line
+
 let with_engine_auditor ?(feedback = false) ?(rate = 1.0) f =
-  let engine =
-    Engine.create ~qerror_threshold:2.0 (estimator_of (synopsis ()))
-  in
   let auditor =
     Engine.Auditor.create ~feedback ~rate
       (Engine.Auditor.Loaded
          { estimator = fresh_estimator (); storage = storage () })
   in
-  Engine.set_auditor engine auditor;
+  let engine =
+    Engine.Pool.create ~workers:1 ~qerror_threshold:2.0 ~auditor
+      (estimator_of (synopsis ()))
+  in
   Fun.protect
-    ~finally:(fun () -> Engine.Auditor.shutdown auditor)
+    ~finally:(fun () ->
+      Engine.Pool.shutdown engine;
+      Engine.Auditor.shutdown auditor)
     (fun () -> f engine auditor)
 
 let test_engine_audit_e2e () =
   with_engine_auditor @@ fun engine auditor ->
   List.iter
     (fun q ->
-      match Engine.estimate engine q with
+      match Engine.Pool.estimate engine q with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "estimate %s: %s" q (Core.Error.to_string e))
     queries;
   checkb "settles" true (Engine.Auditor.settle auditor);
-  Engine.drain_audits engine;
+  Engine.Pool.drain_audits engine;
   let reply =
-    match Engine.audit_reply engine with
+    match audit_reply engine with
     | Ok j -> j
     | Error e -> Alcotest.failf "AUDIT: %s" (Core.Error.to_string e)
   in
@@ -193,15 +202,11 @@ let test_engine_audit_e2e () =
   checki "window covers every audit" (List.length queries)
     (jint "count" (jfield "window" reply));
   (* The attribution records land in the flight ring as Audited records. *)
-  let fr = match Engine.recorder engine with
-    | Some fr -> fr
-    | None -> Alcotest.fail "telemetry should be on"
-  in
   let audited =
     List.filter
       (fun (r : Engine.Flight_recorder.record) ->
         r.Engine.Flight_recorder.cache = Engine.Flight_recorder.Audited)
-      (Engine.Flight_recorder.recent fr)
+      (Engine.Pool.recent engine)
   in
   checki "one Audited flight record per audit" (List.length queries)
     (List.length audited);
@@ -215,13 +220,13 @@ let test_engine_audit_e2e () =
     audited
 
 let test_engine_audit_disabled () =
-  let engine = Engine.create (estimator_of (synopsis ())) in
-  (match Engine.audit_reply engine with
+  let engine = Engine.Pool.create ~workers:1 (estimator_of (synopsis ())) in
+  (match audit_reply engine with
    | Ok _ -> Alcotest.fail "AUDIT must fail without an auditor"
    | Error e ->
      checkb "internal error" true
        (contains_sub ~sub:"auditing is disabled" (Core.Error.to_string e)));
-  (match Engine.Protocol.handle_line engine "AUDIT" with
+  (match handle_line engine "AUDIT" with
    | Some reply ->
      checkb "protocol ERR" true (String.length reply >= 3
                                 && String.sub reply 0 3 = "ERR")
@@ -229,16 +234,16 @@ let test_engine_audit_disabled () =
 
 let test_protocol_audit () =
   with_engine_auditor @@ fun engine _auditor ->
-  (match Engine.Protocol.handle_line engine "ESTIMATE //item" with
+  (match handle_line engine "ESTIMATE //item" with
    | Some r ->
      checkb "estimate ok" true (String.length r > 2 && String.sub r 0 2 = "OK")
    | None -> Alcotest.fail "ESTIMATE must answer");
-  (match Engine.Protocol.handle_line engine "AUDIT extra" with
+  (match handle_line engine "AUDIT extra" with
    | Some r ->
      checkb "AUDIT takes no argument" true
        (String.length r >= 3 && String.sub r 0 3 = "ERR")
    | None -> Alcotest.fail "must answer");
-  match Engine.Protocol.handle_line engine "AUDIT" with
+  match handle_line engine "AUDIT" with
   | Some r ->
     checkb "AUDIT answers OK json" true
       (String.length r > 4 && String.sub r 0 4 = "OK {")
@@ -253,11 +258,12 @@ let test_audit_feedback_refines () =
   Engine.Auditor.sample auditor ~query:key.Engine.Canonical.text
     ~hash:key.Engine.Canonical.hash ~ast ~estimate:1_000_000.0;
   checkb "settles" true (Engine.Auditor.settle auditor);
-  checki "no refinement before the drain" 0 (Engine.feedback_rounds engine);
-  Engine.drain_audits engine;
-  checki "the lie refined the HET" 1 (Engine.feedback_rounds engine);
+  checki "no refinement before the drain" 0
+    (Engine.Pool.feedback_rounds engine);
+  Engine.Pool.drain_audits engine;
+  checki "the lie refined the HET" 1 (Engine.Pool.feedback_rounds engine);
   let reply =
-    match Engine.audit_reply engine with
+    match audit_reply engine with
     | Ok j -> j
     | Error e -> Alcotest.failf "AUDIT: %s" (Core.Error.to_string e)
   in
@@ -269,8 +275,9 @@ let test_audit_feedback_off_never_refines () =
   Engine.Auditor.sample auditor ~query:key.Engine.Canonical.text
     ~hash:key.Engine.Canonical.hash ~ast ~estimate:1_000_000.0;
   checkb "settles" true (Engine.Auditor.settle auditor);
-  Engine.drain_audits engine;
-  checki "observation only, no refinement" 0 (Engine.feedback_rounds engine)
+  Engine.Pool.drain_audits engine;
+  checki "observation only, no refinement" 0
+    (Engine.Pool.feedback_rounds engine)
 
 (* ------------------------------------------------------------------ *)
 (* Served vs offline agreement (what the audit smoke diffs). *)

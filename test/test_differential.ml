@@ -9,9 +9,11 @@
    - an exactness oracle: simple linear paths covered by a HET simple entry
      must estimate the NoK operator's exact cardinality — the HET override
      replaces the kernel approximation with recorded truth;
-   - a pool-vs-engine oracle: the serving pool, over the same synopsis,
-     must return bit-identical floats to a single engine for every query,
-     including after an identical feedback observation on both. *)
+   - a pool-vs-engine oracle: the single-threaded engine (a one-worker
+     pool, serving every chunk inline on the caller) and a 2-domain pool
+     with chunking, stealing and affinity must return bit-identical floats
+     over the same synopsis for every query, including after an identical
+     feedback observation on both and around a mid-batch deadline. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -83,7 +85,8 @@ let prop_never_raises =
         QCheck.Test.fail_reportf "raised %s on doc=%S query=%S"
           (Printexc.to_string e) doc query)
 
-(* The engine wrapper inherits totality (cache + canonicalization layers). *)
+(* The serving engine inherits totality (cache + canonicalization
+   layers). *)
 let prop_engine_never_raises =
   QCheck.Test.make ~count:200 ~name:"engine total on random doc x query"
     (QCheck.make (fun rand ->
@@ -92,15 +95,15 @@ let prop_engine_never_raises =
     (fun (doc, queries) ->
       let kernel = Core.Builder.of_string doc in
       let engine =
-        Engine.create (Core.Estimator.create ~het:(Core.Het.create ()) kernel)
+        Engine.Pool.create ~workers:1
+          (Core.Estimator.create ~het:(Core.Het.create ()) kernel)
       in
       List.for_all
         (fun q ->
-          match Engine.estimate engine q with
+          match Engine.Pool.estimate engine q with
           | Error _ -> true
-          | Ok s ->
-            Float.is_finite s.Engine.outcome.Core.Estimator.value
-            && s.Engine.outcome.Core.Estimator.value >= 0.0
+          | Ok r ->
+            Float.is_finite r.Engine.Serve.value && r.Engine.Serve.value >= 0.0
           | exception e ->
             QCheck.Test.fail_reportf "engine raised %s on %S"
               (Printexc.to_string e) q)
@@ -161,7 +164,10 @@ let test_het_simple_paths_exact_random () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 3: the pool is bit-identical to a single engine. *)
+(* Oracle 3: the inline engine and a 2-domain pool are bit-identical. The
+   engine side is a one-worker pool, which serves every chunk on the
+   submitting thread; the other side runs two worker domains with chunked
+   dispatch, work stealing and affinity routing. *)
 
 let bits = Int64.bits_of_float
 
@@ -180,25 +186,30 @@ let pool_queries path_tree =
     @ Datagen.Workload.branching path_tree ~rng ~count:10 ()
     @ Datagen.Workload.complex path_tree ~rng ~count:10 ())
 
-let engine_value engine q =
-  match Engine.estimate engine q with
-  | Ok s -> s.Engine.outcome.Core.Estimator.value
-  | Error e -> Alcotest.failf "engine %s: %s" q (Core.Error.to_string e)
-
-let pool_value pool q =
+let value_of side pool q =
   match Engine.Pool.estimate pool q with
   | Ok r -> r.Engine.Serve.value
-  | Error e -> Alcotest.failf "pool %s: %s" q (Core.Error.to_string e)
+  | Error e -> Alcotest.failf "%s %s: %s" side q (Core.Error.to_string e)
 
-let test_pool_bit_identical () =
-  let doc = Datagen.Paper_example.document in
-  (* Two independent synopsis stacks over the same document: feedback on
-     one side must not leak into the other. *)
+let engine_value = value_of "engine"
+let pool_value = value_of "pool"
+
+(* Two independent synopsis stacks over the same document, so feedback on
+   one side cannot leak into the other: the inline engine, and a 2-domain
+   pool built by [mk]. *)
+let with_pair ?(mk = fun est -> Engine.Pool.create ~workers:2 est) doc f =
   let path_tree, engine_est = build_stack doc in
   let _, pool_est = build_stack doc in
-  let engine = Engine.create engine_est in
-  let pool = Engine.Pool.create ~workers:2 pool_est in
-  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
+  let engine = Engine.Pool.create ~workers:1 engine_est in
+  let pool = mk pool_est in
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.Pool.shutdown pool;
+      Engine.Pool.shutdown engine)
+  @@ fun () -> f path_tree engine pool
+
+let test_pool_bit_identical () =
+  with_pair Datagen.Paper_example.document @@ fun path_tree engine pool ->
   let queries = pool_queries path_tree in
   List.iter
     (fun q ->
@@ -207,29 +218,38 @@ let test_pool_bit_identical () =
         (bits (engine_value engine q))
         (bits (pool_value pool q)))
     queries;
-  (* Batch replies are in submission order and identical too. *)
+  (* Batch replies are in submission order and identical too, on both
+     sides. *)
   let batch = Engine.Pool.estimate_batch pool queries in
+  let inline_batch = Engine.Pool.estimate_batch engine queries in
   List.iter2
-    (fun q reply ->
-      match reply with
-      | Ok r ->
+    (fun (q, reply) inline_reply ->
+      match (reply, inline_reply) with
+      | Ok r, Ok e ->
         Alcotest.(check int64)
           (Printf.sprintf "batch bit-identical %s" q)
-          (bits (engine_value engine q))
+          (bits e.Engine.Serve.value)
           (bits r.Engine.Serve.value)
-      | Error e -> Alcotest.failf "batch %s: %s" q (Core.Error.to_string e))
-    queries batch;
-  (* One identical feedback observation on both sides; the pool drains,
-     refines and bumps its epoch — estimates must still agree bit for bit. *)
+      | Error e, _ | _, Error e ->
+        Alcotest.failf "batch %s: %s" q (Core.Error.to_string e))
+    (List.combine queries batch)
+    inline_batch;
+  (* One identical feedback observation on both sides; each drains,
+     refines and bumps its epoch — estimates and the judged q-errors must
+     still agree bit for bit. *)
   let fq = List.hd queries in
   let wrong_actual = 10 * (1 + int_of_float (engine_value engine fq)) in
   let epoch_before = Engine.Pool.epoch pool in
-  (match Engine.feedback engine fq ~actual:wrong_actual with
-   | Ok (_, fb) -> checkb "engine refined" true fb.Engine.Feedback.refined
-   | Error e -> Alcotest.failf "engine feedback: %s" (Core.Error.to_string e));
-  (match Engine.Pool.feedback pool fq ~actual:wrong_actual with
-   | Ok fb -> checkb "pool refined" true fb.Engine.Feedback.refined
-   | Error e -> Alcotest.failf "pool feedback: %s" (Core.Error.to_string e));
+  let judged side p =
+    match Engine.Pool.feedback p fq ~actual:wrong_actual with
+    | Ok fb ->
+      checkb (side ^ " refined") true fb.Engine.Feedback.refined;
+      fb.Engine.Feedback.q_error
+    | Error e -> Alcotest.failf "%s feedback: %s" side (Core.Error.to_string e)
+  in
+  let engine_q = judged "engine" engine in
+  Alcotest.(check int64) "feedback q-error bit-identical" (bits engine_q)
+    (bits (judged "pool" pool));
   checki "refining feedback bumps the epoch" (epoch_before + 1)
     (Engine.Pool.epoch pool);
   List.iter
@@ -242,11 +262,11 @@ let test_pool_bit_identical () =
 
 (* The same oracle under chunked dispatch, stealing and affinity routing,
    on hostile inputs: random documents, a query mix that includes
-   malformed and degenerate spellings, a pool configured so batches split
-   into many small chunks (workers > chunk plan slots, chunk_target 3)
-   and every batch routed to one preferred shard so the others must
-   steal. Errors must agree by kind, values bit for bit, including after
-   an identical feedback observation bumps the pool's epoch. *)
+   malformed and degenerate spellings, a 2-domain pool configured so
+   batches split into many small chunks (chunk_target 3), and every batch
+   routed to one preferred shard so the other must steal. Errors must
+   agree by kind, values bit for bit, including after an identical
+   feedback observation bumps both epochs. *)
 
 let rng_doc rng =
   let buf = Buffer.create 256 in
@@ -285,12 +305,12 @@ let hostile_queries path_tree =
   weave (valid, hostile) @ valid
 
 let check_agree ~label engine reply q =
-  let expected = Engine.estimate engine q in
+  let expected = Engine.Pool.estimate engine q in
   match (expected, reply) with
-  | Ok s, Ok (r : Engine.Serve.estimate_reply) ->
+  | Ok e, Ok (r : Engine.Serve.estimate_reply) ->
     Alcotest.(check int64)
       (Printf.sprintf "%s bit-identical %S" label q)
-      (bits s.Engine.outcome.Core.Estimator.value)
+      (bits e.Engine.Serve.value)
       (bits r.Engine.Serve.value)
   | Error e1, Error e2 ->
     checkb
@@ -307,12 +327,8 @@ let check_agree ~label engine reply q =
 let test_pool_chunked_hostile_bit_identical () =
   let rng = Datagen.Rng.create ~seed:99 in
   for round = 1 to 3 do
-    let doc = rng_doc rng in
-    let path_tree, engine_est = build_stack doc in
-    let _, pool_est = build_stack doc in
-    let engine = Engine.create engine_est in
-    let pool = Engine.Pool.create ~workers:4 ~chunk_target:3 pool_est in
-    Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
+    let mk est = Engine.Pool.create ~workers:2 ~chunk_target:3 est in
+    with_pair ~mk (rng_doc rng) @@ fun path_tree engine pool ->
     let queries = hostile_queries path_tree in
     let label = Printf.sprintf "round %d" round in
     (* Affinity-routed singles agree... *)
@@ -321,30 +337,33 @@ let test_pool_chunked_hostile_bit_identical () =
         check_agree ~label engine (Engine.Pool.estimate ~affinity:round pool q) q)
       queries;
     (* ...and an affinity-routed batch (all chunks planned onto one shard,
-       the other three must steal) agrees slot for slot in submission
-       order. *)
+       the other must steal) agrees slot for slot in submission order. *)
     let batch = Engine.Pool.estimate_batch ~affinity:round pool queries in
     checki (label ^ " batch width") (List.length queries) (List.length batch);
     List.iter2 (fun q reply -> check_agree ~label:(label ^ " batch") engine reply q)
       queries batch;
-    (* One identical feedback on both sides: the pool drains it on a worker
-       domain, refines, bumps its epoch — and must still agree bit for bit
-       with the engine that refined in-line. *)
+    (* One identical feedback on both sides: the pool drains it with its
+       domains parked, the engine on the caller — and the two must still
+       agree bit for bit. *)
     let fq =
       List.find
-        (fun q -> match Engine.estimate engine q with Ok _ -> true | Error _ -> false)
+        (fun q ->
+          match Engine.Pool.estimate engine q with
+          | Ok _ -> true
+          | Error _ -> false)
         queries
     in
     let wrong_actual = 10 * (1 + int_of_float (engine_value engine fq)) in
     let epoch_before = Engine.Pool.epoch pool in
-    (match Engine.feedback engine fq ~actual:wrong_actual with
-     | Ok _ -> ()
-     | Error e ->
-       Alcotest.failf "%s engine feedback: %s" label (Core.Error.to_string e));
-    (match Engine.Pool.feedback pool fq ~actual:wrong_actual with
-     | Ok _ -> ()
-     | Error e ->
-       Alcotest.failf "%s pool feedback: %s" label (Core.Error.to_string e));
+    let judged side p =
+      match Engine.Pool.feedback p fq ~actual:wrong_actual with
+      | Ok fb -> fb.Engine.Feedback.q_error
+      | Error e ->
+        Alcotest.failf "%s %s feedback: %s" label side (Core.Error.to_string e)
+    in
+    let engine_q = judged "engine" engine in
+    Alcotest.(check int64) (label ^ " feedback q-error bit-identical")
+      (bits engine_q) (bits (judged "pool" pool));
     checkb (label ^ " epoch bumped or kept") true
       (Engine.Pool.epoch pool >= epoch_before);
     let batch2 = Engine.Pool.estimate_batch ~affinity:round pool queries in
@@ -353,12 +372,16 @@ let test_pool_chunked_hostile_bit_identical () =
       queries batch2
   done
 
-(* Mid-batch deadline expiry under chunked dispatch. One worker, one
-   8-slot chunk, a 50 ms budget measured from the chunk's enqueue: slots
-   before the gated query are served within budget (and must match the
-   engine bit for bit), the gated slot and everything after it expire
-   while the worker is parked, and the refusals must not disturb
-   submission order or later traffic. *)
+(* Mid-batch deadline expiry. One 8-query batch against a 50 ms budget
+   measured from each chunk's enqueue, with a gate parking the serving
+   thread inside slot 2: slots before it are served within budget (and
+   must match the other kind of pool bit for bit), the gated slot and
+   everything after it expire, and the refusals must not disturb
+   submission order or later traffic. The scenario runs on the inline
+   engine (one 8-slot chunk, parked on the submitting domain) and on a
+   2-domain pool that routes both of its 4-slot chunks to one shard with
+   stealing off, so the second chunk waits out the budget behind the
+   first. *)
 
 type gate = {
   g_lock : Mutex.t;
@@ -381,28 +404,30 @@ let gate_hook g = function
     false
   | _ -> false
 
-let test_pool_deadline_mid_batch () =
+let deadline_mid_batch ~label ~gated ~reference =
   let doc = Datagen.Paper_example.document in
-  let path_tree, engine_est = build_stack doc in
-  let _, pool_est = build_stack doc in
-  let engine = Engine.create engine_est in
+  let path_tree, gated_est = build_stack doc in
+  let _, reference_est = build_stack doc in
   let g = gate () in
   let deadline_s = 0.05 in
-  let pool =
-    Engine.Pool.create ~workers:1 ~chunk_target:8 ~deadline_s
-      ~chaos:(gate_hook g) pool_est
-  in
-  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
+  let pool = gated ~deadline_s ~chaos:(gate_hook g) gated_est in
+  let other = reference reference_est in
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.Pool.shutdown pool;
+      Engine.Pool.shutdown other)
+  @@ fun () ->
   let fast =
     List.map Xpath.Ast.to_string (Datagen.Workload.all_simple_paths path_tree)
   in
   let q0 = List.nth fast 0 and q1 = List.nth fast 1 in
   let queries = [ q0; q1; "//sleepy"; q0; q1; q0; q1; q0 ] in
   let batcher =
-    Domain.spawn (fun () -> Engine.Pool.estimate_batch pool queries)
+    Domain.spawn (fun () ->
+        Engine.Pool.estimate_batch ~affinity:1 pool queries)
   in
-  (* The worker served slots 0-1 and is now parked inside slot 2; hold it
-     past the whole chunk's budget before letting go. *)
+  (* Slots 0-1 are served and the serving thread is now parked inside
+     slot 2; hold it past the whole batch's budget before letting go. *)
   Mutex.lock g.g_lock;
   while not g.g_entered do Condition.wait g.g_cond g.g_lock done;
   Mutex.unlock g.g_lock;
@@ -412,34 +437,45 @@ let test_pool_deadline_mid_batch () =
   Condition.broadcast g.g_cond;
   Mutex.unlock g.g_lock;
   let batch = Domain.join batcher in
-  checki "all slots answered" 8 (List.length batch);
+  checki (label ^ " all slots answered") 8 (List.length batch);
   List.iteri
     (fun i reply ->
       match reply with
       | Ok (r : Engine.Serve.estimate_reply) ->
-        if i >= 2 then Alcotest.failf "slot %d served after expiry" i;
+        if i >= 2 then Alcotest.failf "%s slot %d served after expiry" label i;
         Alcotest.(check int64)
-          (Printf.sprintf "pre-expiry slot %d bit-identical" i)
-          (bits (engine_value engine (List.nth queries i)))
+          (Printf.sprintf "%s pre-expiry slot %d bit-identical" label i)
+          (bits (value_of "reference" other (List.nth queries i)))
           (bits r.Engine.Serve.value)
       | Error e ->
         if i < 2 then
-          Alcotest.failf "pre-expiry slot %d refused: %s" i
+          Alcotest.failf "%s pre-expiry slot %d refused: %s" label i
             (Core.Error.to_string e);
         checkb
-          (Printf.sprintf "slot %d expired with ERR timeout" i)
+          (Printf.sprintf "%s slot %d expired with ERR timeout" label i)
           true
           (Core.Error.kind e = Core.Error.Timeout))
     batch;
-  checki "six slots timed out" 6 (Engine.Pool.timeout_total pool);
-  (* The pool is unharmed: fresh traffic still agrees with the engine. *)
+  checki (label ^ " six slots timed out") 6 (Engine.Pool.timeout_total pool);
+  (* The pool is unharmed: fresh traffic still agrees bit for bit. *)
   List.iter
     (fun q ->
       Alcotest.(check int64)
-        (Printf.sprintf "post-expiry bit-identical %s" q)
-        (bits (engine_value engine q))
-        (bits (pool_value pool q)))
+        (Printf.sprintf "%s post-expiry bit-identical %s" label q)
+        (bits (value_of "reference" other q))
+        (bits (value_of label pool q)))
     fast
+
+let test_pool_deadline_mid_batch () =
+  deadline_mid_batch ~label:"inline"
+    ~gated:(fun ~deadline_s ~chaos est ->
+      Engine.Pool.create ~workers:1 ~chunk_target:8 ~deadline_s ~chaos est)
+    ~reference:(fun est -> Engine.Pool.create ~workers:2 ~chunk_target:3 est);
+  deadline_mid_batch ~label:"2 domains"
+    ~gated:(fun ~deadline_s ~chaos est ->
+      Engine.Pool.create ~workers:2 ~chunk_target:8 ~steal:false ~deadline_s
+        ~chaos est)
+    ~reference:(fun est -> Engine.Pool.create ~workers:1 est)
 
 let () =
   let qtests = List.map QCheck_alcotest.to_alcotest

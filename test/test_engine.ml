@@ -215,7 +215,8 @@ let test_het_legacy_pathless () =
     (Core.Het.lookup_simple het 7 = Some (5, None))
 
 (* ------------------------------------------------------------------ *)
-(* Engine: cache behavior and the feedback loop *)
+(* Engine: cache behavior and the feedback loop, on the one-worker pool
+   that serves inline *)
 
 (* 8 'a' children: 4 carry <b/>, 4 carry <c/> — b and c never co-occur, so
    independence overestimates /r/a[b]/c (actual 0) until feedback fixes it. *)
@@ -228,16 +229,16 @@ let engine_over doc =
   let kernel = Core.Builder.of_string doc in
   let het = Core.Het.create () in
   let estimator = Core.Estimator.create ~het kernel in
-  Engine.create estimator
+  Engine.Pool.create ~workers:1 estimator
 
 let served_value engine q =
-  match Engine.estimate engine q with
-  | Ok s -> s.Engine.outcome.Core.Estimator.value
+  match Engine.Pool.estimate engine q with
+  | Ok r -> r.Engine.Serve.value
   | Error e -> Alcotest.failf "estimate %s: %s" q (Core.Error.to_string e)
 
 let served_status engine q =
-  match Engine.estimate engine q with
-  | Ok s -> s.Engine.status
+  match Engine.Pool.estimate engine q with
+  | Ok r -> r.Engine.Serve.status
   | Error e -> Alcotest.failf "estimate %s: %s" q (Core.Error.to_string e)
 
 let test_engine_cache_hit_miss () =
@@ -249,32 +250,31 @@ let test_engine_cache_hit_miss () =
     (served_status engine " / r / ./ a" = Core.Explain.Hit);
   checkb "different query misses" true
     (served_status engine "/r/a/b" = Core.Explain.Miss);
-  let c = Engine.cache_counters engine in
+  let c = Engine.Pool.cache_counters engine in
   checki "hits" 2 c.Engine.Lru_cache.hits;
   checki "misses" 2 c.Engine.Lru_cache.misses;
-  (match Engine.estimate engine "/r[" with
+  (match Engine.Pool.estimate engine "/r[" with
    | Ok _ -> Alcotest.fail "bad query served"
    | Error e ->
      checkb "parse error kind" true
        (Core.Error.kind e = Core.Error.Malformed_query));
   (* Errors are not cached and do not disturb the counters' balance. *)
-  let c = Engine.cache_counters engine in
-  checki "error not counted" 2 (c.Engine.Lru_cache.hits + c.Engine.Lru_cache.hits - 2)
+  let c = Engine.Pool.cache_counters engine in
+  checki "error not counted" 4 (c.Engine.Lru_cache.hits + c.Engine.Lru_cache.misses)
 
 let test_engine_feedback_refines () =
   let engine = engine_over correlated_doc in
   let q = "/r/a[b]/c" in
   let e1 = served_value engine q in
   checkb "independence overestimates" true (e1 > 0.5);
-  (match Engine.feedback engine q ~actual:0 with
-   | Ok (served, fb) ->
-     checkb "judged the served estimate" true
-       (served.Engine.outcome.Core.Estimator.value = e1);
+  (match Engine.Pool.feedback engine q ~actual:0 with
+   | Ok fb ->
+     checkb "judged the served estimate" true (fb.Engine.Feedback.estimate = e1);
      checkb "q-error over threshold" true
-       (fb.Engine.Feedback.q_error >= Engine.qerror_threshold engine);
+       (fb.Engine.Feedback.q_error >= Engine.Pool.qerror_threshold engine);
      checkb "refined" true fb.Engine.Feedback.refined
    | Error e -> Alcotest.failf "feedback: %s" (Core.Error.to_string e));
-  checki "one refinement" 1 (Engine.feedback_rounds engine);
+  checki "one refinement" 1 (Engine.Pool.feedback_rounds engine);
   (* Refinement invalidated the cache: recompute against the refreshed HET. *)
   checkb "cache cleared" true (served_status engine q = Core.Explain.Miss);
   let e2 = served_value engine q in
@@ -289,40 +289,113 @@ let test_engine_feedback_simple_path () =
   let e1 = served_value engine q in
   (* Pretend execution saw something wildly different: the exact-cardinality
      entry must take over on the next request. *)
-  (match Engine.feedback engine q ~actual:40 with
-   | Ok (_, fb) -> checkb "refined" true fb.Engine.Feedback.refined
+  (match Engine.Pool.feedback engine q ~actual:40 with
+   | Ok fb -> checkb "refined" true fb.Engine.Feedback.refined
    | Error e -> Alcotest.failf "feedback: %s" (Core.Error.to_string e));
   checkb "exact entry answers" true (served_value engine q = 40.0);
   checkb "it changed the estimate" true (e1 <> 40.0);
   (* A good estimate is left alone: no refinement, cache intact. *)
-  (match Engine.feedback engine q ~actual:40 with
-   | Ok (_, fb) -> checkb "kept" false fb.Engine.Feedback.refined
+  (match Engine.Pool.feedback engine q ~actual:40 with
+   | Ok fb -> checkb "kept" false fb.Engine.Feedback.refined
    | Error e -> Alcotest.failf "feedback: %s" (Core.Error.to_string e));
-  checki "still one refinement" 1 (Engine.feedback_rounds engine);
-  checki "feedback observations" 2 (Engine.feedback_seen engine);
+  checki "still one refinement" 1 (Engine.Pool.feedback_rounds engine);
+  checki "feedback observations" 2 (Engine.Pool.feedback_seen engine);
   checkb "cache survives a kept observation" true
     (served_status engine q = Core.Explain.Hit)
 
+(* A pool over [correlated_doc] whose base estimator (FEEDBACK, EXPLAIN)
+   counts into [obs]. *)
+let engine_with_obs obs =
+  let kernel = Core.Builder.of_string correlated_doc in
+  Engine.Pool.create ~workers:1
+    (Core.Estimator.create ~het:(Core.Het.create ()) ~obs kernel)
+
+let match_steps obs = Obs.value (Obs.counter obs "matcher.match_steps")
+
+(* FEEDBACK reuses an estimate the current epoch already computed — its
+   own memo, or a shard cache's entry — and recomputes once a refinement
+   moves the epoch; every reused float is the one a fresh estimate gives. *)
+let test_engine_feedback_memo () =
+  let obs = Obs.create () in
+  let engine = engine_with_obs obs in
+  let feedback q actual =
+    match Engine.Pool.feedback engine q ~actual with
+    | Ok fb -> fb
+    | Error e -> Alcotest.failf "feedback: %s" (Core.Error.to_string e)
+  in
+  let close e = int_of_float (Float.round e) in
+  let q = "/r/a[b]/c" in
+  (* The same query on a separate pool: the float this one must judge. *)
+  let e0 = served_value (engine_over correlated_doc) q in
+  checkb "overestimate to refine later" true (e0 >= 1.0);
+  let fb1 = feedback q (close e0) in
+  checkb "kept" false fb1.Engine.Feedback.refined;
+  checkb "judged the served float" true (fb1.Engine.Feedback.estimate = e0);
+  let steps1 = match_steps obs in
+  checkb "first feedback ran the matcher" true (steps1 > 0);
+  checkb "same float again" true
+    ((feedback q (close e0)).Engine.Feedback.estimate = e0);
+  checki "memoized: no matcher work" steps1 (match_steps obs);
+  let q2 = "/r/a/b" in
+  let e2 = served_value engine q2 in
+  checkb "a shard's cached float" true
+    ((feedback q2 (close e2)).Engine.Feedback.estimate = e2);
+  checki "taken from the shard cache" steps1 (match_steps obs);
+  checkb "refined" true (feedback q 0).Engine.Feedback.refined;
+  let steps3 = match_steps obs in
+  ignore (feedback q2 (close e2) : Engine.Feedback.outcome);
+  checkb "no shard entry from an older epoch" true (match_steps obs > steps3);
+  let steps4 = match_steps obs in
+  let fb4 = feedback q 0 in
+  checkb "recomputed after the epoch moved" true (match_steps obs > steps4);
+  checkb "against the refined HET" true
+    (fb4.Engine.Feedback.estimate = served_value engine q
+    && fb4.Engine.Feedback.estimate < e0)
+
+(* The snapshot hook mirrors the METRICS view into a registry: the shards'
+   pipeline counters and the base estimator's beside the serving totals,
+   idempotently. *)
+let test_engine_publish_mirror () =
+  let base = Obs.create () in
+  let engine = engine_with_obs base in
+  ignore (served_value engine "/r/a[b]/c" : float);
+  (match Engine.Pool.feedback engine "/r/a/b" ~actual:4 with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "feedback: %s" (Core.Error.to_string e));
+  let snap = Obs.create () in
+  Engine.Pool.publish_telemetry engine snap;
+  let first = Obs.snapshot snap in
+  Engine.Pool.publish_telemetry engine snap;
+  checkb "republishing is idempotent" true
+    (Obs.Json.equal first (Obs.snapshot snap));
+  checki "snapshot matches METRICS" (match_steps (Engine.Pool.merged_metrics engine))
+    (match_steps snap);
+  checkb "FEEDBACK's matcher work included" true (match_steps base > 0);
+  checkb "and the shard's" true (match_steps snap > match_steps base);
+  checki "serving totals beside them" 1
+    (Obs.value (Obs.counter snap "engine.cache.misses"))
+
 let test_engine_batch_and_explain () =
   let engine = engine_over correlated_doc in
-  (match Engine.estimate_batch engine [ "/r/a"; "/r["; "/r/a" ] with
+  (match Engine.Pool.estimate_batch engine [ "/r/a"; "/r["; "/r/a" ] with
    | [ Ok _; Error e; Ok hit ] ->
      checkb "batch error kind" true
        (Core.Error.kind e = Core.Error.Malformed_query);
-     checkb "batch shares the cache" true (hit.Engine.status = Core.Explain.Hit)
+     checkb "batch shares the cache" true
+       (hit.Engine.Serve.status = Core.Explain.Hit)
    | _ -> Alcotest.fail "batch shape");
-  (match Engine.explain engine "/r/a/b" with
+  (match Engine.Pool.explain engine "/r/a/b" with
    | Ok r ->
      checkb "uncached query explains as miss" true
        (r.Core.Explain.cache = Core.Explain.Miss);
      checki "no rounds yet" 0 r.Core.Explain.feedback_rounds
    | Error e -> Alcotest.failf "explain: %s" (Core.Error.to_string e));
   ignore (served_value engine "/r/a/b");
-  (match Engine.feedback engine "/r/a[b]/c" ~actual:0 with
+  (match Engine.Pool.feedback engine "/r/a[b]/c" ~actual:0 with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "feedback: %s" (Core.Error.to_string e));
   ignore (served_value engine "/r/a/b");
-  (match Engine.explain engine "/r/./a/b" with
+  (match Engine.Pool.explain engine "/r/./a/b" with
    | Ok r ->
      checkb "cached (canonicalized) query explains as hit" true
        (r.Core.Explain.cache = Core.Explain.Hit);
@@ -332,8 +405,14 @@ let test_engine_batch_and_explain () =
 (* ------------------------------------------------------------------ *)
 (* Serve protocol *)
 
+(* One self-contained request line: no payload source, so a BATCH here
+   reads nothing and its slots report end of input. *)
+let handle_line engine line =
+  Engine.Serve.handle_request (Engine.Pool.server engine)
+    ~read_line:(fun () -> None) line
+
 let handle engine line =
-  match Engine.Protocol.handle_line engine line with
+  match handle_line engine line with
   | Some resp -> resp
   | None -> Alcotest.failf "no response to %S" line
 
@@ -343,7 +422,7 @@ let starts_with prefix s =
 
 let test_protocol_ok () =
   let engine = engine_over correlated_doc in
-  checkb "blank ignored" true (Engine.Protocol.handle_line engine "  " = None);
+  checkb "blank ignored" true (handle_line engine "  " = None);
   let r = handle engine "ESTIMATE /r/a" in
   checks "estimate miss" "OK 8.00 miss" r;
   checks "estimate hit" "OK 8.00 hit" (handle engine "ESTIMATE /r/./a");
@@ -397,7 +476,7 @@ let test_protocol_errors () =
   (* Whatever arrives, the handler answers with one line and never raises. *)
   List.iter
     (fun line ->
-      match Engine.Protocol.handle_line engine line with
+      match handle_line engine line with
       | None -> ()
       | Some r ->
         checkb
@@ -441,7 +520,7 @@ let serve_handle server ?(payload = []) line =
 
 let test_protocol_batch () =
   let engine = engine_over correlated_doc in
-  let server = Engine.server engine in
+  let server = Engine.Pool.server engine in
   (* Payload lines with and without the ESTIMATE prefix; the repeat is a
      cache hit. *)
   let r, reads =
@@ -481,8 +560,8 @@ let test_protocol_batch () =
       checki (Printf.sprintf "%S consumed no payload" line) 0 !reads)
     [ "BATCH"; "BATCH -7"; "BATCH x"; "BATCH 10001";
       Printf.sprintf "BATCH %d" (Engine.Serve.max_batch + 1) ];
-  (* Engine.Protocol.handle_line has no payload source at all: every slot
-     reports end of input. *)
+  (* A request with no payload source at all: every slot reports end of
+     input. *)
   checks "handle_line BATCH has no payload source" "OK 1\nERR io-error unexpected end of input inside BATCH"
     (handle engine "BATCH 1")
 
@@ -490,7 +569,7 @@ let test_protocol_batch () =
    ERR diagnostic names the active limit. *)
 let test_protocol_max_batch () =
   let engine = engine_over correlated_doc in
-  let server = Engine.server engine in
+  let server = Engine.Pool.server engine in
   let handle_with ~max_batch ?(payload = []) line =
     let remaining = ref payload in
     let read_line () =
@@ -525,35 +604,32 @@ let test_protocol_max_batch () =
   (* The default is the documented constant. *)
   checki "default max_batch" 10_000 Engine.Serve.max_batch
 
-(* A deadline on the single engine: a negative budget is already spent, so
+(* A deadline on the inline pool: a negative budget is already spent, so
    the first (uncached) estimate refuses deterministically. *)
 let test_engine_deadline () =
   let kernel = Core.Builder.of_string correlated_doc in
   let estimator = Core.Estimator.create ~het:(Core.Het.create ()) kernel in
   Alcotest.check_raises "NaN deadline rejected"
-    (Invalid_argument "Engine.create: deadline_s must not be NaN") (fun () ->
-      ignore (Engine.create ~deadline_s:Float.nan estimator));
-  let engine = Engine.create ~deadline_s:(-1.0) estimator in
-  (match Engine.estimate engine "/r/a" with
+    (Invalid_argument "Pool.create: deadline_s must not be NaN") (fun () ->
+      ignore (Engine.Pool.create ~workers:1 ~deadline_s:Float.nan estimator));
+  let engine = Engine.Pool.create ~workers:1 ~deadline_s:(-1.0) estimator in
+  (match Engine.Pool.estimate engine "/r/a" with
    | Ok _ -> Alcotest.fail "expired request was served"
    | Error e ->
      checkb "ERR timeout" true (Core.Error.kind e = Core.Error.Timeout);
      checki "timeout exits 75" 75 (Core.Error.exit_code e));
-  checki "timed_out counted" 1 (Engine.timed_out engine);
+  checki "timed_out counted" 1 (Engine.Pool.timeout_total engine);
   (* Refusals leave a flight record and surface in STATS. *)
   checkb "timeout leaves a flight record" true
-    (match Engine.recorder engine with
-     | None -> false
-     | Some rec_ ->
-       List.exists
-         (fun (r : Engine.Flight_recorder.record) ->
-           r.Engine.Flight_recorder.cache = Engine.Flight_recorder.Timed_out)
-         (Engine.Flight_recorder.recent rec_));
-  match Engine.stats_json engine with
-  | Obs.Json.Obj fields ->
-    checkb "stats_json has timeouts" true
-      (List.assoc "timeouts" fields = Obs.Json.Int 1)
-  | _ -> Alcotest.fail "stats_json not an object"
+    (List.exists
+       (fun (r : Engine.Flight_recorder.record) ->
+         r.Engine.Flight_recorder.cache = Engine.Flight_recorder.Timed_out)
+       (Engine.Pool.recent engine));
+  match Obs.Json.member "pool" (Engine.Pool.stats_json engine) with
+  | Some pool ->
+    checkb "stats_json has timeout_total" true
+      (Obs.Json.member "timeout_total" pool = Some (Obs.Json.Int 1))
+  | None -> Alcotest.fail "stats_json lacks a pool object"
 
 (* ------------------------------------------------------------------ *)
 (* PROFILE framing: BATCH-like payload, single breakdown line. *)
@@ -573,7 +649,7 @@ let profile_fields line =
 
 let test_protocol_profile () =
   let engine = engine_over correlated_doc in
-  let server = Engine.server engine in
+  let server = Engine.Pool.server engine in
   let r, reads =
     serve_handle server ~payload:[ "ESTIMATE /r/a"; "/r/a/b"; "/r/a" ]
       "PROFILE 3"
@@ -581,24 +657,25 @@ let test_protocol_profile () =
   checkb "single-line reply" true (not (String.contains r '\n'));
   checkb "headline counts queries" true (starts_with "OK 3 queue_wait_us " r);
   checki "exactly 3 payload lines read" 3 !reads;
-  (* On a single engine queue-wait and reassemble are structurally zero;
-     execute percentiles are positive and ordered. *)
+  (* The inline pool stamps the same stages a worker domain does: every
+     percentile is a non-negative number, each stage's are ordered, and
+     execute is measured. *)
   let fields = profile_fields r in
   checki "three stages x three percentiles plus refusals and steals" 12
     (List.length fields);
-  List.iteri
-    (fun i (k, v) ->
-      let stage = i / 3 in
-      let v = float_of_string v in
-      checkb (Printf.sprintf "%s parses non-negative" k) true (v >= 0.0);
-      if stage <> 1 then
-        checkb (Printf.sprintf "%s zero on single engine" k) true (v = 0.0))
+  List.iter
+    (fun (k, v) ->
+      checkb (Printf.sprintf "%s parses non-negative" k) true
+        (float_of_string v >= 0.0))
     fields;
   (match List.map (fun (_, v) -> float_of_string v) fields with
-   | [ _; _; _; e50; e90; e99; _; _; _; _timeout; _shed; steals ] ->
+   | [ q50; q90; q99; e50; e90; e99; r50; r90; r99; _timeout; _shed; steals ]
+     ->
+     checkb "queue-wait percentiles ordered" true (q50 <= q90 && q90 <= q99);
      checkb "execute percentiles ordered" true (e50 <= e90 && e90 <= e99);
+     checkb "reassemble percentiles ordered" true (r50 <= r90 && r90 <= r99);
      checkb "execute measured" true (e99 > 0.0);
-     checkb "single engine never steals" true (steals = 0.0)
+     checkb "one worker never steals" true (steals = 0.0)
    | _ -> Alcotest.fail "unexpected field count");
   (* A bad query is timed like any other — the reply is a timing summary. *)
   let r, _ = serve_handle server ~payload:[ "/r["; "/r/a" ] "PROFILE 2" in
@@ -625,21 +702,22 @@ let test_protocol_profile () =
       Printf.sprintf "PROFILE %d" (Engine.Serve.max_batch + 1) ]
 
 (* ------------------------------------------------------------------ *)
-(* Engine tracing: with ?trace the request path records slices; without it
-   the trace session never sees a single ring write. *)
+(* Inline-pool tracing: with ?trace the request path records the same
+   coordinator and shard slices a worker domain does; without it the trace
+   session never sees a single ring write. *)
 
 let test_engine_tracing () =
   let kernel = Core.Builder.of_string correlated_doc in
   let mk trace =
-    Engine.create ?trace
+    Engine.Pool.create ~workers:1 ?trace
       (Core.Estimator.create ~het:(Core.Het.create ()) kernel)
   in
   let tr = Obs.Trace.create () in
   let traced = mk (Some tr) in
-  ignore (Engine.estimate traced "/r/a" : _ result);
-  ignore (Engine.estimate traced "/r/a" : _ result);
-  ignore (Engine.feedback traced "/r/a" ~actual:8 : _ result);
-  ignore (Engine.explain traced "/r/a/b" : _ result);
+  ignore (Engine.Pool.estimate traced "/r/a" : _ result);
+  ignore (Engine.Pool.estimate traced "/r/a" : _ result);
+  ignore (Engine.Pool.feedback traced "/r/a" ~actual:8 : _ result);
+  ignore (Engine.Pool.explain traced "/r/a/b" : _ result);
   let json = Obs.Trace.to_json tr in
   let names =
     match Obs.Json.member "traceEvents" json with
@@ -656,13 +734,14 @@ let test_engine_tracing () =
     (fun expected ->
       checkb (Printf.sprintf "%s slice recorded" expected) true
         (List.mem expected names))
-    [ "estimate"; "canonicalize"; "pipeline"; "feedback"; "explain" ];
+    [ "batch_submit"; "batch_gather"; "execute"; "canonicalize"; "pipeline";
+      "feedback"; "explain" ];
   checkb "trace lints clean" true (Obs.Trace.lint json = []);
   (* An untraced engine sharing the session would be a bug; a fresh session
      next to an untraced engine stays completely empty. *)
   let tr2 = Obs.Trace.create () in
   let plain = mk None in
-  ignore (Engine.estimate plain "/r/a" : _ result);
+  ignore (Engine.Pool.estimate plain "/r/a" : _ result);
   (match Obs.Json.member "traceEvents" (Obs.Trace.to_json tr2) with
    | Some (Obs.Json.List evs) ->
      checki "no trace -> zero ring writes" 0
@@ -827,15 +906,10 @@ let test_engine_flight_records () =
   let engine = engine_over correlated_doc in
   ignore (served_value engine "/r/a");
   ignore (served_value engine "/r/./a");
-  (match Engine.explain engine "/r/a/b" with
+  (match Engine.Pool.explain engine "/r/a/b" with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "explain: %s" (Core.Error.to_string e));
-  let fr =
-    match Engine.recorder engine with
-    | Some fr -> fr
-    | None -> Alcotest.fail "telemetry on by default"
-  in
-  (match Engine.Flight_recorder.recent fr with
+  (match Engine.Pool.recent engine with
    | [ explained; hit; miss ] ->
      checks "explain recorded" "/r/a/b" explained.Engine.Flight_recorder.query;
      checkb "explain has stage times" true
@@ -854,7 +928,7 @@ let test_engine_flight_records () =
    | rs -> Alcotest.failf "expected 3 flight records, got %d" (List.length rs));
   (* The on_record callback sees records as they are written. *)
   let seen = ref [] in
-  Engine.set_on_record engine (fun r ->
+  Engine.Pool.set_on_record engine (fun r ->
       seen := r.Engine.Flight_recorder.query :: !seen);
   ignore (served_value engine "/r/a/c");
   Alcotest.(check (list string)) "callback streamed" [ "/r/a/c" ] !seen
@@ -862,10 +936,10 @@ let test_engine_flight_records () =
 let test_engine_telemetry_off () =
   let kernel = Core.Builder.of_string correlated_doc in
   let estimator = Core.Estimator.create ~het:(Core.Het.create ()) kernel in
-  let engine = Engine.create ~telemetry:false estimator in
+  let engine = Engine.Pool.create ~workers:1 ~telemetry:false estimator in
   ignore (served_value engine "/r/a");
-  checkb "no recorder" true (Engine.recorder engine = None);
-  checkb "no drift monitor" true (Engine.drift engine = None);
+  checkb "no flight records" true (Engine.Pool.recent engine = []);
+  checkb "no drift monitor" true (Engine.Pool.drift engine = None);
   checkb "RECENT refused in one line" true
     (starts_with "ERR " (handle engine "RECENT")
     && not (String.contains (handle engine "RECENT") '\n'));
@@ -1007,6 +1081,10 @@ let () =
             test_engine_feedback_refines;
           Alcotest.test_case "simple-path feedback" `Quick
             test_engine_feedback_simple_path;
+          Alcotest.test_case "feedback memo per epoch" `Quick
+            test_engine_feedback_memo;
+          Alcotest.test_case "snapshot mirrors METRICS" `Quick
+            test_engine_publish_mirror;
           Alcotest.test_case "batch + explain" `Quick
             test_engine_batch_and_explain ] );
       ( "protocol",

@@ -249,7 +249,7 @@ let build_engine () =
     Core.Builder.of_string ~table:path_tree.Pathtree.Path_tree.table doc
   in
   let het, _ = Core.Het_builder.build ~kernel ~path_tree () in
-  (path_tree, Engine.create (Core.Estimator.create ~het kernel))
+  (path_tree, Engine.Pool.create ~workers:1 (Core.Estimator.create ~het kernel))
 
 let test_wrap_server () =
   with_temp @@ fun path ->
@@ -257,7 +257,7 @@ let test_wrap_server () =
   match Engine.Journal.open_append path with
   | Error e -> Alcotest.failf "open_append: %s" (Core.Error.to_string e)
   | Ok w ->
-    let server = Engine.Journal.wrap_server w (Engine.server engine) in
+    let server = Engine.Journal.wrap_server w (Engine.Pool.server engine) in
     (* Estimates pass through untouched and unjournalled. *)
     (match server.Engine.Serve.estimate "/site/regions" with
      | Ok _ -> ()
@@ -301,7 +301,7 @@ let test_crash_recovery_equivalence () =
     |> List.mapi (fun i q -> (q, ((i + 2) * 97) mod 1000 + 1))
   in
   let apply engine (q, actual) =
-    match Engine.feedback engine q ~actual with
+    match Engine.Pool.feedback engine q ~actual with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "feedback %s: %s" q (Core.Error.to_string e)
   in
@@ -338,19 +338,18 @@ let test_crash_recovery_equivalence () =
     feedbacks;
   (* Same learned state: identical feedback totals and bit-identical
      estimates over the whole workload. *)
-  checki "feedback_seen matches" (Engine.feedback_seen engine_a)
-    (Engine.feedback_seen engine_c);
-  checki "feedback_rounds matches" (Engine.feedback_rounds engine_a)
-    (Engine.feedback_rounds engine_c);
+  checki "feedback_seen matches" (Engine.Pool.feedback_seen engine_a)
+    (Engine.Pool.feedback_seen engine_c);
+  checki "feedback_rounds matches" (Engine.Pool.feedback_rounds engine_a)
+    (Engine.Pool.feedback_rounds engine_c);
   List.iter
     (fun q ->
-      match (Engine.estimate engine_a q, Engine.estimate engine_c q) with
+      match (Engine.Pool.estimate engine_a q, Engine.Pool.estimate engine_c q) with
       | Ok a, Ok c ->
         checkb
           (Printf.sprintf "estimate for %s identical after recovery" q)
           true
-          (Float.equal a.Engine.outcome.Core.Estimator.value
-             c.Engine.outcome.Core.Estimator.value)
+          (Float.equal a.Engine.Serve.value c.Engine.Serve.value)
       | Error e, _ | _, Error e ->
         Alcotest.failf "estimate %s: %s" q (Core.Error.to_string e))
     queries;
@@ -360,9 +359,9 @@ let test_crash_recovery_equivalence () =
     let qerrs =
       List.map
         (fun (q, actual) ->
-          match Engine.estimate engine q with
-          | Ok s ->
-            let est = Float.max s.Engine.outcome.Core.Estimator.value 1. in
+          match Engine.Pool.estimate engine q with
+          | Ok r ->
+            let est = Float.max r.Engine.Serve.value 1. in
             let act = float_of_int actual in
             Float.max (est /. act) (act /. est)
           | Error e -> Alcotest.failf "median: %s" (Core.Error.to_string e))

@@ -98,7 +98,7 @@ let paper_server () =
       ?het:(Core.Synopsis.het syn)
       (Core.Synopsis.kernel syn)
   in
-  Engine.server (Engine.create estimator)
+  Engine.Pool.server (Engine.Pool.create ~workers:1 estimator)
 
 (* Start a loopback server on an ephemeral port, run [f port], always stop
    and join the serving domain. *)

@@ -1114,22 +1114,30 @@ let test_pool_deadline () =
 (* Shed-newest under chunked dispatch: chunk_target 1 keeps the
    chunk-per-query mapping, so overflowing a capacity-1 deque behind a
    gated worker sheds exactly the two chunks (= two slots) that do not
-   fit, deterministically. *)
+   fit, deterministically. Shedding needs a deque, so the pool runs two
+   worker domains (a one-worker pool serves inline and never queues);
+   affinity routes every chunk onto the gated shard and stealing is off,
+   so the idle shard cannot drain the deque. *)
 let test_pool_shed_newest () =
   let g = gate () in
   let pool =
-    Engine.Pool.create ~workers:1 ~queue_capacity:1 ~chunk_target:1
-      ~shed_policy:`Shed_newest ~chaos:(gate_hook g) (paper_estimator ())
+    Engine.Pool.create ~workers:2 ~queue_capacity:1 ~chunk_target:1
+      ~steal:false ~shed_policy:`Shed_newest ~chaos:(gate_hook g)
+      (paper_estimator ())
   in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
-  (* Occupy the only worker inside the gate... *)
-  let sleeper = Domain.spawn (fun () -> Engine.Pool.estimate pool "//sleepy") in
+  let aff = affinity_for pool ~shard:0 in
+  (* Occupy shard 0's worker inside the gate... *)
+  let sleeper =
+    Domain.spawn (fun () -> Engine.Pool.estimate ~affinity:aff pool "//sleepy")
+  in
   gate_await_entered g;
-  (* ...then overflow the capacity-1 deque: slot 0 is admitted, slots 1-2
+  (* ...then overflow its capacity-1 deque: slot 0 is admitted, slots 1-2
      must be shed (newest first) without blocking. *)
   let batcher =
     Domain.spawn (fun () ->
-        Engine.Pool.estimate_batch pool [ "/site"; "/site"; "/site" ])
+        Engine.Pool.estimate_batch ~affinity:aff pool
+          [ "/site"; "/site"; "/site" ])
   in
   while Engine.Pool.shed_total pool < 2 do Domain.cpu_relax () done;
   checki "exactly two sheds" 2 (Engine.Pool.shed_total pool);
@@ -1169,10 +1177,22 @@ let test_pool_shed_newest () =
          r.Engine.Flight_recorder.cache = Engine.Flight_recorder.Shed)
        (Engine.Pool.recent pool))
 
+(* A pool for the supervision tests, at one worker (chunks served inline,
+   so the crash cleanup runs on the submitter) or two (chunks queued; the
+   kill lands on worker domain 0 — every submission is routed there by
+   affinity and stealing is off — so [supervise] must re-enter the queue
+   after the cleanup). Returns the pool and its submission affinity. *)
+let supervised_pool ~workers ?chunk_target ~chaos () =
+  let pool =
+    Engine.Pool.create ~workers ?chunk_target ~steal:false ~chaos
+      (paper_estimator ())
+  in
+  (pool, affinity_for pool ~shard:0)
+
 (* One injected worker death: the in-flight slot answers ERR internal (the
    batch never hangs), the worker restarts in place, and the pool keeps
    serving. A second death of the same query quarantines it. *)
-let test_pool_supervision () =
+let supervision ~workers =
   let kills = Atomic.make 0 in
   let chaos q =
     if q = "//kill" then begin
@@ -1181,10 +1201,11 @@ let test_pool_supervision () =
     end
     else false
   in
-  let pool = Engine.Pool.create ~workers:1 ~chaos (paper_estimator ()) in
+  let pool, affinity = supervised_pool ~workers ~chaos () in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
+  let estimate q = Engine.Pool.estimate ~affinity pool q in
   (* First crash: answered, restarted, not yet quarantined. *)
-  (match Engine.Pool.estimate pool "//kill" with
+  (match estimate "//kill" with
    | Ok _ -> Alcotest.fail "killed query was served"
    | Error e ->
      checkb "ERR internal" true (Core.Error.kind e = Core.Error.Internal);
@@ -1199,11 +1220,11 @@ let test_pool_supervision () =
   checki "one restart" 1 (Engine.Pool.worker_restarts pool);
   checki "not yet quarantined" 0 (Engine.Pool.quarantined_count pool);
   (* The restarted worker still serves. *)
-  (match Engine.Pool.estimate pool "/site/regions" with
+  (match estimate "/site/regions" with
    | Ok r -> checkb "finite" true (Float.is_finite r.Engine.Serve.value)
    | Error e -> Alcotest.failf "post-restart: %s" (Core.Error.to_string e));
   (* Second crash of the same query: quarantined. *)
-  (match Engine.Pool.estimate pool "//kill" with
+  (match estimate "//kill" with
    | Ok _ -> Alcotest.fail "killed query was served"
    | Error e ->
      checkb "second crash is internal" true
@@ -1212,7 +1233,7 @@ let test_pool_supervision () =
   checki "quarantined after two kills" 1 (Engine.Pool.quarantined_count pool);
   (* Third submission is refused at dequeue without executing: the chaos
      hook never fires again. *)
-  (match Engine.Pool.estimate pool "//kill" with
+  (match estimate "//kill" with
    | Ok _ -> Alcotest.fail "quarantined query was served"
    | Error e ->
      checkb "quarantine is internal" true
@@ -1220,34 +1241,37 @@ let test_pool_supervision () =
   checki "no third kill" 2 (Atomic.get kills);
   checki "no third restart" 2 (Engine.Pool.worker_restarts pool);
   (* Untouched queries keep working around the quarantine. *)
-  match Engine.Pool.estimate pool "/site" with
+  match estimate "/site" with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "post-quarantine: %s" (Core.Error.to_string e)
 
+let test_pool_supervision () =
+  supervision ~workers:1;
+  supervision ~workers:2
+
 (* A worker killed mid-chunk: the already-served slots keep their answers,
    the unserved remainder of the chunk answers ERR internal, and the batch
-   still completes in submission order. chunk_target 8 with one worker
-   puts slots 0-7 in one chunk with the kill at slot 4. *)
-let test_pool_supervision_mid_chunk () =
+   still completes in submission order. chunk_target 8 puts the 8 slots in
+   one chunk at one worker and in two chunks, [0,4) and [4,8), both on
+   shard 0, at two; the kill at slot 5 is mid-chunk either way. *)
+let supervision_mid_chunk ~workers =
   let chaos q = q = "//kill" in
-  let pool =
-    Engine.Pool.create ~workers:1 ~chunk_target:8 ~chaos (paper_estimator ())
-  in
+  let pool, affinity = supervised_pool ~workers ~chunk_target:8 ~chaos () in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
   let queries =
     [ "/site"; "/site/regions"; "/site/people"; "/site";
-      "//kill"; "/site/regions"; "/site"; "/site/people" ]
+      "/site/regions"; "//kill"; "/site"; "/site/people" ]
   in
-  let batch = Engine.Pool.estimate_batch pool queries in
+  let batch = Engine.Pool.estimate_batch ~affinity pool queries in
   checki "all slots answered" 8 (List.length batch);
   List.iteri
     (fun i reply ->
       match (i, reply) with
-      | i, Ok r when i < 4 ->
+      | i, Ok r when i < 5 ->
         checkb (Printf.sprintf "slot %d served before the crash" i) true
           (Float.is_finite r.Engine.Serve.value)
       | i, Ok _ -> Alcotest.failf "slot %d served after the crash" i
-      | i, Error e when i < 4 ->
+      | i, Error e when i < 5 ->
         Alcotest.failf "pre-crash slot %d failed: %s" i
           (Core.Error.to_string e)
       | _, Error e ->
@@ -1256,9 +1280,13 @@ let test_pool_supervision_mid_chunk () =
     batch;
   checki "one restart" 1 (Engine.Pool.worker_restarts pool);
   (* The pool keeps serving after the mid-chunk recovery. *)
-  match Engine.Pool.estimate pool "/site" with
+  match Engine.Pool.estimate ~affinity pool "/site" with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "post-crash estimate: %s" (Core.Error.to_string e)
+
+let test_pool_supervision_mid_chunk () =
+  supervision_mid_chunk ~workers:1;
+  supervision_mid_chunk ~workers:2
 
 let () =
   Alcotest.run "pool"

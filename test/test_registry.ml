@@ -278,7 +278,7 @@ let dedicated_engine syn =
       ?values:(Core.Synopsis.values syn)
       (Core.Synopsis.kernel syn)
   in
-  Engine.create estimator
+  Engine.Pool.create ~workers:1 estimator
 
 let queries_of = function
   | "paper" -> [ "/A/B"; "//B"; "/A//C" ]
@@ -318,8 +318,8 @@ let test_differential_vs_dedicated () =
                   (Core.Error.to_string e)
             in
             let via_dedicated =
-              match Engine.estimate engine q with
-              | Ok s -> s.Engine.outcome.Core.Estimator.value
+              match Engine.Pool.estimate engine q with
+              | Ok r -> r.Engine.Serve.value
               | Error e ->
                 Alcotest.failf "dedicated %s %s: %s" name q
                   (Core.Error.to_string e)
