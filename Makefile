@@ -4,7 +4,7 @@ DUNE ?= dune
 XSEED = $(DUNE) exec --no-build bin/xseed.exe --
 SMOKE_DIR := $(or $(TMPDIR),/tmp)/xseed-smoke
 
-.PHONY: all build test fmt fuzz-smoke chaos-smoke tcp-smoke smoke trace-smoke audit-smoke stress bench-smoke bench-json ci clean
+.PHONY: all build test fmt fuzz-smoke chaos-smoke tcp-smoke smoke trace-smoke audit-smoke stress bench-smoke bench-json perf-smoke ci clean
 
 # Worker-domain count for the stress/serve smoke (the CI matrix sets 1 and 4).
 WORKERS ?= 4
@@ -106,6 +106,13 @@ bench-smoke: build
 bench-json: build
 	$(DUNE) exec --no-build bench/main.exe -- --quick json
 
+# Repo-benchmark correctness smoke: two short untraced perfbench runs
+# against a live `xseed serve --port 0`. Each exits non-zero when a served
+# estimate differs from the in-process estimator's or any request fails.
+perf-smoke: build
+	python3 perfbench/run.py --workload batch-miss --seed 1 --seconds 2 --trace 0
+	python3 perfbench/run.py --workload point-hot --seed 1 --seconds 2 --trace 0
+
 # Causal-trace smoke: serve a mixed request script through a WORKERS-shard
 # pool with --trace-out, then re-validate the written Perfetto JSON with
 # the trace linter (per-track monotone timestamps, balanced spans, every
@@ -166,7 +173,7 @@ stress: build
 	@grep -q '^xseed_engine_pool_workers $(WORKERS)' $(SMOKE_DIR)/stress.out
 	@echo "stress: OK (WORKERS=$(WORKERS))"
 
-ci: fmt build test fuzz-smoke chaos-smoke tcp-smoke smoke bench-smoke trace-smoke audit-smoke stress
+ci: fmt build test fuzz-smoke chaos-smoke tcp-smoke smoke bench-smoke trace-smoke audit-smoke stress perf-smoke
 
 clean:
 	$(DUNE) clean

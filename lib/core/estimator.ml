@@ -41,13 +41,11 @@ let clamp_estimate ?obs x =
   if clamped > 0 then Obs.add_to ?obs "estimator.degenerate_clamps" 1;
   (value, clamped)
 
-let raw_estimate_on t ept path =
+let estimate_on t ept path =
   Matcher.estimate ?het:t.het ?values:t.values ?obs:t.obs
     ~table:(Kernel.table t.kernel) ept
     (Xpath.Query_tree.of_path path)
-
-let estimate_on t ept path =
-  fst (clamp_estimate ?obs:t.obs (raw_estimate_on t ept path))
+  |> clamp_estimate ?obs:t.obs |> fst
 
 let estimate t path = estimate_on t (ept t) path
 
@@ -78,11 +76,10 @@ let unknown_labels t path =
 
 type outcome = { value : float; clamped : int; unknown_labels : string list }
 
-let outcome_on t ept path =
-  let value, clamped = clamp_estimate ?obs:t.obs (raw_estimate_on t ept path) in
-  { value; clamped; unknown_labels = unknown_labels t path }
-
-let estimate_result_on t ept path =
+(* The one guard of every checked estimate (and of the pool's EXPLAIN):
+   refuse what the matcher cannot take, then run [f] on the query tree
+   with an EPT blow-up turned into a typed error. *)
+let guarded path f =
   Error.guard (fun () ->
       if path = [] then Error.raisef Error.Malformed_query "empty query";
       let qt = Xpath.Query_tree.of_path path in
@@ -90,31 +87,24 @@ let estimate_result_on t ept path =
         Error.raisef Error.Malformed_query
           "query tree has %d nodes; the matcher's bitset encoding supports 62"
           qt.Xpath.Query_tree.size;
-      match outcome_on t (Lazy.force ept) path with
-      | o -> o
+      match f qt with
+      | v -> v
       | exception Matcher.Ept_too_large n ->
         Error.raisef Error.Limit_exceeded
           "EPT exceeded max_ept_nodes while materializing (%d nodes)" n)
 
 let estimate_result_stats_on t ept path =
-  Error.guard (fun () ->
-      if path = [] then Error.raisef Error.Malformed_query "empty query";
-      let qt = Xpath.Query_tree.of_path path in
-      if qt.Xpath.Query_tree.size > 62 then
-        Error.raisef Error.Malformed_query
-          "query tree has %d nodes; the matcher's bitset encoding supports 62"
-          qt.Xpath.Query_tree.size;
-      match
+  guarded path (fun qt ->
+      let raw, ms =
         Matcher.estimate_with_stats ?het:t.het ?values:t.values
           ~table:(Kernel.table t.kernel) (Lazy.force ept) qt
-      with
-      | raw, ms ->
-        Matcher.publish_stats ?obs:t.obs ms;
-        let value, clamped = clamp_estimate ?obs:t.obs raw in
-        ({ value; clamped; unknown_labels = unknown_labels t path }, ms)
-      | exception Matcher.Ept_too_large n ->
-        Error.raisef Error.Limit_exceeded
-          "EPT exceeded max_ept_nodes while materializing (%d nodes)" n)
+      in
+      Matcher.publish_stats ?obs:t.obs ms;
+      let value, clamped = clamp_estimate ?obs:t.obs raw in
+      ({ value; clamped; unknown_labels = unknown_labels t path }, ms))
+
+let estimate_result_on t ept path =
+  Result.map fst (estimate_result_stats_on t ept path)
 
 let estimate_result t path = estimate_result_on t (lazy (ept t)) path
 

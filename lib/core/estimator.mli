@@ -83,6 +83,14 @@ val estimate_result_stats_on :
     the flight recorder's data source. Stats are still published to the
     estimator's [obs] context exactly as {!estimate_result_on} does. *)
 
+val guarded :
+  Xpath.Ast.t -> (Xpath.Query_tree.t -> 'a) -> ('a, Error.t) result
+(** The checks every checked entry point above shares, around [f] applied
+    to the query's tree: an empty query, or one whose tree exceeds the
+    matcher's 62-node limit, is [Malformed_query] and [f] does not run; an
+    EPT blow-up inside [f] is [Limit_exceeded]; any other {!Error.Xseed}
+    [f] raises comes back as its error. *)
+
 val clamp_estimate : ?obs:Obs.t -> float -> float * int
 (** [(clamped value, 1 if clamping fired else 0)]; bumps
     [estimator.degenerate_clamps] when it fires. Exposed for callers that

@@ -191,16 +191,31 @@ let lookup_simple t ?path hash =
        Some (e.card, e.sbsel)
      | None -> None)
 
+let branching_hit t bucket path =
+  match bucket_find t bucket path ~path_of:bpath with
+  | Some e ->
+    t.n_branching_hits <- t.n_branching_hits + 1;
+    Some e.bbsel
+  | None -> None
+
 let lookup_branching t ?path hash =
   t.n_branching_lookups <- t.n_branching_lookups + 1;
   match Hashtbl.find_opt t.branching_active hash with
   | None -> None
+  | Some bucket -> branching_hit t bucket path
+
+(* The canonical key is spelled only when the hash's bucket exists: a miss,
+   the common case, allocates nothing. *)
+let lookup_branching_pattern t ~parent ~predicates ~next =
+  t.n_branching_lookups <- t.n_branching_lookups + 1;
+  match
+    Hashtbl.find_opt t.branching_active
+      (Path_hash.branching_of_sorted ~parent ~predicates ~next)
+  with
+  | None -> None
   | Some bucket ->
-    (match bucket_find t bucket path ~path_of:bpath with
-     | Some e ->
-       t.n_branching_hits <- t.n_branching_hits + 1;
-       Some e.bbsel
-     | None -> None)
+    branching_hit t bucket
+      (Some (Path_hash.branching_key_of_sorted ~parent ~predicates ~next))
 
 let active_entries tbl =
   Hashtbl.fold (fun _ es acc -> acc + List.length es) tbl 0

@@ -49,6 +49,15 @@ val lookup_simple : t -> ?path:string -> int -> (int * float option) option
 
 val lookup_branching : t -> ?path:string -> int -> float option
 
+val lookup_branching_pattern :
+  t -> parent:Xml.Label.t -> predicates:Xml.Label.t array -> next:Xml.Label.t ->
+  float option
+(** {!lookup_branching} of the pattern [parent\[predicates\]/next], whose
+    predicate labels are sorted ascending: hashed with
+    {!Path_hash.branching_of_sorted}, and its canonical path is spelled only
+    when an active entry holds that hash. Counters move exactly as for
+    {!lookup_branching} with the pattern's path. *)
+
 val record_feedback :
   t -> hash:int -> ?path:string -> card:int -> ?bsel:float -> error:float -> unit -> unit
 (** Query-feedback insertion (paper Figure 1): same as {!add_simple} but the

@@ -26,13 +26,15 @@
 exception Ept_too_large of int
 
 type ept
-(** Immutable once materialized: per-estimate accumulators live in scratch
-    arrays owned by each {!estimate} call, not on the tree, so one EPT may
-    be shared across domains and serve concurrent estimates without
-    synchronization (the serving pool relies on this). *)
+(** A flat preorder layout (struct of arrays), immutable once built.
+    Per-estimate accumulators live in a domain-local scratch that is only
+    ever extended, not in the EPT, so one EPT may be shared across domains
+    and serve concurrent estimates without synchronization (the serving
+    pool relies on this), and a warmed estimate allocates for the query
+    alone, whatever the EPT's size. *)
 
 val materialize : ?max_nodes:int -> ?obs:Obs.t -> Traveler.t -> ept
-(** Drain a fresh traveler into an EPT tree. [max_nodes] (default 2_000_000)
+(** Drain a fresh traveler into an EPT. [max_nodes] (default 2_000_000)
     guards against runaway expansion of highly recursive kernels when the
     card threshold is set too low. When [obs] is given, adds the node count
     to [matcher.ept_nodes]. @raise Ept_too_large when exceeded. *)
@@ -41,7 +43,8 @@ val node_count : ept -> int
 
 type synthetic
 (** A hand-built EPT node, for estimators that expand a different synopsis
-    (e.g. the TreeSketch baseline) but reuse this matcher. *)
+    (e.g. the TreeSketch baseline) but reuse this matcher; {!of_synthetic}
+    flattens a tree of them. *)
 
 val synthetic_node :
   label:Xml.Label.t -> card:float -> bsel:float -> children:synthetic list -> synthetic
@@ -53,13 +56,17 @@ type match_stats = {
   mutable frontier : int;  (** live candidate vectors (internal) *)
   mutable frontier_peak : int;
       (** peak number of candidate match vectors held at once — the
-          analogue of Algorithm 3's buffered candidate-event sets *)
+          analogue of Algorithm 3's buffered candidate-event sets. It and
+          [frontier_sum] depend on the EPT's shape alone and are taken
+          when the EPT is built. *)
   mutable frontier_sum : int;
       (** sum of the running frontier sampled at every EPT node, so
           [frontier_sum / ept_nodes] is the mean live-frontier size over
           the traversal (the distribution the peak alone cannot show) *)
   mutable match_steps : int;
-      (** (EPT node, query-tree node) combinations examined, both passes *)
+      (** (EPT node, query-tree node) combinations of both passes,
+          2 × EPT nodes × query-tree nodes: the work bound (combinations
+          whose values no estimate reads are skipped, not subtracted) *)
   mutable het_joint_overrides : int;
       (** predicate groups whose correlated bsel came from a joint HET
           pattern, replacing the sibling-independence product *)

@@ -14,15 +14,17 @@ let open_bracket = 1
 let close_bracket = 2
 let slash = 3
 
+let branching_of_sorted ~parent ~predicates ~next =
+  let h = ref (extend empty parent) in
+  for i = 0 to Array.length predicates - 1 do
+    h := step (extend (step !h open_bracket) predicates.(i)) close_bracket
+  done;
+  extend (step !h slash) next
+
+let sorted predicates = Array.of_list (List.sort Int.compare predicates)
+
 let branching ~parent ~predicates ~next =
-  let h = extend empty parent in
-  let h =
-    List.fold_left
-      (fun h q -> step (extend (step h open_bracket) q) close_bracket)
-      h
-      (List.sort Int.compare predicates)
-  in
-  extend (step h slash) next
+  branching_of_sorted ~parent ~predicates:(sorted predicates) ~next
 
 (* Canonical textual keys: the un-hashed spelling of what a hash covers, so
    the HET can tell two colliding paths apart. Space-free by construction
@@ -31,8 +33,10 @@ let branching ~parent ~predicates ~next =
 
 let key_of_labels labels = String.concat "/" (List.map string_of_int labels)
 
-let branching_key ~parent ~predicates ~next =
+let branching_key_of_sorted ~parent ~predicates ~next =
   Printf.sprintf "%d[%s]/%d" parent
-    (String.concat ","
-       (List.map string_of_int (List.sort Int.compare predicates)))
+    (String.concat "," (Array.to_list (Array.map string_of_int predicates)))
     next
+
+let branching_key ~parent ~predicates ~next =
+  branching_key_of_sorted ~parent ~predicates:(sorted predicates) ~next

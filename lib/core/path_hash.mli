@@ -18,6 +18,11 @@ val branching : parent:int -> predicates:Xml.Label.t list -> next:Xml.Label.t ->
 (** Key for the correlated-bsel pattern [p\[q1\]..\[qk\]/r]. [predicates] are
     sorted internally so [p\[q1\]\[q2\]/r] and [p\[q2\]\[q1\]/r] coincide. *)
 
+val branching_of_sorted :
+  parent:int -> predicates:Xml.Label.t array -> next:Xml.Label.t -> int
+(** {!branching} over predicate labels already sorted ascending; allocates
+    nothing. *)
+
 (** {1 Canonical keys}
 
     Space-free textual spellings of what a hash covers. Stored alongside
@@ -30,3 +35,7 @@ val key_of_labels : Xml.Label.t list -> string
 val branching_key : parent:Xml.Label.t -> predicates:Xml.Label.t list -> next:Xml.Label.t -> string
 (** ["p\[q1,..,qk\]/r"] over label ids, predicates sorted as {!branching}
     sorts them ([next = -1] spells a pattern with no next step). *)
+
+val branching_key_of_sorted :
+  parent:Xml.Label.t -> predicates:Xml.Label.t array -> next:Xml.Label.t -> string
+(** {!branching_key} over predicate labels already sorted ascending. *)

@@ -1290,20 +1290,7 @@ let explain t query =
         t.shards
     in
     let het_before = het_counters t in
-    match
-      Core.Error.guard (fun () ->
-          let qt = Xpath.Query_tree.of_path cast in
-          if qt.Xpath.Query_tree.size > 62 then
-            Core.Error.raisef Core.Error.Malformed_query
-              "query tree has %d nodes; the matcher's bitset encoding \
-               supports 62"
-              qt.Xpath.Query_tree.size;
-          match Core.Explain.run t.base cast with
-          | r -> r
-          | exception Core.Matcher.Ept_too_large n ->
-            Core.Error.raisef Core.Error.Limit_exceeded
-              "EPT exceeded max_ept_nodes while materializing (%d nodes)" n)
-    with
+    match Core.Estimator.guarded cast (fun _ -> Core.Explain.run t.base cast) with
     | Error e -> Error e
     | Ok r ->
       let status = if cached then Core.Explain.Hit else Core.Explain.Miss in

@@ -287,7 +287,14 @@ let render_labels labels =
 let series_key name labels =
   if labels = [] then name else name ^ "{" ^ render_labels labels ^ "}"
 
-type counter = { cname : string; clabels : labels; mutable n : int }
+(* [peak]: fed by [set_max], so a high-water mark (or a republished
+   total), which merges by max rather than by sum. *)
+type counter = {
+  cname : string;
+  clabels : labels;
+  mutable n : int;
+  mutable peak : bool;
+}
 type gauge = { gname : string; glabels : labels; mutable g : float }
 
 (* Base-2 log buckets over non-negative samples: bucket 0 is [0, 1), bucket
@@ -370,7 +377,7 @@ let counter_with t name labels =
       | Some (Counter c) -> c
       | Some m -> wrong_kind "counter" key m
       | None ->
-        let c = { cname = name; clabels = labels; n = 0 } in
+        let c = { cname = name; clabels = labels; n = 0; peak = false } in
         register t key (Counter c);
         c)
 
@@ -378,7 +385,12 @@ let counter t name = counter_with t name []
 
 let incr c = c.n <- c.n + 1
 let add c k = c.n <- c.n + k
-let set_max c v = if v > c.n then c.n <- v
+let raise_to c v = if v > c.n then c.n <- v
+
+let set_max c v =
+  c.peak <- true;
+  raise_to c v
+
 let value c = c.n
 
 let gauge_with t name labels =
@@ -790,8 +802,10 @@ let reset t =
         t.registry)
 
 (* Merge several registries into a fresh one with a canonical series order.
-   Values are copied under each input's lock (shape-stable), then summed:
-   counters and gauges add, histograms merge bucket-wise with [count]
+   Values are copied under each input's lock (shape-stable), then combined:
+   counters add, except that a series any input fed by [set_max] takes the
+   largest input (two shards' frontier peaks are one peak, not a sum);
+   gauges add; histograms merge bucket-wise with [count]
    recomputed from the merged buckets so the rendered cumulative series
    stays self-consistent even if an input was being bumped mid-copy. The
    result's series are ordered by key, so snapshots and Prometheus output
@@ -809,17 +823,27 @@ let merged_labeled lts =
             List.rev_map
               (fun key ->
                 match Hashtbl.find t.registry key with
-                | Counter c -> `C (c.cname, widen c.clabels, c.n)
+                | Counter c -> `C (c.cname, widen c.clabels, c.n, c.peak)
                 | Gauge g -> `G (g.gname, widen g.glabels, g.g)
                 | Histogram h ->
                   `H (h.hname, widen h.hlabels, h.sum, h.max, Array.copy h.buckets))
               t.order))
       lts
   in
+  let peaks = Hashtbl.create 8 in
+  List.iter
+    (List.iter (function
+      | `C (name, labels, _, true) ->
+        Hashtbl.replace peaks (series_key name labels) ()
+      | _ -> ()))
+    copies;
   List.iter
     (List.iter (fun m ->
          match m with
-         | `C (name, labels, n) -> add (counter_with out name labels) n
+         | `C (name, labels, n, _) ->
+           let c = counter_with out name labels in
+           if Hashtbl.mem peaks (series_key name labels) then set_max c n
+           else add c n
          | `G (name, labels, v) ->
            let g = gauge_with out name labels in
            gset g (gvalue g +. v)
@@ -839,15 +863,16 @@ let merged ts = merged_labeled (List.map (fun t -> ([], t)) ts)
 
 (* Copy [src]'s current values into [into], series by series, so that
    republishing a growing source before every snapshot is idempotent:
-   counters only rise (a source total never shrinks), gauges and
-   histograms are overwritten with the source's state. *)
+   counters only rise (a source total never shrinks) and keep the source's
+   merge kind, gauges and histograms are overwritten with the source's
+   state. *)
 let mirror ~into src =
   let copies =
     with_lock src (fun () ->
         List.rev_map
           (fun key ->
             match Hashtbl.find src.registry key with
-            | Counter c -> `C (c.cname, c.clabels, c.n)
+            | Counter c -> `C (c.cname, c.clabels, c.n, c.peak)
             | Gauge g -> `G (g.gname, g.glabels, g.g)
             | Histogram h ->
               `H (h.hname, h.hlabels, h.count, h.sum, h.max, Array.copy h.buckets))
@@ -855,7 +880,10 @@ let mirror ~into src =
   in
   List.iter
     (function
-      | `C (name, labels, n) -> set_max (counter_with into name labels) n
+      | `C (name, labels, n, peak) ->
+        let c = counter_with into name labels in
+        if peak then c.peak <- true;
+        raise_to c n
       | `G (name, labels, v) -> gset (gauge_with into name labels) v
       | `H (name, labels, count, sum, mx, buckets) ->
         let h = histogram_with into name labels in

@@ -126,7 +126,7 @@ val set_max : counter -> int -> unit
 (** Raise the counter to [v] if [v] is larger. Used for high-water-mark
     gauges (max depth, frontier peaks) and for republishing monotone
     totals idempotently (a serving layer pushing lifetime totals before
-    every scrape). *)
+    every scrape). A counter fed this way merges by max ({!merged}). *)
 
 val value : counter -> int
 
@@ -287,7 +287,10 @@ val reset : t -> unit
 
 val merged : t list -> t
 (** A fresh context holding the union of the inputs' series, combined
-    per series key: counters sum, gauges sum (publish non-additive gauges
+    per series key: counters sum — except a series some input fed by
+    {!set_max} (a high-water mark such as [matcher.frontier_peak], or a
+    republished total), which takes the largest input and stays a
+    high-water mark in the result — gauges sum (publish non-additive gauges
     into the merged result afterwards), histograms merge bucket-wise (sums
     add, maxima max, [count] recomputed from the merged buckets so the
     cumulative rendering stays self-consistent). The result's series are
@@ -308,7 +311,7 @@ val merged_labeled : (labels * t) list -> t
 
 val mirror : into:t -> t -> unit
 (** Copy every series of the source into [into]: counters are raised to
-    the source's value ({!set_max}), gauges and histograms take the
+    the source's value and keep its merge kind, gauges and histograms take the
     source's state. Mirroring a registry whose counters only grow is
     idempotent, so a serving layer can mirror its merged view into a
     sink-bearing registry before every snapshot. Series of [into] the

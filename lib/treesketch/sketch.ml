@@ -284,8 +284,8 @@ let table t = t.table
 (* ------------------------------------------------------------------ *)
 (* Estimation: expand into a synthetic EPT and reuse the shared matcher. *)
 
-let estimate ?(card_threshold = 0.5) ?(max_depth = 40) ?(max_nodes = 500_000) t
-    path =
+let expand ?(card_threshold = 0.5) ?(max_depth = 40) ?(max_nodes = 500_000) t
+    ~node =
   Array.iter (fun c -> if c.alive then normalize_out t c) t.classes;
   let nodes = ref 0 in
   let rec expand cid card depth ~bsel =
@@ -302,9 +302,15 @@ let estimate ?(card_threshold = 0.5) ?(max_depth = 40) ?(max_nodes = 500_000) t
                if child_card <= card_threshold then None
                else Some (expand kid child_card (depth + 1) ~bsel:(Float.min 1.0 avg)))
     in
-    Core.Matcher.synthetic_node ~label:c.label ~card ~bsel ~children
+    node ~label:c.label ~card ~bsel ~children
   in
   let root = find t t.root in
-  let root_node = expand root (float_of_int t.classes.(root).card) 0 ~bsel:1.0 in
-  let ept = Core.Matcher.of_synthetic root_node in
-  Core.Matcher.estimate ~table:t.table ept (Xpath.Query_tree.of_path path)
+  expand root (float_of_int t.classes.(root).card) 0 ~bsel:1.0
+
+let estimate ?card_threshold ?max_depth ?max_nodes t path =
+  let root =
+    expand ?card_threshold ?max_depth ?max_nodes t
+      ~node:Core.Matcher.synthetic_node
+  in
+  Core.Matcher.estimate ~table:t.table (Core.Matcher.of_synthetic root)
+    (Xpath.Query_tree.of_path path)

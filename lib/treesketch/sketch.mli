@@ -47,4 +47,15 @@ val estimate :
     cycles a budgeted sketch can contain; [card_threshold] defaults to 0.5
     like XSEED's traveler. *)
 
+val expand :
+  ?card_threshold:float ->
+  ?max_depth:int ->
+  ?max_nodes:int ->
+  t ->
+  node:(label:Xml.Label.t -> card:float -> bsel:float -> children:'a list -> 'a) ->
+  'a
+(** The estimated path tree {!estimate} matches, built bottom-up with
+    [node] (children in ascending class order). {!estimate} builds it
+    with {!Core.Matcher.synthetic_node}. *)
+
 val table : t -> Xml.Label.table

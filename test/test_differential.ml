@@ -1,6 +1,6 @@
 (* Differential-testing oracle suite.
 
-   Three oracles, each comparing the estimator against an independent
+   Four oracles, each comparing the estimator against an independent
    source of truth:
 
    - a total-function oracle: over random documents and queries (well-formed
@@ -13,7 +13,12 @@
      pool, serving every chunk inline on the caller) and a 2-domain pool
      with chunking, stealing and affinity must return bit-identical floats
      over the same synopsis for every query, including after an identical
-     feedback observation on both and around a mid-batch deadline. *)
+     feedback observation on both and around a mid-batch deadline;
+   - a matcher oracle: the flat matcher and the frozen recursive one
+     (Matcher_reference) must agree on every estimate's bits, every match
+     statistic and the HET counters each query moves, on random documents
+     (no HET, a HET at mbp 2, a value synopsis), random synthetic and
+     TreeSketch EPTs, and the generated corpora's workloads. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -477,6 +482,354 @@ let test_pool_deadline_mid_batch () =
         ~chaos est)
     ~reference:(fun est -> Engine.Pool.create ~workers:1 est)
 
+(* ------------------------------------------------------------------ *)
+(* Oracle 4: Core.Matcher against the frozen recursive reference
+   (Matcher_reference). Each side drains its own EPT from a fresh traveler
+   over the same synopsis; per query they must agree on the float's bits,
+   on every match statistic and on the HET counters the query moved. *)
+
+type oracle = {
+  o_kernel : Core.Kernel.t;
+  o_het : Core.Het.t option;
+  o_values : Core.Value_synopsis.t option;
+  o_threshold : float;
+}
+
+let oracle_of_synopsis syn =
+  { o_kernel = Core.Synopsis.kernel syn; o_het = Core.Synopsis.het syn;
+    o_values = Core.Synopsis.values syn;
+    o_threshold = Core.Synopsis.card_threshold syn }
+
+let traveler o =
+  Core.Traveler.create ~card_threshold:o.o_threshold ?het:o.o_het o.o_kernel
+
+let het_snapshot o = Option.map Core.Het.counters o.o_het
+
+let het_delta o before =
+  match (o.o_het, before) with
+  | Some h, Some before ->
+    Some (Core.Het.diff_counters ~before ~after:(Core.Het.counters h))
+  | _ -> None
+
+let stats_string (ms : Core.Matcher.match_stats) =
+  Printf.sprintf
+    "ept_nodes=%d frontier=%d peak=%d sum=%d steps=%d joint=%d single=%d \
+     indep=%d"
+    ms.ept_nodes ms.frontier ms.frontier_peak ms.frontier_sum ms.match_steps
+    ms.het_joint_overrides ms.het_single_overrides ms.independence_preds
+
+(* Totals over a run, so a suite can assert its overrides actually fired. *)
+type tally = { mutable queries : int; mutable joint : int; mutable single : int }
+
+let new_tally () = { queries = 0; joint = 0; single = 0 }
+
+let agree_on ~tally ~label o ~flat ~reference qt =
+  let table = Core.Kernel.table o.o_kernel in
+  let het = o.o_het and values = o.o_values in
+  let before = het_snapshot o in
+  let expected =
+    Matcher_reference.estimate_with_stats ?het ?values ~table reference qt
+  in
+  let ref_delta = het_delta o before in
+  let before = het_snapshot o in
+  let got = Core.Matcher.estimate_with_stats ?het ?values ~table flat qt in
+  let delta = het_delta o before in
+  let ev, ems = expected and gv, gms = got in
+  if bits ev <> bits gv then
+    Alcotest.failf "%s: estimate %h (reference) vs %h (matcher)" label ev gv;
+  if ems <> gms then
+    Alcotest.failf "%s: stats %s (reference) vs %s (matcher)" label
+      (stats_string ems) (stats_string gms);
+  if ref_delta <> delta then Alcotest.failf "%s: HET counter deltas differ" label;
+  tally.queries <- tally.queries + 1;
+  tally.joint <- tally.joint + gms.het_joint_overrides;
+  tally.single <- tally.single + gms.het_single_overrides
+
+let agree_on_path ~tally ~label o ~flat ~reference path =
+  match Xpath.Query_tree.of_path path with
+  | qt when qt.Xpath.Query_tree.size > 62 ->
+    (* Both refuse; the estimator's guard turns this into an ERR. *)
+    let refuses f = match f () with _ -> false | exception Invalid_argument _ -> true in
+    let table = Core.Kernel.table o.o_kernel in
+    checkb (label ^ " reference refuses > 62 steps") true
+      (refuses (fun () -> Matcher_reference.estimate_with_stats ~table reference qt));
+    checkb (label ^ " matcher refuses > 62 steps") true
+      (refuses (fun () -> Core.Matcher.estimate_with_stats ~table flat qt))
+  | qt -> agree_on ~tally ~label o ~flat ~reference qt
+
+let agree_on_synopsis ~tally ~label o paths =
+  let flat = Core.Matcher.materialize (traveler o) in
+  let reference = Matcher_reference.materialize (traveler o) in
+  checki (label ^ " EPT sizes") (Matcher_reference.node_count reference)
+    (Core.Matcher.node_count flat);
+  List.iter
+    (fun path ->
+      agree_on_path ~tally
+        ~label:(label ^ " " ^ Xpath.Ast.to_string path)
+        o ~flat ~reference path)
+    paths
+
+let parse_all queries =
+  List.filter_map
+    (fun q ->
+      match Xpath.Parser.parse_result q with
+      | Ok (_ :: _ as path) -> Some path
+      | Ok [] | Error _ -> None)
+    queries
+
+(* Random recursive documents whose leaves carry a small number and whose
+   elements sometimes carry an attribute, for the value-synopsis arm. *)
+let gen_valued_doc rand =
+  let open QCheck in
+  let buf = Buffer.create 256 in
+  let rec emit depth r =
+    let l = String.make 1 (Char.chr (Char.code 'a' + Gen.int_bound 4 r)) in
+    let attr =
+      if Gen.int_bound 3 r = 0 then
+        Printf.sprintf " k=\"%c\"" (Char.chr (Char.code 'x' + Gen.int_bound 1 r))
+      else ""
+    in
+    Buffer.add_string buf ("<" ^ l ^ attr ^ ">");
+    let kids = if depth < 4 then Gen.int_bound (4 - depth) r else 0 in
+    if kids = 0 then Buffer.add_string buf (string_of_int (Gen.int_bound 4 r))
+    else
+      for _ = 1 to kids do
+        emit (depth + 1) r
+      done;
+    Buffer.add_string buf ("</" ^ l ^ ">")
+  in
+  Buffer.add_string buf "<r>";
+  for _ = 1 to 1 + Gen.int_bound 5 rand do
+    emit 1 rand
+  done;
+  Buffer.add_string buf "</r>";
+  Buffer.contents buf
+
+let gen_valued_query rand =
+  let open QCheck in
+  let letter r = String.make 1 (Char.chr (Char.code 'a' + Gen.int_bound 4 r)) in
+  let value_pred r =
+    match Gen.int_bound 3 r with
+    | 0 -> Printf.sprintf "[%s<%d]" (letter r) (Gen.int_bound 4 r)
+    | 1 -> Printf.sprintf "[%s='%d']" (letter r) (Gen.int_bound 4 r)
+    | 2 -> Printf.sprintf "[@k='%c']" (Char.chr (Char.code 'x' + Gen.int_bound 1 r))
+    | _ -> "[" ^ letter r ^ "]"
+  in
+  let step r =
+    (if Gen.int_bound 3 r = 0 then "//" else "/")
+    ^ (if Gen.int_bound 6 r = 0 then "*" else letter r)
+    ^ (if Gen.int_bound 2 r = 0 then value_pred r else "")
+  in
+  String.concat "" (List.init (1 + Gen.int_bound 4 rand) (fun _ -> step rand))
+
+(* Branching queries with up to two single-name predicates per step, so
+   joint p[q1][q2]/r patterns reach the HET. *)
+let gen_branching_query rand =
+  let open QCheck in
+  if Gen.int_bound 3 rand = 0 then gen_query_string rand
+  else
+    let letter r = String.make 1 (Char.chr (Char.code 'a' + Gen.int_bound 4 r)) in
+    let step r =
+      (if Gen.int_bound 5 r = 0 then "//" else "/")
+      ^ letter r
+      ^ String.concat ""
+          (List.init (Gen.int_bound 2 r) (fun _ -> "[" ^ letter r ^ "]"))
+    in
+    (if Gen.bool rand then "/r" else "")
+    ^ String.concat "" (List.init (1 + Gen.int_bound 3 rand) (fun _ -> step rand))
+
+(* Twig queries whose predicates reach below one child: wildcards,
+   descendant steps, nested predicates. These read the bottom-up pass's
+   folds over many EPT children, where the sibling order shows in the
+   float's bits. *)
+let gen_twig_query rand =
+  let open QCheck in
+  let letter r = String.make 1 (Char.chr (Char.code 'a' + Gen.int_bound 4 r)) in
+  let name r = if Gen.int_bound 3 r = 0 then "*" else letter r in
+  let pred r =
+    match Gen.int_bound 5 r with
+    | 0 -> "[" ^ name r ^ "]"
+    | 1 -> "[.//" ^ name r ^ "]"
+    | 2 -> "[" ^ name r ^ "//" ^ name r ^ "]"
+    | 3 -> "[" ^ name r ^ "[" ^ name r ^ "]]"
+    | 4 -> "[*/" ^ name r ^ "]"
+    | _ -> "[.//" ^ name r ^ "[.//" ^ name r ^ "]]"
+  in
+  let step r =
+    (if Gen.int_bound 3 r = 0 then "//" else "/")
+    ^ name r
+    ^ String.concat "" (List.init (Gen.int_bound 3 r) (fun _ -> pred r))
+  in
+  String.concat "" (List.init (1 + Gen.int_bound 3 rand) (fun _ -> step rand))
+
+(* The three synopsis flavours a random document is matched under: no HET;
+   a HET at mbp 2 with every path-tree node enumerated (bsel threshold 1),
+   so joint and single branching overrides fire; a value synopsis. *)
+let oracle_prop ~name ~count ~gen_doc ~gen_query ~build ~check_tally =
+  let tally = new_tally () in
+  let prop =
+    QCheck.Test.make ~count ~name
+      (QCheck.make (fun rand ->
+           (gen_doc rand, List.init 12 (fun _ -> gen_query rand))))
+      (fun (doc, queries) ->
+        let o = oracle_of_synopsis (build doc) in
+        agree_on_synopsis ~tally ~label:name o (parse_all queries);
+        true)
+  in
+  let name, speed, run = QCheck_alcotest.to_alcotest prop in
+  (name, speed, fun () -> run (); check_tally tally)
+
+let oracle_no_het =
+  oracle_prop ~name:"matcher = reference, no HET" ~count:150
+    ~gen_doc:gen_doc_string
+    ~gen_query:(fun r ->
+      if QCheck.Gen.bool r then gen_query_string r else gen_twig_query r)
+    ~build:(fun doc -> Core.Synopsis.build ~with_het:false doc)
+    ~check_tally:(fun t -> checkb "queries compared" true (t.queries > 500))
+
+let oracle_het =
+  oracle_prop ~name:"matcher = reference, HET mbp 2" ~count:150
+    ~gen_doc:gen_doc_string ~gen_query:gen_branching_query
+    ~build:(fun doc -> Core.Synopsis.build ~mbp:2 ~bsel_threshold:1.0 doc)
+    ~check_tally:(fun t ->
+      checkb "joint overrides fired" true (t.joint > 0);
+      checkb "single overrides fired" true (t.single > 0))
+
+let oracle_values =
+  oracle_prop ~name:"matcher = reference, value synopsis" ~count:150
+    ~gen_doc:gen_valued_doc ~gen_query:gen_valued_query
+    ~build:(fun doc ->
+      Core.Synopsis.build ~with_values:true ~mbp:2 ~bsel_threshold:1.0 doc)
+    ~check_tally:(fun t -> checkb "queries compared" true (t.queries > 500))
+
+(* Random synthetic EPTs: repeated sibling labels and fractional
+   selectivities everywhere, so wildcard and descendant steps fold many
+   non-trivial children and the sibling order shows in the float's bits. *)
+type shape = Shape of int * float * float * shape list
+
+let gen_shape rand =
+  let open QCheck in
+  let rec node depth r =
+    let kids = if depth >= 4 then 0 else Gen.int_bound (5 - depth) r in
+    Shape
+      ( Gen.int_bound 4 r,
+        1.0 +. Gen.float_bound_inclusive 50.0 r,
+        Gen.float_bound_inclusive 1.0 r,
+        List.init kids (fun _ -> node (depth + 1) r) )
+  in
+  node 0 rand
+
+let rec build_shape node (Shape (label, card, bsel, kids)) =
+  node ~label ~card ~bsel ~children:(List.map (build_shape node) kids)
+
+let oracle_synthetic =
+  let table = Xml.Label.create_table () in
+  List.iter
+    (fun l -> ignore (Xml.Label.intern table l : int))
+    [ "a"; "b"; "c"; "d"; "e" ];
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"matcher = reference, random synthetic EPTs"
+       (QCheck.make (fun rand ->
+            (gen_shape rand, List.init 12 (fun _ -> gen_twig_query rand))))
+       (fun (shape, queries) ->
+         let flat =
+           Core.Matcher.of_synthetic
+             (build_shape Core.Matcher.synthetic_node shape)
+         in
+         let reference =
+           Matcher_reference.of_synthetic
+             (build_shape Matcher_reference.synthetic_node shape)
+         in
+         List.for_all
+           (fun path ->
+             let qt = Xpath.Query_tree.of_path path in
+             qt.Xpath.Query_tree.size > 62
+             ||
+             let ev, ems = Matcher_reference.estimate_with_stats ~table reference qt in
+             let gv, gms = Core.Matcher.estimate_with_stats ~table flat qt in
+             if bits ev <> bits gv || ems <> gms then
+               QCheck.Test.fail_reportf "%s: %h (%s) vs %h (%s)"
+                 (Xpath.Ast.to_string path) ev (stats_string ems) gv
+                 (stats_string gms);
+             true)
+           (parse_all queries)))
+
+(* TreeSketch expansions: the same estimated path tree built once as a
+   synthetic EPT and once as a reference tree. *)
+let test_oracle_treesketch () =
+  let tally = new_tally () in
+  let rng = Datagen.Rng.create ~seed:5 in
+  List.iter
+    (fun (name, doc) ->
+      let storage = Nok.Storage.of_string doc in
+      let path_tree = Pathtree.Path_tree.of_string doc in
+      let queries =
+        Datagen.Workload.all_simple_paths path_tree
+        @ Datagen.Workload.branching path_tree ~rng ~count:40 ~mbp:2 ()
+        @ Datagen.Workload.complex path_tree ~rng ~count:40 ()
+      in
+      List.iter
+        (fun budget_bytes ->
+          let sketch, _ = Treesketch.Sketch.build ?budget_bytes storage in
+          let flat =
+            Core.Matcher.of_synthetic
+              (Treesketch.Sketch.expand sketch ~node:Core.Matcher.synthetic_node)
+          in
+          let reference =
+            Matcher_reference.of_synthetic
+              (Treesketch.Sketch.expand sketch
+                 ~node:Matcher_reference.synthetic_node)
+          in
+          let table = Treesketch.Sketch.table sketch in
+          List.iter
+            (fun path ->
+              let qt = Xpath.Query_tree.of_path path in
+              let label = name ^ " " ^ Xpath.Ast.to_string path in
+              let ev, ems =
+                Matcher_reference.estimate_with_stats ~table reference qt
+              in
+              let gv, gms = Core.Matcher.estimate_with_stats ~table flat qt in
+              if bits ev <> bits gv then
+                Alcotest.failf "%s: %h (reference) vs %h (matcher)" label ev gv;
+              if ems <> gms then
+                Alcotest.failf "%s: stats %s vs %s" label (stats_string ems)
+                  (stats_string gms);
+              Alcotest.(check int64)
+                (label ^ " = Sketch.estimate")
+                (bits gv)
+                (bits (Treesketch.Sketch.estimate sketch path));
+              tally.queries <- tally.queries + 1)
+            queries)
+        [ None; Some 2048 ])
+    [ ("xmark", Datagen.Xmark.generate ~seed:3 ~items:20 ());
+      ("treebank", Datagen.Treebank.generate ~seed:3 ~sentences:15 ()) ];
+  checkb "queries compared" true (tally.queries > 100)
+
+(* The generated corpora under their bench settings, with and without the
+   HET, over simple, branching and complex workloads. *)
+let test_oracle_workloads () =
+  let tally = new_tally () in
+  List.iter
+    (fun (name, doc, card_threshold, bsel_threshold) ->
+      let rng = Datagen.Rng.create ~seed:11 in
+      let path_tree = Pathtree.Path_tree.of_string doc in
+      let paths =
+        Datagen.Workload.all_simple_paths path_tree
+        @ Datagen.Workload.branching path_tree ~rng ~count:60 ~mbp:2 ()
+        @ Datagen.Workload.complex path_tree ~rng ~count:60 ~mbp:2 ()
+      in
+      let syn =
+        Core.Synopsis.build ~mbp:2 ~bsel_threshold ~card_threshold doc
+      in
+      let o = oracle_of_synopsis syn in
+      agree_on_synopsis ~tally ~label:(name ^ " +het") o paths;
+      agree_on_synopsis ~tally ~label:(name ^ " kernel") { o with o_het = None }
+        paths)
+    [ ("treebank", Datagen.Treebank.generate ~seed:2 ~sentences:40 (), 20.0, 0.001);
+      ("xmark", Datagen.Xmark.generate ~seed:2 ~items:30 (), 0.5, 0.1);
+      ("dblp", Datagen.Dblp.generate ~seed:2 ~records:80 (), 0.5, 0.1) ];
+  checkb "HET overrides fired" true (tally.joint + tally.single > 0)
+
 let () =
   let qtests = List.map QCheck_alcotest.to_alcotest
       [ prop_never_raises; prop_engine_never_raises ]
@@ -494,4 +847,10 @@ let () =
             `Quick test_pool_chunked_hostile_bit_identical;
           Alcotest.test_case "mid-batch deadline expiry" `Quick
             test_pool_deadline_mid_batch ]
-      ) ]
+      );
+      ( "matcher-oracle",
+        [ oracle_no_het; oracle_het; oracle_values; oracle_synthetic;
+          Alcotest.test_case "TreeSketch synthetic EPTs" `Quick
+              test_oracle_treesketch;
+          Alcotest.test_case "treebank, xmark, dblp workloads" `Quick
+            test_oracle_workloads ] ) ]

@@ -436,6 +436,72 @@ let props =
     [ prop_sp_exact_with_het; prop_estimates_finite_nonnegative;
       prop_descendant_single_step_exact ]
 
+(* ------------------------------------------------------------------ *)
+(* Allocation per cache-miss estimate. The matcher's per-node accumulators
+   live in a reused domain-local scratch, so a warmed estimate against a
+   shared EPT allocates for the query alone (query tree, compiled query,
+   outcome, HET keys on bucket hits): a small constant, where one fresh
+   array per EPT node and query node used to cost ~100 words per node. *)
+
+let words_budget = 2000.0
+
+let minor_words_per_estimate est queries =
+  let ept = Lazy.from_val (Core.Estimator.ept est) in
+  let run () =
+    List.iter
+      (fun q -> ignore (Core.Estimator.estimate_result_stats_on est ept q))
+      queries
+  in
+  run ();  (* warm: the scratch grows to the largest query once *)
+  let rounds = 10 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    run ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int (rounds * List.length queries)
+
+let test_estimate_allocation () =
+  (* One document, one query set; the card threshold alone sets the EPT's
+     size. *)
+  let doc = Datagen.Treebank.generate ~seed:1 ~sentences:200 () in
+  let synopsis = Core.Synopsis.build ~mbp:2 ~card_threshold:20.0 doc in
+  let kernel = Core.Synopsis.kernel synopsis in
+  let path_tree = Pathtree.Path_tree.of_string doc in
+  let rng = Datagen.Rng.create ~seed:3 in
+  let queries =
+    Datagen.Workload.branching path_tree ~rng ~count:60 ~mbp:2 ()
+    @ Datagen.Workload.complex path_tree ~rng ~count:60 ~mbp:2 ()
+  in
+  let measure ?het card_threshold =
+    let est = Core.Estimator.create ~card_threshold ?het kernel in
+    ( Core.Matcher.node_count (Core.Estimator.ept est),
+      minor_words_per_estimate est queries )
+  in
+  let small_nodes, small = measure 15.0 in
+  let large_nodes, large = measure 3.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "EPT sizes ~50 and ~200 (%d, %d)" small_nodes large_nodes)
+    true
+    (small_nodes >= 40 && small_nodes <= 70 && large_nodes >= 180
+    && large_nodes <= 260);
+  List.iter
+    (fun (what, words) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words per estimate, budget %.0f" what words
+           words_budget)
+        true (words < words_budget))
+    [ ("50-node EPT", small); ("200-node EPT", large) ];
+  (* Four times the nodes, the same queries: no more words. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "words do not grow with the EPT (%.1f -> %.1f)" small large)
+    true
+    (large <= small +. 8.0);
+  let het_nodes, with_het = measure ?het:(Core.Synopsis.het synopsis) 3.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "with HET, %d-node EPT: %.0f words per estimate" het_nodes
+       with_het)
+    true (with_het < words_budget)
+
 let () =
   Alcotest.run "estimator"
     [
@@ -478,5 +544,8 @@ let () =
           Alcotest.test_case "serialization" `Quick test_synopsis_serialization;
           Alcotest.test_case "without het" `Quick test_synopsis_without_het;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "words per estimate bounded" `Quick
+            test_estimate_allocation ] );
       ("properties", props);
     ]

@@ -24,6 +24,31 @@ let test_counters () =
   Obs.reset obs;
   Alcotest.(check int) "reset zeroes" 0 (Obs.value c)
 
+(* High-water marks merge by max, totals by sum, whichever input order;
+   a mirror keeps the merge kind. *)
+let test_merge_high_water () =
+  let shard peak total =
+    let obs = Obs.create () in
+    Obs.max_to ~obs "peak" peak;
+    Obs.add_to ~obs "total" total;
+    obs
+  in
+  let a = shard 7 3 and b = shard 5 4 in
+  List.iter
+    (fun inputs ->
+      let m = Obs.merged inputs in
+      Alcotest.(check int) "peak is the max" 7 (Obs.value (Obs.counter m "peak"));
+      Alcotest.(check int) "total is the sum" 7
+        (Obs.value (Obs.counter m "total")))
+    [ [ a; b ]; [ b; a ]; [ Obs.create (); b; a ] ];
+  let mirror = Obs.create () in
+  Obs.mirror ~into:mirror (Obs.merged [ a; b ]);
+  let m = Obs.merged [ mirror; shard 6 1 ] in
+  Alcotest.(check int) "mirrored peak still merges by max" 7
+    (Obs.value (Obs.counter m "peak"));
+  Alcotest.(check int) "mirrored total still sums" 8
+    (Obs.value (Obs.counter m "total"))
+
 let test_optional_helpers () =
   (* Without a context these are no-ops and must not raise. *)
   Obs.add_to "a" 1;
@@ -467,6 +492,8 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counters" `Quick test_counters;
+          Alcotest.test_case "merge high-water marks" `Quick
+            test_merge_high_water;
           Alcotest.test_case "optional helpers" `Quick test_optional_helpers;
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "gauges" `Quick test_gauges;

@@ -318,14 +318,14 @@ let test_plan_chunks_edges () =
 (* ------------------------------------------------------------------ *)
 (* Pool basics *)
 
-let build_pool ?(workers = 2) ?chunk_target doc =
+let build_pool ?(workers = 2) ?chunk_target ?steal doc =
   let path_tree = Pathtree.Path_tree.of_string doc in
   let kernel =
     Core.Builder.of_string ~table:path_tree.Pathtree.Path_tree.table doc
   in
   let het, _ = Core.Het_builder.build ~kernel ~path_tree () in
   let estimator = Core.Estimator.create ~het kernel in
-  (path_tree, Engine.Pool.create ~workers ?chunk_target estimator)
+  (path_tree, Engine.Pool.create ~workers ?chunk_target ?steal estimator)
 
 let test_pool_lifecycle () =
   Alcotest.check_raises "workers >= 1"
@@ -695,6 +695,49 @@ let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
+
+let metric_value text name =
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ n; v ] when n = name -> Some v
+      | _ -> None)
+    (String.split_on_char '\n' text)
+
+(* High-water counters are one peak across shards, not a sum of per-shard
+   peaks: a 2-domain pool whose shards both served reads the inline pool's
+   frontier peak after the same queries. *)
+let test_pool_metrics_high_water () =
+  let doc = Datagen.Xmark.generate ~seed:4 ~items:20 () in
+  let queries =
+    [ "//item"; "/site/regions//item/name"; "//person"; "//open_auction/bidder" ]
+  in
+  let scrape pool =
+    Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
+    ignore
+      (Engine.Pool.estimate_batch pool queries
+        : (Engine.Serve.estimate_reply, Core.Error.t) result list);
+    Engine.Pool.metrics_text pool
+  in
+  let inline_text = scrape (snd (build_pool ~workers:1 doc)) in
+  (* One-slot chunks, no stealing: the chunks alternate between the two
+     shards, so both estimate and a sum would double the peak. *)
+  let two_text =
+    scrape (snd (build_pool ~workers:2 ~chunk_target:1 ~steal:false doc))
+  in
+  List.iter
+    (fun shard ->
+      let name =
+        Printf.sprintf "xseed_engine_pool_busy_fraction{shard=\"%d\"}" shard
+      in
+      match Option.bind (metric_value two_text name) float_of_string_opt with
+      | Some f -> checkb (name ^ " > 0") true (f > 0.0)
+      | None -> Alcotest.failf "%s missing" name)
+    [ 0; 1 ];
+  let name = "xseed_matcher_frontier_peak" in
+  let inline_v = metric_value inline_text name in
+  checkb (name ^ " present") true (inline_v <> None);
+  Alcotest.(check (option string)) name inline_v (metric_value two_text name)
 
 let test_pool_telemetry_metrics () =
   let _, pool = build_pool ~workers:2 Datagen.Paper_example.document in
@@ -1329,7 +1372,9 @@ let () =
           Alcotest.test_case "supervision mid-chunk" `Quick
             test_pool_supervision_mid_chunk;
           Alcotest.test_case "telemetry metrics" `Quick
-            test_pool_telemetry_metrics ] );
+            test_pool_telemetry_metrics;
+          Alcotest.test_case "high-water metrics merge by max" `Quick
+            test_pool_metrics_high_water ] );
       ( "stealing",
         [ Alcotest.test_case "deterministic steal of lone chunks" `Quick
             test_pool_work_stealing;
