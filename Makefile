@@ -4,7 +4,7 @@ DUNE ?= dune
 XSEED = $(DUNE) exec --no-build bin/xseed.exe --
 SMOKE_DIR := $(or $(TMPDIR),/tmp)/xseed-smoke
 
-.PHONY: all build test fmt fuzz-smoke chaos-smoke tcp-smoke smoke trace-smoke audit-smoke stress bench-smoke bench-json perf-smoke ci clean
+.PHONY: all build test fmt fuzz-smoke chaos-smoke tcp-smoke smoke trace-smoke audit-smoke stress bench-smoke bench-json perf-smoke loc ci clean
 
 # Worker-domain count for the stress/serve smoke (the CI matrix sets 1 and 4).
 WORKERS ?= 4
@@ -172,6 +172,14 @@ stress: build
 	@grep -q '^xseed_engine_cache_misses' $(SMOKE_DIR)/stress.out
 	@grep -q '^xseed_engine_pool_workers $(WORKERS)' $(SMOKE_DIR)/stress.out
 	@echo "stress: OK (WORKERS=$(WORKERS))"
+
+# Line totals of the library sources (.ml + .mli): the net lib/ line count
+# each change records in CHANGES.md.
+loc:
+	@for d in lib lib/engine; do \
+	  printf '%-12s %6d\n' "$$d/" \
+	    "$$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"; \
+	done
 
 ci: fmt build test fuzz-smoke chaos-smoke tcp-smoke smoke bench-smoke trace-smoke audit-smoke stress perf-smoke
 

@@ -548,37 +548,24 @@ let pool_worker_counts = [ 1; 2; 4 ]
    ≥ 2.5x@4 enforcement off this single reading. *)
 let host_cores = Domain.recommended_domain_count ()
 
-(* Returns (queries/s, steals, affinity_hits) so dispatch-shape sweeps can
-   attribute a regression to scheduling, not just observe throughput. *)
-let pool_throughput ?(passes = 3) ?chunk_target ?steal ?affinity estimator
-    queries ~workers =
-  let pool =
-    Engine.Pool.create ~workers ?chunk_target ?steal ~telemetry:false estimator
-  in
+(* Batch throughput in queries/s. *)
+let pool_throughput ?(passes = 3) estimator queries ~workers =
+  let pool = Engine.Pool.create ~workers ~telemetry:false estimator in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
   (* Warm-up pass: materializes the shared EPT outside the timed region. *)
   ignore
-    (Engine.Pool.estimate_batch ?affinity pool queries
+    (Engine.Pool.estimate_batch pool queries
       : (Engine.Serve.estimate_reply, Core.Error.t) result list);
   let served = ref 0 in
   let (), seconds =
     time (fun () ->
         for _ = 1 to passes do
           Engine.Pool.invalidate pool;
-          let rs = Engine.Pool.estimate_batch ?affinity pool queries in
+          let rs = Engine.Pool.estimate_batch pool queries in
           served := !served + List.length rs
         done)
   in
-  ( float_of_int !served /. seconds,
-    Engine.Pool.steals_total pool,
-    Engine.Pool.affinity_hits pool )
-
-(* The dispatch shapes the sweep compares at 4 domains: one queue op per
-   query, chunked without rebalancing, and the default chunked + steal. *)
-let chunk_sweep_legs =
-  [ ("per_item", Some 1, Some true);
-    ("chunked", None, Some false);
-    ("chunked_steal", None, None) ]
+  float_of_int !served /. seconds
 
 let pool_mismatches estimator queries =
   let engine = Engine.Pool.create ~workers:1 ~telemetry:false estimator in
@@ -615,8 +602,7 @@ let parallel () =
   let results =
     List.map
       (fun w ->
-        let qps, _, _ = pool_throughput ~passes estimator queries ~workers:w in
-        (w, qps))
+        (w, pool_throughput ~passes estimator queries ~workers:w))
       pool_worker_counts
   in
   let qps1 = List.assoc 1 results in
@@ -624,18 +610,6 @@ let parallel () =
   List.iter
     (fun (w, qps) -> pf "%8d %12.0f %8.2fx\n" w qps (qps /. qps1))
     results;
-  (* Dispatch-shape sweep at 4 domains: how much of the scaling comes from
-     chunking, and how much stealing claws back on skewed deques. *)
-  pf "\n%-16s %12s %8s %14s\n" "dispatch @4" "queries/s" "steals"
-    "affinity_hits";
-  List.iter
-    (fun (leg, chunk_target, steal) ->
-      let qps, steals, hits =
-        pool_throughput ~passes ?chunk_target ?steal estimator queries
-          ~workers:4
-      in
-      pf "%-16s %12.0f %8d %14d\n" leg qps steals hits)
-    chunk_sweep_legs;
   let speedup4 = List.assoc 4 results /. qps1 in
   if host_cores >= 4 then begin
     pf "\n4-domain speedup %.2fx (gate: >= 2.5x on this %d-core host)\n"
@@ -700,8 +674,7 @@ let profile_reply_json (p : Engine.Serve.profile_reply) =
     [ ("profiled", Obs.Json.Int p.profiled);
       ("queue_wait_us", stage_json p.queue_wait_us);
       ("execute_us", stage_json p.execute_us);
-      ("reassemble_us", stage_json p.reassemble_us);
-      ("steals", Obs.Json.Int p.steals) ]
+      ("reassemble_us", stage_json p.reassemble_us) ]
 
 let profile_section () =
   header "Causal profile: stage breakdown + tracing overhead (XMark)";
@@ -837,11 +810,9 @@ let bench_json () =
               let pqps =
                 List.map
                   (fun w ->
-                    let qps, _, _ =
+                    ( w,
                       pool_throughput ~passes:(scale 1 2) estimator qstrings
-                        ~workers:w
-                    in
-                    (w, qps))
+                        ~workers:w ))
                   pool_worker_counts
               in
               let speedup = List.assoc 4 pqps /. List.assoc 1 pqps in
@@ -859,37 +830,13 @@ let bench_json () =
                   "failed"
                 end
               in
-              (* Dispatch-shape sweep at 4 domains, with scheduling
-                 counters: affinity routes every chunk to one shard, so
-                 the steal path does the balancing and its counters are
-                 the attribution trail. *)
-              let sweep =
-                List.map
-                  (fun (leg, chunk_target, steal) ->
-                    let affinity =
-                      if leg = "chunked_steal" then Some 0 else None
-                    in
-                    ( leg,
-                      pool_throughput ~passes:(scale 1 2) ?chunk_target ?steal
-                        ?affinity estimator qstrings ~workers:4 ))
-                  chunk_sweep_legs
-              in
-              let _, steals, affinity_hits = List.assoc "chunked_steal" sweep in
               Obs.Json.Obj
                 (List.map
                    (fun (w, qps) ->
                      (Printf.sprintf "workers_%d" w, Obs.Json.Float qps))
                    pqps
                 @ [ ("speedup_4v1", Obs.Json.Float speedup);
-                    ("gate", Obs.Json.String gate);
-                    ( "chunk_sweep",
-                      Obs.Json.Obj
-                        (List.map
-                           (fun (leg, (qps, _, _)) ->
-                             (leg, Obs.Json.Float qps))
-                           sweep) );
-                    ("steals", Obs.Json.Int steals);
-                    ("affinity_hits", Obs.Json.Int affinity_hits) ]) );
+                    ("gate", Obs.Json.String gate) ]) );
             ( "profile",
               let qstrings = List.map Xpath.Ast.to_string queries in
               Obs.Json.Obj

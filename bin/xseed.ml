@@ -459,8 +459,9 @@ let trace_out_arg =
 let queue_capacity_arg =
   Arg.(value & opt int 256
        & info [ "queue-capacity" ] ~docv:"N"
-           ~doc:"Admission-queue capacity of the worker pool (jobs); only \
-                 meaningful with --workers >= 2")
+           ~doc:"Capacity of the worker pool's one admission queue, in \
+                 chunks (slices of up to 8 queries of a BATCH; an ESTIMATE \
+                 is one chunk); only meaningful with --workers >= 2")
 
 let deadline_ms_arg =
   Arg.(value & opt (some float) None
@@ -805,13 +806,11 @@ let serve_cmd =
     let no_extra _ _ = None in
     (* Journal startup: recover (truncating a dirty tail), replay the
        surviving entries through the live feedback path so the learned HET
-       state matches the pre-crash engine, then append from here on.
-       Recovery runs once against [base_server]; the returned wrapper is
-       applied to every session's vtable (the pool mints one per TCP
-       connection for affinity routing), all appending to one writer. *)
+       state matches the pre-crash engine, then append from here on: the
+       returned vtable journals every feedback it applies. *)
     let journal_wrap base_server =
       match journal_path with
-      | None -> fun s -> s
+      | None -> base_server
       | Some path ->
         let scan = ok_or_raise (Engine.Journal.recover path) in
         (match scan.Engine.Journal.tail with
@@ -844,7 +843,7 @@ let serve_cmd =
              else Printf.sprintf " (%d failed to apply)" !failed);
         let w = ok_or_raise (Engine.Journal.open_append ~fsync path) in
         journal := Some w;
-        fun s -> Engine.Journal.wrap_server w s
+        Engine.Journal.wrap_server w base_server
     in
     (match manifest with
      | Some manifest_path ->
@@ -903,15 +902,9 @@ let serve_cmd =
        (* The snapshot hook mirrors the pool's METRICS view (serving
           totals and every pipeline counter) into the CLI registry. *)
        let publish () = Engine.Pool.publish_telemetry pool obs in
-       (* Journal recovery replays once through a no-affinity vtable;
-          each TCP connection then gets its own vtable with the
-          connection counter as affinity token, so a session's chunks
-          keep landing on the shard whose cache it has warmed (stdin is
-          a single session — plain round-robin planning serves it
-          better than pinning one shard). *)
-       let wrap = journal_wrap (Engine.Pool.server pool) in
-       let base_server = wrap (Engine.Pool.server pool) in
-       let next_conn = ref 0 in
+       (* Every session — stdin, or each TCP connection — shares the one
+          vtable. *)
+       let server = journal_wrap (Engine.Pool.server pool) in
        Fun.protect
          ~finally:(fun () ->
            (* Let in-flight audits finish and fold them into the final
@@ -926,13 +919,7 @@ let serve_cmd =
            publish ())
          (fun () ->
            run_transport
-             ~make_session:(fun () ->
-               match port with
-               | None -> (base_server, no_extra)
-               | Some _ ->
-                 incr next_conn;
-                 ( wrap (Engine.Pool.server ~affinity:!next_conn pool),
-                   no_extra ))
+             ~make_session:(fun () -> (server, no_extra))
              publish));
     (* Drain ordering (DESIGN.md §13): admission already stopped (the serve
        loop has exited) and in-flight work drained (Pool.shutdown above);

@@ -14,11 +14,10 @@
    EPT pointer and HET contents visible to them.
 
    The unit of dispatch is a chunk: BATCH n is split into contiguous
-   per-shard slices (DESIGN.md §16). With two or more workers each shard
-   runs on its own domain and chunks travel through the work queue; idle
-   shards steal chunks from the tail of busy shards' deques (half-splitting
-   a victim's last divisible chunk), so a straggler does not serialize the
-   batch. With one worker no domain is spawned: the submitter serves each
+   slices (DESIGN.md §16). With two or more workers each shard runs on its
+   own domain and pops chunks from one shared FIFO, so whichever domain is
+   free takes the next chunk and a slow query holds up only its own
+   chunk. With one worker no domain is spawned: the submitter serves each
    chunk itself, under the submission lock, through the same chunk body
    and crash cleanup the domains run — that choice in [run_batch] is the
    only place the worker count changes the request path. Replies are
@@ -36,7 +35,6 @@ type trace_names = {
   n_batch_submit : int;
   n_batch_gather : int;
   n_chunk_dispatch : int;
-  n_steal : int;
   n_feedback : int;
   n_explain : int;
   n_query : int;  (* flow arrow: submit -> execute -> reassemble *)
@@ -56,7 +54,7 @@ type tracing = {
 }
 
 (* Shard-hot mutable state, isolated per shard in its own record and
-   padded well past a cache line (the pads push the block to 17 words =
+   padded past two cache lines (the pads push the block to 17 words =
    136 bytes on 64-bit) so two shards' hot words never share a line —
    without the pads, adjacent shards' [busy_s]/[epoch_seen] writes false-
    share and the 4-worker path spends its time in cache-coherence
@@ -65,9 +63,6 @@ type hot = {
   mutable epoch_seen : int;
   mutable busy_s : float;  (* dequeue-to-result time, accumulated *)
   mutable last_served_at : float;  (* monotonic finish instant; 0 = never *)
-  mutable steals : int;  (* chunks this shard stole from another's deque *)
-  mutable affinity_hits : int;
-      (* affinity-routed chunks this shard served as the preferred shard *)
   mutable current : chunk option;
       (* the chunk being executed, set between taking it and completion so
          [recover_crash] can answer its unserved slots if the chunk body
@@ -82,6 +77,8 @@ type hot = {
   mutable pad7 : int;
   mutable pad8 : int;
   mutable pad9 : int;
+  mutable pad10 : int;
+  mutable pad11 : int;
 }
 [@@warning "-69"]
 
@@ -115,10 +112,8 @@ and batch = {
 
 (* A contiguous slice [c_base, c_hi) of one batch, the unit of dispatch.
    All chunks of a batch share the query/result/stamp arrays; slot [i]
-   carries global sequence number [c_seq_base + i]. While a chunk sits in
-   a deque nobody owns it, so the work queue's global mutex is what makes
-   a steal-split (mutating [c_hi] and minting a sibling) safe. Once
-   popped, only the serving worker touches [c_cursor]. *)
+   carries global sequence number [c_seq_base + i]. Once popped, only the
+   serving worker touches [c_cursor]. *)
 and chunk = {
   c_queries : string array;
   c_results : (Serve.estimate_reply, Core.Error.t) result option array;
@@ -127,13 +122,8 @@ and chunk = {
   c_seq_base : int;  (* global seq of batch slot 0 *)
   c_parent : batch;
   c_enqueued_at : float;  (* admission: deadline + queue-wait baseline *)
-  c_shard : int;  (* planned shard (≠ server when stolen) *)
-  c_affinity : bool;  (* routed by client affinity *)
-  c_span : bool;
-      (* true when the submitter opened a queue-wait span + query flow for
-         this chunk; split offspring carry false (no span to close) *)
-  c_base : int;  (* first slot this record owns *)
-  mutable c_hi : int;  (* exclusive; reduced on the victim by a split *)
+  c_base : int;  (* first slot *)
+  c_hi : int;  (* exclusive *)
   mutable c_cursor : int;  (* next slot to serve *)
   mutable c_done : bool;  (* idempotent latch; a queued batch's mutex guards it *)
 }
@@ -143,7 +133,6 @@ type t = {
   threshold : float;
   shards : shard array;
   queue : chunk Work_queue.t;
-  chunk_target : int;  (* preferred slots per chunk *)
   mutable domains : unit Domain.t array;
   epoch : int Atomic.t;
   inflight : int Atomic.t;  (* chunks queued or executing *)
@@ -211,27 +200,25 @@ let parse query =
     Result.Error (Core.Error.make ~position Core.Error.Malformed_query message)
   | Ok path -> Ok path
 
+(* Slots per chunk the plan aims for: enough that one queue operation
+   amortizes over several estimates, few enough that a batch still spreads
+   over the workers. *)
+let chunk_target = 8
+
 (* The chunk plan, a pure function so the partition laws are directly
    QCheck-able (test_pool). [n] slots are cut into
    min n (max workers (ceil n/chunk_target)) contiguous chunks — at least
    one per worker for parallelism, near [chunk_target] slots each so the
    dispatch cost amortizes, never more chunks than slots. Sizes differ by
-   at most one (long chunks first); chunk [i] goes to shard [i mod
-   workers], or every chunk to [preferred] under affinity routing (thieves
-   rebalance if the preferred shard falls behind). *)
-let plan_chunks ~n ~workers ~chunk_target ?preferred () =
+   at most one (long chunks first). *)
+let plan_chunks ~n ~workers =
   if n <= 0 then [||]
   else begin
-    let target = max 1 chunk_target in
-    let count = min n (max workers ((n + target - 1) / target)) in
+    let count = min n (max workers ((n + chunk_target - 1) / chunk_target)) in
     let base = n / count and rem = n mod count in
     Array.init count (fun i ->
         let lo = (i * base) + min i rem in
-        let hi = lo + base + (if i < rem then 1 else 0) in
-        let shard =
-          match preferred with Some p -> p | None -> i mod workers
-        in
-        (lo, hi, shard))
+        (lo, lo + base + if i < rem then 1 else 0))
   end
 
 (* Hand a fresh flight record to the [set_on_record] sink, serialized so
@@ -456,31 +443,9 @@ let complete_chunk t (c : chunk) =
         with_lock t.drain_lock (fun () -> Condition.broadcast t.drain_cond)
     end
 
-(* The thief-side split for a victim's last queued chunk: the victim keeps
-   the leading (ceil) half [cursor, mid), the thief takes [mid, hi). Runs
-   under the work queue's global mutex while nobody owns the chunk, which
-   is what makes mutating [c_hi] safe. A chunk below 2 remaining slots is
-   unsplittable — the granularity floor the deterministic stealing tests
-   lean on: a lone length-1 chunk can never leave its planned shard. The
-   thief's sibling is a fresh in-flight chunk, so the drain count grows
-   here; that cannot race [wait_drained] past zero because the victim
-   chunk being split is itself still in flight. *)
-let split_chunk t (c : chunk) =
-  let len = c.c_hi - c.c_cursor in
-  if len < 2 then None
-  else begin
-    let mid = c.c_cursor + ((len + 1) / 2) in
-    let thief =
-      { c with c_base = mid; c_cursor = mid; c_span = false; c_done = false }
-    in
-    c.c_hi <- mid;
-    Atomic.incr t.inflight;
-    Some (c, thief)
-  end
-
-(* Taking a chunk: drop a cache made stale by a refining feedback, count
-   the steal or the affinity hit, and close the chunk's queue-wait span. *)
-let begin_chunk t shard (c : chunk) ~stolen t_deq =
+(* Taking a chunk: drop a cache made stale by a refining feedback and
+   close the chunk's queue-wait span. *)
+let begin_chunk t shard (c : chunk) t_deq =
   let epoch = Atomic.get t.epoch in
   if epoch <> shard.hot.epoch_seen then begin
     (* Feedback refined the synopsis since this shard last served: every
@@ -488,23 +453,13 @@ let begin_chunk t shard (c : chunk) ~stolen t_deq =
     Lru_cache.clear shard.cache;
     shard.hot.epoch_seen <- epoch
   end;
-  if stolen then begin
-    shard.hot.steals <- shard.hot.steals + 1;
-    match (t.tracing, shard.tbuf) with
-    | Some tg, Some tb ->
-      Obs.Trace.instant tb ~name:tg.names.n_steal
-        ~ts:(Obs.Trace.rel tg.tr t_deq)
-    | _ -> ()
-  end
-  else if c.c_affinity && c.c_shard = shard.id then
-    shard.hot.affinity_hits <- shard.hot.affinity_hits + 1;
   if t.telemetry then
     Obs.hobserve shard.queue_wait_us (1e6 *. (t_deq -. c.c_enqueued_at));
   match (t.tracing, shard.tbuf) with
-  | Some tg, Some tb when c.c_span ->
+  | Some tg, Some tb ->
     (* Close the queue-wait async span the submitter opened for this
        chunk; async spans may overlap, which B/E slices on this track
-       could not. Split offspring carry no span. *)
+       could not. *)
     Obs.Trace.async_end tb ~name:tg.names.n_queue_wait
       ~ts:(Obs.Trace.rel tg.tr t_deq) ~id:(c.c_seq_base + c.c_base)
   | _ -> ()
@@ -614,16 +569,15 @@ let serve_chunk t shard (c : chunk) t_deq =
        ~seq:(c.c_seq_base + c.c_base);
      (* The flow arrow touches down mid-slice so Perfetto anchors it
         inside the execute slice rather than on its edge. *)
-     if c.c_span then
-       Obs.Trace.flow_step tb ~name:tg.names.n_query
-         ~ts:(ts +. (dur /. 2.0)) ~id:(c.c_seq_base + c.c_base)
+     Obs.Trace.flow_step tb ~name:tg.names.n_query
+       ~ts:(ts +. (dur /. 2.0)) ~id:(c.c_seq_base + c.c_base)
    | _ -> ());
   complete_chunk t c;
   shard.hot.current <- None;
   t_fin
 
-let run_chunk t shard c ~stolen ~t_deq =
-  begin_chunk t shard c ~stolen t_deq;
+let run_chunk t shard c ~t_deq =
+  begin_chunk t shard c t_deq;
   serve_chunk t shard c t_deq
 
 (* Crash cleanup: an exception escaped a chunk body. Answer the unserved
@@ -660,15 +614,11 @@ let recover_crash t shard exn =
    [recover_crash]; what matters for liveness is that the loop re-enters
    [Work_queue.pop], not that a fresh domain spawns. *)
 let rec supervise t shard =
-  let split = split_chunk t in
   let rec loop () =
-    match Work_queue.pop t.queue ~shard:shard.id ~split with
+    match Work_queue.pop t.queue with
     | None -> ()
-    | Some (c, stolen_from) ->
-      ignore
-        (run_chunk t shard c ~stolen:(Option.is_some stolen_from)
-           ~t_deq:(Obs.now_mono ())
-          : float);
+    | Some c ->
+      ignore (run_chunk t shard c ~t_deq:(Obs.now_mono ()) : float);
       loop ()
   in
   match loop () with
@@ -683,7 +633,7 @@ let rec supervise t shard =
    batch was admitted); returns the instant it finished. *)
 let serve_inline t c ~t_deq =
   let shard = t.shards.(0) in
-  try run_chunk t shard c ~stolen:false ~t_deq
+  try run_chunk t shard c ~t_deq
   with exn ->
     recover_crash t shard exn;
     Obs.now_mono ()
@@ -691,13 +641,9 @@ let serve_inline t c ~t_deq =
 let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
     ?(telemetry = true) ?(recorder_capacity = 256) ?(drift_slots = 6)
     ?(drift_per_slot = 64) ?(drift_p90_threshold = 8.0) ?(queue_capacity = 256)
-    ?(chunk_target = 8) ?(steal = true) ?trace ?deadline_s
-    ?(shed_policy = `Block) ?chaos ?auditor estimator =
+    ?trace ?deadline_s ?(shed_policy = `Block) ?chaos ?auditor estimator =
   if workers < 1 then
     invalid_arg (Printf.sprintf "Pool.create: workers %d < 1" workers);
-  if chunk_target < 1 then
-    invalid_arg
-      (Printf.sprintf "Pool.create: chunk_target %d < 1" chunk_target);
   if not (Float.is_finite qerror_threshold) || qerror_threshold < 1.0 then
     invalid_arg "Pool.create: qerror_threshold must be finite and >= 1";
   (match deadline_s with
@@ -725,7 +671,6 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
               n_batch_submit = Obs.Trace.intern tr "batch_submit";
               n_batch_gather = Obs.Trace.intern tr "batch_gather";
               n_chunk_dispatch = Obs.Trace.intern tr "chunk_dispatch";
-              n_steal = Obs.Trace.intern tr "steal";
               n_feedback = Obs.Trace.intern tr "feedback";
               n_explain = Obs.Trace.intern tr "explain";
               n_query = Obs.Trace.intern tr "query";
@@ -764,8 +709,6 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
             { epoch_seen = 0;
               busy_s = 0.0;
               last_served_at = 0.0;
-              steals = 0;
-              affinity_hits = 0;
               current = None;
               pad0 = 0;
               pad1 = 0;
@@ -776,7 +719,9 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
               pad6 = 0;
               pad7 = 0;
               pad8 = 0;
-              pad9 = 0 };
+              pad9 = 0;
+              pad10 = 0;
+              pad11 = 0 };
           queue_wait_us = Obs.histogram obs "engine.pool.queue_wait_us";
           gc_minor_words = Obs.counter_with obs "engine.gc.minor_words" shard_labels;
           gc_major_words = Obs.counter_with obs "engine.gc.major_words" shard_labels;
@@ -790,8 +735,7 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
     { base = estimator;
       threshold = qerror_threshold;
       shards;
-      queue = Work_queue.create ~steal ~shards:workers ~capacity:queue_capacity ();
-      chunk_target;
+      queue = Work_queue.create ~capacity:queue_capacity;
       domains = [||];
       epoch = Atomic.make 0;
       inflight = Atomic.make 0;
@@ -847,18 +791,7 @@ let qerror_threshold t = t.threshold
 let feedback_seen t = t.feedback_seen
 let feedback_rounds t = t.feedback_rounds
 let drift t = t.drift
-let chunk_target t = t.chunk_target
 let set_on_record t f = t.on_record <- Some f
-
-let steals_total t = (Work_queue.stats t.queue).Work_queue.steals
-
-let affinity_hits t =
-  Array.fold_left (fun acc (s : shard) -> acc + s.hot.affinity_hits) 0 t.shards
-
-(* The affinity hash: a client token (connection counter, tenant id...)
-   maps to a stable preferred shard. [Hashtbl.hash] mixes the bits so
-   consecutive connection ids still spread across shards. *)
-let preferred_shard t ~affinity = Hashtbl.hash affinity mod workers t
 
 let shard_cache_counters t =
   Array.map (fun (s : shard) -> Lru_cache.counters s.cache) t.shards
@@ -871,9 +804,9 @@ let with_coord tracing f =
   | None -> ()
   | Some tg -> with_lock tg.coord_lock (fun () -> f tg)
 
-(* Submit a batch as per-shard chunks and wait for all of it; replies land
-   in the preallocated submission-order result array regardless of which
-   shard served which slot. Returns the raw results and the per-slot
+(* Submit a batch as chunks and wait for all of it; replies land in the
+   preallocated submission-order result array regardless of which shard
+   served which slot. Returns the raw results and the per-slot
    enqueue/dequeue/finish stamp arrays (for PROFILE; refused slots keep
    zero stamps).
 
@@ -881,7 +814,7 @@ let with_coord tracing f =
    per chunk, a [chunk_dispatch] instant, a flow start and a queue-wait
    async-begin, and a [batch_gather] slice where every chunk's flow arrow
    lands. *)
-let run_batch ?affinity t queries =
+let run_batch t queries =
   let queries = Array.of_list queries in
   let n = Array.length queries in
   if n = 0 then ([||], [||], [||], [||])
@@ -912,22 +845,16 @@ let run_batch ?affinity t queries =
           parent.remaining <- 0
         end
         else begin
-          let preferred =
-            Option.map (fun a -> preferred_shard t ~affinity:a) affinity
-          in
-          let plan =
-            plan_chunks ~n ~workers:(workers t)
-              ~chunk_target:t.chunk_target ?preferred ()
-          in
+          let plan = plan_chunks ~n ~workers:(workers t) in
           (* Every chunk carries the batch's admission instant: its deadline
              and queue-wait run from there, also for a chunk that waits
-             behind earlier ones — in a full deque, or served inline after
+             behind earlier ones — in a full queue, or served inline after
              them. *)
           let c_enq = Obs.now_mono () in
           Array.fill enq 0 n c_enq;
           let inline_clock = ref c_enq in
           Array.iter
-            (fun (lo, hi, shard_id) ->
+            (fun (lo, hi) ->
               let c =
                 { c_queries = queries;
                   c_results = results;
@@ -936,9 +863,6 @@ let run_batch ?affinity t queries =
                   c_seq_base = seq_base;
                   c_parent = parent;
                   c_enqueued_at = c_enq;
-                  c_shard = shard_id;
-                  c_affinity = Option.is_some preferred;
-                  c_span = traced;
                   c_base = lo;
                   c_hi = hi;
                   c_cursor = lo;
@@ -964,11 +888,8 @@ let run_batch ?affinity t queries =
                      every drain takes first. *)
                   Atomic.incr t.inflight;
                   match t.shed_policy with
-                  | `Block ->
-                    if Work_queue.push t.queue ~shard:shard_id c then `Ok
-                    else `Closed
-                  | `Shed_newest ->
-                    Work_queue.try_push t.queue ~shard:shard_id c
+                  | `Block -> if Work_queue.push t.queue c then `Ok else `Closed
+                  | `Shed_newest -> Work_queue.try_push t.queue c
                 end
               in
               match admitted with
@@ -979,7 +900,7 @@ let run_batch ?affinity t queries =
                     match refusal with
                     | `Closed -> closed_error ()
                     | `Full ->
-                      (* Bounded admission under shed-newest: the deque is
+                      (* Bounded admission under shed-newest: the queue is
                          full, so this newest chunk is the one dropped —
                          every slot it carries. *)
                       Atomic.incr t.shed_total;
@@ -1035,12 +956,13 @@ let run_batch ?affinity t queries =
     (out, enq, deq, fin)
   end
 
-let estimate_batch ?affinity t queries =
-  let results, _, _, _ = run_batch ?affinity t queries in
+(* [affinity] is accepted and ignored (see the interface). *)
+let estimate_batch ?affinity:_ t queries =
+  let results, _, _, _ = run_batch t queries in
   Array.to_list results
 
-let estimate ?affinity t query =
-  match estimate_batch ?affinity t [ query ] with
+let estimate ?affinity:_ t query =
+  match estimate_batch t [ query ] with
   | [ r ] -> r
   | _ -> Error (closed_error ())
 
@@ -1050,13 +972,10 @@ let estimate ?affinity t query =
    in a chunk that includes its predecessors' execute time), execute
    (start to result), reassemble (result to batch completion — the stall
    until the whole batch can be answered). Refused or unserved slots
-   carry zero stamps and are skipped. [steals] is the pool-wide steal
-   delta across the batch (exact when the pool is otherwise quiet). *)
-let profile ?affinity t queries =
-  let s0 = steals_total t in
-  let out, enq, deq, fin = run_batch ?affinity t queries in
+   carry zero stamps and are skipped. *)
+let profile t queries =
+  let out, enq, deq, fin = run_batch t queries in
   let t_done = Obs.now_mono () in
-  let s1 = steals_total t in
   let count kind =
     Array.fold_left
       (fun acc -> function
@@ -1084,7 +1003,6 @@ let profile ?affinity t queries =
           (stage (fun i -> 1e6 *. Float.max 0.0 (t_done -. fin.(i))));
       timed_out = count Core.Error.Timeout;
       shed = count Core.Error.Overloaded;
-      steals = max 0 (s1 - s0);
       tenant = None }
 
 (* Wait until no chunk is being served or queued. Callers hold
@@ -1363,7 +1281,6 @@ type totals = {
   pool_epoch : int;
   queue_depth : int;
   queue : Work_queue.stats;
-  affinity : int;
   shed : int;
   timeouts : int;
   restarts : int;
@@ -1391,7 +1308,6 @@ let totals t =
     pool_epoch = epoch t;
     queue_depth = Work_queue.length t.queue;
     queue = Work_queue.stats t.queue;
-    affinity = affinity_hits t;
     shed = shed_total t;
     timeouts = timeout_total t;
     restarts = worker_restarts t;
@@ -1436,17 +1352,14 @@ let stats_json t =
         Obj
           [ ("workers", Int (workers t));
             ("epoch", Int s.pool_epoch);
-            ("chunk_target", Int t.chunk_target);
             ("queue_depth", Int s.queue_depth);
             ("queue_pushes", Int q.Work_queue.pushes);
             ("queue_pops", Int q.Work_queue.pops);
-            ("queue_steals", Int q.Work_queue.steals);
             ("queue_push_waits", Int q.Work_queue.push_waits);
             ("queue_pop_waits", Int q.Work_queue.pop_waits);
             ("queue_push_wait_s", Float q.Work_queue.push_wait_s);
             ("queue_pop_wait_s", Float q.Work_queue.pop_wait_s);
             ("queue_max_occupancy", Int q.Work_queue.max_occupancy);
-            ("affinity_hits", Int s.affinity);
             ("shed_total", Int s.shed);
             ("timeout_total", Int s.timeouts);
             ("worker_restarts", Int s.restarts);
@@ -1498,8 +1411,6 @@ let publish_totals t obs =
   Obs.set_to ~obs "engine.pool.queue.push_wait_s" q.Work_queue.push_wait_s;
   Obs.set_to ~obs "engine.pool.queue.pop_wait_s" q.Work_queue.pop_wait_s;
   counter "engine.pool.queue.max_occupancy" q.Work_queue.max_occupancy;
-  counter "engine.pool.steals_total" q.Work_queue.steals;
-  counter "engine.pool.affinity_hits" s.affinity;
   counter "engine.pool.shed_total" s.shed;
   counter "engine.pool.timeout_total" s.timeouts;
   counter "engine.pool.worker_restarts" s.restarts;
@@ -1579,9 +1490,9 @@ let set_tenant t name =
 let telemetry_disabled () =
   Core.Error.make Core.Error.Internal "telemetry is disabled on this pool"
 
-let server ?affinity t =
-  { Serve.estimate = (fun q -> estimate ?affinity t q);
-    estimate_batch = (fun qs -> estimate_batch ?affinity t qs);
+let server ?affinity:_ t =
+  { Serve.estimate = (fun q -> estimate t q);
+    estimate_batch = (fun qs -> estimate_batch t qs);
     feedback = (fun q ~actual -> feedback t q ~actual);
     explain = (fun q -> explain t q);
     stats_json = (fun () -> stats_json t);
@@ -1594,7 +1505,7 @@ let server ?affinity t =
         match t.drift with
         | None -> Error (telemetry_disabled ())
         | Some d -> Ok (Drift.to_json d));
-    profile = (fun qs -> profile ?affinity t qs);
+    profile = (fun qs -> profile t qs);
     audit = (fun () -> audit_reply t) }
 
 (* Drop every shard cache by bumping the epoch (applied at each shard's

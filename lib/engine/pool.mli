@@ -4,7 +4,7 @@
     and one materialized EPT, shared read-only by [workers] shards. Each
     shard is private — its own {!Lru_cache}, {!Flight_recorder} ring,
     {!Obs} registry and {!Drift} volume shard — so the estimate hot path
-    takes no lock beyond the sharded {!Work_queue}'s own mutex.
+    takes no lock beyond the {!Work_queue}'s own mutex.
 
     {b One worker runs inline.} [create ~workers:1] spawns no domain: each
     chunk is served on the submitting thread, under the submission lock,
@@ -16,15 +16,14 @@
     serialize on the submission lock) and its queue counters stay zero.
 
     {b Chunk dispatch} (DESIGN.md §16). A batch of [n] queries is cut by
-    {!plan_chunks} into contiguous per-shard slices, one queue operation
-    per chunk rather than per query. Shards write replies lock-free into
-    the batch's preallocated submission-order result array; the only
-    synchronization per chunk is one idempotent completion latch. With
-    two or more workers, idle shards steal chunks from the tail of busy
-    shards' deques — a victim's last divisible chunk is split in half, and
-    a lone length-1 chunk is never stolen — so a straggler does not
-    serialize the batch. Per-shard mutable hot state is padded past a
-    cache line to kill false sharing between worker domains.
+    {!plan_chunks} into contiguous slices, one queue operation per chunk
+    rather than per query. With two or more workers the chunks go into
+    one shared FIFO and whichever worker domain is free pops the next, so
+    a straggler holds up only its own chunk. Shards write replies
+    lock-free into the batch's preallocated submission-order result array;
+    the only synchronization per chunk is one idempotent completion latch.
+    Per-shard mutable hot state is padded past two cache lines to kill
+    false sharing between worker domains.
 
     {b Single-writer feedback.} [feedback] (and [explain]) take the
     submission lock, wait for in-flight chunks to drain, and only then
@@ -33,12 +32,12 @@
     now-stale caches. No estimate ever observes a half-applied refinement.
 
     {b Determinism.} Over the same synopsis, estimates are bit-identical
-    whatever the worker count — with chunking, stealing and affinity in
-    any combination: the matcher keeps all per-query scratch off the
-    shared EPT, and every shard estimator is built from the same
-    kernel/HET/values. Merged metrics ({!metrics_text}) are
-    rendered from a per-scrape registry with series sorted by key, so the
-    exposition does not depend on scheduling. *)
+    whatever the worker count and whichever shard serves a chunk: the
+    matcher keeps all per-query scratch off the shared EPT, and every
+    shard estimator is built from the same kernel/HET/values. Merged
+    metrics ({!metrics_text}) are rendered from a per-scrape registry with
+    series sorted by key, so the exposition does not depend on
+    scheduling. *)
 
 type t
 
@@ -52,8 +51,6 @@ val create :
   ?drift_per_slot:int ->
   ?drift_p90_threshold:float ->
   ?queue_capacity:int ->
-  ?chunk_target:int ->
-  ?steal:bool ->
   ?trace:Obs.Trace.t ->
   ?deadline_s:float ->
   ?shed_policy:[ `Block | `Shed_newest ] ->
@@ -66,10 +63,7 @@ val create :
     [qerror_threshold] (default 2.0) is the minimum q-error at which
     feedback refines the HET. [cache_capacity] (default 1024) and
     [recorder_capacity] (default 256) are {e per shard}; [queue_capacity]
-    (default 256) is chunk slots {e per shard deque}. [chunk_target]
-    (default 8) is the preferred slots-per-chunk fed to {!plan_chunks};
-    [~chunk_target:1] restores per-query dispatch (deterministic shed
-    tests use it). [steal] (default [true]) gates work stealing. The EPT
+    (default 256) is the chunk slots of the one shared queue. The EPT
     is materialized eagerly (a failure surfaces as [Limit_exceeded] on the
     first estimate). [telemetry] (default [true]) enables the flight
     recorders and the {!Drift} monitor ([drift_slots] x [drift_per_slot]
@@ -86,10 +80,10 @@ val create :
     slot executes (so a deadline can expire mid-chunk — earlier slots
     answered, later ones refused [ERR timeout]) and again between
     canonicalize and the pipeline on a cache miss. Cache hits always
-    answer. [shed_policy] (default [`Block]) governs a full shard deque:
+    answer. [shed_policy] (default [`Block]) governs a full queue:
     [`Block] applies backpressure (the submitter waits), [`Shed_newest]
     refuses the chunk being submitted — every slot it carries — with
-    [ERR overloaded] without blocking; a one-worker pool has no deque, so
+    [ERR overloaded] without blocking; a one-worker pool has no queue, so
     it never sheds. Workers are supervised: an exception escaping a chunk
     body answers the chunk's unserved slots with [ERR internal] and bumps
     {!worker_restarts}; a worker domain then restarts its loop in place,
@@ -106,9 +100,8 @@ val create :
     at submit on the coordinator, ended at dequeue on the serving shard),
     an [execute] slice with per-query [canonicalize] / [pipeline]
     sub-slices on the shard track, and a [query] flow arrow linking
-    submit -> execute -> gather; a [steal] instant lands on the thief's
-    track at every stolen dequeue, and [batch_submit] / [batch_gather]
-    slices frame the coordinator's work ([feedback] / [explain] slices
+    submit -> execute -> gather; [batch_submit] / [batch_gather] slices
+    frame the coordinator's work ([feedback] / [explain] slices
     frame the drained verbs). Shard buffers are written only by the
     thread serving the shard (its domain, or the submitter holding the
     submission lock inline); the coordinator buffer is guarded by an
@@ -124,8 +117,8 @@ val create :
     client feedback.
     The pool does not own the auditor's lifecycle: the caller shuts it
     down after {!shutdown}.
-    @raise Invalid_argument when [workers] < 1, [chunk_target] < 1 or the
-    threshold is invalid. *)
+    @raise Invalid_argument when [workers] < 1 or the threshold is
+    invalid. *)
 
 val shutdown : t -> unit
 (** Close the queue, let queued chunks drain, and join all worker domains.
@@ -138,27 +131,12 @@ val drain_audits : t -> unit
 
 val workers : t -> int
 
-val chunk_target : t -> int
-(** The preferred slots-per-chunk this pool plans with. *)
-
-val plan_chunks :
-  n:int ->
-  workers:int ->
-  chunk_target:int ->
-  ?preferred:int ->
-  unit ->
-  (int * int * int) array
-(** The pure chunk plan: [n] slots cut into
-    [min n (max workers (ceil n/chunk_target))] contiguous [(lo, hi,
-    shard)] slices — [lo] inclusive, [hi] exclusive. Laws (QCheck-pinned):
-    the slices partition [0, n) exactly (cover every index once, in
-    order); sizes differ by at most one with longer chunks first; [n = 0]
-    plans no chunks. Chunk [i] goes to shard [i mod workers], or every
-    chunk to [preferred] under affinity routing (stealing rebalances). *)
-
-val preferred_shard : t -> affinity:int -> int
-(** The affinity hash: the shard every chunk of an [affinity]-routed
-    submission is planned onto. Stable for the life of the pool. *)
+val plan_chunks : n:int -> workers:int -> (int * int) array
+(** The pure chunk plan: [n] slots cut into [min n (max workers (ceil
+    n/8))] contiguous [(lo, hi)] slices — [lo] inclusive, [hi] exclusive.
+    Laws (QCheck-pinned): the slices partition [0, n) exactly (cover every
+    index once, in order); sizes differ by at most one with longer chunks
+    first; [n = 0] plans no chunks. *)
 
 val epoch : t -> int
 (** Cache-invalidation epoch: starts at 0, incremented by every refining
@@ -179,15 +157,6 @@ val worker_restarts : t -> int
 (** Times the supervisor restarted a worker loop after an escaping
     exception. 0 in a healthy pool. *)
 
-val steals_total : t -> int
-(** Chunks served by a shard other than the one they were planned onto
-    (the work queue's own count — exported as
-    [engine.pool.steals_total]). *)
-
-val affinity_hits : t -> int
-(** Affinity-routed chunks served by their preferred shard (exported as
-    [engine.pool.affinity_hits]). *)
-
 val quarantined_count : t -> int
 (** Distinct queries currently quarantined (two worker kills each). *)
 
@@ -202,19 +171,20 @@ val set_tenant : t -> string -> unit
 
 val estimate :
   ?affinity:int -> t -> string -> (Serve.estimate_reply, Core.Error.t) result
-(** Submit one query and wait for its reply. Domain-safe. [affinity]
-    routes the chunk to {!preferred_shard} so a session's shard cache
-    stays hot across requests; stealing still rebalances under load. *)
+(** Submit one query and wait for its reply. Domain-safe. [affinity] is
+    ignored: it remains only so that existing callers still compile, and
+    goes away once they stop passing it. *)
 
 val estimate_batch :
   ?affinity:int ->
   t ->
   string list ->
   (Serve.estimate_reply, Core.Error.t) result list
-(** Submit a batch as per-shard chunks; replies return in submission
-    order regardless of which shard served each slot. While a shard deque
-    is full, [`Block] pools wait (backpressure) and [`Shed_newest] pools
-    answer the overflowing chunk's slots [ERR overloaded] immediately. *)
+(** Submit a batch as chunks; replies return in submission order
+    regardless of which shard served each slot. While the queue is full,
+    [`Block] pools wait (backpressure) and [`Shed_newest] pools answer the
+    overflowing chunk's slots [ERR overloaded] immediately. [affinity] is
+    ignored, as on {!estimate}. *)
 
 val feedback : t -> string -> actual:int -> (Feedback.outcome, Core.Error.t) result
 (** Drain the pool, fold in finished audits, take the query's estimate,
@@ -233,17 +203,14 @@ val explain : t -> string -> (Core.Explain.report, Core.Error.t) result
 (** Full-pipeline explain, run drained on the base estimator. The cache
     status reports whether {e any} shard holds the query. *)
 
-val profile :
-  ?affinity:int -> t -> string list -> (Serve.profile_reply, Core.Error.t) result
+val profile : t -> string list -> (Serve.profile_reply, Core.Error.t) result
 (** The [PROFILE] verb: run the queries as one batch and report exact
     per-stage percentiles from per-slot monotonic stamps. The stages
     partition each query's life: queue-wait (submit to execution start —
     for a slot deep in a chunk that includes its predecessors' execute
     time, inline as well as on a domain), execute (start to result),
     reassemble (result to batch completion). Refused slots (shed, pool
-    shut down mid-submit) are excluded from [profiled]. [steals] reports
-    the pool-wide steal delta across the batch (always 0 with one
-    worker). *)
+    shut down mid-submit) are excluded from [profiled]. *)
 
 val invalidate : t -> unit
 (** Bump {!epoch} without touching the synopsis, dropping every shard's
@@ -253,11 +220,10 @@ val stats_json : t -> Obs.Json.t
 (** Cache counters and occupancy summed across shards, feedback totals,
     HET active/total/bytes and lookup counters (or [null] without a HET),
     the synopsis footprint, plus a
-    ["pool"] object ([workers], [epoch], [chunk_target], [queue_depth],
-    and the work queue's contention counters [queue_pushes] /
-    [queue_pops] / [queue_steals] / [queue_push_waits] /
-    [queue_pop_waits] / [queue_push_wait_s] / [queue_pop_wait_s] /
-    [queue_max_occupancy], plus [affinity_hits] and the failure counters
+    ["pool"] object ([workers], [epoch], [queue_depth], the work queue's
+    contention counters [queue_pushes] / [queue_pops] /
+    [queue_push_waits] / [queue_pop_waits] / [queue_push_wait_s] /
+    [queue_pop_wait_s] / [queue_max_occupancy], and the failure counters
     [shed_total] / [timeout_total] / [worker_restarts] / [quarantined]). *)
 
 val publish_telemetry : t -> Obs.t -> unit
@@ -284,8 +250,7 @@ val merged_metrics : t -> Obs.t
     [engine.pool.queue_wait_us] histogram (per-chunk dequeue waits; shard
     observations merge by key), [engine.pool.batch_chunk],
     [engine.pool.queue.*] contention counters from {!Work_queue.stats},
-    [engine.pool.steals_total] and [engine.pool.affinity_hits], per-shard
-    [engine.gc.*] counters (labelled [shard="N"]) and
+    per-shard [engine.gc.*] counters (labelled [shard="N"]) and
     [engine.pool.busy_fraction] gauges (serving time over the shard's
     create-to-last-served window, so quiet re-scrapes stay byte-identical;
     best-effort reads of per-domain accumulators). *)
@@ -301,7 +266,5 @@ val shard_cache_counters : t -> Lru_cache.counters array
 (** One entry per shard, in shard order (test hook for the sum law). *)
 
 val server : ?affinity:int -> t -> Serve.server
-(** The serve-protocol vtable ([xseed serve]). [affinity]
-    bakes a client identity into the vtable, routing every submission
-    through it to {!preferred_shard} — the net layer passes a
-    per-connection token here so a session's shard cache stays hot. *)
+(** The serve-protocol vtable ([xseed serve]). One vtable serves every
+    session. [affinity] is ignored, as on {!estimate}. *)

@@ -14,7 +14,6 @@ type profile_reply = {
   reassemble_us : stage_percentiles;
   timed_out : int;
   shed : int;
-  steals : int;
   tenant : string option;
 }
 
@@ -150,12 +149,12 @@ let profile_line = function
   | Ok p ->
     Printf.sprintf
       "OK %d queue_wait_us %s execute_us %s reassemble_us %s timeout=%d \
-       shed=%d steals=%d%s"
+       shed=%d%s"
       p.profiled
       (stage_fields p.queue_wait_us)
       (stage_fields p.execute_us)
       (stage_fields p.reassemble_us)
-      p.timed_out p.shed p.steals
+      p.timed_out p.shed
       (match p.tenant with
        | None -> ""
        | Some t -> Printf.sprintf " tenant=%s" t)

@@ -73,9 +73,6 @@ type profile_reply = {
   reassemble_us : stage_percentiles;
   timed_out : int;  (** queries refused with [ERR timeout] during the run *)
   shed : int;  (** queries refused with [ERR overloaded] during the run *)
-  steals : int;
-      (** chunks stolen across shards while the run was in flight,
-          rendered as [steals=<n>]; always 0 with one worker *)
   tenant : string option;
       (** the tenant that served the run, rendered as a trailing
           [tenant=<name>] field; [None] outside a registry session *)

@@ -1,35 +1,27 @@
-(* Sharded bounded deques with tail stealing — the only blocking structure
-   on the pool's request path. Since PR 10 the unit of transfer is a chunk
-   (a contiguous slice of a batch), so operations are rare enough that one
-   global mutex covers every deque: its acquire/release pairs order memory
-   between producers, owners, and thieves, which the pool relies on both
-   for publishing its shared EPT and for handing mutable chunk cursors
-   from a victim to a thief. Rings never allocate after creation; fairness
-   comes from the runtime's condition-variable wakeup order (chunks carry
-   their own submission sequence numbers). *)
+(* One bounded FIFO of chunks — the only blocking structure on the pool's
+   request path. The unit of transfer is a chunk (a contiguous slice of a
+   batch), so operations are rare enough that one mutex covers the ring:
+   its acquire/release pairs order memory between producers and
+   consumers, which the pool relies on for publishing its shared EPT and
+   each chunk to the worker that pops it. The ring never allocates after
+   creation. A push or pop makes room for, or work for, exactly one
+   waiter, so it signals one; only [close] changes what every waiter may
+   do, so only it broadcasts. *)
 
 type stats = {
   pushes : int;
   pops : int;
-  steals : int;  (* pops satisfied from another shard's deque *)
-  push_waits : int;  (* pushes that found the deque full and blocked *)
-  pop_waits : int;  (* pops that found nothing runnable and blocked *)
+  push_waits : int;  (* pushes that found the ring full and blocked *)
+  pop_waits : int;  (* pops that found the ring empty and blocked *)
   push_wait_s : float;  (* total producer blocking time *)
   pop_wait_s : float;  (* total consumer blocking time *)
-  max_occupancy : int;  (* high-water mark of occupied slots, all shards *)
-}
-
-(* One ring per shard, owner pops at [head], producers and returned
-   split-halves append at the tail, thieves take from the tail. *)
-type 'a deque = {
-  ring : 'a option array;
-  mutable head : int;
-  mutable len : int;
+  max_occupancy : int;  (* high-water mark of occupied slots *)
 }
 
 type 'a t = {
-  deques : 'a deque array;
-  steal_enabled : bool;
+  ring : 'a option array;
+  mutable head : int;
+  mutable len : int;
   mutable closed : bool;
   lock : Mutex.t;
   not_empty : Condition.t;
@@ -39,7 +31,6 @@ type 'a t = {
      stays a lock/unlock pair. *)
   mutable pushes : int;
   mutable pops : int;
-  mutable steals : int;
   mutable push_waits : int;
   mutable pop_waits : int;
   mutable push_wait_s : float;
@@ -47,249 +38,102 @@ type 'a t = {
   mutable max_occupancy : int;
 }
 
-let create ?(steal = true) ~shards ~capacity () =
-  if shards < 1 then
-    invalid_arg (Printf.sprintf "Work_queue.create: shards %d < 1" shards);
+let create ~capacity =
   if capacity < 1 then
     invalid_arg (Printf.sprintf "Work_queue.create: capacity %d < 1" capacity);
-  { deques =
-      Array.init shards (fun _ ->
-          { ring = Array.make capacity None; head = 0; len = 0 });
-    steal_enabled = steal;
+  { ring = Array.make capacity None;
+    head = 0;
+    len = 0;
     closed = false;
     lock = Mutex.create ();
     not_empty = Condition.create ();
     not_full = Condition.create ();
     pushes = 0;
     pops = 0;
-    steals = 0;
     push_waits = 0;
     pop_waits = 0;
     push_wait_s = 0.0;
     pop_wait_s = 0.0;
     max_occupancy = 0 }
 
-let shards t = Array.length t.deques
-let capacity t = Array.length t.deques.(0).ring
-
-let check_shard t shard =
-  if shard < 0 || shard >= Array.length t.deques then
-    invalid_arg
-      (Printf.sprintf "Work_queue: shard %d out of range [0,%d)" shard
-         (Array.length t.deques))
-
-let total_len t = Array.fold_left (fun acc d -> acc + d.len) 0 t.deques
+let capacity t = Array.length t.ring
 
 let length t =
   Mutex.lock t.lock;
-  let n = total_len t in
+  let n = t.len in
   Mutex.unlock t.lock;
   n
 
-let deque_push_tail d v =
-  let cap = Array.length d.ring in
-  d.ring.((d.head + d.len) mod cap) <- Some v;
-  d.len <- d.len + 1
-
-let deque_pop_head d =
-  let cap = Array.length d.ring in
-  let v = d.ring.(d.head) in
-  d.ring.(d.head) <- None;
-  d.head <- (d.head + 1) mod cap;
-  d.len <- d.len - 1;
-  match v with Some v -> v | None -> assert false
-
-let deque_pop_tail d =
-  let cap = Array.length d.ring in
-  let i = (d.head + d.len - 1) mod cap in
-  let v = d.ring.(i) in
-  d.ring.(i) <- None;
-  d.len <- d.len - 1;
-  match v with Some v -> v | None -> assert false
-
-let note_push t =
+(* Enqueue under the lock; the caller has checked for a free slot. *)
+let enqueue t v =
+  let cap = Array.length t.ring in
+  t.ring.((t.head + t.len) mod cap) <- Some v;
+  t.len <- t.len + 1;
   t.pushes <- t.pushes + 1;
-  let occ = total_len t in
-  if occ > t.max_occupancy then t.max_occupancy <- occ
+  if t.len > t.max_occupancy then t.max_occupancy <- t.len;
+  Condition.signal t.not_empty
 
-let push t ~shard v =
-  check_shard t shard;
+let push t v =
   Mutex.lock t.lock;
-  let d = t.deques.(shard) in
-  let cap = Array.length d.ring in
-  if d.len = cap && not t.closed then begin
+  let cap = Array.length t.ring in
+  if t.len = cap && not t.closed then begin
     let w0 = Obs.now_mono () in
     t.push_waits <- t.push_waits + 1;
-    while d.len = cap && not t.closed do
+    while t.len = cap && not t.closed do
       Condition.wait t.not_full t.lock
     done;
     t.push_wait_s <- t.push_wait_s +. (Obs.now_mono () -. w0)
   end;
-  if t.closed then begin
-    Mutex.unlock t.lock;
-    false
-  end
-  else begin
-    deque_push_tail d v;
-    note_push t;
-    Condition.broadcast t.not_empty;
-    Mutex.unlock t.lock;
-    true
-  end
+  let ok = not t.closed in
+  if ok then enqueue t v;
+  Mutex.unlock t.lock;
+  ok
 
-(* Non-blocking admission for shed-newest policies: a full deque answers
+(* Non-blocking admission for shed-newest policies: a full ring answers
    [`Full] immediately instead of waiting for a consumer. *)
-let try_push t ~shard v =
-  check_shard t shard;
+let try_push t v =
   Mutex.lock t.lock;
-  let d = t.deques.(shard) in
-  if t.closed then begin
-    Mutex.unlock t.lock;
-    `Closed
-  end
-  else if d.len = Array.length d.ring then begin
-    Mutex.unlock t.lock;
-    `Full
-  end
-  else begin
-    deque_push_tail d v;
-    note_push t;
-    Condition.broadcast t.not_empty;
-    Mutex.unlock t.lock;
-    `Ok
-  end
-
-(* Steal policy, evaluated under the lock: scan the other shards starting
-   after the thief, prefer the longest deque (first scanned wins ties).
-   A victim with ≥ 2 chunks donates its tail chunk whole; a victim down
-   to its last chunk is only relieved of half of it — [split] divides the
-   chunk, the keep-half goes back at the victim's tail, the thief takes
-   the rest. [split] answering [None] marks the lone chunk unsplittable
-   (below the granularity floor), so the victim keeps it: a busy shard is
-   never robbed of its only sub-minimal chunk. That rule is what makes
-   the deterministic stealing tests possible — a rendezvous chunk routed
-   to one shard as a lone length-1 chunk is guaranteed to park exactly
-   that shard. *)
-let try_steal t ~shard ~split =
-  let n = Array.length t.deques in
-  let best = ref (-1) in
-  let best_len = ref 0 in
-  for k = 1 to n - 1 do
-    let v = (shard + k) mod n in
-    let len = t.deques.(v).len in
-    if len > !best_len then begin
-      best := v;
-      best_len := len
+  let r =
+    if t.closed then `Closed
+    else if t.len = Array.length t.ring then `Full
+    else begin
+      enqueue t v;
+      `Ok
     end
-  done;
-  if !best < 0 then None
-  else
-    let d = t.deques.(!best) in
-    if d.len >= 2 then begin
-      let v = deque_pop_tail d in
-      t.steals <- t.steals + 1;
-      Some (v, !best)
-    end
-    else
-      let v = deque_pop_tail d in
-      match split v with
-      | Some (keep, take) ->
-          deque_push_tail d keep;
-          t.steals <- t.steals + 1;
-          Some (take, !best)
-      | None ->
-          (* Unsplittable lone chunk: put it back untouched. Other shards
-             may still have work — scan the rest, longest-first, by
-             temporarily hiding this victim. In practice deques hold at
-             most a few chunks, so the rescan is cheap. *)
-          deque_push_tail d v;
-          let found = ref None in
-          for k = 1 to n - 1 do
-            let w = (shard + k) mod n in
-            if w <> !best && !found = None then begin
-              let dw = t.deques.(w) in
-              if dw.len >= 2 then begin
-                let v = deque_pop_tail dw in
-                t.steals <- t.steals + 1;
-                found := Some (v, w)
-              end
-              else if dw.len = 1 then begin
-                let v = deque_pop_tail dw in
-                match split v with
-                | Some (keep, take) ->
-                    deque_push_tail dw keep;
-                    t.steals <- t.steals + 1;
-                    found := Some (take, w)
-                | None -> deque_push_tail dw v
-              end
-            end
-          done;
-          !found
+  in
+  Mutex.unlock t.lock;
+  r
 
-(* Dequeue for worker [shard]: own deque head first (FIFO in submission
-   order), otherwise steal from the tail of the busiest other deque.
-   [stolen_from] in the result names the victim so the caller can emit a
-   steal event. Blocks while nothing is runnable; [None] only when the
-   queue is closed and fully drained. *)
-let pop t ~shard ~split =
-  check_shard t shard;
+let pop t =
   Mutex.lock t.lock;
-  let d = t.deques.(shard) in
-  let take () =
-    if d.len > 0 then Some (deque_pop_head d, -1)
-    else if t.steal_enabled then
-      match try_steal t ~shard ~split with
-      | Some (v, victim) -> Some (v, victim)
-      | None -> None
-    else None
+  if t.len = 0 && not t.closed then begin
+    let w0 = Obs.now_mono () in
+    t.pop_waits <- t.pop_waits + 1;
+    while t.len = 0 && not t.closed do
+      Condition.wait t.not_empty t.lock
+    done;
+    t.pop_wait_s <- t.pop_wait_s +. (Obs.now_mono () -. w0)
+  end;
+  let r =
+    if t.len = 0 then None (* closed and drained *)
+    else begin
+      let v = t.ring.(t.head) in
+      t.ring.(t.head) <- None;
+      t.head <- (t.head + 1) mod Array.length t.ring;
+      t.len <- t.len - 1;
+      t.pops <- t.pops + 1;
+      Condition.signal t.not_full;
+      v
+    end
   in
-  let rec wait_loop blocked w0 =
-    match take () with
-    | Some (v, victim) ->
-        if blocked then t.pop_wait_s <- t.pop_wait_s +. (Obs.now_mono () -. w0);
-        t.pops <- t.pops + 1;
-        Condition.broadcast t.not_full;
-        (* Draining the last chunk after close must re-wake consumers that
-           went back to sleep while it was still reachable, or they would
-           miss the closed-and-drained exit and hang the shutdown join. *)
-        if t.closed && total_len t = 0 then Condition.broadcast t.not_empty;
-        Mutex.unlock t.lock;
-        Some (v, if victim < 0 then None else Some victim)
-    | None ->
-        if t.closed && total_len t = 0 then begin
-          if blocked then
-            t.pop_wait_s <- t.pop_wait_s +. (Obs.now_mono () -. w0);
-          Mutex.unlock t.lock;
-          None
-        end
-        else if t.closed && d.len = 0 && not t.steal_enabled then begin
-          (* Closed, own deque drained, stealing off: nothing will ever
-             arrive for this shard again. *)
-          if blocked then
-            t.pop_wait_s <- t.pop_wait_s +. (Obs.now_mono () -. w0);
-          Mutex.unlock t.lock;
-          None
-        end
-        else begin
-          let blocked, w0 =
-            if blocked then (blocked, w0)
-            else begin
-              t.pop_waits <- t.pop_waits + 1;
-              (true, Obs.now_mono ())
-            end
-          in
-          Condition.wait t.not_empty t.lock;
-          wait_loop blocked w0
-        end
-  in
-  wait_loop false 0.0
+  Mutex.unlock t.lock;
+  r
 
 let stats t =
   Mutex.lock t.lock;
   let s =
     { pushes = t.pushes;
       pops = t.pops;
-      steals = t.steals;
       push_waits = t.push_waits;
       pop_waits = t.pop_waits;
       push_wait_s = t.push_wait_s;

@@ -1,76 +1,55 @@
-(** Sharded bounded deques with work stealing, for OCaml 5 domains.
+(** One bounded FIFO of chunks, shared by every worker domain.
 
-    Since PR 10 the pool dispatches {e chunks} (contiguous slices of a
-    batch), one queue operation per chunk, so a single global mutex covers
-    every shard's deque. Producers push a chunk to its planned shard
-    (blocking while that deque is full, which backpressures clients
-    instead of growing memory); each worker domain pops from its own
-    deque's head in FIFO order and, when empty, steals from the tail of
-    the busiest other deque. {!close} wakes everyone up: pending chunks
+    The pool dispatches {e chunks} (contiguous slices of a batch), one
+    queue operation per chunk, so a single mutex covers the ring.
+    Producers push at the tail (blocking while the ring is full, which
+    backpressures clients instead of growing memory); any worker domain
+    pops the head. A push wakes one blocked consumer and a pop one blocked
+    producer ([Condition.signal]); {!close} wakes everyone: pending chunks
     still drain, further pushes are refused, and poppers see [None] once
-    everything reachable is gone — the worker shutdown signal.
+    the ring is empty — the worker shutdown signal.
 
-    {b Steal protocol} (pinned by the deterministic scheduling tests): a
-    victim holding ≥ 2 chunks donates its tail chunk whole; a victim down
-    to its last chunk is only relieved of half — the thief's [split]
-    divides it, the keep-half returns to the victim's tail; and a lone
-    chunk that [split] refuses ([None], the granularity floor) is {e
-    never} stolen, so a shard busy with a sub-minimal chunk keeps it.
-    Victim choice is longest-deque-first, scanning from the thief's
-    right-hand neighbour, first scanned wins ties.
-
-    The global mutex's acquire/release pairs also order memory between
-    producers, owners, and thieves, which the pool relies on both for
-    publishing its shared EPT and for handing mutable chunk cursors from
-    victim to thief. *)
+    The mutex's acquire/release pairs also order memory between producers
+    and consumers, which the pool relies on for publishing its shared EPT
+    and each chunk's fields to the worker that pops it. *)
 
 type 'a t
 
-val create : ?steal:bool -> shards:int -> capacity:int -> unit -> 'a t
-(** One deque per shard, each a ring of [capacity] chunk slots; no
-    allocation after creation. [steal] (default [true]) gates the steal
-    path: when off, {!pop} only ever serves a worker its own deque.
-    @raise Invalid_argument when [shards] < 1 or [capacity] < 1. *)
+val create : capacity:int -> 'a t
+(** A ring of [capacity] chunk slots; no allocation after creation.
+    @raise Invalid_argument when [capacity] < 1. *)
 
-val shards : 'a t -> int
 val capacity : 'a t -> int
 
 val length : 'a t -> int
-(** Occupied slots across all shards at the instant of the read. *)
+(** Occupied slots at the instant of the read. *)
 
-val push : 'a t -> shard:int -> 'a -> bool
-(** Enqueue at [shard]'s tail, blocking while that deque is full. [false]
-    when the queue is (or becomes) closed — the item was not enqueued. *)
+val push : 'a t -> 'a -> bool
+(** Enqueue at the tail, blocking while the ring is full. [false] when the
+    queue is (or becomes) closed — the item was not enqueued. *)
 
-val try_push : 'a t -> shard:int -> 'a -> [ `Ok | `Full | `Closed ]
-(** Non-blocking enqueue: [`Full] immediately when [shard]'s deque has no
-    free slot (the item was not enqueued), [`Closed] after {!close}. The
+val try_push : 'a t -> 'a -> [ `Ok | `Full | `Closed ]
+(** Non-blocking enqueue: [`Full] immediately when the ring has no free
+    slot (the item was not enqueued), [`Closed] after {!close}. The
     admission primitive for shed-newest load shedding — a producer that
     would have blocked can answer "overloaded" instead. *)
 
-val pop : 'a t -> shard:int -> split:('a -> ('a * 'a) option) -> ('a * int option) option
-(** Dequeue for worker [shard]: its own deque's head first, else a steal
-    under the protocol above. [split v] must either divide [v] into
-    [(keep, take)] — [keep] stays with the victim, [take] goes to the
-    thief — or answer [None] to mark [v] unsplittable. The second
-    component of the result names the victim shard when the chunk was
-    stolen ([None] = own deque). Blocks while nothing is runnable;
-    answers [None] only when the queue is closed and drained (with
-    stealing disabled: closed and {e this shard's} deque drained). *)
+val pop : 'a t -> 'a option
+(** Dequeue the head, blocking while the ring is empty. [None] only when
+    the queue is closed and drained. *)
 
 val close : 'a t -> unit
 (** Refuse further pushes and wake all blocked producers and consumers.
     Idempotent. Already-queued chunks still drain through {!pop}.
 
     {b Close/blocked-operation race semantics} (pinned by tests): a
-    producer blocked in {!push} on a full deque is woken and returns
+    producer blocked in {!push} on a full ring is woken and returns
     [false] — its item is {e never} enqueued, even though slots may later
     free up; a {!try_push} after close returns [`Closed]. A consumer
-    blocked in {!pop} is woken and returns [None] once nothing reachable
-    remains; if chunks remain (close raced occupied deques), blocked and
-    subsequent consumers drain them and only then see [None]. The wait
-    counters ({!stats}) still record the blocked interval that close cut
-    short. *)
+    blocked in {!pop} is woken and returns [None] if the ring is empty;
+    if chunks remain, blocked and subsequent consumers drain them and only
+    then see [None]. The wait counters ({!stats}) still record the blocked
+    interval that close cut short. *)
 
 val closed : 'a t -> bool
 
@@ -83,13 +62,12 @@ val closed : 'a t -> bool
 
 type stats = {
   pushes : int;  (** chunks successfully enqueued *)
-  pops : int;  (** chunks successfully dequeued (own + stolen) *)
-  steals : int;  (** pops satisfied from another shard's deque *)
-  push_waits : int;  (** pushes that found the deque full and blocked *)
-  pop_waits : int;  (** pops that found nothing runnable and blocked *)
+  pops : int;  (** chunks successfully dequeued *)
+  push_waits : int;  (** pushes that found the ring full and blocked *)
+  pop_waits : int;  (** pops that found the ring empty and blocked *)
   push_wait_s : float;  (** total producer blocking time, seconds *)
   pop_wait_s : float;  (** total consumer blocking time, seconds *)
-  max_occupancy : int;  (** high-water mark of occupied slots, all shards *)
+  max_occupancy : int;  (** high-water mark of occupied slots *)
 }
 
 val stats : 'a t -> stats

@@ -11,9 +11,9 @@
      replaces the kernel approximation with recorded truth;
    - a pool-vs-engine oracle: the single-threaded engine (a one-worker
      pool, serving every chunk inline on the caller) and a 2-domain pool
-     with chunking, stealing and affinity must return bit-identical floats
-     over the same synopsis for every query, including after an identical
-     feedback observation on both and around a mid-batch deadline;
+     running multi-chunk batches must return bit-identical floats over the
+     same synopsis for every query, including after an identical feedback
+     observation on both and around a mid-batch deadline;
    - a matcher oracle: the flat matcher and the frozen recursive one
      (Matcher_reference) must agree on every estimate's bits, every match
      statistic and the HET counters each query moves, on random documents
@@ -171,8 +171,8 @@ let test_het_simple_paths_exact_random () =
 (* ------------------------------------------------------------------ *)
 (* Oracle 3: the inline engine and a 2-domain pool are bit-identical. The
    engine side is a one-worker pool, which serves every chunk on the
-   submitting thread; the other side runs two worker domains with chunked
-   dispatch, work stealing and affinity routing. *)
+   submitting thread; the other side runs two worker domains popping the
+   chunks from one shared queue. *)
 
 let bits = Int64.bits_of_float
 
@@ -201,12 +201,12 @@ let pool_value = value_of "pool"
 
 (* Two independent synopsis stacks over the same document, so feedback on
    one side cannot leak into the other: the inline engine, and a 2-domain
-   pool built by [mk]. *)
-let with_pair ?(mk = fun est -> Engine.Pool.create ~workers:2 est) doc f =
+   pool. *)
+let with_pair doc f =
   let path_tree, engine_est = build_stack doc in
   let _, pool_est = build_stack doc in
   let engine = Engine.Pool.create ~workers:1 engine_est in
-  let pool = mk pool_est in
+  let pool = Engine.Pool.create ~workers:2 pool_est in
   Fun.protect
     ~finally:(fun () ->
       Engine.Pool.shutdown pool;
@@ -265,13 +265,12 @@ let test_pool_bit_identical () =
         (bits (pool_value pool q)))
     queries
 
-(* The same oracle under chunked dispatch, stealing and affinity routing,
-   on hostile inputs: random documents, a query mix that includes
-   malformed and degenerate spellings, a 2-domain pool configured so
-   batches split into many small chunks (chunk_target 3), and every batch
-   routed to one preferred shard so the other must steal. Errors must
-   agree by kind, values bit for bit, including after an identical
-   feedback observation bumps both epochs. *)
+(* The same oracle on hostile inputs: random documents, a query mix that
+   includes malformed and degenerate spellings, and a 2-domain pool whose
+   batches of several dozen queries split into chunks of up to 8 that
+   either domain may serve. Errors must agree by kind, values bit for
+   bit, including after an identical feedback observation bumps both
+   epochs. *)
 
 let rng_doc rng =
   let buf = Buffer.create 256 in
@@ -332,18 +331,18 @@ let check_agree ~label engine reply q =
 let test_pool_chunked_hostile_bit_identical () =
   let rng = Datagen.Rng.create ~seed:99 in
   for round = 1 to 3 do
-    let mk est = Engine.Pool.create ~workers:2 ~chunk_target:3 est in
-    with_pair ~mk (rng_doc rng) @@ fun path_tree engine pool ->
+    with_pair (rng_doc rng) @@ fun path_tree engine pool ->
     let queries = hostile_queries path_tree in
     let label = Printf.sprintf "round %d" round in
-    (* Affinity-routed singles agree... *)
+    (* Singles agree... *)
     List.iter
-      (fun q ->
-        check_agree ~label engine (Engine.Pool.estimate ~affinity:round pool q) q)
+      (fun q -> check_agree ~label engine (Engine.Pool.estimate pool q) q)
       queries;
-    (* ...and an affinity-routed batch (all chunks planned onto one shard,
-       the other must steal) agrees slot for slot in submission order. *)
-    let batch = Engine.Pool.estimate_batch ~affinity:round pool queries in
+    (* ...and a multi-chunk batch agrees slot for slot in submission
+       order. *)
+    checkb (label ^ " batch spans several chunks") true
+      (List.length queries > 16);
+    let batch = Engine.Pool.estimate_batch pool queries in
     checki (label ^ " batch width") (List.length queries) (List.length batch);
     List.iter2 (fun q reply -> check_agree ~label:(label ^ " batch") engine reply q)
       queries batch;
@@ -371,45 +370,58 @@ let test_pool_chunked_hostile_bit_identical () =
       (bits engine_q) (bits (judged "pool" pool));
     checkb (label ^ " epoch bumped or kept") true
       (Engine.Pool.epoch pool >= epoch_before);
-    let batch2 = Engine.Pool.estimate_batch ~affinity:round pool queries in
+    let batch2 = Engine.Pool.estimate_batch pool queries in
     List.iter2
       (fun q reply -> check_agree ~label:(label ^ " post-feedback") engine reply q)
       queries batch2
   done
 
 (* Mid-batch deadline expiry. One 8-query batch against a 50 ms budget
-   measured from each chunk's enqueue, with a gate parking the serving
+   measured from the batch's admission, with a gate parking the serving
    thread inside slot 2: slots before it are served within budget (and
    must match the other kind of pool bit for bit), the gated slot and
    everything after it expire, and the refusals must not disturb
    submission order or later traffic. The scenario runs on the inline
    engine (one 8-slot chunk, parked on the submitting domain) and on a
-   2-domain pool that routes both of its 4-slot chunks to one shard with
-   stealing off, so the second chunk waits out the budget behind the
-   first. *)
+   2-domain pool with both domains parked — one on a gated single
+   submitted first, which expires too, the other inside slot 2 of the
+   first 4-slot chunk — so the second chunk waits out the budget in the
+   queue. *)
 
 type gate = {
   g_lock : Mutex.t;
   g_cond : Condition.t;
-  mutable g_entered : bool;
+  mutable g_entered : int;
   mutable g_released : bool;
 }
 
 let gate () =
   { g_lock = Mutex.create (); g_cond = Condition.create ();
-    g_entered = false; g_released = false }
+    g_entered = 0; g_released = false }
 
 let gate_hook g = function
   | "//sleepy" ->
     Mutex.lock g.g_lock;
-    g.g_entered <- true;
+    g.g_entered <- g.g_entered + 1;
     Condition.broadcast g.g_cond;
     while not g.g_released do Condition.wait g.g_cond g.g_lock done;
     Mutex.unlock g.g_lock;
     false
   | _ -> false
 
-let deadline_mid_batch ~label ~gated ~reference =
+let gate_await g n =
+  Mutex.lock g.g_lock;
+  while g.g_entered < n do Condition.wait g.g_cond g.g_lock done;
+  Mutex.unlock g.g_lock
+
+let expect_timeout what = function
+  | Ok (_ : Engine.Serve.estimate_reply) ->
+    Alcotest.failf "%s served after expiry" what
+  | Error e ->
+    checkb (what ^ " expired with ERR timeout") true
+      (Core.Error.kind e = Core.Error.Timeout)
+
+let deadline_mid_batch ~label ~gated ~parked_singles ~reference =
   let doc = Datagen.Paper_example.document in
   let path_tree, gated_est = build_stack doc in
   let _, reference_est = build_stack doc in
@@ -427,41 +439,47 @@ let deadline_mid_batch ~label ~gated ~reference =
   in
   let q0 = List.nth fast 0 and q1 = List.nth fast 1 in
   let queries = [ q0; q1; "//sleepy"; q0; q1; q0; q1; q0 ] in
+  let rec park i acc =
+    if i > parked_singles then List.rev acc
+    else begin
+      let d = Domain.spawn (fun () -> Engine.Pool.estimate pool "//sleepy") in
+      gate_await g i;
+      park (i + 1) (d :: acc)
+    end
+  in
+  let singles = park 1 [] in
   let batcher =
-    Domain.spawn (fun () ->
-        Engine.Pool.estimate_batch ~affinity:1 pool queries)
+    Domain.spawn (fun () -> Engine.Pool.estimate_batch pool queries)
   in
   (* Slots 0-1 are served and the serving thread is now parked inside
      slot 2; hold it past the whole batch's budget before letting go. *)
-  Mutex.lock g.g_lock;
-  while not g.g_entered do Condition.wait g.g_cond g.g_lock done;
-  Mutex.unlock g.g_lock;
+  gate_await g (parked_singles + 1);
   Unix.sleepf (5.0 *. deadline_s);
   Mutex.lock g.g_lock;
   g.g_released <- true;
   Condition.broadcast g.g_cond;
   Mutex.unlock g.g_lock;
   let batch = Domain.join batcher in
+  List.iter
+    (fun d -> expect_timeout (label ^ " parked single") (Domain.join d))
+    singles;
   checki (label ^ " all slots answered") 8 (List.length batch);
   List.iteri
     (fun i reply ->
       match reply with
-      | Ok (r : Engine.Serve.estimate_reply) ->
-        if i >= 2 then Alcotest.failf "%s slot %d served after expiry" label i;
+      | Ok (r : Engine.Serve.estimate_reply) when i < 2 ->
         Alcotest.(check int64)
           (Printf.sprintf "%s pre-expiry slot %d bit-identical" label i)
           (bits (value_of "reference" other (List.nth queries i)))
           (bits r.Engine.Serve.value)
-      | Error e ->
-        if i < 2 then
-          Alcotest.failf "%s pre-expiry slot %d refused: %s" label i
-            (Core.Error.to_string e);
-        checkb
-          (Printf.sprintf "%s slot %d expired with ERR timeout" label i)
-          true
-          (Core.Error.kind e = Core.Error.Timeout))
+      | Error e when i < 2 ->
+        Alcotest.failf "%s pre-expiry slot %d refused: %s" label i
+          (Core.Error.to_string e)
+      | reply -> expect_timeout (Printf.sprintf "%s slot %d" label i) reply)
     batch;
-  checki (label ^ " six slots timed out") 6 (Engine.Pool.timeout_total pool);
+  checki (label ^ " six slots timed out, plus the parked singles")
+    (6 + parked_singles)
+    (Engine.Pool.timeout_total pool);
   (* The pool is unharmed: fresh traffic still agrees bit for bit. *)
   List.iter
     (fun q ->
@@ -472,14 +490,13 @@ let deadline_mid_batch ~label ~gated ~reference =
     fast
 
 let test_pool_deadline_mid_batch () =
-  deadline_mid_batch ~label:"inline"
+  deadline_mid_batch ~label:"inline" ~parked_singles:0
     ~gated:(fun ~deadline_s ~chaos est ->
-      Engine.Pool.create ~workers:1 ~chunk_target:8 ~deadline_s ~chaos est)
-    ~reference:(fun est -> Engine.Pool.create ~workers:2 ~chunk_target:3 est);
-  deadline_mid_batch ~label:"2 domains"
+      Engine.Pool.create ~workers:1 ~deadline_s ~chaos est)
+    ~reference:(fun est -> Engine.Pool.create ~workers:2 est);
+  deadline_mid_batch ~label:"2 domains" ~parked_singles:1
     ~gated:(fun ~deadline_s ~chaos est ->
-      Engine.Pool.create ~workers:2 ~chunk_target:8 ~steal:false ~deadline_s
-        ~chaos est)
+      Engine.Pool.create ~workers:2 ~deadline_s ~chaos est)
     ~reference:(fun est -> Engine.Pool.create ~workers:1 est)
 
 (* ------------------------------------------------------------------ *)
@@ -843,7 +860,7 @@ let () =
             test_het_simple_paths_exact_random ] );
       ( "pool-vs-engine",
         [ Alcotest.test_case "bit-identical" `Quick test_pool_bit_identical;
-          Alcotest.test_case "chunked + stolen + affinity on hostile inputs"
+          Alcotest.test_case "multi-chunk batches on hostile inputs"
             `Quick test_pool_chunked_hostile_bit_identical;
           Alcotest.test_case "mid-batch deadline expiry" `Quick
             test_pool_deadline_mid_batch ]

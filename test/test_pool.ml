@@ -1,15 +1,13 @@
-(* The serving pool: sharded work-queue semantics (chunk dispatch, work
-   stealing), epoch-based invalidation, deterministic scheduling tests, and
-   a multi-domain stress run.
+(* The serving pool: work-queue semantics, chunk planning, epoch-based
+   invalidation, deterministic scheduling tests, and a multi-domain stress
+   run.
 
-   The scheduling tests lean on two pinned protocol rules to stay
-   deterministic without sleeps: (1) a lone chunk that [split] refuses
-   (length 1, the granularity floor) is never stolen, so a rendezvous
-   query routed to one shard as a length-1 chunk parks exactly that
-   shard's worker; (2) thieves take from the tail while owners pop the
-   head, so the head chunk of a parked shard's deque is always the one
-   left behind. [STRESS_OPS] scales the per-client op count (default 800
-   for `dune runtest`; `make stress` runs 10_000). *)
+   The scheduling tests stay deterministic without sleeps by parking
+   worker domains in a chaos gate: a worker serving the gate's query
+   blocks inside it until the test opens the gate, so the test knows
+   exactly which domains are still free to pop the shared queue.
+   [STRESS_OPS] scales the per-client op count (default 800 for `dune
+   runtest`; `make stress` runs 10_000). *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -19,76 +17,47 @@ let bits = Int64.bits_of_float
 (* ------------------------------------------------------------------ *)
 (* Work queue *)
 
-let no_split _ = None
-
-(* Chunks stand in as (lo, hi) ranges in the queue-level tests; the split
-   mirrors the pool's: keep the leading (ceil) half, donate the rest, and
-   refuse below 2 slots. *)
-let split_range (lo, hi) =
-  if hi - lo < 2 then None
-  else
-    let mid = lo + ((hi - lo + 1) / 2) in
-    Some ((lo, mid), (mid, hi))
-
 let test_queue_fifo () =
   Alcotest.check_raises "capacity >= 1"
     (Invalid_argument "Work_queue.create: capacity 0 < 1") (fun () ->
-      ignore
-        (Engine.Work_queue.create ~shards:1 ~capacity:0 ()
-          : int Engine.Work_queue.t));
-  Alcotest.check_raises "shards >= 1"
-    (Invalid_argument "Work_queue.create: shards 0 < 1") (fun () ->
-      ignore
-        (Engine.Work_queue.create ~shards:0 ~capacity:4 ()
-          : int Engine.Work_queue.t));
-  let q = Engine.Work_queue.create ~shards:1 ~capacity:4 () in
+      ignore (Engine.Work_queue.create ~capacity:0 : int Engine.Work_queue.t));
+  let q = Engine.Work_queue.create ~capacity:4 in
   checki "capacity" 4 (Engine.Work_queue.capacity q);
-  checki "shards" 1 (Engine.Work_queue.shards q);
   checki "empty" 0 (Engine.Work_queue.length q);
-  Alcotest.check_raises "shard range checked"
-    (Invalid_argument "Work_queue: shard 5 out of range [0,1)") (fun () ->
-      ignore (Engine.Work_queue.push q ~shard:5 0 : bool));
   for i = 1 to 4 do
-    checkb "push accepted" true (Engine.Work_queue.push q ~shard:0 i)
+    checkb "push accepted" true (Engine.Work_queue.push q i)
   done;
   checki "full" 4 (Engine.Work_queue.length q);
-  checkb "pop 1" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some (1, None));
-  checkb "push 5 after pop" true (Engine.Work_queue.push q ~shard:0 5);
+  checkb "pop 1" true (Engine.Work_queue.pop q = Some 1);
+  checkb "push 5 after pop" true (Engine.Work_queue.push q 5);
   (* FIFO across the ring seam *)
   List.iter
     (fun expect ->
-      checkb "fifo order" true
-        (Engine.Work_queue.pop q ~shard:0 ~split:no_split
-        = Some (expect, None)))
+      checkb "fifo order" true (Engine.Work_queue.pop q = Some expect))
     [ 2; 3; 4; 5 ]
 
 let test_queue_close_drains () =
-  let q = Engine.Work_queue.create ~shards:1 ~capacity:4 () in
-  checkb "push a" true (Engine.Work_queue.push q ~shard:0 "a");
-  checkb "push b" true (Engine.Work_queue.push q ~shard:0 "b");
+  let q = Engine.Work_queue.create ~capacity:4 in
+  checkb "push a" true (Engine.Work_queue.push q "a");
+  checkb "push b" true (Engine.Work_queue.push q "b");
   Engine.Work_queue.close q;
   checkb "closed" true (Engine.Work_queue.closed q);
-  checkb "push refused" false (Engine.Work_queue.push q ~shard:0 "c");
-  checkb "drains a" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some ("a", None));
-  checkb "drains b" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some ("b", None));
-  checkb "then None" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = None);
-  checkb "still None" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = None)
+  checkb "push refused" false (Engine.Work_queue.push q "c");
+  checkb "drains a" true (Engine.Work_queue.pop q = Some "a");
+  checkb "drains b" true (Engine.Work_queue.pop q = Some "b");
+  checkb "then None" true (Engine.Work_queue.pop q = None);
+  checkb "still None" true (Engine.Work_queue.pop q = None)
 
-(* Producers block on a full deque until consumers make room; close wakes
+(* Producers block on a full ring until consumers make room; close wakes
    everyone. Run to completion = no deadlock. *)
 let test_queue_concurrent () =
-  let q = Engine.Work_queue.create ~shards:1 ~capacity:2 () in
+  let q = Engine.Work_queue.create ~capacity:2 in
   let n = 500 in
   let producers =
     List.init 2 (fun p ->
         Domain.spawn (fun () ->
             for i = 0 to n - 1 do
-              ignore (Engine.Work_queue.push q ~shard:0 ((p * n) + i) : bool)
+              ignore (Engine.Work_queue.push q ((p * n) + i) : bool)
             done))
   in
   let seen = Array.make (2 * n) false in
@@ -96,9 +65,9 @@ let test_queue_concurrent () =
   let consumer =
     Domain.spawn (fun () ->
         let rec loop () =
-          match Engine.Work_queue.pop q ~shard:0 ~split:no_split with
+          match Engine.Work_queue.pop q with
           | None -> ()
-          | Some (v, _) ->
+          | Some v ->
             seen.(v) <- true;
             incr consumed;
             loop ()
@@ -111,90 +80,35 @@ let test_queue_concurrent () =
   checki "all consumed" (2 * n) !consumed;
   checkb "every item exactly once" true (Array.for_all Fun.id seen)
 
-(* The steal protocol, stepped through where every transition is visible:
-   own head first; a victim with >= 2 chunks donates its tail whole; a
-   victim down to its last divisible chunk is halved; a lone chunk that
-   split refuses is never stolen. *)
-let test_queue_steal_protocol () =
-  let q = Engine.Work_queue.create ~shards:3 ~capacity:4 () in
-  let pop shard = Engine.Work_queue.pop q ~shard ~split:split_range in
-  (* Own deque first, even when another shard's deque is longer. *)
-  checkb "push own" true (Engine.Work_queue.push q ~shard:1 (10, 12));
-  checkb "push 0a" true (Engine.Work_queue.push q ~shard:0 (0, 2));
-  checkb "push 0b" true (Engine.Work_queue.push q ~shard:0 (2, 4));
-  (match pop 1 with
-   | Some ((10, 12), None) -> ()
-   | _ -> Alcotest.fail "owner must serve its own head before stealing");
-  checki "no steal for an own pop" 0
-    (Engine.Work_queue.stats q).Engine.Work_queue.steals;
-  (* A victim holding >= 2 chunks donates its tail chunk whole. *)
-  (match pop 1 with
-   | Some ((2, 4), Some 0) -> ()
-   | _ -> Alcotest.fail "thief should take shard 0's tail chunk whole");
-  checki "one steal" 1 (Engine.Work_queue.stats q).Engine.Work_queue.steals;
-  (* A victim down to its last divisible chunk is only relieved of half:
-     the keep-half returns to the victim's deque. *)
-  (match pop 2 with
-   | Some ((1, 2), Some 0) -> ()
-   | _ -> Alcotest.fail "thief should take the trailing half of (0,2)");
-  checki "split counts as a steal" 2
-    (Engine.Work_queue.stats q).Engine.Work_queue.steals;
-  checki "keep-half stays reachable" 1 (Engine.Work_queue.length q);
-  (* The surviving (0,1) chunk is below the granularity floor: a thief
-     blocks rather than taking it. The wait counter ticking under the lock
-     is the rendezvous proving the steal was refused. *)
-  let thief = Domain.spawn (fun () -> pop 1) in
-  while (Engine.Work_queue.stats q).Engine.Work_queue.pop_waits = 0 do
-    Domain.cpu_relax ()
-  done;
-  checki "lone unsplittable chunk never stolen" 2
-    (Engine.Work_queue.stats q).Engine.Work_queue.steals;
-  (* The owner drains it head-first... *)
-  (match pop 0 with
-   | Some ((0, 1), None) -> ()
-   | _ -> Alcotest.fail "owner should pop its own lone chunk");
-  (* ...and close wakes the starved thief into the drained exit. *)
-  Engine.Work_queue.close q;
-  checkb "starved thief sees drained close" true (Domain.join thief = None)
-
-(* Regression: close lands while a lone unsplittable chunk is still queued
-   and a thief is already asleep; the owner's post-close drain must re-wake
-   the thief (the close broadcast alone is not enough — the thief re-waits
-   when it finds only the chunk it may not take). *)
-let test_queue_close_wakes_starved_thief () =
-  let q = Engine.Work_queue.create ~shards:2 ~capacity:2 () in
-  checkb "push lone" true (Engine.Work_queue.push q ~shard:0 (0, 1));
-  let thief =
-    Domain.spawn (fun () -> Engine.Work_queue.pop q ~shard:1 ~split:split_range)
+(* Several consumers blocked on an empty queue. A push wakes one of them
+   ([Condition.signal]), so N pushes must release all N, each with one
+   distinct item — a lost wakeup hangs this test. Then close must wake
+   every consumer still blocked into the drained exit. The wait counter
+   ticks under the lock before a consumer sleeps, so spinning on it is
+   the rendezvous with provably blocked consumers. *)
+let test_queue_blocked_consumers () =
+  let q = Engine.Work_queue.create ~capacity:4 in
+  let pop_waits () = (Engine.Work_queue.stats q).Engine.Work_queue.pop_waits in
+  let block k =
+    let before = pop_waits () in
+    let consumers =
+      List.init k (fun _ -> Domain.spawn (fun () -> Engine.Work_queue.pop q))
+    in
+    while pop_waits () < before + k do Domain.cpu_relax () done;
+    consumers
   in
-  while (Engine.Work_queue.stats q).Engine.Work_queue.pop_waits = 0 do
-    Domain.cpu_relax ()
+  let consumers = block 3 in
+  for i = 1 to 3 do
+    checkb "push" true (Engine.Work_queue.push q i)
   done;
+  checkb "each blocked consumer takes one distinct item" true
+    (List.sort compare (List.map Domain.join consumers)
+    = [ Some 1; Some 2; Some 3 ]);
+  let late = block 2 in
   Engine.Work_queue.close q;
-  (match Engine.Work_queue.pop q ~shard:0 ~split:split_range with
-   | Some ((0, 1), None) -> ()
-   | _ -> Alcotest.fail "owner drains the closed queue");
-  checkb "thief wakes after the post-close drain" true
-    (Domain.join thief = None)
-
-(* With stealing disabled a worker only ever sees its own deque: closed +
-   own deque empty = None even while other shards still hold work. *)
-let test_queue_steal_disabled () =
-  let q = Engine.Work_queue.create ~steal:false ~shards:2 ~capacity:2 () in
-  checkb "push other" true (Engine.Work_queue.push q ~shard:0 (0, 4));
-  let idle =
-    Domain.spawn (fun () -> Engine.Work_queue.pop q ~shard:1 ~split:split_range)
-  in
-  while (Engine.Work_queue.stats q).Engine.Work_queue.pop_waits = 0 do
-    Domain.cpu_relax ()
-  done;
-  checki "no steal with stealing off" 0
-    (Engine.Work_queue.stats q).Engine.Work_queue.steals;
-  Engine.Work_queue.close q;
-  checkb "idle shard exits without the other's work" true
-    (Domain.join idle = None);
-  checkb "owner still drains its own" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:split_range = Some ((0, 4), None))
+  List.iter
+    (fun d -> checkb "close wakes a blocked consumer" true (Domain.join d = None))
+    late
 
 (* ------------------------------------------------------------------ *)
 (* Drift shard accounting (regression: per-shard records must sum into the
@@ -237,95 +151,74 @@ let test_drift_shards_sum () =
 let prop_plan_partition =
   QCheck.Test.make ~count:500
     ~name:"plan_chunks partitions [0,n) exactly, in order"
-    QCheck.(triple (int_bound 200) (int_range 1 8) (int_range 1 16))
-    (fun (n, workers, chunk_target) ->
-      let plan = Engine.Pool.plan_chunks ~n ~workers ~chunk_target () in
+    QCheck.(pair (int_bound 200) (int_range 1 8))
+    (fun (n, workers) ->
+      let plan = Engine.Pool.plan_chunks ~n ~workers in
       let count = Array.length plan in
       (* Count law: never more chunks than slots, at least one per worker
-         (for parallelism), near chunk_target slots each. *)
+         (for parallelism), near 8 slots each. *)
       let expect_count =
-        if n <= 0 then 0
-        else min n (max workers ((n + chunk_target - 1) / chunk_target))
+        if n <= 0 then 0 else min n (max workers ((n + 7) / 8))
       in
       if count <> expect_count then
-        QCheck.Test.fail_reportf "n=%d workers=%d target=%d: %d chunks, not %d"
-          n workers chunk_target count expect_count;
+        QCheck.Test.fail_reportf "n=%d workers=%d: %d chunks, not %d" n
+          workers count expect_count;
       (* Exact contiguous cover: every index exactly once, in order. *)
       let next = ref 0 in
       Array.iter
-        (fun (lo, hi, shard) ->
+        (fun (lo, hi) ->
           if lo <> !next then
             QCheck.Test.fail_reportf "gap/overlap: chunk starts at %d, not %d"
               lo !next;
           if hi <= lo then QCheck.Test.fail_reportf "empty chunk at %d" lo;
-          if shard < 0 || shard >= workers then
-            QCheck.Test.fail_reportf "shard %d out of [0,%d)" shard workers;
           next := hi)
         plan;
       if !next <> max 0 n then
         QCheck.Test.fail_reportf "cover ends at %d, not %d" !next n;
-      (* Sizes differ by at most one, longer chunks first; round-robin
-         placement without affinity. *)
-      let sizes = Array.map (fun (lo, hi, _) -> hi - lo) plan in
+      (* Sizes differ by at most one, longer chunks first. *)
+      let sizes = Array.map (fun (lo, hi) -> hi - lo) plan in
       for i = 1 to count - 1 do
         if sizes.(i) > sizes.(i - 1) then
           QCheck.Test.fail_reportf "short chunk before long at %d" i
       done;
       if count > 0 && sizes.(0) - sizes.(count - 1) > 1 then
         QCheck.Test.fail_reportf "chunk sizes differ by more than one";
-      Array.iteri
-        (fun i (_, _, shard) ->
-          if shard <> i mod workers then
-            QCheck.Test.fail_reportf "chunk %d on shard %d, not %d" i shard
-              (i mod workers))
-        plan;
       true)
 
-let prop_plan_affinity =
-  QCheck.Test.make ~count:200
-    ~name:"affinity plans every chunk onto the preferred shard"
-    QCheck.(quad (int_range 1 200) (int_range 1 8) (int_range 1 16) small_nat)
-    (fun (n, workers, chunk_target, p) ->
-      let preferred = p mod workers in
-      let plan =
-        Engine.Pool.plan_chunks ~n ~workers ~chunk_target ~preferred ()
-      in
-      Array.for_all (fun (_, _, shard) -> shard = preferred) plan)
-
 let test_plan_chunks_edges () =
-  checki "n=0 plans nothing" 0
-    (Array.length (Engine.Pool.plan_chunks ~n:0 ~workers:4 ~chunk_target:8 ()));
-  (match Engine.Pool.plan_chunks ~n:1 ~workers:4 ~chunk_target:8 () with
-   | [| (0, 1, 0) |] -> ()
-   | _ -> Alcotest.fail "n=1 is one length-1 chunk on shard 0");
+  let sizes plan = Array.map (fun (lo, hi) -> hi - lo) plan in
+  checki "n=0 plans nothing"
+    0 (Array.length (Engine.Pool.plan_chunks ~n:0 ~workers:4));
+  (match Engine.Pool.plan_chunks ~n:1 ~workers:4 with
+   | [| (0, 1) |] -> ()
+   | _ -> Alcotest.fail "n=1 is one length-1 chunk");
   (* n < workers: one slot per chunk, never an empty chunk. *)
-  let p = Engine.Pool.plan_chunks ~n:3 ~workers:8 ~chunk_target:1 () in
+  let p = Engine.Pool.plan_chunks ~n:3 ~workers:8 in
   checki "n < workers plans n chunks" 3 (Array.length p);
   Array.iteri
-    (fun i (lo, hi, shard) ->
+    (fun i (lo, hi) ->
       checki "lo" i lo;
-      checki "hi" (i + 1) hi;
-      checki "round-robin shard" i shard)
+      checki "hi" (i + 1) hi)
     p;
   (* Longer chunks first: 10 slots over 4 chunks is 3,3,2,2. *)
-  let sizes =
-    Array.map
-      (fun (lo, hi, _) -> hi - lo)
-      (Engine.Pool.plan_chunks ~n:10 ~workers:4 ~chunk_target:8 ())
-  in
-  checkb "sizes 3,3,2,2" true (sizes = [| 3; 3; 2; 2 |])
+  checkb "sizes 3,3,2,2" true
+    (sizes (Engine.Pool.plan_chunks ~n:10 ~workers:4) = [| 3; 3; 2; 2 |]);
+  (* Past 8 slots per worker the chunks stay at 8: 24 slots over 2
+     workers are three chunks. *)
+  checkb "sizes 8,8,8" true
+    (sizes (Engine.Pool.plan_chunks ~n:24 ~workers:2) = [| 8; 8; 8 |])
 
 (* ------------------------------------------------------------------ *)
 (* Pool basics *)
 
-let build_pool ?(workers = 2) ?chunk_target ?steal doc =
+let build_pool ?(workers = 2) ?chaos doc =
   let path_tree = Pathtree.Path_tree.of_string doc in
   let kernel =
     Core.Builder.of_string ~table:path_tree.Pathtree.Path_tree.table doc
   in
   let het, _ = Core.Het_builder.build ~kernel ~path_tree () in
   let estimator = Core.Estimator.create ~het kernel in
-  (path_tree, Engine.Pool.create ~workers ?chunk_target ?steal estimator)
+  (path_tree, Engine.Pool.create ~workers ?chaos estimator)
 
 let test_pool_lifecycle () =
   Alcotest.check_raises "workers >= 1"
@@ -334,15 +227,8 @@ let test_pool_lifecycle () =
         (Engine.Pool.create ~workers:0
            (Core.Estimator.create
               (Core.Builder.of_string Datagen.Paper_example.document))));
-  Alcotest.check_raises "chunk_target >= 1"
-    (Invalid_argument "Pool.create: chunk_target 0 < 1") (fun () ->
-      ignore
-        (Engine.Pool.create ~workers:1 ~chunk_target:0
-           (Core.Estimator.create
-              (Core.Builder.of_string Datagen.Paper_example.document))));
   let _, pool = build_pool ~workers:2 Datagen.Paper_example.document in
   checki "workers" 2 (Engine.Pool.workers pool);
-  checki "chunk_target default" 8 (Engine.Pool.chunk_target pool);
   checki "epoch starts at 0" 0 (Engine.Pool.epoch pool);
   (match Engine.Pool.estimate pool "/site/regions" with
    | Ok r -> checkb "finite" true (Float.is_finite r.Engine.Serve.value)
@@ -405,11 +291,11 @@ let test_pool_batch_order () =
   check_replies ~expected:(expected @ expected) batch
 
 (* Random batch shapes against sequential singles: submission order and
-   bit-identity hold for every n (0, 1, n < workers, n >> workers) with
-   chunking and stealing on. Fixed seed, one pool. *)
+   bit-identity hold for every n (0, 1, n < workers, n >> workers) on a
+   3-domain pool. Fixed seed, one pool. *)
 let test_pool_batch_random_shapes () =
   let path_tree, pool =
-    build_pool ~workers:3 ~chunk_target:2 Datagen.Paper_example.document
+    build_pool ~workers:3 Datagen.Paper_example.document
   in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
   let queries =
@@ -464,48 +350,41 @@ let test_pool_batch_random_shapes () =
    blocked domain — no sleeps, no flakes. *)
 
 let test_queue_stats () =
-  let q = Engine.Work_queue.create ~shards:1 ~capacity:2 () in
+  let q = Engine.Work_queue.create ~capacity:2 in
   let s0 = Engine.Work_queue.stats q in
   checki "fresh pushes" 0 s0.Engine.Work_queue.pushes;
   checki "fresh pops" 0 s0.Engine.Work_queue.pops;
-  checki "fresh steals" 0 s0.Engine.Work_queue.steals;
   checki "fresh high-water" 0 s0.Engine.Work_queue.max_occupancy;
-  checkb "push 1" true (Engine.Work_queue.push q ~shard:0 1);
-  checkb "push 2" true (Engine.Work_queue.push q ~shard:0 2);
+  checkb "push 1" true (Engine.Work_queue.push q 1);
+  checkb "push 2" true (Engine.Work_queue.push q 2);
   let s1 = Engine.Work_queue.stats q in
   checki "two pushes" 2 s1.Engine.Work_queue.pushes;
   checki "high-water follows occupancy" 2 s1.Engine.Work_queue.max_occupancy;
   checki "uncontended pushes never wait" 0 s1.Engine.Work_queue.push_waits;
-  let producer = Domain.spawn (fun () -> Engine.Work_queue.push q ~shard:0 3) in
+  let producer = Domain.spawn (fun () -> Engine.Work_queue.push q 3) in
   while (Engine.Work_queue.stats q).Engine.Work_queue.push_waits = 0 do
     Domain.cpu_relax ()
   done;
   checkb "pop releases the blocked producer" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some (1, None));
+    (Engine.Work_queue.pop q = Some 1);
   checkb "blocked push lands" true (Domain.join producer);
   let s2 = Engine.Work_queue.stats q in
   checki "blocked push counted once" 1 s2.Engine.Work_queue.push_waits;
   checkb "producer blocking time accumulates" true
     (s2.Engine.Work_queue.push_wait_s > 0.0);
   (* Symmetric consumer-side wait on an empty ring. *)
-  checkb "drain 2" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some (2, None));
-  checkb "drain 3" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some (3, None));
-  let consumer =
-    Domain.spawn (fun () -> Engine.Work_queue.pop q ~shard:0 ~split:no_split)
-  in
+  checkb "drain 2" true (Engine.Work_queue.pop q = Some 2);
+  checkb "drain 3" true (Engine.Work_queue.pop q = Some 3);
+  let consumer = Domain.spawn (fun () -> Engine.Work_queue.pop q) in
   while (Engine.Work_queue.stats q).Engine.Work_queue.pop_waits = 0 do
     Domain.cpu_relax ()
   done;
   checkb "push releases the blocked consumer" true
-    (Engine.Work_queue.push q ~shard:0 9);
-  checkb "blocked pop sees the push" true
-    (Domain.join consumer = Some (9, None));
+    (Engine.Work_queue.push q 9);
+  checkb "blocked pop sees the push" true (Domain.join consumer = Some 9);
   let s3 = Engine.Work_queue.stats q in
   checki "all pushes counted" 4 s3.Engine.Work_queue.pushes;
   checki "all pops counted" 4 s3.Engine.Work_queue.pops;
-  checki "no steals on a single shard" 0 s3.Engine.Work_queue.steals;
   checki "blocked pop counted once" 1 s3.Engine.Work_queue.pop_waits;
   checkb "consumer blocking time accumulates" true
     (s3.Engine.Work_queue.pop_wait_s > 0.0)
@@ -547,8 +426,7 @@ let test_pool_profile () =
      checkb "reassemble percentiles ordered" true
        (ordered p.Engine.Serve.reassemble_us);
      checkb "execute time is measured" true
-       (p.Engine.Serve.execute_us.Engine.Serve.p99 > 0.0);
-     checkb "steal delta is non-negative" true (p.Engine.Serve.steals >= 0));
+       (p.Engine.Serve.execute_us.Engine.Serve.p99 > 0.0));
   (* The protocol verb frames like BATCH (count, then payload lines) and
      answers in one line; a bad query is timed, not failed. *)
   let server = Engine.Pool.server pool in
@@ -563,9 +441,7 @@ let test_pool_profile () =
   match String.split_on_char ' ' r with
   | "OK" :: "3" :: rest ->
     let kvs = List.filter (fun tok -> String.contains tok '=') rest in
-    checki "twelve stage fields" 12 (List.length kvs);
-    checkb "steal delta reported" true
-      (List.exists (String.starts_with ~prefix:"steals=") kvs);
+    checki "eleven stage fields" 11 (List.length kvs);
     List.iter
       (fun tok ->
         let i = String.index tok '=' in
@@ -613,8 +489,8 @@ let test_pool_trace () =
   let tr = Obs.Trace.create () in
   let pool = Engine.Pool.create ~workers:4 ~trace:tr estimator in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
-  (* 16 queries at the default chunk_target 8 over 4 workers plan as
-     exactly 4 chunks (min 16 (max 4 (ceil 16/8))). *)
+  (* 16 queries over 4 workers plan as exactly 4 chunks
+     (min 16 (max 4 (ceil 16/8))). *)
   let queries =
     List.init 16 (fun i -> if i mod 2 = 0 then "/site/regions" else "/site")
   in
@@ -638,9 +514,7 @@ let test_pool_trace () =
   checki "one dispatch instant per planned chunk" 4
     (count (named "i" "chunk_dispatch") evs);
   let executes = List.filter (named "X" "execute") evs in
-  (* At least one execute slice per chunk; steal-splits mint extra chunks,
-     each with its own slice. *)
-  checkb "execute slices cover the chunks" true (List.length executes >= 4);
+  checki "one execute slice per chunk" 4 (List.length executes);
   checkb "execute slices live on shard tracks" true
     (List.for_all
        (fun ev ->
@@ -667,6 +541,121 @@ let test_pool_trace () =
        (fun ev ->
          ev_str "ph" ev = Some "M" && ev_str "name" ev = Some "thread_name")
        evs)
+
+(* ------------------------------------------------------------------ *)
+(* The chaos gate. A worker serving the gate's query blocks inside the
+   chaos hook until the gate opens, then serves the query normally; the
+   entry count is the rendezvous proving how many workers are parked. *)
+
+type gate = {
+  g_query : string;
+  g_lock : Mutex.t;
+  g_cond : Condition.t;
+  mutable g_entered : int;
+  mutable g_released : bool;
+}
+
+let gate ?(query = "//sleepy") () =
+  { g_query = query; g_lock = Mutex.create (); g_cond = Condition.create ();
+    g_entered = 0; g_released = false }
+
+let gate_hook g q =
+  if q = g.g_query then begin
+    Mutex.lock g.g_lock;
+    g.g_entered <- g.g_entered + 1;
+    Condition.broadcast g.g_cond;
+    while not g.g_released do Condition.wait g.g_cond g.g_lock done;
+    Mutex.unlock g.g_lock
+  end;
+  false (* then serve normally *)
+
+let gate_await_entered ?(n = 1) g =
+  Mutex.lock g.g_lock;
+  while g.g_entered < n do Condition.wait g.g_cond g.g_lock done;
+  Mutex.unlock g.g_lock
+
+let gate_release g =
+  Mutex.lock g.g_lock;
+  g.g_released <- true;
+  Condition.broadcast g.g_cond;
+  Mutex.unlock g.g_lock
+
+(* Park [n] worker domains of a fresh gate's pool, one at a time, each on
+   a one-slot chunk of the gate's query; returns the parked submitters.
+   One at a time, so a small queue never has to hold two sleepers. *)
+let park pool g n =
+  let rec go i acc =
+    if i > n then List.rev acc
+    else begin
+      let d = Domain.spawn (fun () -> Engine.Pool.estimate pool g.g_query) in
+      gate_await_entered ~n:i g;
+      go (i + 1) (d :: acc)
+    end
+  in
+  go 1 []
+
+(* Open the gate and collect the parked submitters' replies. *)
+let unpark g sleepers =
+  gate_release g;
+  List.iter
+    (fun d ->
+      match Domain.join d with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "parked query: %s" (Core.Error.to_string e))
+    sleepers
+
+let paper_estimator () =
+  let doc = Datagen.Paper_example.document in
+  let path_tree = Pathtree.Path_tree.of_string doc in
+  let kernel =
+    Core.Builder.of_string ~table:path_tree.Pathtree.Path_tree.table doc
+  in
+  let het, _ = Core.Het_builder.build ~kernel ~path_tree () in
+  Core.Estimator.create ~het kernel
+
+(* A parked worker does not strand a batch: with one of two domains parked,
+   a 24-slot batch (three 8-slot chunks) completes on the other domain
+   while the gate is still closed — bit-identical to single estimates and
+   in submission order. The wait is bounded, so a stranded chunk fails the
+   test instead of hanging it. *)
+let test_pool_parked_worker () =
+  let g = gate () in
+  let pool =
+    Engine.Pool.create ~workers:2 ~chaos:(gate_hook g) (paper_estimator ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      gate_release g;
+      Engine.Pool.shutdown pool)
+  @@ fun () ->
+  let queries =
+    List.init 24 (fun i ->
+        match i mod 3 with
+        | 0 -> "/site"
+        | 1 -> "/site/regions"
+        | _ -> "/site/people")
+  in
+  let expected = expect_singles pool queries in
+  (* Cold caches, so the batch runs the matcher rather than cache hits. *)
+  Engine.Pool.invalidate pool;
+  let sleepers = park pool g 1 in
+  let served = Atomic.make None in
+  let batcher =
+    Domain.spawn (fun () ->
+        Atomic.set served (Some (Engine.Pool.estimate_batch pool queries)))
+  in
+  let give_up = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get served = None && Unix.gettimeofday () < give_up do
+    Unix.sleepf 0.001
+  done;
+  let while_parked = Atomic.get served in
+  unpark g sleepers;
+  Domain.join batcher;
+  match while_parked with
+  | None -> Alcotest.fail "batch stranded behind the parked worker"
+  | Some batch ->
+    checki "all slots answered" 24 (List.length batch);
+    check_replies ~expected batch
 
 (* ------------------------------------------------------------------ *)
 (* Contention telemetry surfaces in the merged exposition and STATS. *)
@@ -704,26 +693,54 @@ let metric_value text name =
       | _ -> None)
     (String.split_on_char '\n' text)
 
+let pool_stat pool key =
+  match Engine.Pool.stats_json pool with
+  | Obs.Json.Obj fields ->
+    (match List.assoc_opt "pool" fields with
+     | Some (Obs.Json.Obj pf) ->
+       (match List.assoc_opt key pf with
+        | Some (Obs.Json.Int n) -> n
+        | _ -> Alcotest.failf "pool stats lack int %s" key)
+     | _ -> Alcotest.fail "stats without pool object")
+  | _ -> Alcotest.fail "stats_json not an object"
+
 (* High-water counters are one peak across shards, not a sum of per-shard
    peaks: a 2-domain pool whose shards both served reads the inline pool's
-   frontier peak after the same queries. *)
+   frontier peak after the same queries. The 4 queries plan as two
+   chunks; the gate parks whichever worker pops the first chunk inside its
+   first query, so only the other worker can pop the second, and both
+   shards estimate — a sum would double the peak. *)
 let test_pool_metrics_high_water () =
   let doc = Datagen.Xmark.generate ~seed:4 ~items:20 () in
   let queries =
     [ "//item"; "/site/regions//item/name"; "//person"; "//open_auction/bidder" ]
   in
-  let scrape pool =
+  let inline_text =
+    let _, pool = build_pool ~workers:1 doc in
     Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
     ignore
       (Engine.Pool.estimate_batch pool queries
         : (Engine.Serve.estimate_reply, Core.Error.t) result list);
     Engine.Pool.metrics_text pool
   in
-  let inline_text = scrape (snd (build_pool ~workers:1 doc)) in
-  (* One-slot chunks, no stealing: the chunks alternate between the two
-     shards, so both estimate and a sum would double the peak. *)
+  let g = gate ~query:"//item" () in
+  let _, pool = build_pool ~workers:2 ~chaos:(gate_hook g) doc in
   let two_text =
-    scrape (snd (build_pool ~workers:2 ~chunk_target:1 ~steal:false doc))
+    Fun.protect
+      ~finally:(fun () ->
+        gate_release g;
+        Engine.Pool.shutdown pool)
+    @@ fun () ->
+    let batcher =
+      Domain.spawn (fun () -> Engine.Pool.estimate_batch pool queries)
+    in
+    gate_await_entered g;
+    while pool_stat pool "queue_pops" < 2 do Domain.cpu_relax () done;
+    gate_release g;
+    ignore
+      (Domain.join batcher
+        : (Engine.Serve.estimate_reply, Core.Error.t) result list);
+    Engine.Pool.metrics_text pool
   in
   List.iter
     (fun shard ->
@@ -753,8 +770,6 @@ let test_pool_telemetry_metrics () =
       "xseed_engine_pool_batch_chunk_count";
       "xseed_engine_pool_queue_pushes";
       "xseed_engine_pool_queue_max_occupancy";
-      "xseed_engine_pool_steals_total";
-      "xseed_engine_pool_affinity_hits";
       "xseed_engine_gc_minor_words{shard=\"0\"}";
       "xseed_engine_gc_minor_words{shard=\"1\"}";
       "xseed_engine_pool_busy_fraction{shard=\"0\"}";
@@ -777,165 +792,23 @@ let test_pool_telemetry_metrics () =
      | Some (Obs.Json.Obj pf) ->
        List.iter
          (fun k -> checkb ("pool stats has " ^ k) true (List.mem_assoc k pf))
-         [ "chunk_target"; "queue_pushes"; "queue_pops"; "queue_steals";
-           "queue_push_waits"; "queue_pop_waits"; "queue_push_wait_s";
-           "queue_pop_wait_s"; "queue_max_occupancy"; "affinity_hits" ];
+         [ "queue_pushes"; "queue_pops"; "queue_push_waits";
+           "queue_pop_waits"; "queue_push_wait_s"; "queue_pop_wait_s";
+           "queue_max_occupancy" ];
        (match List.assoc "queue_pushes" pf with
         | Obs.Json.Int n ->
           (* Chunked dispatch: the 8-query batch planned 2 chunks (one per
              worker) and the single estimate one more — pushes count
              chunks, not slots. *)
           checkb "batch traffic counted in chunks" true (n >= 3)
-        | _ -> Alcotest.fail "queue_pushes not an int");
-       (match List.assoc "chunk_target" pf with
-        | Obs.Json.Int n -> checki "chunk_target surfaced" 8 n
-        | _ -> Alcotest.fail "chunk_target not an int")
+        | _ -> Alcotest.fail "queue_pushes not an int")
      | _ -> Alcotest.fail "stats without pool object")
   | _ -> Alcotest.fail "stats_json not an object"
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic work stealing. A chaos gate blocks the preferred shard's
-   worker inside a designated query; the sleeper travels as a lone
-   length-1 chunk (never stolen), so exactly that worker parks while the
-   other shard steals the rest of an affinity-routed batch. *)
-
-type gate = {
-  g_lock : Mutex.t;
-  g_cond : Condition.t;
-  mutable g_entered : bool;
-  mutable g_released : bool;
-}
-
-let gate () =
-  { g_lock = Mutex.create (); g_cond = Condition.create ();
-    g_entered = false; g_released = false }
-
-let gate_hook g = function
-  | "//sleepy" ->
-    Mutex.lock g.g_lock;
-    g.g_entered <- true;
-    Condition.broadcast g.g_cond;
-    while not g.g_released do Condition.wait g.g_cond g.g_lock done;
-    Mutex.unlock g.g_lock;
-    false (* then serve normally *)
-  | _ -> false
-
-let gate_await_entered g =
-  Mutex.lock g.g_lock;
-  while not g.g_entered do Condition.wait g.g_cond g.g_lock done;
-  Mutex.unlock g.g_lock
-
-let gate_release g =
-  Mutex.lock g.g_lock;
-  g.g_released <- true;
-  Condition.broadcast g.g_cond;
-  Mutex.unlock g.g_lock
-
-let paper_estimator () =
-  let doc = Datagen.Paper_example.document in
-  let path_tree = Pathtree.Path_tree.of_string doc in
-  let kernel =
-    Core.Builder.of_string ~table:path_tree.Pathtree.Path_tree.table doc
-  in
-  let het, _ = Core.Het_builder.build ~kernel ~path_tree () in
-  Core.Estimator.create ~het kernel
-
-(* The smallest client token whose affinity hash lands on [shard]. *)
-let affinity_for pool ~shard =
-  let rec go a =
-    if Engine.Pool.preferred_shard pool ~affinity:a = shard then a
-    else go (a + 1)
-  in
-  go 0
-
-(* chunk_target 1: every slot is its own lone chunk. The parked shard's
-   deque fills with 12 unsplittable chunks; the idle shard steals the 11
-   tail chunks (whole) and the head chunk — protected by the granularity
-   floor — waits for its planned shard. Exactly 11 steals, zero lost or
-   duplicated replies, submission order preserved. *)
-let test_pool_work_stealing () =
-  let g = gate () in
-  let pool =
-    Engine.Pool.create ~workers:2 ~chunk_target:1 ~queue_capacity:64
-      ~chaos:(gate_hook g) (paper_estimator ())
-  in
-  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
-  let aff = affinity_for pool ~shard:0 in
-  let queries =
-    List.init 12 (fun i -> if i mod 3 = 0 then "/site" else "/site/regions")
-  in
-  let expected = expect_singles pool queries in
-  checki "no steals yet" 0 (Engine.Pool.steals_total pool);
-  (* Park shard 0 inside the gate on a lone length-1 chunk. *)
-  let sleeper =
-    Domain.spawn (fun () -> Engine.Pool.estimate ~affinity:aff pool "//sleepy")
-  in
-  gate_await_entered g;
-  let batcher =
-    Domain.spawn (fun () ->
-        Engine.Pool.estimate_batch ~affinity:aff pool queries)
-  in
-  (* Rendezvous: the idle shard steals every chunk above the granularity
-     floor; the count is exact, so spinning to 11 is spinning to done. *)
-  while Engine.Pool.steals_total pool < 11 do Domain.cpu_relax () done;
-  checki "exactly the stealable chunks stolen" 11
-    (Engine.Pool.steals_total pool);
-  gate_release g;
-  (match Domain.join sleeper with
-   | Ok _ -> ()
-   | Error e -> Alcotest.failf "sleepy: %s" (Core.Error.to_string e));
-  let batch = Domain.join batcher in
-  checki "no lost or duplicated replies" 12 (List.length batch);
-  check_replies ~expected batch;
-  checki "steal count stable after completion" 11
-    (Engine.Pool.steals_total pool);
-  (* Affinity accounting: only the chunks the preferred shard itself
-     served count — the sleeper and the floor-protected head chunk. *)
-  checki "affinity hits" 2 (Engine.Pool.affinity_hits pool);
-  checki "no worker died" 0 (Engine.Pool.worker_restarts pool)
-
-(* Splitting the victim's last chunk: 8 slots at chunk_target 8 over 2
-   workers plan as two 4-slot chunks on the parked shard. The thief takes
-   one whole, then halves the survivor twice (4 -> 2 -> 1) until slot 0
-   alone sits below the granularity floor: exactly 3 steals on every
-   interleaving, and the split halves must not lose, duplicate or reorder
-   any slot. *)
-let test_pool_steal_split () =
-  let g = gate () in
-  let pool =
-    Engine.Pool.create ~workers:2 ~chunk_target:8 ~queue_capacity:64
-      ~chaos:(gate_hook g) (paper_estimator ())
-  in
-  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
-  let aff = affinity_for pool ~shard:0 in
-  let queries =
-    List.init 8 (fun i ->
-        if i mod 2 = 0 then "/site/regions" else "/site/people")
-  in
-  let expected = expect_singles pool queries in
-  let sleeper =
-    Domain.spawn (fun () -> Engine.Pool.estimate ~affinity:aff pool "//sleepy")
-  in
-  gate_await_entered g;
-  let batcher =
-    Domain.spawn (fun () ->
-        Engine.Pool.estimate_batch ~affinity:aff pool queries)
-  in
-  while Engine.Pool.steals_total pool < 3 do Domain.cpu_relax () done;
-  checki "one whole steal, then two splits" 3 (Engine.Pool.steals_total pool);
-  gate_release g;
-  (match Domain.join sleeper with
-   | Ok _ -> ()
-   | Error e -> Alcotest.failf "sleepy: %s" (Core.Error.to_string e));
-  let batch = Domain.join batcher in
-  checki "all slots answered" 8 (List.length batch);
-  check_replies ~expected batch;
-  checki "splits never double-serve" 3 (Engine.Pool.steals_total pool)
-
-(* ------------------------------------------------------------------ *)
 (* Stress: 4 client domains x STRESS_OPS mixed operations, fixed seed,
-   per-client affinity routing — so batches pile chunks onto one shard and
-   the other workers exercise the steal path under real contention. *)
+   against a STRESS_WORKERS-domain pool: batches fan out as several chunks
+   over the one shared queue under real contention. *)
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -952,9 +825,7 @@ let test_pool_stress () =
   let ops = stress_ops () in
   let clients = 4 in
   let doc = Datagen.Xmark.generate ~seed:11 ~items:30 () in
-  let path_tree, pool =
-    build_pool ~workers:(stress_workers ()) ~chunk_target:2 doc
-  in
+  let path_tree, pool = build_pool ~workers:(stress_workers ()) doc in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
   let server = Engine.Pool.server pool in
   let queries =
@@ -980,12 +851,10 @@ let test_pool_stress () =
       match Datagen.Rng.int rng 100 with
       | n when n < 55 ->
         let q = queries.(Datagen.Rng.int rng (Array.length queries)) in
-        (match Engine.Pool.estimate ~affinity:c pool q with
+        (match Engine.Pool.estimate pool q with
          | Ok r -> if not (ok_value r) then Atomic.incr failures
          | Error _ -> Atomic.incr failures)
       | n when n < 70 ->
-        (* Affinity-routed batch: every chunk plans onto this client's
-           preferred shard, so idle shards must steal to finish it. *)
         let width = 2 + Datagen.Rng.int rng 6 in
         let batch =
           List.init width (fun _ ->
@@ -996,7 +865,7 @@ let test_pool_stress () =
             match reply with
             | Ok r -> if not (ok_value r) then Atomic.incr failures
             | Error _ -> Atomic.incr failures)
-          (Engine.Pool.estimate_batch ~affinity:c pool batch)
+          (Engine.Pool.estimate_batch pool batch)
       | n when n < 80 ->
         let q = queries.(Datagen.Rng.int rng (Array.length queries)) in
         (match
@@ -1026,9 +895,6 @@ let test_pool_stress () =
     (sum (fun c -> c.Engine.Lru_cache.evictions));
   checkb "some traffic was served" true
     (merged.Engine.Lru_cache.hits + merged.Engine.Lru_cache.misses > 0);
-  checkb "steal and affinity counters never regress" true
-    (Engine.Pool.steals_total pool >= 0
-    && Engine.Pool.affinity_hits pool >= 0);
   (* Quiet pool: two scrapes must be byte-identical (no torn/duplicated
      series, idempotent republication). *)
   let m1 = Engine.Pool.metrics_text pool in
@@ -1066,28 +932,23 @@ let test_pool_stress () =
    push/pop when close lands. *)
 
 let test_queue_close_vs_blocked_push () =
-  let q = Engine.Work_queue.create ~shards:1 ~capacity:1 () in
-  checkb "fill" true (Engine.Work_queue.push q ~shard:0 1);
-  let producer = Domain.spawn (fun () -> Engine.Work_queue.push q ~shard:0 2) in
+  let q = Engine.Work_queue.create ~capacity:1 in
+  checkb "fill" true (Engine.Work_queue.push q 1);
+  let producer = Domain.spawn (fun () -> Engine.Work_queue.push q 2) in
   while (Engine.Work_queue.stats q).Engine.Work_queue.push_waits = 0 do
     Domain.cpu_relax ()
   done;
   (* The producer is asleep inside push; close must wake it and refuse. *)
   Engine.Work_queue.close q;
   checkb "blocked push returns false on close" false (Domain.join producer);
-  checkb "pre-close item drains" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some (1, None));
-  checkb "refused item was never enqueued" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = None);
+  checkb "pre-close item drains" true (Engine.Work_queue.pop q = Some 1);
+  checkb "refused item was never enqueued" true (Engine.Work_queue.pop q = None);
   (* try_push answers `Closed without blocking. *)
-  checkb "try_push sees closed" true
-    (Engine.Work_queue.try_push q ~shard:0 3 = `Closed)
+  checkb "try_push sees closed" true (Engine.Work_queue.try_push q 3 = `Closed)
 
 let test_queue_close_vs_blocked_pop () =
-  let q = Engine.Work_queue.create ~shards:1 ~capacity:1 () in
-  let consumer =
-    Domain.spawn (fun () -> Engine.Work_queue.pop q ~shard:0 ~split:no_split)
-  in
+  let q = Engine.Work_queue.create ~capacity:1 in
+  let consumer = Domain.spawn (fun () -> Engine.Work_queue.pop q) in
   while (Engine.Work_queue.stats q).Engine.Work_queue.pop_waits = 0 do
     Domain.cpu_relax ()
   done;
@@ -1097,19 +958,14 @@ let test_queue_close_vs_blocked_pop () =
   checkb "blocked pop returns None on close" true (Domain.join consumer = None)
 
 let test_queue_try_push () =
-  let q = Engine.Work_queue.create ~shards:2 ~capacity:2 () in
-  checkb "try_push 1" true (Engine.Work_queue.try_push q ~shard:0 1 = `Ok);
-  checkb "try_push 2" true (Engine.Work_queue.try_push q ~shard:0 2 = `Ok);
-  checkb "try_push full" true (Engine.Work_queue.try_push q ~shard:0 3 = `Full);
-  (* Capacity is per shard deque: the other shard still admits. *)
-  checkb "other shard admits" true
-    (Engine.Work_queue.try_push q ~shard:1 9 = `Ok);
+  let q = Engine.Work_queue.create ~capacity:2 in
+  checkb "try_push 1" true (Engine.Work_queue.try_push q 1 = `Ok);
+  checkb "try_push 2" true (Engine.Work_queue.try_push q 2 = `Ok);
+  checkb "try_push full" true (Engine.Work_queue.try_push q 3 = `Full);
   let s = Engine.Work_queue.stats q in
-  checki "refused push not counted" 3 s.Engine.Work_queue.pushes;
-  checkb "pop makes room" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some (1, None));
-  checkb "try_push after pop" true
-    (Engine.Work_queue.try_push q ~shard:0 3 = `Ok)
+  checki "refused push not counted" 2 s.Engine.Work_queue.pushes;
+  checkb "pop makes room" true (Engine.Work_queue.pop q = Some 1);
+  checkb "try_push after pop" true (Engine.Work_queue.try_push q 3 = `Ok)
 
 (* ------------------------------------------------------------------ *)
 (* Failure handling: deadlines, shedding, supervision, quarantine. *)
@@ -1154,46 +1010,41 @@ let test_pool_deadline () =
      | _ -> Alcotest.fail "pool stats not an object")
   | _ -> Alcotest.fail "stats_json not an object"
 
-(* Shed-newest under chunked dispatch: chunk_target 1 keeps the
-   chunk-per-query mapping, so overflowing a capacity-1 deque behind a
-   gated worker sheds exactly the two chunks (= two slots) that do not
-   fit, deterministically. Shedding needs a deque, so the pool runs two
-   worker domains (a one-worker pool serves inline and never queues);
-   affinity routes every chunk onto the gated shard and stealing is off,
-   so the idle shard cannot drain the deque. *)
+(* Shed-newest under chunked dispatch: with both worker domains parked in
+   the gate nothing drains the capacity-1 queue, so a 4-slot batch (two
+   2-slot chunks at two workers) admits its first chunk and sheds the
+   second — exactly two slots — deterministically. Shedding needs a
+   queue, so the pool runs two worker domains (a one-worker pool serves
+   inline and never queues). *)
 let test_pool_shed_newest () =
   let g = gate () in
   let pool =
-    Engine.Pool.create ~workers:2 ~queue_capacity:1 ~chunk_target:1
-      ~steal:false ~shed_policy:`Shed_newest ~chaos:(gate_hook g)
-      (paper_estimator ())
+    Engine.Pool.create ~workers:2 ~queue_capacity:1
+      ~shed_policy:`Shed_newest ~chaos:(gate_hook g) (paper_estimator ())
   in
-  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
-  let aff = affinity_for pool ~shard:0 in
-  (* Occupy shard 0's worker inside the gate... *)
-  let sleeper =
-    Domain.spawn (fun () -> Engine.Pool.estimate ~affinity:aff pool "//sleepy")
-  in
-  gate_await_entered g;
-  (* ...then overflow its capacity-1 deque: slot 0 is admitted, slots 1-2
-     must be shed (newest first) without blocking. *)
+  Fun.protect
+    ~finally:(fun () ->
+      gate_release g;
+      Engine.Pool.shutdown pool)
+  @@ fun () ->
+  let sleepers = park pool g 2 in
+  (* Slots 0-1 are admitted, slots 2-3 must be shed (newest first) without
+     blocking. *)
   let batcher =
     Domain.spawn (fun () ->
-        Engine.Pool.estimate_batch ~affinity:aff pool
-          [ "/site"; "/site"; "/site" ])
+        Engine.Pool.estimate_batch pool [ "/site"; "/site"; "/site"; "/site" ])
   in
   while Engine.Pool.shed_total pool < 2 do Domain.cpu_relax () done;
   checki "exactly two sheds" 2 (Engine.Pool.shed_total pool);
-  gate_release g;
-  (match Domain.join sleeper with
-   | Ok _ -> ()
-   | Error e -> Alcotest.failf "sleepy: %s" (Core.Error.to_string e));
+  unpark g sleepers;
   (match Domain.join batcher with
-   | [ first; second; third ] ->
-     (match first with
-      | Ok _ -> ()
-      | Error e ->
-        Alcotest.failf "admitted slot: %s" (Core.Error.to_string e));
+   | [ first; second; third; fourth ] ->
+     List.iter
+       (function
+         | Ok _ -> ()
+         | Error e ->
+           Alcotest.failf "admitted slot: %s" (Core.Error.to_string e))
+       [ first; second ];
      List.iter
        (fun reply ->
          match reply with
@@ -1212,7 +1063,7 @@ let test_pool_shed_newest () =
                 i + nl <= n && (String.sub msg i nl = needle || scan (i + 1))
               in
               scan 0))
-       [ second; third ]
+       [ third; fourth ]
    | replies -> Alcotest.failf "unexpected batch size %d" (List.length replies));
   checkb "sheds leave flight records" true
     (List.exists
@@ -1220,33 +1071,38 @@ let test_pool_shed_newest () =
          r.Engine.Flight_recorder.cache = Engine.Flight_recorder.Shed)
        (Engine.Pool.recent pool))
 
-(* A pool for the supervision tests, at one worker (chunks served inline,
-   so the crash cleanup runs on the submitter) or two (chunks queued; the
-   kill lands on worker domain 0 — every submission is routed there by
-   affinity and stealing is off — so [supervise] must re-enter the queue
-   after the cleanup). Returns the pool and its submission affinity. *)
-let supervised_pool ~workers ?chunk_target ~chaos () =
-  let pool =
-    Engine.Pool.create ~workers ?chunk_target ~steal:false ~chaos
-      (paper_estimator ())
-  in
-  (pool, affinity_for pool ~shard:0)
+(* Run [f] on a pool for the supervision tests, at one worker (chunks
+   served inline, so the crash cleanup runs on the submitter) or two
+   (chunks queued; one domain is parked in the gate, so every kill lands
+   on the other and [supervise] must re-enter the queue after the cleanup
+   for [f] to finish). *)
+let supervised ~workers ~kill f =
+  let g = gate () in
+  let chaos q = kill q || gate_hook g q in
+  let pool = Engine.Pool.create ~workers ~chaos (paper_estimator ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      gate_release g;
+      Engine.Pool.shutdown pool)
+  @@ fun () ->
+  let sleepers = park pool g (workers - 1) in
+  f pool;
+  unpark g sleepers
 
 (* One injected worker death: the in-flight slot answers ERR internal (the
    batch never hangs), the worker restarts in place, and the pool keeps
    serving. A second death of the same query quarantines it. *)
 let supervision ~workers =
   let kills = Atomic.make 0 in
-  let chaos q =
+  let kill q =
     if q = "//kill" then begin
       Atomic.incr kills;
       true
     end
     else false
   in
-  let pool, affinity = supervised_pool ~workers ~chaos () in
-  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
-  let estimate q = Engine.Pool.estimate ~affinity pool q in
+  supervised ~workers ~kill @@ fun pool ->
+  let estimate q = Engine.Pool.estimate pool q in
   (* First crash: answered, restarted, not yet quarantined. *)
   (match estimate "//kill" with
    | Ok _ -> Alcotest.fail "killed query was served"
@@ -1294,18 +1150,16 @@ let test_pool_supervision () =
 
 (* A worker killed mid-chunk: the already-served slots keep their answers,
    the unserved remainder of the chunk answers ERR internal, and the batch
-   still completes in submission order. chunk_target 8 puts the 8 slots in
-   one chunk at one worker and in two chunks, [0,4) and [4,8), both on
-   shard 0, at two; the kill at slot 5 is mid-chunk either way. *)
+   still completes in submission order. The 8 slots plan as one chunk at
+   one worker and as [0,4) and [4,8) at two; the kill at slot 5 is
+   mid-chunk either way. *)
 let supervision_mid_chunk ~workers =
-  let chaos q = q = "//kill" in
-  let pool, affinity = supervised_pool ~workers ~chunk_target:8 ~chaos () in
-  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
+  supervised ~workers ~kill:(fun q -> q = "//kill") @@ fun pool ->
   let queries =
     [ "/site"; "/site/regions"; "/site/people"; "/site";
       "/site/regions"; "//kill"; "/site"; "/site/people" ]
   in
-  let batch = Engine.Pool.estimate_batch ~affinity pool queries in
+  let batch = Engine.Pool.estimate_batch pool queries in
   checki "all slots answered" 8 (List.length batch);
   List.iteri
     (fun i reply ->
@@ -1323,7 +1177,7 @@ let supervision_mid_chunk ~workers =
     batch;
   checki "one restart" 1 (Engine.Pool.worker_restarts pool);
   (* The pool keeps serving after the mid-chunk recovery. *)
-  match Engine.Pool.estimate ~affinity pool "/site" with
+  match Engine.Pool.estimate pool "/site" with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "post-crash estimate: %s" (Core.Error.to_string e)
 
@@ -1337,11 +1191,8 @@ let () =
         [ Alcotest.test_case "fifo ring" `Quick test_queue_fifo;
           Alcotest.test_case "close drains" `Quick test_queue_close_drains;
           Alcotest.test_case "concurrent producers" `Quick test_queue_concurrent;
-          Alcotest.test_case "steal protocol" `Quick test_queue_steal_protocol;
-          Alcotest.test_case "close wakes starved thief" `Quick
-            test_queue_close_wakes_starved_thief;
-          Alcotest.test_case "stealing disabled" `Quick
-            test_queue_steal_disabled;
+          Alcotest.test_case "blocked consumers each take one" `Quick
+            test_queue_blocked_consumers;
           Alcotest.test_case "contention stats" `Quick test_queue_stats;
           Alcotest.test_case "try_push never blocks" `Quick test_queue_try_push;
           Alcotest.test_case "close vs blocked push" `Quick
@@ -1351,7 +1202,6 @@ let () =
         ] );
       ( "chunk-plan",
         [ QCheck_alcotest.to_alcotest prop_plan_partition;
-          QCheck_alcotest.to_alcotest prop_plan_affinity;
           Alcotest.test_case "edge cases" `Quick test_plan_chunks_edges ] );
       ( "drift",
         [ Alcotest.test_case "shard accounting" `Quick test_drift_shards_sum ] );
@@ -1362,6 +1212,8 @@ let () =
           Alcotest.test_case "batch order" `Quick test_pool_batch_order;
           Alcotest.test_case "random batch shapes" `Quick
             test_pool_batch_random_shapes;
+          Alcotest.test_case "parked worker strands no batch" `Quick
+            test_pool_parked_worker;
           Alcotest.test_case "profile stages" `Quick test_pool_profile;
           Alcotest.test_case "causal trace" `Quick test_pool_trace;
           Alcotest.test_case "deadline refusals" `Quick test_pool_deadline;
@@ -1375,10 +1227,5 @@ let () =
             test_pool_telemetry_metrics;
           Alcotest.test_case "high-water metrics merge by max" `Quick
             test_pool_metrics_high_water ] );
-      ( "stealing",
-        [ Alcotest.test_case "deterministic steal of lone chunks" `Quick
-            test_pool_work_stealing;
-          Alcotest.test_case "splitting the last chunk" `Quick
-            test_pool_steal_split ] );
       ("stress", [ Alcotest.test_case "4-domain mixed ops" `Slow test_pool_stress ])
     ]
