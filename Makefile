@@ -58,12 +58,21 @@ tcp-smoke: build
 	  sh test/tcp_smoke.sh
 
 # End-to-end smoke: generate a corpus, build a synopsis, explain a query,
-# compare estimates vs actuals with JSON-lines metrics on.
+# compare estimates vs actuals with JSON-lines metrics on. The corpus is
+# also built with 3-predicate HET patterns, and a 3-predicate query must be
+# answered by a joint HET entry.
 smoke: build
 	@mkdir -p $(SMOKE_DIR)
 	$(XSEED) generate xmark --scale 60 -o $(SMOKE_DIR)/doc.xml
 	$(XSEED) build $(SMOKE_DIR)/doc.xml -o $(SMOKE_DIR)/doc.syn
 	$(XSEED) explain $(SMOKE_DIR)/doc.syn "//open_auction[bidder]/price"
+	$(XSEED) build $(SMOKE_DIR)/doc.xml -o $(SMOKE_DIR)/doc-mbp3.syn \
+	  --mbp 3 --bsel-threshold 0.9
+	$(XSEED) explain $(SMOKE_DIR)/doc-mbp3.syn \
+	  "//open_auction[bidder][seller][initial]/current" \
+	  > $(SMOKE_DIR)/explain-mbp3.out
+	@cat $(SMOKE_DIR)/explain-mbp3.out
+	@grep -q 'HET joint-pattern override' $(SMOKE_DIR)/explain-mbp3.out
 	$(XSEED) compare $(SMOKE_DIR)/doc.xml --count 25 \
 	  --metrics-out $(SMOKE_DIR)/metrics.jsonl
 	@test -s $(SMOKE_DIR)/metrics.jsonl

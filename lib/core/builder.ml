@@ -38,33 +38,32 @@ let publish ?obs kernel mrl =
   Obs.add_to ?obs "builder.edges" (Kernel.edge_count kernel);
   Obs.max_to ?obs "builder.max_recursion_level" mrl
 
-let of_string ?obs ?table input =
-  let kernel = Kernel.create ?table () in
+(* Construction into [kernel], one event at a time. *)
+let sink_into ?obs kernel =
   let rl = Counter_stacks.create () in
   let stack = ref [] and mrl = ref 0 in
-  Obs.span ?obs "builder.of_string" (fun () ->
-      Xml.Sax.iter ?obs input ~f:(feed kernel ~sign:1 ~rl ~stack ~mrl));
-  if !stack <> [] then invalid_arg "Builder.of_string: unclosed element";
-  publish ?obs kernel !mrl;
-  kernel
+  { Xml.Event.push = feed kernel ~sign:1 ~rl ~stack ~mrl;
+    finish =
+      (fun () ->
+        if !stack <> [] then invalid_arg "Builder: unclosed element";
+        publish ?obs kernel !mrl;
+        kernel) }
 
-let of_events ?obs ?table events =
-  let kernel = Kernel.create ?table () in
-  let rl = Counter_stacks.create () in
-  let stack = ref [] and mrl = ref 0 in
-  List.iter (feed kernel ~sign:1 ~rl ~stack ~mrl) events;
-  if !stack <> [] then invalid_arg "Builder.of_events: unclosed element";
-  publish ?obs kernel !mrl;
-  kernel
+let sink ?obs ?table () = sink_into ?obs (Kernel.create ?table ())
+
+let of_string ?obs ?table input =
+  Obs.span ?obs "builder.of_string" (fun () ->
+      Xml.Sax.into ?obs input (sink ?obs ?table ()))
+
+let of_events ?obs ?table events = Xml.Event.push_all (sink ?obs ?table ()) events
 
 let fold_into kernel next =
-  let rl = Counter_stacks.create () in
-  let stack = ref [] and mrl = ref 0 in
+  let sink = sink_into kernel in
   let rec loop () =
     match next () with
-    | None -> if !stack <> [] then invalid_arg "Builder.fold_into: unclosed element"
+    | None -> ignore (sink.finish () : Kernel.t)
     | Some event ->
-      feed kernel ~sign:1 ~rl ~stack ~mrl event;
+      sink.push event;
       loop ()
   in
   loop ()

@@ -1,6 +1,6 @@
 (** Kernel construction (paper Algorithm 1) and incremental maintenance.
 
-    Construction is a single SAX pass: the path stack carries, per open
+    Construction consumes one SAX event stream: the path stack carries, per open
     element, the set of (edge, recursion level) pairs contributed by its
     children so parent counts are bumped once per parent on the closing tag;
     the {!Counter_stacks} give the recursion level of each rooted path in
@@ -10,10 +10,18 @@
     primed with its insertion path, and merges (or subtracts) the resulting
     deltas — the graph merge/subtract the paper defers to its tech report. *)
 
+val sink : ?obs:Obs.t -> ?table:Xml.Label.table -> unit -> Kernel.t Xml.Event.sink
+(** Push-style construction, the one path every constructor below takes:
+    interns each element name into [table] (a fresh one by default) as its
+    start tag arrives. When [obs] is given, finishing publishes
+    [builder.vertices], [builder.edges] and [builder.max_recursion_level].
+    {!Synopsis.build} feeds this sink from the same parse as the path tree
+    and the NoK storage. *)
+
 val of_string : ?obs:Obs.t -> ?table:Xml.Label.table -> string -> Kernel.t
-(** When [obs] is given, runs under a [builder.of_string] span and publishes
-    [builder.vertices], [builder.edges] and [builder.max_recursion_level]
-    (plus the SAX parser's counters). *)
+(** {!sink} over one parse. When [obs] is given, runs under a
+    [builder.of_string] span and publishes the builder's counters plus the
+    SAX parser's. *)
 
 val of_events : ?obs:Obs.t -> ?table:Xml.Label.table -> Xml.Event.t list -> Kernel.t
 

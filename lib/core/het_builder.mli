@@ -4,9 +4,15 @@
     to produce simple-path entries (ranked by absolute error), then — for
     path-tree nodes whose backward selectivity is below [bsel_threshold] —
     enumerates leaf-level branching patterns [p\[q1\]..\[qk\]/r] with up to
-    [mbp] predicates, evaluates their actual correlated backward
-    selectivities with the NoK operator, and ranks them by the error of the
-    kernel-only estimate.
+    [mbp] predicates, measures their actual correlated backward
+    selectivities, and ranks them by the error of the kernel-only estimate.
+
+    The paper measures each pattern with its own NoK evaluation. Here one
+    pre-order pass over the storage groups every candidate parent's nodes by
+    their set of child labels, and each pattern's counts ([|//p/r|] and
+    [|//p\[q1\]..\[qk\]/r|], or [|//p|] and [|//p\[q1\]..\[qk\]|]) are sums
+    over those groups: the counts NoK returns, with names resolved in the
+    storage's own label table as NoK resolves them.
 
     The returned table contains {e all} entries (the paper's on-disk list);
     apply {!Het.set_budget} to choose the in-memory top-k. *)
@@ -16,7 +22,10 @@ type stats = {
   zero_entries : int;  (** EPT paths that do not exist in the document *)
   branching_entries : int;
   branching_candidates : int;  (** label patterns enumerated *)
-  nok_evaluations : int;  (** actual-cardinality queries run *)
+  nok_evaluations : int;
+      (** pattern counts taken: one denominator per candidate, plus one
+          joint when the denominator is non-zero — the NoK runs a
+          per-pattern evaluation would make *)
 }
 
 val build :

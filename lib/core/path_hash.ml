@@ -34,9 +34,17 @@ let branching ~parent ~predicates ~next =
 let key_of_labels labels = String.concat "/" (List.map string_of_int labels)
 
 let branching_key_of_sorted ~parent ~predicates ~next =
-  Printf.sprintf "%d[%s]/%d" parent
-    (String.concat "," (Array.to_list (Array.map string_of_int predicates)))
-    next
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf (string_of_int parent);
+  Buffer.add_char buf '[';
+  Array.iteri
+    (fun i q ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf (string_of_int q))
+    predicates;
+  Buffer.add_string buf "]/";
+  Buffer.add_string buf (string_of_int next);
+  Buffer.contents buf
 
 let branching_key ~parent ~predicates ~next =
   branching_key_of_sorted ~parent ~predicates:(sorted predicates) ~next

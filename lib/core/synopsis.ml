@@ -9,43 +9,49 @@ type t = {
 
 let build ?budget_bytes ?(with_het = true) ?(with_values = false) ?mbp
     ?bsel_threshold ?(card_threshold = 0.5) ?obs doc =
+  (* One parse feeds every structure the build needs. Each sink interns an
+     element's name into the one table at its start tag, so labels get ids
+     in document order, as a lone kernel parse gives them. *)
   let table = Xml.Label.create_table () in
-  let kernel =
-    Obs.span ?obs "synopsis.kernel_build" (fun () ->
-        Builder.of_string ?obs ~table doc)
+  let kernel = Builder.sink ?obs ~table () in
+  let storage =
+    if with_het || with_values then Some (Nok.Storage.sink ~table ~with_values ())
+    else None
   in
-  let het, values =
-    if not (with_het || with_values) then (None, None)
-    else begin
-      let storage =
-        Obs.span ?obs "synopsis.storage_build" (fun () ->
-            Nok.Storage.of_string ~table ~with_values doc)
+  let path_tree =
+    if with_het then Some (Pathtree.Path_tree.sink ~table ()) else None
+  in
+  let push = function Some (s : _ Xml.Event.sink) -> s.push | None -> ignore in
+  let push_storage = push storage and push_path_tree = push path_tree in
+  Obs.span ?obs "synopsis.parse" (fun () ->
+      Xml.Sax.iter ?obs doc ~f:(fun e ->
+          kernel.push e;
+          push_storage e;
+          push_path_tree e));
+  let kernel = kernel.finish () in
+  let storage = Option.map (fun s -> s.Xml.Event.finish ()) storage in
+  let path_tree = Option.map (fun s -> s.Xml.Event.finish ()) path_tree in
+  let het =
+    match path_tree with
+    | None -> None
+    | Some path_tree ->
+      let het, stats =
+        Obs.span ?obs "synopsis.het_build" (fun () ->
+            Het_builder.build ?mbp ?bsel_threshold ~card_threshold ~kernel
+              ~path_tree ?storage ())
       in
-      let het =
-        if not with_het then None
-        else begin
-          let path_tree = Pathtree.Path_tree.of_string ~table doc in
-          let het, stats =
-            Obs.span ?obs "synopsis.het_build" (fun () ->
-                Het_builder.build ?mbp ?bsel_threshold ~card_threshold ~kernel
-                  ~path_tree ~storage ())
-          in
-          Obs.add_to ?obs "het.simple_entries" stats.Het_builder.simple_entries;
-          Obs.add_to ?obs "het.branching_entries"
-            stats.Het_builder.branching_entries;
-          Obs.add_to ?obs "het.nok_evaluations" stats.Het_builder.nok_evaluations;
-          Some het
-        end
-      in
-      let values =
-        if with_values then
-          Some
-            (Obs.span ?obs "synopsis.value_build" (fun () ->
-                 Value_synopsis.build storage))
-        else None
-      in
-      (het, values)
-    end
+      Obs.add_to ?obs "het.simple_entries" stats.Het_builder.simple_entries;
+      Obs.add_to ?obs "het.branching_entries" stats.Het_builder.branching_entries;
+      Obs.add_to ?obs "het.nok_evaluations" stats.Het_builder.nok_evaluations;
+      Some het
+  in
+  let values =
+    match storage with
+    | Some storage when with_values ->
+      Some
+        (Obs.span ?obs "synopsis.value_build" (fun () ->
+             Value_synopsis.build storage))
+    | _ -> None
   in
   (match (budget_bytes, het) with
    | Some budget, Some het ->

@@ -17,15 +17,20 @@ val build :
   ?obs:Obs.t ->
   string ->
   t
-(** [build doc] parses [doc] once for each needed structure (kernel, and
-    when [with_het] — default true — the path tree and NoK storage for HET
-    precomputation). [with_values] (default false) additionally builds the
-    value synopsis so value predicates are estimated rather than ignored.
+(** [build doc] parses [doc] once, and that one event stream feeds every
+    structure the build needs: the kernel's {!Builder.sink}, and when
+    [with_het] (default true) the path tree's and NoK storage's sinks for
+    HET precomputation. [with_values] (default false) also needs the
+    storage, with values, and additionally builds the value synopsis so
+    value predicates are estimated rather than ignored. Labels are interned
+    in document order, as a lone kernel parse interns them, so the bytes
+    {!to_string} writes do not depend on which structures were built.
     When [budget_bytes] is given, the HET keeps only the top entries such
     that kernel + HET fit the budget; the kernel itself is never reduced
     (it is the irreducible part of the design). [obs] instruments the whole
-    build ([synopsis.*_build] spans, builder/SAX/HET counters) and is kept
-    by the returned estimator. *)
+    build (a [synopsis.parse] span around the one parse, then
+    [synopsis.het_build] and [synopsis.value_build]; builder, SAX and HET
+    counters) and is kept by the returned estimator. *)
 
 val build_result :
   ?budget_bytes:int ->

@@ -90,40 +90,26 @@ let finish b =
     attributes = (if b.with_values then Array.sub b.b_attrs 0 b.next else [||]);
   }
 
-let make_builder table with_values =
+let sink ?table ?(with_values = false) () =
   let tbl = match table with Some t -> t | None -> Xml.Label.create_table () in
-  { b_labels = Array.make 1024 0; b_last = Array.make 1024 0;
-    b_depths = Array.make 1024 0;
-    b_text = (if with_values then Array.make 1024 None else [||]);
-    b_texts = (if with_values then Array.make 1024 "" else [||]);
-    b_attrs = (if with_values then Array.make 1024 [] else [||]);
-    next = 0; open_nodes = []; with_values; tbl }
+  let b =
+    { b_labels = Array.make 1024 0; b_last = Array.make 1024 0;
+      b_depths = Array.make 1024 0;
+      b_text = (if with_values then Array.make 1024 None else [||]);
+      b_texts = (if with_values then Array.make 1024 "" else [||]);
+      b_attrs = (if with_values then Array.make 1024 [] else [||]);
+      next = 0; open_nodes = []; with_values; tbl }
+  in
+  { Xml.Event.push = handle_event b; finish = (fun () -> finish b) }
 
-let of_events ?table ?(with_values = false) events =
-  let b = make_builder table with_values in
-  List.iter (handle_event b) events;
-  finish b
+let of_events ?table ?with_values events =
+  Xml.Event.push_all (sink ?table ?with_values ()) events
 
-let of_string ?table ?(with_values = false) input =
-  let b = make_builder table with_values in
-  Xml.Sax.iter input ~f:(handle_event b);
-  finish b
+let of_string ?table ?with_values input =
+  Xml.Sax.into input (sink ?table ?with_values ())
 
 let of_tree (tree : Xml.Tree.t) =
-  (* Depth-first with an explicit index counter; trees carry no values. *)
-  let n = Xml.Tree.node_count tree in
-  let labels = Array.make n 0 and last = Array.make n 0 and depth = Array.make n 0 in
-  let next = ref 0 in
-  let rec go (node : Xml.Tree.node) d =
-    let i = !next in
-    incr next;
-    labels.(i) <- node.label;
-    depth.(i) <- d;
-    Array.iter (fun child -> go child (d + 1)) node.children;
-    last.(i) <- !next - 1
-  in
-  go tree.root 0;
-  { labels; last; depth; table = tree.table; text = [||]; attributes = [||] }
+  of_events ~table:tree.table (Xml.Tree.to_events tree)
 
 let node_count (t : t) = Array.length t.labels
 

@@ -2,7 +2,8 @@
     (Zhang, Kacholia, Özsu, ICDE 2004): the document is a pre-order array of
     interned labels plus, per node, the index of its last descendant — an
     interval encoding from which parent/child/descendant relations are
-    recovered without pointers. Built in one SAX pass.
+    recovered without pointers. Built from one SAX event stream, which
+    {!Core.Synopsis.build} shares with the kernel and the path tree.
 
     With [~with_values:true] the storage also retains each node's direct
     text content and attributes, enabling evaluation of value predicates
@@ -18,11 +19,17 @@ type t = private {
   attributes : (string * string) list array;  (** [\[||\]] unless collected *)
 }
 
+val sink : ?table:Xml.Label.table -> ?with_values:bool -> unit -> t Xml.Event.sink
+(** Push-style construction, the one path every constructor below takes:
+    element names are interned into [table] (a fresh one by default) as
+    their start tags arrive. *)
+
 val of_events : ?table:Xml.Label.table -> ?with_values:bool -> Xml.Event.t list -> t
 val of_string : ?table:Xml.Label.table -> ?with_values:bool -> string -> t
 
 val of_tree : Xml.Tree.t -> t
-(** Trees are structural, so the result never carries values. *)
+(** The tree's structure-only events pushed into {!sink} over the tree's
+    own table, so the result never carries values. *)
 
 val node_count : t -> int
 

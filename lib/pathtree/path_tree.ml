@@ -7,15 +7,20 @@ type node = {
 
 type t = { root : node; table : Xml.Label.table; size : int }
 
-(* Mutable shadow used during the single construction pass. *)
+(* Mutable shadow used during the single construction pass. [mlast_parent]
+   is the pre-order id of the last document node whose children bumped
+   [mparents], so each parent counts once without a per-element set. *)
 type mnode = {
   mlabel : Xml.Label.t;
   mutable mcard : int;
   mutable mparents : int;
+  mutable mlast_parent : int;
   mkids : (Xml.Label.t, mnode) Hashtbl.t;
 }
 
-let new_mnode label = { mlabel = label; mcard = 0; mparents = 0; mkids = Hashtbl.create 4 }
+let new_mnode label =
+  { mlabel = label; mcard = 0; mparents = 0; mlast_parent = -1;
+    mkids = Hashtbl.create 4 }
 
 let freeze table (root : mnode) =
   let size = ref 0 in
@@ -32,14 +37,14 @@ let freeze table (root : mnode) =
   let root = go root in
   { root; table; size = !size }
 
-let build ~table feed =
+let sink ?table () =
   let table = match table with Some t -> t | None -> Xml.Label.create_table () in
-  (* Stack entries: the path-tree node for the open element plus the set of
-     child labels seen under this particular document node (to count
-     parents_with_child once per parent). *)
+  (* Stack entries: the path-tree node of each open element and that
+     element's pre-order id. *)
   let root = ref None in
   let stack = ref [] in
-  let handle = function
+  let next_id = ref 0 in
+  let push = function
     | Xml.Event.Start_element (name, _) ->
       let label = Xml.Label.intern table name in
       let m =
@@ -54,7 +59,7 @@ let build ~table feed =
              let r = new_mnode label in
              root := Some r;
              r)
-        | (parent, seen) :: _ ->
+        | (parent, parent_id) :: _ ->
           let m =
             match Hashtbl.find_opt parent.mkids label with
             | Some m -> m
@@ -63,30 +68,33 @@ let build ~table feed =
               Hashtbl.add parent.mkids label m;
               m
           in
-          if not (Hashtbl.mem seen label) then begin
-            Hashtbl.add seen label ();
+          if m.mlast_parent <> parent_id then begin
+            m.mlast_parent <- parent_id;
             m.mparents <- m.mparents + 1
           end;
           m
       in
       m.mcard <- m.mcard + 1;
-      stack := (m, Hashtbl.create 4) :: !stack
+      stack := (m, !next_id) :: !stack;
+      incr next_id
     | Xml.Event.End_element _ ->
       (match !stack with
        | [] -> invalid_arg "Path_tree: unbalanced events"
        | _ :: rest -> stack := rest)
     | Xml.Event.Text _ -> ()
   in
-  feed handle;
-  if !stack <> [] then invalid_arg "Path_tree: unclosed element";
-  match !root with
-  | None -> invalid_arg "Path_tree: empty document"
-  | Some r ->
-    r.mparents <- 1;  (* the virtual document node always has the root child *)
-    freeze table r
+  let finish () =
+    if !stack <> [] then invalid_arg "Path_tree: unclosed element";
+    match !root with
+    | None -> invalid_arg "Path_tree: empty document"
+    | Some r ->
+      r.mparents <- 1;  (* the virtual document node always has the root child *)
+      freeze table r
+  in
+  { Xml.Event.push; finish }
 
-let of_events ?table events = build ~table (fun f -> List.iter f events)
-let of_string ?table input = build ~table (fun f -> Xml.Sax.iter input ~f)
+let of_events ?table events = Xml.Event.push_all (sink ?table ()) events
+let of_string ?table input = Xml.Sax.into input (sink ?table ())
 
 let bsel _t ~parent node =
   match parent with

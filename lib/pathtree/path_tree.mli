@@ -17,6 +17,13 @@ type node = private {
 
 type t = { root : node; table : Xml.Label.table; size : int }
 
+val sink : ?table:Xml.Label.table -> unit -> t Xml.Event.sink
+(** Push-style construction, the one path every constructor below takes:
+    element names are interned into [table] (a fresh one by default) as
+    their start tags arrive, and each path node remembers the pre-order id
+    of the last document node counted in its [parents_with_child], so no
+    per-element set of seen child labels is kept. *)
+
 val of_events : ?table:Xml.Label.table -> Xml.Event.t list -> t
 val of_string : ?table:Xml.Label.table -> string -> t
 

@@ -16,3 +16,9 @@ let equal a b =
   | End_element n1, End_element n2 -> n1 = n2
   | Text t1, Text t2 -> t1 = t2
   | (Start_element _ | End_element _ | Text _), _ -> false
+
+type 'a sink = { push : t -> unit; finish : unit -> 'a }
+
+let push_all sink events =
+  List.iter sink.push events;
+  sink.finish ()

@@ -12,3 +12,15 @@ type t =
 
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
+
+(** {1 Push-style construction}
+
+    Every structure built from a document (kernel, path tree, NoK storage)
+    is a sink: [push] takes the events in document order, [finish] checks
+    the stream was complete and returns the result. One parse can then feed
+    several sinks at once. *)
+
+type 'a sink = { push : t -> unit; finish : unit -> 'a }
+
+val push_all : 'a sink -> t list -> 'a
+(** Push every event of the list, then finish. *)

@@ -367,4 +367,8 @@ let fold_result ?obs ?limits input ~init ~f =
 
 let iter ?obs ?limits input ~f = fold ?obs ?limits input ~init:() ~f:(fun () e -> f e)
 
+let into ?obs input (sink : _ Event.sink) =
+  iter ?obs input ~f:sink.push;
+  sink.finish ()
+
 let events input = List.rev (fold input ~init:[] ~f:(fun acc e -> e :: acc))

@@ -58,5 +58,8 @@ val fold_result :
 
 val iter : ?obs:Obs.t -> ?limits:limits -> string -> f:(Event.t -> unit) -> unit
 
+val into : ?obs:Obs.t -> string -> 'a Event.sink -> 'a
+(** Parse [input] into a sink: push every event, then finish. *)
+
 val events : string -> Event.t list
 (** All events of [input], in document order. Convenience for tests. *)

@@ -618,11 +618,25 @@ let prop_incremental_add =
       let expected = Core.Builder.of_string ~table:tree.table after in
       Core.Kernel.to_string k = Core.Kernel.to_string expected)
 
+let prop_branching_key_spelling =
+  (* The HET's canonical branching key is written into one buffer; its
+     bytes must stay the Printf spelling that existing dumps carry. *)
+  let label = QCheck.(oneof [ int_range (-1) 300; int ]) in
+  QCheck.Test.make ~count:500 ~name:"branching key = Printf spelling"
+    QCheck.(triple label (array_of_size Gen.(int_bound 4) label) label)
+    (fun (parent, predicates, next) ->
+      let predicates = Array.copy predicates in
+      Array.sort Int.compare predicates;
+      Core.Path_hash.branching_key_of_sorted ~parent ~predicates ~next
+      = Printf.sprintf "%d[%s]/%d" parent
+          (String.concat "," (Array.to_list (Array.map string_of_int predicates)))
+          next)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_counter_matches_naive; prop_child_counts_total;
       prop_parent_counts_total; prop_serialization_round_trip;
-      prop_incremental_add ]
+      prop_incremental_add; prop_branching_key_spelling ]
 
 let () =
   Alcotest.run "core"

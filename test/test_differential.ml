@@ -1,6 +1,6 @@
 (* Differential-testing oracle suite.
 
-   Four oracles, each comparing the estimator against an independent
+   Five oracles, each comparing the estimator against an independent
    source of truth:
 
    - a total-function oracle: over random documents and queries (well-formed
@@ -18,7 +18,13 @@
      (Matcher_reference) must agree on every estimate's bits, every match
      statistic and the HET counters each query moves, on random documents
      (no HET, a HET at mbp 2, a value synopsis), random synthetic and
-     TreeSketch EPTs, and the generated corpora's workloads. *)
+     TreeSketch EPTs, and the generated corpora's workloads;
+   - a HET builder oracle: the one-scan builder and the frozen per-pattern
+     NoK one (Het_builder_reference) must write the same HET bytes and
+     report the same statistics over mbp, bsel and card thresholds and
+     zero entries, on random documents, small generated corpora and a
+     document of many labels and wide child sets, with storages over the
+     kernel's label table and over their own. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -847,6 +853,160 @@ let test_oracle_workloads () =
       ("dblp", Datagen.Dblp.generate ~seed:2 ~records:80 (), 0.5, 0.1) ];
   checkb "HET overrides fired" true (tally.joint + tally.single > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Oracle 5: Core.Het_builder, which takes every branching pattern's counts
+   from one scan of the storage, against the frozen per-pattern NoK builder
+   (Het_builder_reference). Over every option set both must produce the
+   same HET bytes and the same statistics. *)
+
+let het_options =
+  List.concat_map
+    (fun mbp ->
+      List.concat_map
+        (fun bsel_threshold ->
+          List.concat_map
+            (fun card_threshold ->
+              List.map
+                (fun zero_entries ->
+                  (mbp, bsel_threshold, card_threshold, zero_entries))
+                [ true; false ])
+            [ 0.5; 20.0 ])
+        [ 0.1; 0.5; 1.0 ])
+    [ 1; 2; 3 ]
+
+let het_stats_string s = Format.asprintf "%a" Core.Het_builder.pp_stats s
+
+(* Compares one option set; returns the branching entries compared, so a
+   run that never reaches a pattern count cannot pass unnoticed. *)
+let het_agree ?max_branching_candidates ~label ~kernel ~path_tree ~storage
+    (mbp, bsel_threshold, card_threshold, zero_entries) =
+  let label =
+    Printf.sprintf "%s, mbp %d, bsel %g, card %g, zero entries %b" label mbp
+      bsel_threshold card_threshold zero_entries
+  in
+  let ref_het, ref_stats =
+    Het_builder_reference.build ~mbp ~bsel_threshold ~card_threshold
+      ?max_branching_candidates ~zero_entries ~kernel ~path_tree ~storage ()
+  in
+  let het, stats =
+    Core.Het_builder.build ~mbp ~bsel_threshold ~card_threshold
+      ?max_branching_candidates ~zero_entries ~kernel ~path_tree ~storage ()
+  in
+  if stats <> ref_stats then
+    Alcotest.failf "%s: %s, reference %s" label (het_stats_string stats)
+      (het_stats_string ref_stats);
+  if Core.Het.to_string het <> Core.Het.to_string ref_het then
+    Alcotest.failf "%s: HET bytes differ from the reference's" label;
+  stats.branching_entries
+
+(* A storage over [doc] with its own label table: the kernel's names
+   interned in reverse, after one the document lacks, so every id differs
+   from the kernel's and only resolution by name finds the counts. *)
+let storage_own_table kernel_table doc =
+  let own = Xml.Label.create_table () in
+  ignore (Xml.Label.intern own "absent" : int);
+  List.iter
+    (fun name -> ignore (Xml.Label.intern own name : int))
+    (List.rev (Xml.Label.names kernel_table));
+  Nok.Storage.of_string ~table:own doc
+
+(* Kernel, path tree and storage over one table, as Synopsis.build makes
+   them. *)
+let het_inputs doc =
+  let table = Xml.Label.create_table () in
+  let kernel = Core.Builder.of_string ~table doc in
+  let path_tree = Pathtree.Path_tree.of_string ~table doc in
+  (table, kernel, path_tree, Nok.Storage.of_string ~table doc)
+
+let sum f xs = List.fold_left (fun acc x -> acc + f x) 0 xs
+
+let oracle_het_builder_random =
+  let compared = ref 0 in
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:40
+         ~name:"het builder = reference, random documents"
+         (QCheck.make ~print:(fun (a, b) -> a ^ "\n" ^ b)
+            (QCheck.Gen.pair gen_doc_string gen_doc_string))
+         (fun (doc, other) ->
+           let table, kernel, path_tree, storage = het_inputs doc in
+           let own = storage_own_table table doc in
+           compared :=
+             !compared
+             + sum
+                 (fun options ->
+                   het_agree ~label:"shared table" ~kernel ~path_tree ~storage
+                     options
+                   + het_agree ~label:"own table" ~kernel ~path_tree
+                       ~storage:own options)
+                 het_options
+             (* Another document's storage lacks some of the kernel's
+                labels: those patterns count 0 on both sides. *)
+             + het_agree ~label:"other document" ~kernel ~path_tree
+                 ~storage:(Nok.Storage.of_string other) (3, 1.0, 0.5, true);
+           true))
+  in
+  ( name, speed,
+    fun () ->
+      run ();
+      checkb "branching entries compared" true (!compared > 1000) )
+
+let test_oracle_het_builder_corpora () =
+  let compared =
+    sum
+      (fun (name, doc) ->
+        let table, kernel, path_tree, storage = het_inputs doc in
+        sum (het_agree ~label:name ~kernel ~path_tree ~storage) het_options
+        + het_agree ~label:(name ^ ", own table") ~kernel ~path_tree
+            ~storage:(storage_own_table table doc) (3, 1.0, 0.5, true))
+      [ ("treebank", Datagen.Treebank.generate ~seed:2 ~sentences:40 ());
+        ("xmark", Datagen.Xmark.generate ~seed:2 ~items:10 ());
+        ("dblp", Datagen.Dblp.generate ~seed:2 ~records:25 ()) ]
+  in
+  checkb "branching entries compared" true (compared > 1000)
+
+(* Records with 10 fields each has and 150 optional ones, each present
+   with probability 0.15 and now and then twice: many labels, and wide child
+   sets that share their smallest labels (the shared fields are interned
+   first), so nearly every record's set is a group of its own. *)
+let wide_records ~seed ~records =
+  let rng = Random.State.make [| seed |] in
+  let buf = Buffer.create 65536 in
+  let field name = Printf.bprintf buf "<%s></%s>" name name in
+  Buffer.add_string buf "<db>";
+  for _ = 1 to records do
+    Buffer.add_string buf "<record>";
+    for f = 0 to 9 do
+      field (Printf.sprintf "s%d" f)
+    done;
+    for f = 0 to 149 do
+      if Random.State.int rng 100 < 15 then begin
+        field (Printf.sprintf "f%d" f);
+        if Random.State.int rng 4 = 0 then field (Printf.sprintf "f%d" f)
+      end
+    done;
+    Buffer.add_string buf "</record>"
+  done;
+  Buffer.add_string buf "</db>";
+  Buffer.contents buf
+
+let test_oracle_het_builder_wide () =
+  let doc = wide_records ~seed:5 ~records:120 in
+  let table, kernel, path_tree, storage = het_inputs doc in
+  let own = storage_own_table table doc in
+  let compared =
+    sum
+      (fun options ->
+        het_agree ~max_branching_candidates:1000 ~label:"wide records"
+          ~kernel ~path_tree ~storage options
+        + het_agree ~max_branching_candidates:1000
+            ~label:"wide records, own table" ~kernel ~path_tree ~storage:own
+            options)
+      [ (1, 0.5, 0.5, true); (2, 1.0, 20.0, false) ]
+  in
+  checkb "more than 150 labels" true (Xml.Label.count table > 150);
+  checkb "branching entries compared" true (compared > 1000)
+
 let () =
   let qtests = List.map QCheck_alcotest.to_alcotest
       [ prop_never_raises; prop_engine_never_raises ]
@@ -870,4 +1030,10 @@ let () =
           Alcotest.test_case "TreeSketch synthetic EPTs" `Quick
               test_oracle_treesketch;
           Alcotest.test_case "treebank, xmark, dblp workloads" `Quick
-            test_oracle_workloads ] ) ]
+            test_oracle_workloads ] );
+      ( "builder-oracle",
+        [ oracle_het_builder_random;
+          Alcotest.test_case "treebank, xmark, dblp" `Quick
+            test_oracle_het_builder_corpora;
+          Alcotest.test_case "many labels, wide child sets" `Quick
+            test_oracle_het_builder_wide ] ) ]

@@ -177,7 +177,7 @@ let test_het_builder_stats () =
   (* Paths: a, a/b, a/b/d, a/b/d/e, a/b/d/f, a/c, a/c/d, a/c/d/f. *)
   Alcotest.(check int) "simple entries = path tree size" 8 stats.simple_entries;
   Alcotest.(check bool) "has branching entries" true (stats.branching_entries > 0);
-  Alcotest.(check bool) "ran NoK" true (stats.nok_evaluations > 0)
+  Alcotest.(check bool) "took pattern counts" true (stats.nok_evaluations > 0)
 
 let test_het_mbp3 () =
   (* 3BP patterns (paper: "for 2BP and 3BP HET we need to change

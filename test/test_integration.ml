@@ -155,6 +155,33 @@ let test_cli_synopsis_file_round_trip () =
     [ "/site/regions"; "//item[shipping]/location"; "//person//age";
       "/site/open_auctions/open_auction/bidder" ]
 
+(* The bytes [xseed build] writes, pinned as MD5 digests of
+   [Synopsis.to_string]: label interning order, kernel, HET and value
+   synopsis together. The first two are the benchmark's corpora as its
+   set-up builds them. *)
+let test_synopsis_bytes_golden () =
+  let xmark = Datagen.Xmark.generate ~seed:42 ~items:600 () in
+  List.iter
+    (fun (name, build, digest) ->
+      Alcotest.(check string) name digest
+        (Digest.to_hex (Digest.string (Core.Synopsis.to_string (build ())))))
+    [ ( "treebank 1500, card threshold 20",
+        (fun () ->
+          Core.Synopsis.build ~card_threshold:20.0
+            (Datagen.Treebank.generate ~seed:42 ~sentences:1500 ())),
+        "417cf24950e7d4ab204ab22802b183c3" );
+      ( "xmark 600",
+        (fun () -> Core.Synopsis.build xmark),
+        "11f8683d3886a0fc3b82f1e6e0610a6c" );
+      ( "dblp 2000, mbp 2, bsel threshold 0.5",
+        (fun () ->
+          Core.Synopsis.build ~mbp:2 ~bsel_threshold:0.5
+            (Datagen.Dblp.generate ~seed:7 ~records:2000 ())),
+        "de7188dfad9006785db0c39e8e8f06c9" );
+      ( "xmark 600 with values",
+        (fun () -> Core.Synopsis.build ~with_values:true xmark),
+        "ed073afd6d2996b532f6616184b1eefd" ) ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -172,5 +199,7 @@ let () =
             test_xseed_beats_treesketch_on_recursive;
           Alcotest.test_case "synopsis file round trip" `Quick
             test_cli_synopsis_file_round_trip;
+          Alcotest.test_case "synopsis bytes golden" `Quick
+            test_synopsis_bytes_golden;
         ] );
     ]

@@ -435,6 +435,59 @@ let test_pipeline_counters () =
   Alcotest.(check bool) "traveler emitted nodes" true
     (Obs.value (Obs.counter obs "traveler.opened") > 0)
 
+(* A synopsis build parses its document once: one synopsis.parse span, none
+   of the spans of the three parses it replaced, and every parse and
+   construction counter holding what one lone pass publishes. *)
+let test_build_spans () =
+  let doc = Datagen.Xmark.generate ~seed:2 ~items:10 () in
+  let path = Filename.temp_file "obs_build" ".jsonl" in
+  let obs = Obs.create ~sink:(Obs.jsonl_file path) () in
+  ignore
+    (Core.Synopsis.build ~obs ~with_values:true ~mbp:2 ~bsel_threshold:0.5 doc
+      : Core.Synopsis.t);
+  Obs.close obs;
+  let ic = open_in path in
+  let lines = In_channel.input_lines ic in
+  close_in ic;
+  Sys.remove path;
+  let begun =
+    List.filter_map
+      (fun l ->
+        let j = Obs.Json.of_string l in
+        match (Obs.Json.member "event" j, Obs.Json.member "name" j) with
+        | Some (Obs.Json.String "span_begin"), Some (Obs.Json.String name) ->
+          Some name
+        | _ -> None)
+      lines
+  in
+  Alcotest.(check (list string)) "spans begun"
+    [ "synopsis.parse"; "synopsis.het_build"; "synopsis.value_build" ]
+    begun;
+  let value obs name = Obs.value (Obs.counter obs name) in
+  (* One lone kernel build publishes the sax.* and builder.* counters once. *)
+  let lone = Obs.create () in
+  let table = Xml.Label.create_table () in
+  let kernel = Core.Builder.of_string ~obs:lone ~table doc in
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " published once") (value lone name)
+        (value obs name))
+    [ "sax.events"; "sax.elements"; "sax.text_nodes"; "sax.max_depth";
+      "builder.vertices"; "builder.edges"; "builder.max_recursion_level" ];
+  let _, stats =
+    Core.Het_builder.build ~mbp:2 ~bsel_threshold:0.5 ~kernel
+      ~path_tree:(Pathtree.Path_tree.of_string ~table doc)
+      ~storage:(Nok.Storage.of_string ~table doc) ()
+  in
+  Alcotest.(check bool) "branching entries built" true
+    (stats.branching_entries > 0);
+  List.iter
+    (fun (name, n) ->
+      Alcotest.(check int) (name ^ " published once") n (value obs name))
+    [ ("het.simple_entries", stats.simple_entries);
+      ("het.branching_entries", stats.branching_entries);
+      ("het.nok_evaluations", stats.nok_evaluations) ]
+
 (* ------------------------------------------------------------------ *)
 (* Explain reports on the paper's Figure 2 example *)
 
@@ -517,6 +570,7 @@ let () =
       ( "pipeline",
         [
           Alcotest.test_case "counters flow" `Quick test_pipeline_counters;
+          Alcotest.test_case "build spans" `Quick test_build_spans;
           Alcotest.test_case "explain simple path" `Quick test_explain_simple_path;
           Alcotest.test_case "explain branching" `Quick test_explain_branching;
           Alcotest.test_case "explain json" `Quick test_explain_json;
