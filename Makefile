@@ -122,20 +122,39 @@ perf-smoke: build
 	python3 perfbench/run.py --workload batch-miss --seed 1 --seconds 2 --trace 0
 	python3 perfbench/run.py --workload point-hot --seed 1 --seconds 2 --trace 0
 
-# Causal-trace smoke: serve a mixed request script through a WORKERS-shard
+# Causal-trace smoke: serve a mixed request script through a WORKERS-worker
 # pool with --trace-out, then re-validate the written Perfetto JSON with
 # the trace linter (per-track monotone timestamps, balanced spans, every
 # flow arrow resolving) and check the PROFILE verb's one-line breakdown.
+# Requests of up to 8 queries never leave the submitting thread, so two
+# BATCH 64s of distinct queries queue chunks for the worker domains; at
+# WORKERS >= 2 a worker-domain track (shard-N, N >= 1) must carry an
+# execute slice, so the linter sees queue-wait spans and flow arrows cross
+# tracks.
 trace-smoke: build
 	@mkdir -p $(SMOKE_DIR)
 	$(XSEED) generate xmark --scale 40 -o $(SMOKE_DIR)/trace.xml
 	$(XSEED) build $(SMOKE_DIR)/trace.xml -o $(SMOKE_DIR)/trace.syn
-	printf 'BATCH 3\n//item\n//person\n//open_auction[bidder]/price\nPROFILE 2\n//item\n//person\nFEEDBACK //item 12\nESTIMATE //item\n' \
+	$(XSEED) workload $(SMOKE_DIR)/trace.xml --kind bp --count 128 \
+	  > $(SMOKE_DIR)/trace.workload
+	{ printf 'BATCH 3\n//item\n//person\n//open_auction[bidder]/price\n'; \
+	  printf 'BATCH 64\n'; head -n 64 $(SMOKE_DIR)/trace.workload; \
+	  printf 'BATCH 64\n'; tail -n 64 $(SMOKE_DIR)/trace.workload; \
+	  printf 'PROFILE 2\n//item\n//person\nFEEDBACK //item 12\nESTIMATE //item\n'; } \
 	  | $(XSEED) serve $(SMOKE_DIR)/trace.syn --workers $(WORKERS) \
 	      --trace-out $(SMOKE_DIR)/trace.json \
 	      > $(SMOKE_DIR)/trace.out
+	@grep -q '^OK 64$$' $(SMOKE_DIR)/trace.out
 	@grep -q '^OK 2 queue_wait_us ' $(SMOKE_DIR)/trace.out
 	$(XSEED) trace-lint $(SMOKE_DIR)/trace.json
+	@if [ $(WORKERS) -gt 1 ]; then \
+	  python3 -c 'import json, sys; \
+	    evs = json.load(open(sys.argv[1]))["traceEvents"]; \
+	    tracks = {e["tid"]: e["args"]["name"] for e in evs if e.get("ph") == "M" and e.get("name") == "thread_name"}; \
+	    ok = any(e.get("ph") == "X" and e.get("name") == "execute" and tracks.get(e.get("tid"), "shard-0") not in ("shard-0", "coordinator") for e in evs); \
+	    sys.exit(0 if ok else "trace-smoke: no execute slice on a worker-domain track")' \
+	    $(SMOKE_DIR)/trace.json; \
+	fi
 	@echo "trace-smoke: OK (WORKERS=$(WORKERS), $(SMOKE_DIR)/trace.json)"
 
 # Shadow-audit smoke: serve a tiny XMark corpus with every query audited
@@ -166,18 +185,21 @@ audit-smoke: build
 	@echo "audit-smoke: OK (WORKERS=$(WORKERS), $(SMOKE_DIR)/audit/report.jsonl)"
 
 # Multi-domain stress: the pool suite's 4-client mixed-ops run at full scale
-# (10k ops per client against a WORKERS-shard pool), then a --workers smoke
-# through the CLI line protocol (BATCH framing + merged METRICS scrape).
+# (10k ops per client against a WORKERS-worker pool), then a --workers smoke
+# through the CLI line protocol (BATCH framing + merged METRICS scrape). The
+# BATCH 12 spans several chunks, so at WORKERS >= 2 it queues chunks for the
+# worker domains.
 stress: build
 	STRESS_OPS=$(STRESS_OPS) STRESS_WORKERS=$(WORKERS) \
 	  $(DUNE) exec --no-build test/test_pool.exe -- test stress
 	@mkdir -p $(SMOKE_DIR)
 	$(XSEED) generate xmark --scale 40 -o $(SMOKE_DIR)/stress.xml
 	$(XSEED) build $(SMOKE_DIR)/stress.xml -o $(SMOKE_DIR)/stress.syn
-	printf 'BATCH 3\n//item\nESTIMATE //person\n//item\nFEEDBACK //item 12\nMETRICS\nRECENT 5\nDRIFT\n' \
+	printf 'BATCH 3\n//item\nESTIMATE //person\n//item\nBATCH 12\n//item\n//person\n//open_auction/bidder\n//closed_auction/price\n//category/name\n//europe/item\n//regions//item/name\n//people/person/name\n//closed_auction[annotation]/price\n//item[payment]/location\n//person[address]/name\n//open_auction[bidder]/current\nFEEDBACK //item 12\nMETRICS\nRECENT 5\nDRIFT\n' \
 	  | $(XSEED) serve $(SMOKE_DIR)/stress.syn --workers $(WORKERS) \
 	      > $(SMOKE_DIR)/stress.out
 	@grep -q '^OK 3' $(SMOKE_DIR)/stress.out
+	@grep -q '^OK 12' $(SMOKE_DIR)/stress.out
 	@grep -q '^xseed_engine_cache_misses' $(SMOKE_DIR)/stress.out
 	@grep -q '^xseed_engine_pool_workers $(WORKERS)' $(SMOKE_DIR)/stress.out
 	@echo "stress: OK (WORKERS=$(WORKERS))"

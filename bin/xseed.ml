@@ -443,10 +443,13 @@ let drift_p90_arg =
 let workers_arg =
   Arg.(value & opt int 1
        & info [ "workers" ] ~docv:"N"
-           ~doc:"Worker shards of the $(b,Engine.Pool) serving the synopsis. \
-                 1 (default) serves every request on the serving thread; \
-                 N >= 2 spreads estimates across $(docv) domains with \
-                 per-domain caches and single-writer feedback")
+           ~doc:"Serving threads of the $(b,Engine.Pool): the serving \
+                 thread itself plus $(docv)-1 worker domains, each with its \
+                 own cache shard, under single-writer feedback. Every \
+                 request that fits in one chunk (an ESTIMATE, a BATCH of up \
+                 to 8) is served on the serving thread; with $(docv) >= 2 a \
+                 larger BATCH also goes to the worker domains, which start \
+                 with the first such batch. 1 (default) starts none")
 
 let trace_out_arg =
   Arg.(value & opt (some string) None
@@ -460,8 +463,10 @@ let queue_capacity_arg =
   Arg.(value & opt int 256
        & info [ "queue-capacity" ] ~docv:"N"
            ~doc:"Capacity of the worker pool's one admission queue, in \
-                 chunks (slices of up to 8 queries of a BATCH; an ESTIMATE \
-                 is one chunk); only meaningful with --workers >= 2")
+                 chunks (slices of up to 8 queries of a BATCH). Only the \
+                 chunks of a BATCH of more than 8 queries beyond its first \
+                 are queued, so only those can be shed; only meaningful with \
+                 --workers >= 2")
 
 let deadline_ms_arg =
   Arg.(value & opt (some float) None

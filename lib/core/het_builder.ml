@@ -172,6 +172,27 @@ let candidate_heads ~bsel_threshold path_tree =
       if low <> [] then heads := (node, low) :: !heads);
   List.rev !heads
 
+(* Pre-order walk of the path tree handing [f] each node with its parent
+   and its rooted path's hash and key, each extended from the parent's as
+   [ept_estimates] extends the EPT's, so no path is spelled from the
+   root. *)
+let iter_keyed (path_tree : Pathtree.Path_tree.t) ~f =
+  let rec go ~parent ~hash ~key (node : Pathtree.Path_tree.node) =
+    let hash = Path_hash.extend hash node.label in
+    let key =
+      match parent with
+      | None -> string_of_int node.label
+      | Some _ -> key ^ "/" ^ string_of_int node.label
+    in
+    f ~parent ~hash ~key node;
+    List.iter (go ~parent:(Some node) ~hash ~key) node.children
+  in
+  go ~parent:None ~hash:Path_hash.empty ~key:"" path_tree.root
+
+(* Raised by [consider] once [max_branching_candidates] are taken, leaving
+   the enumeration loops: every later pattern would be skipped anyway. *)
+exception Capped
+
 let build ?(mbp = 1) ?(bsel_threshold = 0.1) ?(card_threshold = 0.5)
     ?(max_branching_candidates = 50_000) ?(zero_entries = true) ~kernel
     ~path_tree ?storage () =
@@ -183,9 +204,7 @@ let build ?(mbp = 1) ?(bsel_threshold = 0.1) ?(card_threshold = 0.5)
 
   (* Simple-path entries: actual card and bsel from the path tree, error
      against the kernel estimate read off the EPT. *)
-  Pathtree.Path_tree.iter_paths path_tree ~f:(fun labels ~parent node ->
-      let hash = Path_hash.of_labels labels in
-      let path = Path_hash.key_of_labels labels in
+  iter_keyed path_tree ~f:(fun ~parent ~hash ~key:path node ->
       let est =
         match Hashtbl.find_opt estimates hash with
         | Some (e, key) when key = path ->
@@ -244,7 +263,8 @@ let build ?(mbp = 1) ?(bsel_threshold = 0.1) ?(card_threshold = 0.5)
      in
      let seen = Hashtbl.create 256 in
      let consider ~parent_label ~preds ~next =
-       if !candidates < max_branching_candidates then begin
+       if !candidates >= max_branching_candidates then raise_notrace Capped
+       else begin
          let next_label = match next with Some r -> r | None -> -1 in
          let hash =
            Path_hash.branching ~parent:parent_label ~predicates:preds
@@ -273,49 +293,51 @@ let build ?(mbp = 1) ?(bsel_threshold = 0.1) ?(card_threshold = 0.5)
          end
        end
      in
-     List.iter
-       (fun ((node : Pathtree.Path_tree.node), low) ->
-         let kids = node.children in
-         List.iter
-           (fun (q : Pathtree.Path_tree.node) ->
-             List.iter
-               (fun (r : Pathtree.Path_tree.node) ->
-                 if r.label <> q.label then
-                   consider ~parent_label:node.label ~preds:[ q.label ]
-                     ~next:(Some r.label))
-               kids;
-             consider ~parent_label:node.label ~preds:[ q.label ] ~next:None;
-             if mbp >= 2 then
-               List.iter
-                 (fun (q2 : Pathtree.Path_tree.node) ->
-                   if q2.label <> q.label then begin
-                     let preds = [ q.label; q2.label ] in
-                     List.iter
-                       (fun (r : Pathtree.Path_tree.node) ->
-                         if r.label <> q.label && r.label <> q2.label then
-                           consider ~parent_label:node.label ~preds
-                             ~next:(Some r.label))
-                       kids;
-                     consider ~parent_label:node.label ~preds ~next:None;
-                     if mbp >= 3 then
-                       List.iter
-                         (fun (q3 : Pathtree.Path_tree.node) ->
-                           if q3.label <> q.label && q3.label <> q2.label then
-                             List.iter
-                               (fun (r : Pathtree.Path_tree.node) ->
-                                 if
-                                   r.label <> q.label && r.label <> q2.label
-                                   && r.label <> q3.label
-                                 then
-                                   consider ~parent_label:node.label
-                                     ~preds:[ q.label; q2.label; q3.label ]
-                                     ~next:(Some r.label))
-                               kids)
-                         kids
-                   end)
-                 kids)
-           low)
-       heads
+     (try
+        List.iter
+          (fun ((node : Pathtree.Path_tree.node), low) ->
+            let kids = node.children in
+            List.iter
+              (fun (q : Pathtree.Path_tree.node) ->
+                List.iter
+                  (fun (r : Pathtree.Path_tree.node) ->
+                    if r.label <> q.label then
+                      consider ~parent_label:node.label ~preds:[ q.label ]
+                        ~next:(Some r.label))
+                  kids;
+                consider ~parent_label:node.label ~preds:[ q.label ] ~next:None;
+                if mbp >= 2 then
+                  List.iter
+                    (fun (q2 : Pathtree.Path_tree.node) ->
+                      if q2.label <> q.label then begin
+                        let preds = [ q.label; q2.label ] in
+                        List.iter
+                          (fun (r : Pathtree.Path_tree.node) ->
+                            if r.label <> q.label && r.label <> q2.label then
+                              consider ~parent_label:node.label ~preds
+                                ~next:(Some r.label))
+                          kids;
+                        consider ~parent_label:node.label ~preds ~next:None;
+                        if mbp >= 3 then
+                          List.iter
+                            (fun (q3 : Pathtree.Path_tree.node) ->
+                              if q3.label <> q.label && q3.label <> q2.label then
+                                List.iter
+                                  (fun (r : Pathtree.Path_tree.node) ->
+                                    if
+                                      r.label <> q.label && r.label <> q2.label
+                                      && r.label <> q3.label
+                                    then
+                                      consider ~parent_label:node.label
+                                        ~preds:[ q.label; q2.label; q3.label ]
+                                        ~next:(Some r.label))
+                                  kids)
+                            kids
+                      end)
+                    kids)
+              low)
+          heads
+      with Capped -> ())
    | _ -> ());
   ( het,
     { simple_entries = !simple; zero_entries = !zero;

@@ -14,16 +14,19 @@
    EPT pointer and HET contents visible to them.
 
    The unit of dispatch is a chunk: BATCH n is split into contiguous
-   slices (DESIGN.md §16). With two or more workers each shard runs on its
-   own domain and pops chunks from one shared FIFO, so whichever domain is
-   free takes the next chunk and a slow query holds up only its own
-   chunk. With one worker no domain is spawned: the submitter serves each
-   chunk itself, under the submission lock, through the same chunk body
-   and crash cleanup the domains run — that choice in [run_batch] is the
-   only place the worker count changes the request path. Replies are
-   written lock-free into the batch's preallocated submission-order result
-   array; the only latch is one idempotent completion per chunk, published
-   to a queued batch's submitter by the batch mutex. *)
+   slices (DESIGN.md §16). Shard 0 belongs to the submitting thread: only
+   code holding the submission lock touches it. A request that fits in one
+   chunk (every ESTIMATE, a BATCH of up to [chunk_target]) or any request
+   to a one-worker pool is served whole there, with no queue, latch or
+   wake-up. Shards 1..N-1 each run on a worker domain, started by the
+   first batch that queues a chunk, and pop chunks from one shared FIFO. A
+   multi-chunk batch queues every chunk but its first; the submitter serves
+   the first, takes back queued chunks until none is left, and waits for
+   the domains to finish the rest. Both ways run the same chunk body and
+   crash cleanup. Replies are written lock-free into the batch's
+   preallocated submission-order result array; the only latch is one
+   idempotent completion per chunk, published to a queued batch's
+   submitter by the batch mutex. *)
 
 (* Interned trace-event names, resolved once at create so worker hot loops
    record integer ids only. *)
@@ -101,10 +104,11 @@ and shard = {
 
 (* A submitted batch: [remaining] counts unanswered slots; each chunk
    decrements it exactly once (by its slot count) when it completes. A
-   queued batch carries a mutex and condition: the submitter waits on them
-   until [remaining] reaches zero, and the mutex publishes the workers'
-   lock-free result-array writes to it. An inline batch completes on its
-   submitter's thread and carries neither. *)
+   queued batch (one that put chunks in the queue) carries a mutex and
+   condition: the submitter waits on them until [remaining] reaches zero,
+   and the mutex publishes the domains' lock-free result-array writes to
+   it. A batch served whole on the submitter completes on its thread and
+   carries neither. *)
 and batch = {
   mutable remaining : int;
   sync : (Mutex.t * Condition.t) option;
@@ -414,10 +418,11 @@ let serve_query t shard ~seq ~enqueued_at query =
         | Error e -> Error e))
 
 (* Retire a chunk exactly once: decrement the parent batch by the chunk's
-   slot count and, for a queued chunk, the pool's in-flight chunk count.
-   Both the chunk body and [recover_crash] cleaning up after it call this;
-   [c_done] makes the second call a no-op. For a queued chunk the batch
-   mutex guards the latch and publishes the result-array writes. *)
+   slot count and, for a chunk of a queued batch, the pool's in-flight
+   chunk count. Both the chunk body and [recover_crash] cleaning up after
+   it call this; [c_done] makes the second call a no-op. For a queued
+   batch the batch mutex guards the latch and publishes the result-array
+   writes. *)
 let complete_chunk t (c : chunk) =
   let b = c.c_parent in
   let retire () =
@@ -627,9 +632,9 @@ let rec supervise t shard =
     recover_crash t shard exn;
     supervise t shard
 
-(* The one-worker pool serves a chunk on the submitting thread, which
-   holds the submission lock, through the same body and crash cleanup.
-   The chunk starts at [t_deq], when the previous one finished (or the
+(* Serve a chunk on the submitting thread, which holds the submission
+   lock, on shard 0, through the same body and crash cleanup the domains
+   run. The chunk starts at [t_deq], when the previous one finished (or the
    batch was admitted); returns the instant it finished. *)
 let serve_inline t c ~t_deq =
   let shard = t.shards.(0) in
@@ -774,15 +779,12 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
       auditor;
       scrape = Scrape_meter.create () }
   in
-  (* The EPT and shards are fully built before any domain spawns, so the
-     workers' first reads are ordered by the spawn itself. One worker
-     spawns nothing: its submitters serve inline. *)
-  if workers > 1 then
-    t.domains <-
-      Array.map (fun shard -> Domain.spawn (fun () -> supervise t shard)) shards;
+  (* No domain yet: [start_domains] spawns them with the first batch that
+     queues a chunk. *)
   t
 
 let workers t = Array.length t.shards
+let domains t = Array.length t.domains
 let epoch t = Atomic.get t.epoch
 let shed_total t = Atomic.get t.shed_total
 let timeout_total t = Atomic.get t.timeout_total
@@ -804,11 +806,78 @@ let with_coord tracing f =
   | None -> ()
   | Some tg -> with_lock tg.coord_lock (fun () -> f tg)
 
-(* Submit a batch as chunks and wait for all of it; replies land in the
-   preallocated submission-order result array regardless of which shard
-   served which slot. Returns the raw results and the per-slot
-   enqueue/dequeue/finish stamp arrays (for PROFILE; refused slots keep
-   zero stamps).
+(* Worker domains start with the first batch that queues a chunk, one per
+   shard 1..N-1, and run until [shutdown]. Until then a pool of any width
+   runs no domain beside its callers: every OCaml 5 minor collection stops
+   all domains, idle ones included (DESIGN.md §11). The spawn orders a
+   domain's first reads of the EPT and shards; later EPT rebuilds are
+   published by the queue mutex. Callers hold [submit_lock]. *)
+let start_domains t =
+  if Array.length t.domains = 0 then
+    t.domains <-
+      Array.init
+        (Array.length t.shards - 1)
+        (fun i -> Domain.spawn (fun () -> supervise t t.shards.(i + 1)))
+
+(* A queued chunk the queue would not take: answer every slot it carries
+   and retire it. *)
+let refuse t (c : chunk) refusal =
+  for slot = c.c_base to c.c_hi - 1 do
+    let error =
+      match refusal with
+      | `Closed -> closed_error ()
+      | `Full ->
+        (* Bounded admission under shed-newest: the queue is full, so this
+           newest chunk is the one dropped — every slot it carries. *)
+        Atomic.incr t.shed_total;
+        emit_refusal t t.recorder ~seq:(c.c_seq_base + slot)
+          ~query:c.c_queries.(slot) ~hash:0 ~cache:Flight_recorder.Shed;
+        overloaded_error ~capacity:(Work_queue.capacity t.queue) ()
+    in
+    c.c_results.(slot) <- Some (Error error)
+  done;
+  (* Nobody will ever dequeue it: close its queue-wait span and terminate
+     its flow so the trace still lints. *)
+  let id = c.c_seq_base + c.c_base in
+  with_coord t.tracing (fun tg ->
+      let ts = Obs.Trace.now tg.tr in
+      Obs.Trace.async_end tg.coord ~name:tg.names.n_queue_wait ~ts ~id;
+      Obs.Trace.flow_end tg.coord ~name:tg.names.n_query ~ts ~id);
+  complete_chunk t c
+
+(* A multi-chunk batch at N >= 2: queue every chunk but the first, serve the
+   first on the submitter's shard, then take back queued chunks until the
+   queue is empty; the domains serve what they popped. Only queued chunks
+   can be shed. Every chunk of the batch counts as in flight until it
+   completes, so a drain also waits for the domains' share. Callers hold
+   [submit_lock]; returns the admitted chunks' flow ids. *)
+let submit_queued t (chunks : chunk array) =
+  start_domains t;
+  ignore (Atomic.fetch_and_add t.inflight (Array.length chunks) : int);
+  let flows = ref [ chunks.(0).c_seq_base + chunks.(0).c_base ] in
+  for i = 1 to Array.length chunks - 1 do
+    let c = chunks.(i) in
+    let admitted =
+      match t.shed_policy with
+      | `Block -> if Work_queue.push t.queue c then `Ok else `Closed
+      | `Shed_newest -> Work_queue.try_push t.queue c
+    in
+    match admitted with
+    | `Ok -> flows := (c.c_seq_base + c.c_base) :: !flows
+    | (`Closed | `Full) as refusal -> refuse t c refusal
+  done;
+  let rec take_back clock =
+    match Work_queue.try_pop t.queue with
+    | Some c -> take_back (serve_inline t c ~t_deq:clock)
+    | None -> ()
+  in
+  take_back (serve_inline t chunks.(0) ~t_deq:(Obs.now_mono ()));
+  !flows
+
+(* Submit a batch and wait for all of it; replies land in the preallocated
+   submission-order result array regardless of which shard served which
+   slot. Returns the raw results and the per-slot enqueue/dequeue/finish
+   stamp arrays (for PROFILE; refused slots keep zero stamps).
 
    When tracing, the coordinator track shows a [batch_submit] slice with,
    per chunk, a [chunk_dispatch] instant, a flow start and a queue-wait
@@ -819,7 +888,9 @@ let run_batch t queries =
   let n = Array.length queries in
   if n = 0 then ([||], [||], [||], [||])
   else begin
-    let inline = workers t = 1 in
+    (* Only a batch of several chunks on a pool of several workers queues
+       anything; every other request is served whole on the submitter. *)
+    let queued = workers t > 1 && n > chunk_target in
     let results = Array.make n None in
     let enq = Array.make n 0.0 in
     let deq = Array.make n 0.0 in
@@ -827,7 +898,7 @@ let run_batch t queries =
     let parent =
       { remaining = n;
         sync =
-          (if inline then None else Some (Mutex.create (), Condition.create ()))
+          (if queued then Some (Mutex.create (), Condition.create ()) else None)
       }
     in
     let flows = ref [] in  (* admitted chunk flow ids, ended at gather *)
@@ -845,17 +916,24 @@ let run_batch t queries =
           parent.remaining <- 0
         end
         else begin
-          let plan = plan_chunks ~n ~workers:(workers t) in
           (* Every chunk carries the batch's admission instant: its deadline
              and queue-wait run from there, also for a chunk that waits
-             behind earlier ones — in a full queue, or served inline after
-             them. *)
+             behind earlier ones — in the queue, or served on the submitter
+             after them. *)
           let c_enq = Obs.now_mono () in
           Array.fill enq 0 n c_enq;
-          let inline_clock = ref c_enq in
-          Array.iter
-            (fun (lo, hi) ->
-              let c =
+          let chunks =
+            Array.map
+              (fun (lo, hi) ->
+                let id = seq_base + lo in
+                with_coord t.tracing (fun tg ->
+                    let ts = Obs.Trace.rel tg.tr c_enq in
+                    Obs.Trace.instant tg.coord ~name:tg.names.n_chunk_dispatch
+                      ~ts;
+                    Obs.Trace.flow_start tg.coord ~name:tg.names.n_query ~ts
+                      ~id;
+                    Obs.Trace.async_begin tg.coord ~name:tg.names.n_queue_wait
+                      ~ts ~id);
                 { c_queries = queries;
                   c_results = results;
                   c_deq = deq;
@@ -866,62 +944,18 @@ let run_batch t queries =
                   c_base = lo;
                   c_hi = hi;
                   c_cursor = lo;
-                  c_done = false }
-              in
-              let id = seq_base + lo in
-              with_coord t.tracing (fun tg ->
-                  let ts = Obs.Trace.rel tg.tr c_enq in
-                  Obs.Trace.instant tg.coord ~name:tg.names.n_chunk_dispatch
-                    ~ts;
-                  Obs.Trace.flow_start tg.coord ~name:tg.names.n_query ~ts
-                    ~id;
-                  Obs.Trace.async_begin tg.coord ~name:tg.names.n_queue_wait
-                    ~ts ~id);
-              let admitted =
-                if inline then begin
-                  inline_clock := serve_inline t c ~t_deq:!inline_clock;
-                  `Ok
-                end
-                else begin
-                  (* A queued chunk is in flight until it completes; an
-                     inline one runs under the submission lock, which
-                     every drain takes first. *)
-                  Atomic.incr t.inflight;
-                  match t.shed_policy with
-                  | `Block -> if Work_queue.push t.queue c then `Ok else `Closed
-                  | `Shed_newest -> Work_queue.try_push t.queue c
-                end
-              in
-              match admitted with
-              | `Ok -> flows := id :: !flows
-              | (`Closed | `Full) as refusal ->
-                for slot = lo to hi - 1 do
-                  let error =
-                    match refusal with
-                    | `Closed -> closed_error ()
-                    | `Full ->
-                      (* Bounded admission under shed-newest: the queue is
-                         full, so this newest chunk is the one dropped —
-                         every slot it carries. *)
-                      Atomic.incr t.shed_total;
-                      emit_refusal t t.recorder ~seq:(seq_base + slot)
-                        ~query:queries.(slot) ~hash:0
-                        ~cache:Flight_recorder.Shed;
-                      overloaded_error
-                        ~capacity:(Work_queue.capacity t.queue) ()
-                  in
-                  results.(slot) <- Some (Error error)
-                done;
-                (* Nobody will ever dequeue it: close its queue-wait span
-                   and terminate its flow so the trace still lints. *)
-                with_coord t.tracing (fun tg ->
-                    let ts = Obs.Trace.now tg.tr in
-                    Obs.Trace.async_end tg.coord ~name:tg.names.n_queue_wait
-                      ~ts ~id;
-                    Obs.Trace.flow_end tg.coord ~name:tg.names.n_query ~ts
-                      ~id);
-                complete_chunk t c)
-            plan
+                  c_done = false })
+              (plan_chunks ~n ~workers:(if queued then workers t else 1))
+          in
+          if queued then flows := submit_queued t chunks
+          else
+            ignore
+              (Array.fold_left
+                 (fun clock c ->
+                   flows := (seq_base + c.c_base) :: !flows;
+                   serve_inline t c ~t_deq:clock)
+                 c_enq chunks
+                : float)
         end;
         with_coord t.tracing (fun tg ->
             Obs.Trace.complete tg.coord ~name:tg.names.n_batch_submit
@@ -1517,13 +1551,13 @@ let invalidate t =
       Atomic.incr t.epoch)
 
 let shutdown t =
-  let join =
+  let started =
     with_lock t.submit_lock (fun () ->
-        if t.stopped then false
+        if t.stopped then [||]
         else begin
           t.stopped <- true;
           Work_queue.close t.queue;
-          true
+          t.domains
         end)
   in
-  if join then Array.iter Domain.join t.domains
+  Array.iter Domain.join started

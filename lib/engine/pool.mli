@@ -6,24 +6,32 @@
     {!Obs} registry and {!Drift} volume shard — so the estimate hot path
     takes no lock beyond the {!Work_queue}'s own mutex.
 
-    {b One worker runs inline.} [create ~workers:1] spawns no domain: each
-    chunk is served on the submitting thread, under the submission lock,
-    by the same chunk body, deadline checks, flight records and crash
-    cleanup the worker domains run. Only the dispatch differs — a chunk is
-    queued for a domain, or served on the spot. This is the
-    single-threaded engine of [xseed serve --workers 1], [xseed replay]
-    and every {!Registry} tenant; it is domain-safe (concurrent callers
-    serialize on the submission lock) and its queue counters stay zero.
+    {b The submitter is worker 0.} [create ~workers:n] counts serving
+    threads: the submitting thread, which owns shard 0 (only code holding
+    the submission lock touches it), plus [n - 1] worker domains owning
+    shards 1..n-1. A request that fits in one chunk — every ESTIMATE, any
+    BATCH of up to 8 — and any request to a one-worker pool is served
+    whole on the submitter, under the submission lock, with no queue,
+    latch or wake-up. This is the single-threaded engine of
+    [xseed serve --workers 1], [xseed replay] and every {!Registry}
+    tenant; it is domain-safe (concurrent callers take turns on the
+    submission lock). The worker domains start with the first batch that
+    queues a chunk and run until {!shutdown}, so a pool that only ever
+    serves one-chunk requests runs no domain at all.
 
     {b Chunk dispatch} (DESIGN.md §16). A batch of [n] queries is cut by
     {!plan_chunks} into contiguous slices, one queue operation per chunk
-    rather than per query. With two or more workers the chunks go into
-    one shared FIFO and whichever worker domain is free pops the next, so
-    a straggler holds up only its own chunk. Shards write replies
-    lock-free into the batch's preallocated submission-order result array;
-    the only synchronization per chunk is one idempotent completion latch.
-    Per-shard mutable hot state is padded past two cache lines to kill
-    false sharing between worker domains.
+    rather than per query. With two or more workers a batch of several
+    chunks queues every chunk but its first in one shared FIFO; the
+    submitter serves the first chunk, takes back queued chunks
+    ({!Work_queue.try_pop}) until none is left, and waits for the ones the
+    domains popped, so a straggler holds up only its own chunk. Every
+    thread runs the same chunk body, deadline checks, flight records and
+    crash cleanup. Shards write replies lock-free into the batch's
+    preallocated submission-order result array; the only synchronization
+    per chunk is one idempotent completion latch. Per-shard mutable hot
+    state is padded past two cache lines to kill false sharing between
+    serving threads.
 
     {b Single-writer feedback.} [feedback] (and [explain]) take the
     submission lock, wait for in-flight chunks to drain, and only then
@@ -58,8 +66,9 @@ val create :
   ?auditor:Auditor.t ->
   Core.Estimator.t ->
   t
-(** With [workers] (default 2) above one, spawns that many domains
-    immediately; one worker spawns none. Call {!shutdown} when done.
+(** [workers] (default 2) counts serving threads: the submitter plus
+    [workers - 1] worker domains, which the first batch that queues a chunk
+    spawns; [create] itself spawns none. Call {!shutdown} when done.
     [qerror_threshold] (default 2.0) is the minimum q-error at which
     feedback refines the HET. [cache_capacity] (default 1024) and
     [recorder_capacity] (default 256) are {e per shard}; [queue_capacity]
@@ -83,11 +92,13 @@ val create :
     answer. [shed_policy] (default [`Block]) governs a full queue:
     [`Block] applies backpressure (the submitter waits), [`Shed_newest]
     refuses the chunk being submitted — every slot it carries — with
-    [ERR overloaded] without blocking; a one-worker pool has no queue, so
-    it never sheds. Workers are supervised: an exception escaping a chunk
-    body answers the chunk's unserved slots with [ERR internal] and bumps
+    [ERR overloaded] without blocking. Only queued chunks can be shed: a
+    one-chunk request, a batch's first chunk and anything sent to a
+    one-worker pool are served on the submitter and never queue. Serving
+    threads are supervised: an exception escaping a chunk body answers the
+    chunk's unserved slots with [ERR internal] and bumps
     {!worker_restarts}; a worker domain then restarts its loop in place,
-    an inline worker simply returns — a batch never hangs on a dead
+    the submitter simply carries on — a batch never hangs on a dead
     worker. A query whose execution has killed workers twice is
     quarantined (refused [ERR internal] before executing). [chaos] is a
     test-only fault hook called on the serving thread right before each
@@ -95,7 +106,8 @@ val create :
     exercising the supervisor.
 
     [trace] attaches the pool to an {!Obs.Trace} session: the coordinator
-    registers tid 0 and each shard tid [id+1]. Per chunk the trace carries
+    registers tid 0 and each shard tid [id+1] (shard 0, tid 1, is the
+    submitter's). Per chunk the trace carries
     a [chunk_dispatch] instant at submit, a [queue_wait] async span (begun
     at submit on the coordinator, ended at dequeue on the serving shard),
     an [execute] slice with per-query [canonicalize] / [pipeline]
@@ -103,8 +115,8 @@ val create :
     submit -> execute -> gather; [batch_submit] / [batch_gather] slices
     frame the coordinator's work ([feedback] / [explain] slices
     frame the drained verbs). Shard buffers are written only by the
-    thread serving the shard (its domain, or the submitter holding the
-    submission lock inline); the coordinator buffer is guarded by an
+    thread serving the shard (its domain, or for shard 0 the submitter
+    holding the submission lock); the coordinator buffer is guarded by an
     internal innermost lock. Without [trace] the hot path never touches a
     ring.
 
@@ -121,8 +133,10 @@ val create :
     invalid. *)
 
 val shutdown : t -> unit
-(** Close the queue, let queued chunks drain, and join all worker domains.
-    Idempotent; subsequent requests answer with an [internal] error. *)
+(** Close the queue, let queued chunks drain, and join the worker domains
+    started so far (none if no batch ever queued a chunk, so it returns at
+    once). Idempotent; subsequent requests answer with an [internal]
+    error. *)
 
 val drain_audits : t -> unit
 (** Fold completed shadow audits into the telemetry now, under the
@@ -130,6 +144,11 @@ val drain_audits : t -> unit
     without an auditor or after {!shutdown}. *)
 
 val workers : t -> int
+(** Serving threads: the submitter plus the worker domains, as created. *)
+
+val domains : t -> int
+(** Worker domains started so far: 0 until the first batch that queues a
+    chunk, then [workers - 1] until {!shutdown}. *)
 
 val plan_chunks : n:int -> workers:int -> (int * int) array
 (** The pure chunk plan: [n] slots cut into [min n (max workers (ceil

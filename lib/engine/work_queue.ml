@@ -104,6 +104,19 @@ let try_push t v =
   Mutex.unlock t.lock;
   r
 
+(* Dequeue the head under the lock, or [None] on an empty ring. *)
+let dequeue t =
+  if t.len = 0 then None
+  else begin
+    let v = t.ring.(t.head) in
+    t.ring.(t.head) <- None;
+    t.head <- (t.head + 1) mod Array.length t.ring;
+    t.len <- t.len - 1;
+    t.pops <- t.pops + 1;
+    Condition.signal t.not_full;
+    v
+  end
+
 let pop t =
   Mutex.lock t.lock;
   if t.len = 0 && not t.closed then begin
@@ -114,18 +127,15 @@ let pop t =
     done;
     t.pop_wait_s <- t.pop_wait_s +. (Obs.now_mono () -. w0)
   end;
-  let r =
-    if t.len = 0 then None (* closed and drained *)
-    else begin
-      let v = t.ring.(t.head) in
-      t.ring.(t.head) <- None;
-      t.head <- (t.head + 1) mod Array.length t.ring;
-      t.len <- t.len - 1;
-      t.pops <- t.pops + 1;
-      Condition.signal t.not_full;
-      v
-    end
-  in
+  let r = dequeue t (* [None] here: closed and drained *) in
+  Mutex.unlock t.lock;
+  r
+
+(* Non-blocking dequeue: the submitter drains its own batch's queued chunks
+   with it, and an empty ring answers [None] at once. *)
+let try_pop t =
+  Mutex.lock t.lock;
+  let r = dequeue t in
   Mutex.unlock t.lock;
   r
 

@@ -4,8 +4,9 @@
     queue operation per chunk, so a single mutex covers the ring.
     Producers push at the tail (blocking while the ring is full, which
     backpressures clients instead of growing memory); any worker domain
-    pops the head. A push wakes one blocked consumer and a pop one blocked
-    producer ([Condition.signal]); {!close} wakes everyone: pending chunks
+    pops the head, and the producer itself may take it back without
+    blocking ({!try_pop}). A push wakes one blocked consumer and a pop one
+    blocked producer ([Condition.signal]); {!close} wakes everyone: pending chunks
     still drain, further pushes are refused, and poppers see [None] once
     the ring is empty — the worker shutdown signal.
 
@@ -37,6 +38,12 @@ val try_push : 'a t -> 'a -> [ `Ok | `Full | `Closed ]
 val pop : 'a t -> 'a option
 (** Dequeue the head, blocking while the ring is empty. [None] only when
     the queue is closed and drained. *)
+
+val try_pop : 'a t -> 'a option
+(** Non-blocking dequeue: the head, or [None] at once when the ring is
+    empty (closed or not). Counts in [pops] like {!pop}, never in
+    [pop_waits]. The pool's submitter drains its own batch's queued chunks
+    with it before it waits for the rest. *)
 
 val close : 'a t -> unit
 (** Refuse further pushes and wake all blocked producers and consumers.

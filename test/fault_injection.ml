@@ -226,11 +226,16 @@ let pool_case rng ~seed ~case =
   | pool ->
     Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
     (* Submit the victim enough times to exhaust the kill budget and trip
-       quarantine when the budget is 2, interleaved with bystanders. *)
+       quarantine when the budget is 2, interleaved with bystanders —
+       twice over, so that at two workers the batch spans two chunks and
+       the domain serves one. *)
     let batch =
-      List.concat_map
-        (fun q -> [ q; victim ])
-        (Array.to_list (Array.sub queries 0 (min 3 (Array.length queries))))
+      let once =
+        List.concat_map
+          (fun q -> [ q; victim ])
+          (Array.to_list (Array.sub queries 0 (min 3 (Array.length queries))))
+      in
+      once @ once
     in
     (match Engine.Pool.estimate_batch pool batch with
      | replies ->

@@ -10,10 +10,11 @@
      must estimate the NoK operator's exact cardinality — the HET override
      replaces the kernel approximation with recorded truth;
    - a pool-vs-engine oracle: the single-threaded engine (a one-worker
-     pool, serving every chunk inline on the caller) and a 2-domain pool
-     running multi-chunk batches must return bit-identical floats over the
-     same synopsis for every query, including after an identical feedback
-     observation on both and around a mid-batch deadline;
+     pool, serving every chunk inline on the caller) and pools of 2 and 4
+     workers running singles and multi-chunk batches must return
+     bit-identical floats over the same synopsis for every query,
+     including after an identical feedback observation on both and around
+     a mid-batch deadline;
    - a matcher oracle: the flat matcher and the frozen recursive one
      (Matcher_reference) must agree on every estimate's bits, every match
      statistic and the HET counters each query moves, on random documents
@@ -175,10 +176,11 @@ let test_het_simple_paths_exact_random () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Oracle 3: the inline engine and a 2-domain pool are bit-identical. The
-   engine side is a one-worker pool, which serves every chunk on the
-   submitting thread; the other side runs two worker domains popping the
-   chunks from one shared queue. *)
+(* Oracle 3: the inline engine and a multi-worker pool are bit-identical.
+   The engine side is a one-worker pool, which serves every chunk on the
+   submitting thread; on the other side the submitter serves one-chunk
+   requests and the first chunk of a larger batch, and worker domains pop
+   the other chunks from one shared queue. *)
 
 let bits = Int64.bits_of_float
 
@@ -206,13 +208,13 @@ let engine_value = value_of "engine"
 let pool_value = value_of "pool"
 
 (* Two independent synopsis stacks over the same document, so feedback on
-   one side cannot leak into the other: the inline engine, and a 2-domain
-   pool. *)
-let with_pair doc f =
+   one side cannot leak into the other: the inline engine, and a pool of
+   [workers] (default 2). *)
+let with_pair ?(workers = 2) doc f =
   let path_tree, engine_est = build_stack doc in
   let _, pool_est = build_stack doc in
   let engine = Engine.Pool.create ~workers:1 engine_est in
-  let pool = Engine.Pool.create ~workers:2 pool_est in
+  let pool = Engine.Pool.create ~workers pool_est in
   Fun.protect
     ~finally:(fun () ->
       Engine.Pool.shutdown pool;
@@ -272,11 +274,11 @@ let test_pool_bit_identical () =
     queries
 
 (* The same oracle on hostile inputs: random documents, a query mix that
-   includes malformed and degenerate spellings, and a 2-domain pool whose
-   batches of several dozen queries split into chunks of up to 8 that
-   either domain may serve. Errors must agree by kind, values bit for
-   bit, including after an identical feedback observation bumps both
-   epochs. *)
+   includes malformed and degenerate spellings, and a 2-worker pool whose
+   batches of several dozen queries split into chunks of up to 8 that the
+   submitter or the domain may serve. Errors must agree by kind, values
+   bit for bit, including after an identical feedback observation bumps
+   both epochs. *)
 
 let rng_doc rng =
   let buf = Buffer.create 256 in
@@ -382,28 +384,75 @@ let test_pool_chunked_hostile_bit_identical () =
       queries batch2
   done
 
-(* Mid-batch deadline expiry. One 8-query batch against a 50 ms budget
-   measured from the batch's admission, with a gate parking the serving
-   thread inside slot 2: slots before it are served within budget (and
-   must match the other kind of pool bit for bit), the gated slot and
-   everything after it expire, and the refusals must not disturb
-   submission order or later traffic. The scenario runs on the inline
-   engine (one 8-slot chunk, parked on the submitting domain) and on a
-   2-domain pool with both domains parked — one on a gated single
-   submitted first, which expires too, the other inside slot 2 of the
-   first 4-slot chunk — so the second chunk waits out the budget in the
-   queue. *)
+(* Every dispatch shape against the inline engine: singles and BATCH 8
+   (served whole on the submitter), BATCH 9 and 64 (chunks queued for the
+   worker domains) at 1, 2 and 4 workers, before and after one identical
+   refining feedback on both sides. *)
+let test_pool_shapes_bit_identical () =
+  List.iter
+    (fun workers ->
+      with_pair ~workers Datagen.Paper_example.document
+      @@ fun path_tree engine pool ->
+      let queries = Array.of_list (pool_queries path_tree) in
+      let pick i = queries.(i mod Array.length queries) in
+      let agree phase =
+        let label = Printf.sprintf "%d workers, %s" workers phase in
+        Array.iter
+          (fun q ->
+            check_agree ~label:(label ^ ", single") engine
+              (Engine.Pool.estimate pool q) q)
+          queries;
+        List.iter
+          (fun width ->
+            let batch = List.init width (fun i -> pick (i + width)) in
+            List.iter2
+              (check_agree
+                 ~label:(Printf.sprintf "%s, BATCH %d" label width)
+                 engine)
+              (Engine.Pool.estimate_batch pool batch)
+              batch)
+          [ 8; 9; 64 ]
+      in
+      agree "before feedback";
+      let fq = queries.(0) in
+      let wrong_actual = 10 * (1 + int_of_float (engine_value engine fq)) in
+      List.iter
+        (fun (side, p) ->
+          match Engine.Pool.feedback p fq ~actual:wrong_actual with
+          | Ok fb ->
+            checkb
+              (Printf.sprintf "%d workers, %s refined" workers side)
+              true fb.Engine.Feedback.refined
+          | Error e ->
+            Alcotest.failf "%s feedback: %s" side (Core.Error.to_string e))
+        [ ("engine", engine); ("pool", pool) ];
+      agree "after feedback")
+    [ 1; 2; 4 ]
+
+(* Mid-batch deadline expiry. One batch against a 50 ms budget measured
+   from the batch's admission, with a gate parking the serving thread
+   inside slot 2: slots before it are served within budget (and must match
+   the other kind of pool bit for bit), the gated slot and everything
+   after it expire, and the refusals must not disturb submission order or
+   later traffic. The scenario runs on the inline engine (one 8-slot
+   chunk, parked on the submitting domain) and on a 2-worker pool whose
+   domain is parked first, in the gated second chunk of a 16-slot batch,
+   whose first chunk holds its submitter at a barrier until the domain has
+   popped it. The test batch is then 16 slots too: the submitter parks
+   inside slot 2 of its own first chunk, and the second chunk waits out
+   the budget in the queue. *)
 
 type gate = {
   g_lock : Mutex.t;
   g_cond : Condition.t;
   mutable g_entered : int;
   mutable g_released : bool;
+  mutable g_popped : unit -> bool;  (* the barrier's condition *)
 }
 
 let gate () =
   { g_lock = Mutex.create (); g_cond = Condition.create ();
-    g_entered = 0; g_released = false }
+    g_entered = 0; g_released = false; g_popped = (fun () -> true) }
 
 let gate_hook g = function
   | "//sleepy" ->
@@ -412,6 +461,9 @@ let gate_hook g = function
     Condition.broadcast g.g_cond;
     while not g.g_released do Condition.wait g.g_cond g.g_lock done;
     Mutex.unlock g.g_lock;
+    false
+  | "//barrier" ->
+    while not (g.g_popped ()) do Domain.cpu_relax () done;
     false
   | _ -> false
 
@@ -427,13 +479,23 @@ let expect_timeout what = function
     checkb (what ^ " expired with ERR timeout") true
       (Core.Error.kind e = Core.Error.Timeout)
 
-let deadline_mid_batch ~label ~gated ~parked_singles ~reference =
+let queue_pops pool =
+  match Obs.Json.member "pool" (Engine.Pool.stats_json pool) with
+  | Some pf ->
+    (match Obs.Json.member "queue_pops" pf with
+     | Some (Obs.Json.Int n) -> n
+     | _ -> Alcotest.fail "pool stats lack queue_pops")
+  | None -> Alcotest.fail "stats without pool object"
+
+let deadline_mid_batch ~label ~workers ~reference =
   let doc = Datagen.Paper_example.document in
   let path_tree, gated_est = build_stack doc in
   let _, reference_est = build_stack doc in
   let g = gate () in
   let deadline_s = 0.05 in
-  let pool = gated ~deadline_s ~chaos:(gate_hook g) gated_est in
+  let pool =
+    Engine.Pool.create ~workers ~deadline_s ~chaos:(gate_hook g) gated_est
+  in
   let other = reference reference_est in
   Fun.protect
     ~finally:(fun () ->
@@ -444,32 +506,56 @@ let deadline_mid_batch ~label ~gated ~parked_singles ~reference =
     List.map Xpath.Ast.to_string (Datagen.Workload.all_simple_paths path_tree)
   in
   let q0 = List.nth fast 0 and q1 = List.nth fast 1 in
-  let queries = [ q0; q1; "//sleepy"; q0; q1; q0; q1; q0 ] in
-  let rec park i acc =
-    if i > parked_singles then List.rev acc
+  let first_chunk = [ q0; q1; "//sleepy"; q0; q1; q0; q1; q0 ] in
+  (* At two workers the domain parks first, on a batch of its own. *)
+  let parked =
+    if workers = 1 then None
     else begin
-      let d = Domain.spawn (fun () -> Engine.Pool.estimate pool "//sleepy") in
-      gate_await g i;
-      park (i + 1) (d :: acc)
+      let pops = queue_pops pool + 1 in
+      g.g_popped <- (fun () -> queue_pops pool >= pops);
+      let d =
+        Domain.spawn (fun () ->
+            Engine.Pool.estimate_batch pool
+              (List.init 8 (fun _ -> "//barrier")
+              @ List.init 8 (fun _ -> "//sleepy")))
+      in
+      gate_await g 1;
+      Some d
     end
   in
-  let singles = park 1 [] in
+  let queries =
+    if workers = 1 then first_chunk else first_chunk @ List.init 8 (fun _ -> q0)
+  in
   let batcher =
     Domain.spawn (fun () -> Engine.Pool.estimate_batch pool queries)
   in
   (* Slots 0-1 are served and the serving thread is now parked inside
      slot 2; hold it past the whole batch's budget before letting go. *)
-  gate_await g (parked_singles + 1);
+  gate_await g workers;
   Unix.sleepf (5.0 *. deadline_s);
   Mutex.lock g.g_lock;
   g.g_released <- true;
   Condition.broadcast g.g_cond;
   Mutex.unlock g.g_lock;
   let batch = Domain.join batcher in
-  List.iter
-    (fun d -> expect_timeout (label ^ " parked single") (Domain.join d))
-    singles;
-  checki (label ^ " all slots answered") 8 (List.length batch);
+  (* The parked batch's gated chunk expired too; its barrier chunk may or
+     may not have beaten the budget. *)
+  let parked_timeouts =
+    match parked with
+    | None -> 0
+    | Some d ->
+      List.fold_left ( + ) 0
+        (List.mapi
+           (fun slot reply ->
+             if slot >= 8 then begin
+               expect_timeout (label ^ " parked slot") reply;
+               1
+             end
+             else match reply with Ok _ -> 0 | Error _ -> 1)
+           (Domain.join d))
+  in
+  let n = List.length queries in
+  checki (label ^ " all slots answered") n (List.length batch);
   List.iteri
     (fun i reply ->
       match reply with
@@ -483,8 +569,9 @@ let deadline_mid_batch ~label ~gated ~parked_singles ~reference =
           (Core.Error.to_string e)
       | reply -> expect_timeout (Printf.sprintf "%s slot %d" label i) reply)
     batch;
-  checki (label ^ " six slots timed out, plus the parked singles")
-    (6 + parked_singles)
+  checki
+    (label ^ " every slot from the gated one on timed out, plus the parked")
+    (n - 2 + parked_timeouts)
     (Engine.Pool.timeout_total pool);
   (* The pool is unharmed: fresh traffic still agrees bit for bit. *)
   List.iter
@@ -496,13 +583,9 @@ let deadline_mid_batch ~label ~gated ~parked_singles ~reference =
     fast
 
 let test_pool_deadline_mid_batch () =
-  deadline_mid_batch ~label:"inline" ~parked_singles:0
-    ~gated:(fun ~deadline_s ~chaos est ->
-      Engine.Pool.create ~workers:1 ~deadline_s ~chaos est)
+  deadline_mid_batch ~label:"inline" ~workers:1
     ~reference:(fun est -> Engine.Pool.create ~workers:2 est);
-  deadline_mid_batch ~label:"2 domains" ~parked_singles:1
-    ~gated:(fun ~deadline_s ~chaos est ->
-      Engine.Pool.create ~workers:2 ~deadline_s ~chaos est)
+  deadline_mid_batch ~label:"2 workers" ~workers:2
     ~reference:(fun est -> Engine.Pool.create ~workers:1 est)
 
 (* ------------------------------------------------------------------ *)
@@ -965,11 +1048,12 @@ let test_oracle_het_builder_corpora () =
   in
   checkb "branching entries compared" true (compared > 1000)
 
-(* Records with 10 fields each has and 150 optional ones, each present
-   with probability 0.15 and now and then twice: many labels, and wide child
-   sets that share their smallest labels (the shared fields are interned
-   first), so nearly every record's set is a group of its own. *)
-let wide_records ~seed ~records =
+(* Records with 10 fields each has and [fields] (default 150) optional
+   ones, each present with probability 0.15 and now and then twice: many
+   labels, and wide child sets that share their smallest labels (the shared
+   fields are interned first), so nearly every record's set is a group of
+   its own. *)
+let wide_records ?(fields = 150) ~seed ~records () =
   let rng = Random.State.make [| seed |] in
   let buf = Buffer.create 65536 in
   let field name = Printf.bprintf buf "<%s></%s>" name name in
@@ -979,7 +1063,7 @@ let wide_records ~seed ~records =
     for f = 0 to 9 do
       field (Printf.sprintf "s%d" f)
     done;
-    for f = 0 to 149 do
+    for f = 0 to fields - 1 do
       if Random.State.int rng 100 < 15 then begin
         field (Printf.sprintf "f%d" f);
         if Random.State.int rng 4 = 0 then field (Printf.sprintf "f%d" f)
@@ -991,7 +1075,7 @@ let wide_records ~seed ~records =
   Buffer.contents buf
 
 let test_oracle_het_builder_wide () =
-  let doc = wide_records ~seed:5 ~records:120 in
+  let doc = wide_records ~seed:5 ~records:120 () in
   let table, kernel, path_tree, storage = het_inputs doc in
   let own = storage_own_table table doc in
   let compared =
@@ -1006,6 +1090,33 @@ let test_oracle_het_builder_wide () =
   in
   checkb "more than 150 labels" true (Xml.Label.count table > 150);
   checkb "branching entries compared" true (compared > 1000)
+
+(* The candidate cap: 40 records over 40 field labels at mbp 3 and bsel
+   1.0 offer far more patterns than a cap of 0, 1 or 400, so the builder
+   leaves its enumeration at the cap while the reference enumerates on;
+   the HET bytes and stats must still agree, and the cap must be reached. *)
+let test_oracle_het_builder_capped () =
+  let doc = wide_records ~fields:30 ~seed:7 ~records:40 () in
+  let table, kernel, path_tree, storage = het_inputs doc in
+  let own = storage_own_table table doc in
+  let options = (3, 1.0, 0.5, true) in
+  let compared =
+    sum
+      (fun cap ->
+        let label = Printf.sprintf "cap %d" cap in
+        let _, stats =
+          Core.Het_builder.build ~mbp:3 ~bsel_threshold:1.0
+            ~max_branching_candidates:cap ~kernel ~path_tree ~storage ()
+        in
+        checki (label ^ " reached") cap
+          stats.Core.Het_builder.branching_candidates;
+        het_agree ~max_branching_candidates:cap ~label ~kernel ~path_tree
+          ~storage options
+        + het_agree ~max_branching_candidates:cap ~label:(label ^ ", own table")
+            ~kernel ~path_tree ~storage:own options)
+      [ 0; 1; 400 ]
+  in
+  checkb "branching entries compared" true (compared > 400)
 
 let () =
   let qtests = List.map QCheck_alcotest.to_alcotest
@@ -1023,7 +1134,9 @@ let () =
           Alcotest.test_case "multi-chunk batches on hostile inputs"
             `Quick test_pool_chunked_hostile_bit_identical;
           Alcotest.test_case "mid-batch deadline expiry" `Quick
-            test_pool_deadline_mid_batch ]
+            test_pool_deadline_mid_batch;
+          Alcotest.test_case "every batch shape at every worker count"
+            `Quick test_pool_shapes_bit_identical ]
       );
       ( "matcher-oracle",
         [ oracle_no_het; oracle_het; oracle_values; oracle_synthetic;
@@ -1036,4 +1149,6 @@ let () =
           Alcotest.test_case "treebank, xmark, dblp" `Quick
             test_oracle_het_builder_corpora;
           Alcotest.test_case "many labels, wide child sets" `Quick
-            test_oracle_het_builder_wide ] ) ]
+            test_oracle_het_builder_wide;
+          Alcotest.test_case "enumeration stops at the candidate cap" `Quick
+            test_oracle_het_builder_capped ] ) ]

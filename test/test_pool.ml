@@ -5,7 +5,9 @@
    The scheduling tests stay deterministic without sleeps by parking
    worker domains in a chaos gate: a worker serving the gate's query
    blocks inside it until the test opens the gate, so the test knows
-   exactly which domains are still free to pop the shared queue.
+   exactly which domains are still free to pop the shared queue. One-chunk
+   requests never leave the submitting thread, so these tests reach the
+   domains through batches of several chunks.
    [STRESS_OPS] scales the per-client op count (default 800 for `dune
    runtest`; `make stress` runs 10_000). *)
 
@@ -543,9 +545,30 @@ let test_pool_trace () =
        evs)
 
 (* ------------------------------------------------------------------ *)
-(* The chaos gate. A worker serving the gate's query blocks inside the
+(* The chaos gate. A thread serving the gate's query blocks inside the
    chaos hook until the gate opens, then serves the query normally; the
-   entry count is the rendezvous proving how many workers are parked. *)
+   entry count is the rendezvous proving how many threads are parked.
+
+   The submitter serves a batch's first chunk itself and then takes back
+   whatever is still queued. To pin queued chunks on the domains, a test
+   fills the first chunk with [barrier] slots: the hook holds the
+   submitter there until the domains have popped [g_pops] chunks in all
+   (the queue's own counter), so the submitter finds nothing left to take
+   back. *)
+
+let pool_stat pool key =
+  match Engine.Pool.stats_json pool with
+  | Obs.Json.Obj fields ->
+    (match List.assoc_opt "pool" fields with
+     | Some (Obs.Json.Obj pf) ->
+       (match List.assoc_opt key pf with
+        | Some (Obs.Json.Int n) -> n
+        | _ -> Alcotest.failf "pool stats lack int %s" key)
+     | _ -> Alcotest.fail "stats without pool object")
+  | _ -> Alcotest.fail "stats_json not an object"
+
+let queue_pops pool = pool_stat pool "queue_pops"
+let barrier = "//barrier"
 
 type gate = {
   g_query : string;
@@ -553,11 +576,13 @@ type gate = {
   g_cond : Condition.t;
   mutable g_entered : int;
   mutable g_released : bool;
+  mutable g_pool : Engine.Pool.t option;  (* the pool the barrier watches *)
+  mutable g_pops : int;  (* queue pops the barrier waits for *)
 }
 
 let gate ?(query = "//sleepy") () =
   { g_query = query; g_lock = Mutex.create (); g_cond = Condition.create ();
-    g_entered = 0; g_released = false }
+    g_entered = 0; g_released = false; g_pool = None; g_pops = 0 }
 
 let gate_hook g q =
   if q = g.g_query then begin
@@ -566,8 +591,31 @@ let gate_hook g q =
     Condition.broadcast g.g_cond;
     while not g.g_released do Condition.wait g.g_cond g.g_lock done;
     Mutex.unlock g.g_lock
-  end;
+  end
+  else if q = barrier then
+    Option.iter
+      (fun pool ->
+        while queue_pops pool < g.g_pops do Domain.cpu_relax () done)
+      g.g_pool;
   false (* then serve normally *)
+
+(* A gated pool whose barrier watches it. *)
+let gated_pool g create =
+  let pool = create ~chaos:(gate_hook g) in
+  g.g_pool <- Some pool;
+  pool
+
+(* A batch of [8 * workers] slots — exactly [workers] chunks of 8 — whose
+   slots in chunk [k] are [fill k]. *)
+let chunked ~workers fill =
+  List.concat
+    (List.init workers (fun k -> List.init 8 (fun _ -> fill k)))
+
+(* Submit a [chunked] batch whose chunk 0 is all [barrier], holding the
+   submitter until the domains have popped [pops] of its chunks. *)
+let submit_pinned pool g ~pops queries =
+  g.g_pops <- queue_pops pool + pops;
+  Engine.Pool.estimate_batch pool queries
 
 let gate_await_entered ?(n = 1) g =
   Mutex.lock g.g_lock;
@@ -580,29 +628,29 @@ let gate_release g =
   Condition.broadcast g.g_cond;
   Mutex.unlock g.g_lock
 
-(* Park [n] worker domains of a fresh gate's pool, one at a time, each on
-   a one-slot chunk of the gate's query; returns the parked submitters.
-   One at a time, so a small queue never has to hold two sleepers. *)
-let park pool g n =
-  let rec go i acc =
-    if i > n then List.rev acc
-    else begin
-      let d = Domain.spawn (fun () -> Engine.Pool.estimate pool g.g_query) in
-      gate_await_entered ~n:i g;
-      go (i + 1) (d :: acc)
-    end
+(* Park [n] of the [workers - 1] worker domains of a gated pool: one
+   pinned batch whose chunks 1..n carry the gate's query and any later
+   ones a plain query. Each domain stops at the first slot of the chunk it
+   popped, so chunks 1..n (popped first, in FIFO order) park [n] distinct
+   domains, and the barrier keeps the submitter off them. Returns the
+   parked batch's submitter; the queue is empty again when it returns. *)
+let park pool g ~workers n =
+  let queries =
+    chunked ~workers (fun k ->
+        if k = 0 then barrier else if k <= n then g.g_query else "/site")
   in
-  go 1 []
+  let d = Domain.spawn (fun () -> submit_pinned pool g ~pops:n queries) in
+  gate_await_entered ~n g;
+  d
 
-(* Open the gate and collect the parked submitters' replies. *)
-let unpark g sleepers =
+(* Open the gate and collect the parked batch's replies. *)
+let unpark g sleeper =
   gate_release g;
   List.iter
-    (fun d ->
-      match Domain.join d with
-      | Ok _ -> ()
+    (function
+      | Ok (_ : Engine.Serve.estimate_reply) -> ()
       | Error e -> Alcotest.failf "parked query: %s" (Core.Error.to_string e))
-    sleepers
+    (Domain.join sleeper)
 
 let paper_estimator () =
   let doc = Datagen.Paper_example.document in
@@ -613,15 +661,16 @@ let paper_estimator () =
   let het, _ = Core.Het_builder.build ~kernel ~path_tree () in
   Core.Estimator.create ~het kernel
 
-(* A parked worker does not strand a batch: with one of two domains parked,
-   a 24-slot batch (three 8-slot chunks) completes on the other domain
-   while the gate is still closed — bit-identical to single estimates and
-   in submission order. The wait is bounded, so a stranded chunk fails the
-   test instead of hanging it. *)
+(* A parked worker does not strand a batch: with one of a 3-worker pool's
+   two domains parked, a 24-slot batch (three 8-slot chunks) completes on
+   the submitter and the other domain while the gate is still closed —
+   bit-identical to single estimates and in submission order. The wait is
+   bounded, so a stranded chunk fails the test instead of hanging it. *)
 let test_pool_parked_worker () =
   let g = gate () in
   let pool =
-    Engine.Pool.create ~workers:2 ~chaos:(gate_hook g) (paper_estimator ())
+    gated_pool g (fun ~chaos ->
+        Engine.Pool.create ~workers:3 ~chaos (paper_estimator ()))
   in
   Fun.protect
     ~finally:(fun () ->
@@ -638,7 +687,7 @@ let test_pool_parked_worker () =
   let expected = expect_singles pool queries in
   (* Cold caches, so the batch runs the matcher rather than cache hits. *)
   Engine.Pool.invalidate pool;
-  let sleepers = park pool g 1 in
+  let sleeper = park pool g ~workers:3 1 in
   let served = Atomic.make None in
   let batcher =
     Domain.spawn (fun () ->
@@ -649,13 +698,135 @@ let test_pool_parked_worker () =
     Unix.sleepf 0.001
   done;
   let while_parked = Atomic.get served in
-  unpark g sleepers;
+  unpark g sleeper;
   Domain.join batcher;
   match while_parked with
   | None -> Alcotest.fail "batch stranded behind the parked worker"
   | Some batch ->
     checki "all slots answered" 24 (List.length batch);
     check_replies ~expected batch
+
+(* ------------------------------------------------------------------ *)
+(* The submitter is worker 0: one-chunk requests never leave it, and the
+   worker domains start with the first batch that queues a chunk. *)
+
+let test_pool_one_chunk_stays_home () =
+  let path_tree, pool = build_pool ~workers:4 Datagen.Paper_example.document in
+  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
+  let queries =
+    Array.of_list
+      (List.map Xpath.Ast.to_string
+         (Datagen.Workload.all_simple_paths path_tree))
+  in
+  let pick i = queries.(i mod Array.length queries) in
+  for i = 1 to 1000 do
+    match Engine.Pool.estimate pool (pick i) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "single %d: %s" i (Core.Error.to_string e)
+  done;
+  for i = 1 to 20 do
+    let width = 1 + (i mod 8) in
+    checki "batch answered" width
+      (List.length
+         (Engine.Pool.estimate_batch pool
+            (List.init width (fun k -> pick (i + k)))))
+  done;
+  checki "singles and BATCH <= 8 push nothing" 0
+    (pool_stat pool "queue_pushes");
+  checki "no domain started" 0 (Engine.Pool.domains pool);
+  (* BATCH 9 plans four chunks at four workers: the first stays with the
+     submitter and the other three are queued. *)
+  checki "BATCH 9 answered" 9
+    (List.length (Engine.Pool.estimate_batch pool (List.init 9 pick)));
+  checki "BATCH 9 queues three chunks" 3 (pool_stat pool "queue_pushes");
+  checki "the first queued chunk starts every domain" 3
+    (Engine.Pool.domains pool);
+  checki "workers still counts the submitter" 4 (Engine.Pool.workers pool)
+
+(* A pool that never queued a chunk has no domain to join: shutting it
+   down returns at once. *)
+let test_pool_shutdown_without_domains () =
+  let _, pool = build_pool ~workers:4 Datagen.Paper_example.document in
+  checki "batch answered" 8
+    (List.length
+       (Engine.Pool.estimate_batch pool (List.init 8 (fun _ -> "/site"))));
+  checki "no domain started" 0 (Engine.Pool.domains pool);
+  let t0 = Unix.gettimeofday () in
+  Engine.Pool.shutdown pool;
+  checkb "shutdown returns at once" true (Unix.gettimeofday () -. t0 < 1.0);
+  match Engine.Pool.estimate pool "/site" with
+  | Ok _ -> Alcotest.fail "served after shutdown"
+  | Error e ->
+    checkb "shutdown error" true (Core.Error.kind e = Core.Error.Internal)
+
+(* A batch of 2,100 slots (263 chunks) through a one-slot queue. Under
+   [`Block] it completes at 1, 2 and 4 workers, bit-identical to singles:
+   the submitter may only block on a push while worker domains drain the
+   queue, never on a queue that only it drains. Under shed-newest only
+   queued chunks are shed — whole chunks, never the submitter's first —
+   and every served slot is still bit-identical. *)
+let test_pool_huge_batch_tiny_queue () =
+  let path_tree =
+    Pathtree.Path_tree.of_string Datagen.Paper_example.document
+  in
+  let queries =
+    Array.of_list
+      (List.map Xpath.Ast.to_string
+         (Datagen.Workload.all_simple_paths path_tree))
+  in
+  let n = 2100 in
+  let batch = List.init n (fun i -> queries.(i mod Array.length queries)) in
+  let expected =
+    let pool = Engine.Pool.create ~workers:1 (paper_estimator ()) in
+    Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
+    Array.of_list (expect_singles pool (Array.to_list queries))
+  in
+  let expect slot = expected.(slot mod Array.length queries) in
+  List.iter
+    (fun workers ->
+      List.iter
+        (fun shed_policy ->
+          let label =
+            Printf.sprintf "%d workers, %s" workers
+              (if shed_policy = `Block then "block" else "shed-newest")
+          in
+          let pool =
+            Engine.Pool.create ~workers ~queue_capacity:1 ~shed_policy
+              (paper_estimator ())
+          in
+          Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool)
+          @@ fun () ->
+          let replies = Array.of_list (Engine.Pool.estimate_batch pool batch) in
+          checki (label ^ ": all slots answered") n (Array.length replies);
+          let plan = Engine.Pool.plan_chunks ~n ~workers in
+          if workers > 1 then
+            checki (label ^ ": 263 chunks") 263 (Array.length plan);
+          let shed = ref 0 in
+          Array.iteri
+            (fun k (lo, hi) ->
+              let served =
+                match replies.(lo) with Ok _ -> true | Error _ -> false
+              in
+              if k = 0 then checkb (label ^ ": first chunk served") true served;
+              for slot = lo to hi - 1 do
+                match replies.(slot) with
+                | Ok r when served ->
+                  Alcotest.(check int64)
+                    (Printf.sprintf "%s: slot %d bit-identical" label slot)
+                    (bits (expect slot)) (bits r.Engine.Serve.value)
+                | Error e when not served ->
+                  checkb (label ^ ": refused slots are shed") true
+                    (Core.Error.kind e = Core.Error.Overloaded);
+                  incr shed
+                | _ -> Alcotest.failf "%s: chunk %d split by a shed" label k
+              done)
+            plan;
+          checki (label ^ ": shed_total counts the shed slots") !shed
+            (Engine.Pool.shed_total pool);
+          if shed_policy = `Block then
+            checki (label ^ ": nothing shed") 0 !shed)
+        [ `Block; `Shed_newest ])
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Contention telemetry surfaces in the merged exposition and STATS. *)
@@ -693,27 +864,19 @@ let metric_value text name =
       | _ -> None)
     (String.split_on_char '\n' text)
 
-let pool_stat pool key =
-  match Engine.Pool.stats_json pool with
-  | Obs.Json.Obj fields ->
-    (match List.assoc_opt "pool" fields with
-     | Some (Obs.Json.Obj pf) ->
-       (match List.assoc_opt key pf with
-        | Some (Obs.Json.Int n) -> n
-        | _ -> Alcotest.failf "pool stats lack int %s" key)
-     | _ -> Alcotest.fail "stats without pool object")
-  | _ -> Alcotest.fail "stats_json not an object"
-
 (* High-water counters are one peak across shards, not a sum of per-shard
-   peaks: a 2-domain pool whose shards both served reads the inline pool's
-   frontier peak after the same queries. The 4 queries plan as two
-   chunks; the gate parks whichever worker pops the first chunk inside its
-   first query, so only the other worker can pop the second, and both
-   shards estimate — a sum would double the peak. *)
+   peaks: a 2-worker pool whose shards both served reads the inline pool's
+   frontier peak after the same queries. The 16 slots (the 4 queries four
+   times) plan as two 8-slot chunks; the gate parks the submitter inside
+   the first query of chunk 0, so only the domain can pop chunk 1, and both
+   shards estimate every query — a sum would double the peak. *)
 let test_pool_metrics_high_water () =
   let doc = Datagen.Xmark.generate ~seed:4 ~items:20 () in
   let queries =
-    [ "//item"; "/site/regions//item/name"; "//person"; "//open_auction/bidder" ]
+    List.concat
+      (List.init 4 (fun _ ->
+           [ "//item"; "/site/regions//item/name"; "//person";
+             "//open_auction/bidder" ]))
   in
   let inline_text =
     let _, pool = build_pool ~workers:1 doc in
@@ -735,7 +898,7 @@ let test_pool_metrics_high_water () =
       Domain.spawn (fun () -> Engine.Pool.estimate_batch pool queries)
     in
     gate_await_entered g;
-    while pool_stat pool "queue_pops" < 2 do Domain.cpu_relax () done;
+    while queue_pops pool < 1 do Domain.cpu_relax () done;
     gate_release g;
     ignore
       (Domain.join batcher
@@ -760,7 +923,7 @@ let test_pool_telemetry_metrics () =
   let _, pool = build_pool ~workers:2 Datagen.Paper_example.document in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
   ignore
-    (Engine.Pool.estimate_batch pool (List.init 8 (fun _ -> "/site/regions"))
+    (Engine.Pool.estimate_batch pool (List.init 32 (fun _ -> "/site/regions"))
       : (Engine.Serve.estimate_reply, Core.Error.t) result list);
   let text = Engine.Pool.metrics_text pool in
   lint_prometheus text;
@@ -797,9 +960,9 @@ let test_pool_telemetry_metrics () =
            "queue_max_occupancy" ];
        (match List.assoc "queue_pushes" pf with
         | Obs.Json.Int n ->
-          (* Chunked dispatch: the 8-query batch planned 2 chunks (one per
-             worker) and the single estimate one more — pushes count
-             chunks, not slots. *)
+          (* Chunked dispatch: the 32-query batch planned four 8-slot
+             chunks and queued all but the first; the single estimate
+             queued nothing — pushes count chunks, not slots. *)
           checkb "batch traffic counted in chunks" true (n >= 3)
         | _ -> Alcotest.fail "queue_pushes not an int")
      | _ -> Alcotest.fail "stats without pool object")
@@ -807,7 +970,8 @@ let test_pool_telemetry_metrics () =
 
 (* ------------------------------------------------------------------ *)
 (* Stress: 4 client domains x STRESS_OPS mixed operations, fixed seed,
-   against a STRESS_WORKERS-domain pool: batches fan out as several chunks
+   against a STRESS_WORKERS-worker pool: singles and small batches take
+   turns on the submission lock, larger batches fan out as several chunks
    over the one shared queue under real contention. *)
 
 let env_int name default =
@@ -855,7 +1019,9 @@ let test_pool_stress () =
          | Ok r -> if not (ok_value r) then Atomic.incr failures
          | Error _ -> Atomic.incr failures)
       | n when n < 70 ->
-        let width = 2 + Datagen.Rng.int rng 6 in
+        (* Up to 25 slots: a batch of more than 8 queues chunks for the
+           worker domains, a smaller one stays on its submitter. *)
+        let width = 2 + Datagen.Rng.int rng 24 in
         let batch =
           List.init width (fun _ ->
               queries.(Datagen.Rng.int rng (Array.length queries)))
@@ -1010,84 +1176,88 @@ let test_pool_deadline () =
      | _ -> Alcotest.fail "pool stats not an object")
   | _ -> Alcotest.fail "stats_json not an object"
 
-(* Shed-newest under chunked dispatch: with both worker domains parked in
-   the gate nothing drains the capacity-1 queue, so a 4-slot batch (two
-   2-slot chunks at two workers) admits its first chunk and sheds the
-   second — exactly two slots — deterministically. Shedding needs a
-   queue, so the pool runs two worker domains (a one-worker pool serves
-   inline and never queues). *)
+(* Shed-newest under chunked dispatch: with the 2-worker pool's one domain
+   parked in the gate, nothing but the submitter drains the capacity-1
+   queue. A 24-slot batch (three 8-slot chunks) queues chunk 1, sheds
+   chunk 2 — exactly eight slots — without blocking, and the submitter
+   serves chunks 0 and 1 itself. Shedding needs a queue, so the pool runs
+   a worker domain (a one-worker pool serves inline and never queues). *)
 let test_pool_shed_newest () =
   let g = gate () in
   let pool =
-    Engine.Pool.create ~workers:2 ~queue_capacity:1
-      ~shed_policy:`Shed_newest ~chaos:(gate_hook g) (paper_estimator ())
+    gated_pool g (fun ~chaos ->
+        Engine.Pool.create ~workers:2 ~queue_capacity:1
+          ~shed_policy:`Shed_newest ~chaos (paper_estimator ()))
   in
   Fun.protect
     ~finally:(fun () ->
       gate_release g;
       Engine.Pool.shutdown pool)
   @@ fun () ->
-  let sleepers = park pool g 2 in
-  (* Slots 0-1 are admitted, slots 2-3 must be shed (newest first) without
-     blocking. *)
-  let batcher =
-    Domain.spawn (fun () ->
-        Engine.Pool.estimate_batch pool [ "/site"; "/site"; "/site"; "/site" ])
+  let sleeper = park pool g ~workers:2 1 in
+  let batch =
+    Engine.Pool.estimate_batch pool (List.init 24 (fun _ -> "/site"))
   in
-  while Engine.Pool.shed_total pool < 2 do Domain.cpu_relax () done;
-  checki "exactly two sheds" 2 (Engine.Pool.shed_total pool);
-  unpark g sleepers;
-  (match Domain.join batcher with
-   | [ first; second; third; fourth ] ->
-     List.iter
-       (function
-         | Ok _ -> ()
-         | Error e ->
-           Alcotest.failf "admitted slot: %s" (Core.Error.to_string e))
-       [ first; second ];
-     List.iter
-       (fun reply ->
-         match reply with
-         | Ok _ -> Alcotest.fail "shed slot was served"
-         | Error e ->
-           checkb "ERR overloaded" true
-             (Core.Error.kind e = Core.Error.Overloaded);
-           checki "overloaded exits 75" 75 (Core.Error.exit_code e);
-           (* The shed diagnostic names the live queue capacity in the
-              unified limit= form. *)
-           checkb "names limit=1" true
-             (let msg = Core.Error.message e in
-              let needle = "limit=1" in
-              let nl = String.length needle and n = String.length msg in
-              let rec scan i =
-                i + nl <= n && (String.sub msg i nl = needle || scan (i + 1))
-              in
-              scan 0))
-       [ third; fourth ]
-   | replies -> Alcotest.failf "unexpected batch size %d" (List.length replies));
+  checki "exactly eight sheds" 8 (Engine.Pool.shed_total pool);
+  unpark g sleeper;
+  checki "all slots answered" 24 (List.length batch);
+  List.iteri
+    (fun slot reply ->
+      match reply with
+      | Ok _ when slot < 16 -> ()
+      | Error e when slot < 16 ->
+        Alcotest.failf "admitted slot %d: %s" slot (Core.Error.to_string e)
+      | Ok _ -> Alcotest.fail "shed slot was served"
+      | Error e ->
+        checkb "ERR overloaded" true
+          (Core.Error.kind e = Core.Error.Overloaded);
+        checki "overloaded exits 75" 75 (Core.Error.exit_code e);
+        (* The shed diagnostic names the live queue capacity in the
+           unified limit= form. *)
+        checkb "names limit=1" true
+          (let msg = Core.Error.message e in
+           let needle = "limit=1" in
+           let nl = String.length needle and n = String.length msg in
+           let rec scan i =
+             i + nl <= n && (String.sub msg i nl = needle || scan (i + 1))
+           in
+           scan 0))
+    batch;
   checkb "sheds leave flight records" true
     (List.exists
        (fun (r : Engine.Flight_recorder.record) ->
          r.Engine.Flight_recorder.cache = Engine.Flight_recorder.Shed)
        (Engine.Pool.recent pool))
 
-(* Run [f] on a pool for the supervision tests, at one worker (chunks
-   served inline, so the crash cleanup runs on the submitter) or two
-   (chunks queued; one domain is parked in the gate, so every kill lands
-   on the other and [supervise] must re-enter the queue after the cleanup
-   for [f] to finish). *)
+(* Run [f] on a pool for the supervision tests, at one worker (a chunk is
+   served on the submitter, so the crash cleanup runs there) or two. [f]
+   gets [submit], which sends 8 queries: at one worker as one batch; at two
+   as the queued chunk 1 of a 16-slot batch whose barrier chunk 0 holds
+   the submitter until the domain has popped it, so every kill lands on
+   the domain and [supervise] must re-enter the queue after the cleanup
+   for the next submission to finish. *)
 let supervised ~workers ~kill f =
   let g = gate () in
-  let chaos q = kill q || gate_hook g q in
-  let pool = Engine.Pool.create ~workers ~chaos (paper_estimator ()) in
+  let pool =
+    gated_pool g (fun ~chaos ->
+        Engine.Pool.create ~workers
+          ~chaos:(fun q -> kill q || chaos q)
+          (paper_estimator ()))
+  in
   Fun.protect
     ~finally:(fun () ->
       gate_release g;
       Engine.Pool.shutdown pool)
   @@ fun () ->
-  let sleepers = park pool g (workers - 1) in
-  f pool;
-  unpark g sleepers
+  let submit queries =
+    if workers = 1 then Engine.Pool.estimate_batch pool queries
+    else
+      List.filteri
+        (fun slot _ -> slot >= 8)
+        (submit_pinned pool g ~pops:1
+           (List.init 8 (fun _ -> barrier) @ queries))
+  in
+  f pool submit
 
 (* One injected worker death: the in-flight slot answers ERR internal (the
    batch never hangs), the worker restarts in place, and the pool keeps
@@ -1101,8 +1271,11 @@ let supervision ~workers =
     end
     else false
   in
-  supervised ~workers ~kill @@ fun pool ->
-  let estimate q = Engine.Pool.estimate pool q in
+  supervised ~workers ~kill @@ fun pool submit ->
+  let estimate q =
+    if workers = 1 then Engine.Pool.estimate pool q
+    else List.hd (submit (List.init 8 (fun _ -> q)))
+  in
   (* First crash: answered, restarted, not yet quarantined. *)
   (match estimate "//kill" with
    | Ok _ -> Alcotest.fail "killed query was served"
@@ -1150,16 +1323,16 @@ let test_pool_supervision () =
 
 (* A worker killed mid-chunk: the already-served slots keep their answers,
    the unserved remainder of the chunk answers ERR internal, and the batch
-   still completes in submission order. The 8 slots plan as one chunk at
-   one worker and as [0,4) and [4,8) at two; the kill at slot 5 is
+   still completes in submission order. The 8 slots are one chunk, on the
+   submitter at one worker and on the domain at two; the kill at slot 5 is
    mid-chunk either way. *)
 let supervision_mid_chunk ~workers =
-  supervised ~workers ~kill:(fun q -> q = "//kill") @@ fun pool ->
+  supervised ~workers ~kill:(fun q -> q = "//kill") @@ fun pool submit ->
   let queries =
     [ "/site"; "/site/regions"; "/site/people"; "/site";
       "/site/regions"; "//kill"; "/site"; "/site/people" ]
   in
-  let batch = Engine.Pool.estimate_batch pool queries in
+  let batch = submit queries in
   checki "all slots answered" 8 (List.length batch);
   List.iteri
     (fun i reply ->
@@ -1214,6 +1387,12 @@ let () =
             test_pool_batch_random_shapes;
           Alcotest.test_case "parked worker strands no batch" `Quick
             test_pool_parked_worker;
+          Alcotest.test_case "one-chunk requests stay on the submitter" `Quick
+            test_pool_one_chunk_stays_home;
+          Alcotest.test_case "shutdown without domains" `Quick
+            test_pool_shutdown_without_domains;
+          Alcotest.test_case "huge batch through a one-slot queue" `Quick
+            test_pool_huge_batch_tiny_queue;
           Alcotest.test_case "profile stages" `Quick test_pool_profile;
           Alcotest.test_case "causal trace" `Quick test_pool_trace;
           Alcotest.test_case "deadline refusals" `Quick test_pool_deadline;
