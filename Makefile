@@ -126,20 +126,22 @@ perf-smoke: build
 # pool with --trace-out, then re-validate the written Perfetto JSON with
 # the trace linter (per-track monotone timestamps, balanced spans, every
 # flow arrow resolving) and check the PROFILE verb's one-line breakdown.
-# Requests of up to 8 queries never leave the submitting thread, so two
+# Requests of up to 8 queries never leave the submitting thread, so eight
 # BATCH 64s of distinct queries queue chunks for the worker domains; at
 # WORKERS >= 2 a worker-domain track (shard-N, N >= 1) must carry an
 # execute slice, so the linter sees queue-wait spans and flow arrows cross
-# tracks.
+# tracks. The submitter takes back whatever a domain has not popped yet,
+# so on a loaded runner one batch can leave every chunk to it; eight make
+# that vanishingly unlikely.
 trace-smoke: build
 	@mkdir -p $(SMOKE_DIR)
 	$(XSEED) generate xmark --scale 40 -o $(SMOKE_DIR)/trace.xml
 	$(XSEED) build $(SMOKE_DIR)/trace.xml -o $(SMOKE_DIR)/trace.syn
-	$(XSEED) workload $(SMOKE_DIR)/trace.xml --kind bp --count 128 \
+	$(XSEED) workload $(SMOKE_DIR)/trace.xml --kind bp --count 512 \
 	  > $(SMOKE_DIR)/trace.workload
 	{ printf 'BATCH 3\n//item\n//person\n//open_auction[bidder]/price\n'; \
-	  printf 'BATCH 64\n'; head -n 64 $(SMOKE_DIR)/trace.workload; \
-	  printf 'BATCH 64\n'; tail -n 64 $(SMOKE_DIR)/trace.workload; \
+	  awk 'NR % 64 == 1 { print "BATCH 64" } { print }' \
+	    $(SMOKE_DIR)/trace.workload; \
 	  printf 'PROFILE 2\n//item\n//person\nFEEDBACK //item 12\nESTIMATE //item\n'; } \
 	  | $(XSEED) serve $(SMOKE_DIR)/trace.syn --workers $(WORKERS) \
 	      --trace-out $(SMOKE_DIR)/trace.json \

@@ -809,15 +809,16 @@ let serve_cmd =
          with Drain_signal signum -> drained := Some signum)
     in
     let no_extra _ _ = None in
-    (* Journal startup: recover (truncating a dirty tail), replay the
-       surviving entries through the live feedback path so the learned HET
-       state matches the pre-crash engine, then append from here on: the
-       returned vtable journals every feedback it applies. *)
+    (* Journal startup ([Journal.resume]: recover, replay, reopen), then
+       append from here on: the returned vtable journals every feedback it
+       applies. *)
     let journal_wrap base_server =
       match journal_path with
       | None -> base_server
       | Some path ->
-        let scan = ok_or_raise (Engine.Journal.recover path) in
+        let scan, failed, w =
+          ok_or_raise (Engine.Journal.resume ~fsync path base_server)
+        in
         (match scan.Engine.Journal.tail with
          | Engine.Journal.Clean -> ()
          | Engine.Journal.Torn off ->
@@ -830,23 +831,12 @@ let serve_cmd =
              "xseed serve: journal %s: corrupt frame at byte %d; \
               truncated to %d bytes@."
              path off scan.Engine.Journal.valid_bytes);
-        let failed = ref 0 in
-        List.iter
-          (fun (e : Engine.Journal.entry) ->
-            match
-              base_server.Engine.Serve.feedback e.Engine.Journal.query
-                ~actual:e.Engine.Journal.actual
-            with
-            | Ok _ -> ()
-            | Error _ -> incr failed)
-          scan.Engine.Journal.entries;
         if scan.Engine.Journal.frames > 0 then
           Format.eprintf
             "xseed serve: journal %s: replayed %d feedback entries%s@."
             path scan.Engine.Journal.frames
-            (if !failed = 0 then ""
-             else Printf.sprintf " (%d failed to apply)" !failed);
-        let w = ok_or_raise (Engine.Journal.open_append ~fsync path) in
+            (if failed = 0 then ""
+             else Printf.sprintf " (%d failed to apply)" failed);
         journal := Some w;
         Engine.Journal.wrap_server w base_server
     in

@@ -59,28 +59,16 @@ let in_sample ~seed ~rate hash =
   else unit_point ~seed hash < rate
 
 (* ------------------------------------------------------------------ *)
-(* Shared arithmetic: exact percentiles, shadow evaluation *)
-
-let exact_percentile samples p =
-  let n = Array.length samples in
-  if n = 0 then 0.0
-  else begin
-    let s = Array.copy samples in
-    Array.sort Float.compare s;
-    let i = int_of_float (Float.round (p *. float_of_int (n - 1))) in
-    s.(max 0 (min (n - 1) i))
-  end
-
-let max_sample samples =
-  Array.fold_left Float.max 0.0 samples
+(* Shared arithmetic: the q-error window, shadow evaluation *)
 
 let window_json samples =
   let open Obs.Json in
+  let at = Serve.nearest_rank samples in
   Obj
     [ ("count", Int (Array.length samples));
-      ("p50", Float (exact_percentile samples 0.5));
-      ("p90", Float (exact_percentile samples 0.9));
-      ("max", Float (max_sample samples)) ]
+      ("p50", Float (at 0.5));
+      ("p90", Float (at 0.9));
+      ("max", Float (at 1.0)) ]
 
 let axis_name = function
   | Xpath.Ast.Child -> "child"
@@ -125,7 +113,7 @@ let audit_one ~estimator ~ept ~storage ~estimate ast =
                      predicates cannot be evaluated"
               in
               let q =
-                Drift.qerror ~estimate:outcome.Core.Estimator.value ~actual
+                Feedback.q_error ~estimate:outcome.Core.Estimator.value ~actual
               in
               let contribution = q /. !prev_q in
               prev_q := q;
@@ -165,7 +153,7 @@ let audit_one ~estimator ~ept ~storage ~estimate ast =
         ast;
         estimate;
         actual;
-        qerror = Drift.qerror ~estimate ~actual;
+        qerror = Feedback.q_error ~estimate ~actual;
         steps;
         worst }
 
@@ -223,7 +211,6 @@ type t = {
   seed : int;
   feedback : bool;
   queue_capacity : int;
-  ring_capacity : int;
   source : source;
   m : Mutex.t;
   work_cv : Condition.t;  (* a sample arrived, or stop *)
@@ -247,10 +234,6 @@ type t = {
   mutable domain : unit Domain.t option;
   tracing : (Obs.Trace.t * Obs.Trace.buf * int) option;
 }
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 let read_file path =
   if not (Sys.file_exists path) then
@@ -306,7 +289,7 @@ let load_resources source =
                     r_storage = storage }))))
 
 let record_result t outcome =
-  with_lock t.m (fun () ->
+  Mutex.protect t.m (fun () ->
       t.in_flight <- false;
       (match outcome with
        | Error _msg -> t.errors <- t.errors + 1
@@ -352,13 +335,13 @@ let audit_loop t =
       let r = load_resources t.source in
       resources := Some r;
       (match r with
-       | Error msg -> with_lock t.m (fun () -> t.load_failure <- Some msg)
+       | Error msg -> Mutex.protect t.m (fun () -> t.load_failure <- Some msg)
        | Ok _ -> ());
       r
   in
   let rec loop () =
     let job =
-      with_lock t.m (fun () ->
+      Mutex.protect t.m (fun () ->
           while Queue.is_empty t.queue && not t.stopped do
             Condition.wait t.work_cv t.m
           done;
@@ -372,7 +355,7 @@ let audit_loop t =
     match job with
     | None ->
       (* Stopped with an empty queue: wake any settler and exit. *)
-      with_lock t.m (fun () -> Condition.broadcast t.idle_cv)
+      Mutex.protect t.m (fun () -> Condition.broadcast t.idle_cv)
     | Some job ->
       let outcome =
         match get_resources () with
@@ -403,17 +386,17 @@ let audit_loop t =
   in
   loop ()
 
-let create ?(seed = 0x5eed) ?(feedback = false) ?(queue_capacity = 256)
-    ?(ring_capacity = 4096) ?trace ~rate source =
+(* Completed q-errors the exact window keeps. *)
+let ring_capacity = 4096
+
+let create ?(seed = 0x5eed) ?(feedback = false) ?(queue_capacity = 256) ?trace
+    ~rate source =
   if Float.is_nan rate || rate < 0.0 || rate > 1.0 then
     invalid_arg
       (Printf.sprintf "Auditor.create: rate %g outside [0, 1]" rate);
   if queue_capacity < 1 then
     invalid_arg
       (Printf.sprintf "Auditor.create: queue_capacity %d < 1" queue_capacity);
-  if ring_capacity < 1 then
-    invalid_arg
-      (Printf.sprintf "Auditor.create: ring_capacity %d < 1" ring_capacity);
   let tracing =
     Option.map
       (fun tr ->
@@ -427,7 +410,6 @@ let create ?(seed = 0x5eed) ?(feedback = false) ?(queue_capacity = 256)
       seed;
       feedback;
       queue_capacity;
-      ring_capacity;
       source;
       m = Mutex.create ();
       work_cv = Condition.create ();
@@ -453,12 +435,11 @@ let create ?(seed = 0x5eed) ?(feedback = false) ?(queue_capacity = 256)
   t.domain <- Some (Domain.spawn (fun () -> audit_loop t));
   t
 
-let rate t = t.rate
 let feedback_enabled t = t.feedback
 
 let sample t ~query ~hash ~ast ~estimate =
   if in_sample ~seed:t.seed ~rate:t.rate hash then
-    with_lock t.m (fun () ->
+    Mutex.protect t.m (fun () ->
         if t.stopped then ()
         else begin
           t.sampled <- t.sampled + 1;
@@ -476,12 +457,10 @@ let sample t ~query ~hash ~ast ~estimate =
           end
         end)
 
-let pending t = Atomic.get t.results_pending
-
 let drain t f =
   if Atomic.get t.results_pending > 0 then begin
     let batch =
-      with_lock t.m (fun () ->
+      Mutex.protect t.m (fun () ->
           let r = t.results in
           t.results <- [];
           Atomic.set t.results_pending 0;
@@ -490,7 +469,7 @@ let drain t f =
     List.iter f (List.rev batch)
   end
 
-let note_refined t = with_lock t.m (fun () -> t.refined <- t.refined + 1)
+let note_refined t = Mutex.protect t.m (fun () -> t.refined <- t.refined + 1)
 
 let idle_locked t = Queue.is_empty t.queue && not t.in_flight
 
@@ -498,7 +477,7 @@ let settle ?(timeout_s = 5.0) t =
   let deadline = Obs.now_mono () +. timeout_s in
   let rec wait () =
     let idle =
-      with_lock t.m (fun () -> idle_locked t || t.stopped)
+      Mutex.protect t.m (fun () -> idle_locked t || t.stopped)
     in
     if idle then true
     else if Obs.now_mono () >= deadline then false
@@ -534,7 +513,7 @@ let top_buckets_locked ?(k = 3) t =
   take k sorted
 
 let status_json t =
-  with_lock t.m (fun () ->
+  Mutex.protect t.m (fun () ->
       let open Obs.Json in
       Obj
         [ ("rate", Float t.rate);
@@ -560,7 +539,7 @@ let status_json t =
             match t.load_failure with None -> Null | Some m -> String m ) ])
 
 let publish t obs =
-  with_lock t.m (fun () ->
+  Mutex.protect t.m (fun () ->
       Obs.set_max (Obs.counter obs "engine.audit.sampled") t.sampled;
       Obs.set_max (Obs.counter obs "engine.audit.completed") t.completed;
       Obs.set_max (Obs.counter obs "engine.audit.shed") t.shed;
@@ -569,12 +548,10 @@ let publish t obs =
       Obs.gset
         (Obs.gauge obs "engine.audit.backlog")
         (float_of_int (Queue.length t.queue + if t.in_flight then 1 else 0));
-      let qs = ring_snapshot_locked t in
-      Obs.gset (Obs.gauge obs "engine.audit.qerror_p50")
-        (exact_percentile qs 0.5);
-      Obs.gset (Obs.gauge obs "engine.audit.qerror_p90")
-        (exact_percentile qs 0.9);
-      Obs.gset (Obs.gauge obs "engine.audit.qerror_max") (max_sample qs);
+      let at = Serve.nearest_rank (ring_snapshot_locked t) in
+      Obs.gset (Obs.gauge obs "engine.audit.qerror_p50") (at 0.5);
+      Obs.gset (Obs.gauge obs "engine.audit.qerror_p90") (at 0.9);
+      Obs.gset (Obs.gauge obs "engine.audit.qerror_max") (at 1.0);
       Hashtbl.iter
         (fun _ b ->
           let labels =
@@ -592,7 +569,7 @@ let publish t obs =
 
 let shutdown t =
   let d =
-    with_lock t.m (fun () ->
+    Mutex.protect t.m (fun () ->
         t.stopped <- true;
         Condition.broadcast t.work_cv;
         let d = t.domain in

@@ -82,16 +82,11 @@ val in_sample : seed:int -> rate:float -> int -> bool
     so the same query is always in or out of sample regardless of arrival
     order. *)
 
-val exact_percentile : float array -> float -> float
-(** Exact rank selection over a copy (rank [round (p * (n-1))], matching
-    {!Serve.percentiles}); [0.0] when empty — the shared arithmetic behind
-    the AUDIT window and the offline report, so the two agree to float
-    equality. *)
-
 val window_json : float array -> Obs.Json.t
-(** [{"count", "p50", "p90", "max"}] over raw q-errors via
-    {!exact_percentile} — rendered identically by the [AUDIT] verb and
-    [xseed audit]'s summary line. *)
+(** [{"count", "p50", "p90", "max"}] over raw q-errors by
+    {!Serve.nearest_rank} (the max is rank [p = 1]; all zeros when empty)
+    — rendered identically by the [AUDIT] verb and [xseed audit]'s
+    summary line, so the two agree to float equality. *)
 
 val audit_one :
   estimator:Core.Estimator.t ->
@@ -118,7 +113,6 @@ val create :
   ?seed:int ->
   ?feedback:bool ->
   ?queue_capacity:int ->
-  ?ring_capacity:int ->
   ?trace:Obs.Trace.t ->
   rate:float ->
   source ->
@@ -128,12 +122,11 @@ val create :
     [0x5eed]) keys the sampler. [feedback] (default false) marks drained
     audits for the q-error-gated HET refinement path ([--audit-feedback]).
     [queue_capacity] (default 256) bounds the tap queue — overflow sheds.
-    [ring_capacity] (default 4096) bounds the exact q-error window.
+    The exact q-error window keeps the last 4096 completed audits.
     [trace] adds an [audit] track recording one slice per shadow
     evaluation.
     @raise Invalid_argument on a rate outside \[0, 1\]. *)
 
-val rate : t -> float
 val feedback_enabled : t -> bool
 
 val sample :
@@ -142,10 +135,6 @@ val sample :
     push. Never blocks, never raises, never touches the reply — a full
     queue increments the shed counter and drops the sample. Safe from any
     domain. *)
-
-val pending : t -> int
-(** Completed audits awaiting {!drain} — a single atomic read, cheap
-    enough to poll on the serving path. *)
 
 val drain : t -> (audited -> unit) -> unit
 (** Hand every completed audit to [f], oldest first, on the caller's

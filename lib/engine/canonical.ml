@@ -32,4 +32,3 @@ let of_string query =
   | Ok path -> Ok (of_ast path)
 
 let equal a b = String.equal a.text b.text
-let pp ppf k = Format.fprintf ppf "%s#%08x" k.text k.hash

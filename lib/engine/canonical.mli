@@ -25,5 +25,3 @@ val of_string : string -> (key, Core.Error.t) result
 
 val equal : key -> key -> bool
 (** Text equality — the hash is a fast filter, never the verdict. *)
-
-val pp : Format.formatter -> key -> unit

@@ -1,12 +1,12 @@
 (* Accuracy-drift monitor for the serving engine.
 
    Feedback observations (estimate, actual) enter a sliding q-error window;
-   alongside it, per-window estimate-volume and cache-hit counts ride in
-   parallel int rings rotated in lockstep with the q-error window, so
-   DRIFT summaries and the published gauges all describe the same "last
-   slots x per_slot feedback observations" span. Rotation is managed here
-   (the Obs.Window is created with an effectively-infinite per_slot and
-   rotated explicitly) so the three rings can never drift apart.
+   alongside it, each shard's estimate-volume and cache-hit counts ride in
+   int rings rotated in lockstep with the q-error window, so DRIFT
+   summaries and the published gauges all describe the same "last slots x
+   per_slot feedback observations" span. Rotation is managed here (the
+   Obs.Window is created with an effectively-infinite per_slot and rotated
+   explicitly) so the rings can never drift apart.
 
    Alerts are edge-triggered on the window's p90 q-error: crossing the
    threshold bumps [engine.drift.alerts] once and emits one Obs event; the
@@ -17,28 +17,21 @@ type t = {
   slots : int;
   per_slot : int;
   p90_threshold : float;
-  (* Parallel per-slot rings, rotated with [window]. *)
-  estimates : int array;  (* ESTIMATE traffic per slot *)
-  hits : int array;  (* cache hits within that traffic *)
   mutable idx : int;
   mutable in_slot : int;  (* feedback observations in the current slot *)
   mutable alerting : bool;
   mutable alerts : int;
-  mutable shards : shard list;  (* per-worker volume rings, same slotting *)
+  mutable shards : shard list;  (* volume rings, same slotting *)
 }
 
-(* A shard is a per-worker pair of volume rings riding the owner's slot
-   index. Each worker writes only its own shard (no synchronization on the
-   estimate path); [rotate] — reached only from [observe], the single-writer
-   feedback path — clears every shard's landing slot together with its own,
-   so all volume rings expire in lockstep. The pool guarantees rotation
-   never runs concurrently with shard notes by draining in-flight work
-   before feedback. *)
+(* A shard is a per-serving-thread pair of volume rings riding the owner's
+   slot index. Each thread writes only its own shard (no synchronization on
+   the estimate path); [rotate] — reached only from [observe], the
+   single-writer feedback path — clears every shard's landing slot with the
+   window's, so all volume rings expire in lockstep. The pool guarantees
+   rotation never runs concurrently with shard notes by draining in-flight
+   work before feedback. *)
 and shard = { owner : t; s_estimates : int array; s_hits : int array }
-
-let qerror ~estimate ~actual =
-  let e = estimate +. 1.0 and a = float_of_int actual +. 1.0 in
-  Float.max (e /. a) (a /. e)
 
 let create ?(slots = 6) ?(per_slot = 64) ?(p90_threshold = 8.0) () =
   if slots < 1 then
@@ -51,8 +44,6 @@ let create ?(slots = 6) ?(per_slot = 64) ?(p90_threshold = 8.0) () =
     slots;
     per_slot;
     p90_threshold;
-    estimates = Array.make slots 0;
-    hits = Array.make slots 0;
     idx = 0;
     in_slot = 0;
     alerting = false;
@@ -71,8 +62,6 @@ let register_shard t =
 let rotate t =
   Obs.Window.rotate t.window;
   t.idx <- (t.idx + 1) mod t.slots;
-  t.estimates.(t.idx) <- 0;
-  t.hits.(t.idx) <- 0;
   List.iter
     (fun s ->
       s.s_estimates.(t.idx) <- 0;
@@ -82,26 +71,19 @@ let rotate t =
 
 (* Counted against the slot that is current when they happen; expired with
    it when the feedback stream rotates the ring. *)
-let note_estimate t ~cache_hit =
-  t.estimates.(t.idx) <- t.estimates.(t.idx) + 1;
-  if cache_hit then t.hits.(t.idx) <- t.hits.(t.idx) + 1
-
 let note_shard s ~cache_hit =
   let idx = s.owner.idx in
   s.s_estimates.(idx) <- s.s_estimates.(idx) + 1;
   if cache_hit then s.s_hits.(idx) <- s.s_hits.(idx) + 1
 
-let shard_estimates s = Array.fold_left ( + ) 0 s.s_estimates
-let shard_hits s = Array.fold_left ( + ) 0 s.s_hits
+let sum = Array.fold_left ( + ) 0
+let shard_estimates s = sum s.s_estimates
 let window_count t = Obs.Window.count t.window
 
 let window_estimates t =
-  Array.fold_left ( + ) 0 t.estimates
-  + List.fold_left (fun acc s -> acc + shard_estimates s) 0 t.shards
+  List.fold_left (fun acc s -> acc + shard_estimates s) 0 t.shards
 
-let window_hits t =
-  Array.fold_left ( + ) 0 t.hits
-  + List.fold_left (fun acc s -> acc + shard_hits s) 0 t.shards
+let window_hits t = List.fold_left (fun acc s -> acc + sum s.s_hits) 0 t.shards
 
 let hit_rate t =
   let e = window_estimates t in
@@ -112,11 +94,10 @@ let p90 t = Obs.Window.percentile t.window 0.9
 let max_qerror t = Obs.Window.max t.window
 let alerts t = t.alerts
 let alerting t = t.alerting
-let p90_threshold t = t.p90_threshold
 
 let observe ?obs t ~estimate ~actual =
   if t.in_slot >= t.per_slot then rotate t;
-  let q = qerror ~estimate ~actual in
+  let q = Feedback.q_error ~estimate ~actual in
   Obs.Window.observe t.window q;
   t.in_slot <- t.in_slot + 1;
   let p90 = p90 t in

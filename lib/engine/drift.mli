@@ -4,7 +4,7 @@
     [max((est+1)/(act+1), (act+1)/(est+1))] to a sliding window
     ({!Obs.Window}: [slots] sub-histograms of [per_slot] observations,
     oldest expiring slot-at-a-time). Estimate traffic and cache hits are
-    counted in parallel per-slot rings rotated in lockstep, so the
+    counted per {!shard} in per-slot rings rotated in lockstep, so the
     window's q-error percentiles, estimate volume and hit rate all cover
     the same span.
 
@@ -23,32 +23,27 @@ val create : ?slots:int -> ?per_slot:int -> ?p90_threshold:float -> unit -> t
     @raise Invalid_argument when [slots] or [per_slot] < 1, or the
     threshold is below 1 (q-error is always >= 1). *)
 
-val qerror : estimate:float -> actual:int -> float
-(** The +1-smoothed q-error both this module and the feedback gate use. *)
-
 val observe : ?obs:Obs.t -> t -> estimate:float -> actual:int -> float
-(** Record one feedback observation; returns its q-error. Rotates the
+(** Record one feedback observation; returns its q-error
+    ({!Feedback.q_error}, the feedback gate's). Rotates the
     window when the current slot is full, then evaluates the alert
     condition (counting the alert and emitting a [drift_alert] event on
     [obs] when it newly fires; {!publish} exports the count as
     [engine.drift.alerts]). *)
 
-val note_estimate : t -> cache_hit:bool -> unit
-(** Count one served estimate (and whether it was a cache hit) against the
-    current window slot. *)
+(** {1 Volume shards}
 
-(** {1 Per-worker volume shards}
-
-    Under the serving pool, estimate traffic is spread across worker
-    domains while feedback stays single-writer. A {!shard} gives each
-    worker its own pair of volume rings sharing the owner's slot index:
-    the worker bumps only its shard (no synchronization on the estimate
-    hot path) and {!observe}'s rotation clears every shard's landing slot
-    in lockstep, so {!window_estimates}, {!window_hits} and {!hit_rate}
-    always sum the owner's rings plus all shards over the same span. The
-    caller must ensure rotation (i.e. {!observe}) never runs concurrently
-    with {!note_shard} — the pool drains in-flight work before applying
-    feedback. *)
+    Estimate traffic is counted only in shards. Under the serving pool it
+    is spread across serving threads while feedback stays single-writer.
+    A {!shard} gives each serving thread its own pair of volume rings
+    sharing the owner's slot index: the thread bumps only its shard (no
+    synchronization on the estimate hot path) and {!observe}'s rotation
+    clears every shard's landing slot in lockstep, so {!window_estimates},
+    {!window_hits} and {!hit_rate} always sum all shards over the same
+    span. The caller must ensure rotation (i.e. {!observe}) never runs
+    concurrently with {!note_shard} — the pool drains in-flight work
+    before applying feedback, and notes FEEDBACK's own estimate on the
+    submitter's shard. *)
 
 type shard
 
@@ -65,15 +60,13 @@ val note_shard : shard -> cache_hit:bool -> unit
 val shard_estimates : shard -> int
 (** Window estimate volume contributed by this shard (all live slots). *)
 
-val shard_hits : shard -> int
-
 (** {1 Window reads} — [nan] where the window is empty. *)
 
 val window_count : t -> int
 (** Feedback observations currently in the window. *)
 
 val window_estimates : t -> int
-(** Own rings plus every registered shard's contribution. *)
+(** Every registered shard's contribution. *)
 
 val window_hits : t -> int
 val hit_rate : t -> float
@@ -86,8 +79,6 @@ val alerts : t -> int
 
 val alerting : t -> bool
 (** Currently above threshold (the alert has fired and not yet re-armed). *)
-
-val p90_threshold : t -> float
 
 val publish : t -> Obs.t -> unit
 (** Republish the window into a metrics registry —

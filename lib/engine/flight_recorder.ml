@@ -56,7 +56,6 @@ let create ?(capacity = 256) () =
 
 let set_tenant t name = t.ring_tenant <- Some name
 
-let capacity t = Array.length t.ring
 let total t = t.next_seq
 
 (* [?seq] overrides the record's sequence number with an externally issued
@@ -122,10 +121,3 @@ let to_json (r : record) =
                  ("worst_step", String a.audit_worst_step);
                  ("worst_axis", String a.audit_worst_axis);
                  ("contribution", Float a.audit_contribution) ] ) ]))
-
-let dump_jsonl oc t =
-  List.iter
-    (fun r ->
-      output_string oc (Obs.Json.to_string (to_json r));
-      output_char oc '\n')
-    (recent t)

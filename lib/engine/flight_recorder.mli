@@ -59,8 +59,6 @@ val create : ?capacity:int -> unit -> t
 (** Ring of [capacity] (default 256) records.
     @raise Invalid_argument when [capacity] < 1. *)
 
-val capacity : t -> int
-
 val set_tenant : t -> string -> unit
 (** Stamp every record written from now on with this tenant name (rendered
     as a ["tenant"] field by {!to_json}). The registry calls it once per
@@ -99,6 +97,3 @@ val recent : ?n:int -> t -> record list
 val to_json : record -> Obs.Json.t
 (** One JSON object; wall times under ["wall_us"] in microseconds, hash as
     8 hex digits. *)
-
-val dump_jsonl : out_channel -> t -> unit
-(** Every live record as JSON-lines, newest first. *)

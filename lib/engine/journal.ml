@@ -202,8 +202,6 @@ let do_fsync w =
   try Unix.fsync (Unix.descr_of_out_channel w.oc)
   with Unix.Unix_error _ | Sys_error _ -> ()
 
-let sync w = if not w.closed then do_fsync w
-
 let append w e =
   if w.closed then Error (io_error "journal writer is closed")
   else
@@ -226,6 +224,21 @@ let close w =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Serving *)
+
+let resume ?fsync path (server : Serve.server) =
+  match recover path with
+  | Error e -> Error e
+  | Ok scan ->
+    let failed =
+      List.fold_left
+        (fun n e ->
+          match server.Serve.feedback e.query ~actual:e.actual with
+          | Ok _ -> n
+          | Error _ -> n + 1)
+        0 scan.entries
+    in
+    Result.map (fun w -> (scan, failed, w)) (open_append ?fsync path)
 
 let wrap_server w (s : Serve.server) =
   { s with

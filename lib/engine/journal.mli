@@ -99,11 +99,22 @@ val append : writer -> entry -> (unit, Core.Error.t) result
 val appended : writer -> int
 (** Entries appended through this writer (excludes replayed history). *)
 
-val sync : writer -> unit
-(** Flush and fsync now, regardless of policy. Best-effort on error. *)
-
 val close : writer -> unit
-(** {!sync} then close. Idempotent. *)
+(** Flush, fsync (best-effort) and close. Idempotent. *)
+
+(** {1 Serving} *)
+
+val resume :
+  ?fsync:fsync ->
+  string ->
+  Serve.server ->
+  (scan * int * writer, Core.Error.t) result
+(** Start serving from a journal: {!recover} the file (truncating a dirty
+    tail), replay every surviving entry, in order, through the server's
+    feedback path so the learned HET state matches the engine that wrote
+    it, then {!open_append}. Returns the recovery scan, how many entries
+    failed to apply, and the writer. [xseed serve --journal] and registry
+    page-in both start this way. *)
 
 val wrap_server : writer -> Serve.server -> Serve.server
 (** Interpose on the feedback path of a {!Serve.server}: a successful

@@ -24,9 +24,9 @@
    the first, takes back queued chunks until none is left, and waits for
    the domains to finish the rest. Both ways run the same chunk body and
    crash cleanup. Replies are written lock-free into the batch's
-   preallocated submission-order result array; the only latch is one
-   idempotent completion per chunk, published to a queued batch's
-   submitter by the batch mutex. *)
+   preallocated submission-order result array; a chunk of a queued batch
+   retires once under the pool's completion monitor, which publishes
+   those writes to the waiting submitter. *)
 
 (* Interned trace-event names, resolved once at create so worker hot loops
    record integer ids only. *)
@@ -56,36 +56,7 @@ type tracing = {
   names : trace_names;
 }
 
-(* Shard-hot mutable state, isolated per shard in its own record and
-   padded past two cache lines (the pads push the block to 17 words =
-   136 bytes on 64-bit) so two shards' hot words never share a line —
-   without the pads, adjacent shards' [busy_s]/[epoch_seen] writes false-
-   share and the 4-worker path spends its time in cache-coherence
-   traffic instead of estimates. *)
-type hot = {
-  mutable epoch_seen : int;
-  mutable busy_s : float;  (* dequeue-to-result time, accumulated *)
-  mutable last_served_at : float;  (* monotonic finish instant; 0 = never *)
-  mutable current : chunk option;
-      (* the chunk being executed, set between taking it and completion so
-         [recover_crash] can answer its unserved slots if the chunk body
-         dies mid-chunk *)
-  mutable pad0 : int;
-  mutable pad1 : int;
-  mutable pad2 : int;
-  mutable pad3 : int;
-  mutable pad4 : int;
-  mutable pad5 : int;
-  mutable pad6 : int;
-  mutable pad7 : int;
-  mutable pad8 : int;
-  mutable pad9 : int;
-  mutable pad10 : int;
-  mutable pad11 : int;
-}
-[@@warning "-69"]
-
-and shard = {
+type shard = {
   id : int;
   estimator : Core.Estimator.t;
       (* shares the base estimator's kernel/HET/values, owns its registry *)
@@ -94,7 +65,13 @@ and shard = {
   recorder : Flight_recorder.t option;
   drift_shard : Drift.shard option;
   tbuf : Obs.Trace.buf option;  (* written only by the thread serving it *)
-  hot : hot;  (* all per-shard mutable scalars live here, padded *)
+  mutable epoch_seen : int;
+  mutable busy_s : float;  (* dequeue-to-result time, accumulated *)
+  mutable last_served_at : float;  (* monotonic finish instant; 0 = never *)
+  mutable current : chunk option;
+      (* the chunk being executed, set between taking it and completion so
+         [recover_crash] can answer its unserved slots if the chunk body
+         dies mid-chunk *)
   queue_wait_us : Obs.histogram;  (* in [obs]; merges pool-wide by key *)
   gc_minor_words : Obs.counter;
   gc_major_words : Obs.counter;
@@ -103,15 +80,18 @@ and shard = {
 }
 
 (* A submitted batch: [remaining] counts unanswered slots; each chunk
-   decrements it exactly once (by its slot count) when it completes. A
-   queued batch (one that put chunks in the queue) carries a mutex and
-   condition: the submitter waits on them until [remaining] reaches zero,
-   and the mutex publishes the domains' lock-free result-array writes to
-   it. A batch served whole on the submitter completes on its thread and
-   carries neither. *)
+   decrements it exactly once (by its slot count) when it completes. For a
+   queued batch (one that put chunks in the queue) the pool's completion
+   monitor guards [remaining], and the submitter waits on it until
+   [remaining] reaches zero. A batch served whole on the submitter
+   completes on its thread and never touches the monitor. Every slot's
+   deadline and queue wait run from [admitted_at], also for a chunk that
+   waits behind earlier ones — in the queue, or served on the submitter
+   after them. *)
 and batch = {
   mutable remaining : int;
-  sync : (Mutex.t * Condition.t) option;
+  queued : bool;
+  mutable admitted_at : float;  (* set once, under the submission lock *)
 }
 
 (* A contiguous slice [c_base, c_hi) of one batch, the unit of dispatch.
@@ -125,11 +105,10 @@ and chunk = {
   c_fin : float array;  (* per-slot finish stamps (0 = never) *)
   c_seq_base : int;  (* global seq of batch slot 0 *)
   c_parent : batch;
-  c_enqueued_at : float;  (* admission: deadline + queue-wait baseline *)
   c_base : int;  (* first slot *)
   c_hi : int;  (* exclusive *)
   mutable c_cursor : int;  (* next slot to serve *)
-  mutable c_done : bool;  (* idempotent latch; a queued batch's mutex guards it *)
+  mutable c_done : bool;  (* idempotent latch; queued: under the monitor *)
 }
 
 type t = {
@@ -139,7 +118,9 @@ type t = {
   queue : chunk Work_queue.t;
   mutable domains : unit Domain.t array;
   epoch : int Atomic.t;
-  inflight : int Atomic.t;  (* chunks queued or executing *)
+  monitor : Mutex.t;  (* chunk completion: [inflight], queued batches *)
+  retired : Condition.t;  (* a queued batch's last chunk retired *)
+  mutable inflight : int;  (* queued chunks not yet retired; under [monitor] *)
   deadline_s : float option;  (* per-request budget from admission, mono clock *)
   shed_policy : [ `Block | `Shed_newest ];
   shed_total : int Atomic.t;
@@ -154,8 +135,6 @@ type t = {
   quarantine_active : bool Atomic.t;
       (* fast-path flag so the serve hot loop skips the quarantine
          hashtable (and its lock) entirely until a first crash repeats *)
-  drain_lock : Mutex.t;
-  drain_cond : Condition.t;
   submit_lock : Mutex.t;  (* serializes submissions against feedback *)
   mutable ept : (Core.Matcher.ept, Core.Error.t) result;
   feedback_memo : Core.Estimator.outcome Lru_cache.t;
@@ -163,7 +142,7 @@ type t = {
          [memo_epoch] only and touched only drained *)
   mutable memo_epoch : int;
   mutable next_seq : int;  (* under submit_lock *)
-  drift : Drift.t option;  (* q-error window + coordinator volume ring *)
+  drift : Drift.t option;  (* q-error window; volume rides the shards *)
   recorder : Flight_recorder.t option;  (* coordinator ring: feedback/explain *)
   record_lock : Mutex.t;
   mutable on_record : (Flight_recorder.record -> unit) option;
@@ -180,16 +159,6 @@ type t = {
          folded back only under [submit_lock] with the workers drained *)
   scrape : Scrape_meter.t;
 }
-
-let with_lock m f =
-  Mutex.lock m;
-  match f () with
-  | v ->
-    Mutex.unlock m;
-    v
-  | exception e ->
-    Mutex.unlock m;
-    raise e
 
 let materialize_ept estimator =
   Core.Error.guard (fun () ->
@@ -230,7 +199,7 @@ let plan_chunks ~n ~workers =
 let deliver t r =
   match t.on_record with
   | None -> ()
-  | Some f -> with_lock t.record_lock (fun () -> f r)
+  | Some f -> Mutex.protect t.record_lock (fun () -> f r)
 
 let emit_record t recorder ~seq ~(key : Canonical.key) ~status
     ~(outcome : Core.Estimator.outcome) ~canonicalize_s ~ept_s ~match_s
@@ -277,15 +246,15 @@ let emit_refusal t recorder ~seq ~query ~hash ~cache =
     in
     deliver t r
 
-let past_deadline t ~enqueued_at ~now =
-  match t.deadline_s with None -> false | Some d -> now -. enqueued_at > d
+let past_deadline t ~admitted_at ~now =
+  match t.deadline_s with None -> false | Some d -> now -. admitted_at > d
 
 (* Crash bookkeeping: a query whose execution has killed a worker twice is
    quarantined — subsequent submissions are answered [ERR internal] before
    executing, so one poisonous input cannot grind the pool through endless
    restarts. *)
 let note_crash t query =
-  with_lock t.quarantine_lock (fun () ->
+  Mutex.protect t.quarantine_lock (fun () ->
       let n =
         (match Hashtbl.find_opt t.crash_counts query with
          | Some n -> n
@@ -300,31 +269,27 @@ let note_crash t query =
 
 let is_quarantined t query =
   Atomic.get t.quarantine_active
-  && with_lock t.quarantine_lock (fun () ->
+  && Mutex.protect t.quarantine_lock (fun () ->
          Hashtbl.mem t.quarantined_queries query)
 
 let quarantined_count t =
   if not (Atomic.get t.quarantine_active) then 0
   else
-    with_lock t.quarantine_lock (fun () ->
+    Mutex.protect t.quarantine_lock (fun () ->
         Hashtbl.length t.quarantined_queries)
 
 let quarantined_error () =
   Core.Error.make Core.Error.Internal
     "query quarantined: its execution crashed a worker twice"
 
-let het_counters t =
-  Option.map Core.Het.counters (Core.Estimator.het t.base)
-
-(* HET counters are shared across domains and bumped racily, so the
-   per-query delta is best-effort under concurrency (exact whenever requests
-   are sequential); clamp so a racing reader never records a negative. *)
-let het_hits_since t before =
-  match (before, Core.Estimator.het t.base) with
-  | Some before, Some h ->
-    let d = Core.Het.diff_counters ~before ~after:(Core.Het.counters h) in
-    max 0 (d.Core.Het.simple_hits + d.Core.Het.branching_hits)
-  | _ -> 0
+(* The EPT as the estimator's lazy argument. It is built at [create] and
+   on refinement, so a served query only reads it. A failed build raises
+   its error inside the estimator's guard, from a suspension of the
+   caller's own, so no two domains ever force one suspension. *)
+let ept_handle t =
+  match t.ept with
+  | Ok e -> Lazy.from_val e
+  | Error err -> lazy (raise (Core.Error.Xseed err))
 
 (* Stage sub-slices on the serving shard's track, inside the shard's
    [execute] slice. No-ops unless the pool is tracing. *)
@@ -338,11 +303,31 @@ let trace_stage t shard ~name ~t0 ~dur =
     Obs.Trace.complete tb ~name ~ts:(Obs.Trace.rel tg.tr t0) ~dur
   | _ -> ()
 
+(* The one epilogue of a served estimate, hit or miss: drift note, flight
+   record, audit sample, reply. *)
+let reply t shard ~seq ~(key : Canonical.key) ~cast ~canonicalize_s status
+    (outcome : Core.Estimator.outcome) ~match_s ~ept_nodes ~frontier_peak
+    ~het_hits =
+  let hit = status = Flight_recorder.Hit in
+  (match shard.drift_shard with
+   | Some s -> Drift.note_shard s ~cache_hit:hit
+   | None -> ());
+  emit_record t shard.recorder ~seq ~key ~status ~outcome ~canonicalize_s
+    ~ept_s:0.0 ~match_s ~ept_nodes ~frontier_peak ~het_hits;
+  (match t.auditor with
+   | Some a ->
+     Auditor.sample a ~query:key.Canonical.text ~hash:key.Canonical.hash
+       ~ast:cast ~estimate:outcome.Core.Estimator.value
+   | None -> ());
+  Ok
+    { Serve.value = outcome.Core.Estimator.value;
+      status = (if hit then Core.Explain.Hit else Core.Explain.Miss) }
+
 (* The estimate hot path, run against the serving shard: canonicalize,
-   consult the shard cache, check the deadline, run the pipeline on a
-   miss. Every shard estimator is built from the same kernel/HET/values,
-   so the estimate does not depend on which shard serves it. *)
-let serve_query t shard ~seq ~enqueued_at query =
+   consult the shard cache, check the deadline, run the matcher on a miss.
+   Every shard estimator is built from the same kernel/HET/values, so the
+   estimate does not depend on which shard serves it. *)
+let serve_query t shard ~seq ~admitted_at query =
   match parse query with
   | Error e -> Error e
   | Ok ast ->
@@ -351,115 +336,71 @@ let serve_query t shard ~seq ~enqueued_at query =
     let key = Canonical.of_ast cast in
     let canonicalize_s = Obs.now_mono () -. t0 in
     trace_stage t shard ~name:`Canonicalize ~t0 ~dur:canonicalize_s;
-    (match Lru_cache.find shard.cache key.Canonical.text with
-     | Some outcome ->
-       (match shard.drift_shard with
-        | Some s -> Drift.note_shard s ~cache_hit:true
-        | None -> ());
-       emit_record t shard.recorder ~seq ~key ~status:Flight_recorder.Hit
-         ~outcome ~canonicalize_s ~ept_s:0.0 ~match_s:0.0 ~ept_nodes:0
-         ~frontier_peak:0 ~het_hits:0;
-       (match t.auditor with
-        | Some a ->
-          Auditor.sample a ~query:key.Canonical.text ~hash:key.Canonical.hash
-            ~ast:cast ~estimate:outcome.Core.Estimator.value
-        | None -> ());
-       Ok
-         { Serve.value = outcome.Core.Estimator.value;
-           status = Core.Explain.Hit }
-     | None
-       when past_deadline t ~enqueued_at ~now:(Obs.now_mono ()) ->
-       (* Second deadline checkpoint, between canonicalize (cheap, already
-          spent) and the pipeline (the expensive stage we refuse to start).
-          A cache hit above always answers: serving it is cheaper than
-          refusing. *)
-       Atomic.incr t.timeout_total;
-       emit_refusal t shard.recorder ~seq ~query:key.Canonical.text
-         ~hash:key.Canonical.hash ~cache:Flight_recorder.Timed_out;
-       Error (timeout_error ())
-     | None ->
-       let ept_spent = ref 0.0 in
-       let ept =
-         lazy
-           (let t1 = Obs.now_mono () in
-            let e =
-              match t.ept with
-              | Ok e -> e
-              | Error err -> raise (Core.Error.Xseed err)
-            in
-            ept_spent := Obs.now_mono () -. t1;
-            e)
-       in
-       let het_before = het_counters t in
-       let t1 = Obs.now_mono () in
-       (match Core.Estimator.estimate_result_stats_on shard.estimator ept cast with
-        | Ok (outcome, ms) ->
-          let miss_s = Obs.now_mono () -. t1 in
-          trace_stage t shard ~name:`Pipeline ~t0:t1 ~dur:miss_s;
-          Lru_cache.put shard.cache key.Canonical.text outcome;
-          (match shard.drift_shard with
-           | Some s -> Drift.note_shard s ~cache_hit:false
-           | None -> ());
-          emit_record t shard.recorder ~seq ~key ~status:Flight_recorder.Miss
-            ~outcome ~canonicalize_s ~ept_s:!ept_spent
-            ~match_s:(Float.max 0.0 (miss_s -. !ept_spent))
-            ~ept_nodes:ms.Core.Matcher.ept_nodes
-            ~frontier_peak:ms.Core.Matcher.frontier_peak
-            ~het_hits:(het_hits_since t het_before);
-          (match t.auditor with
-           | Some a ->
-             Auditor.sample a ~query:key.Canonical.text
-               ~hash:key.Canonical.hash ~ast:cast
-               ~estimate:outcome.Core.Estimator.value
-           | None -> ());
-          Ok
-            { Serve.value = outcome.Core.Estimator.value;
-              status = Core.Explain.Miss }
-        | Error e -> Error e))
+    match Lru_cache.find shard.cache key.Canonical.text with
+    | Some outcome ->
+      reply t shard ~seq ~key ~cast ~canonicalize_s Flight_recorder.Hit
+        outcome ~match_s:0.0 ~ept_nodes:0 ~frontier_peak:0 ~het_hits:0
+    | None when past_deadline t ~admitted_at ~now:(Obs.now_mono ()) ->
+      (* Second deadline checkpoint, between canonicalize (cheap, already
+         spent) and the matcher (the expensive stage we refuse to start).
+         A cache hit above always answers: serving it is cheaper than
+         refusing. *)
+      Atomic.incr t.timeout_total;
+      emit_refusal t shard.recorder ~seq ~query:key.Canonical.text
+        ~hash:key.Canonical.hash ~cache:Flight_recorder.Timed_out;
+      Error (timeout_error ())
+    | None ->
+      let t1 = Obs.now_mono () in
+      (match
+         Core.Estimator.estimate_result_stats_on shard.estimator (ept_handle t)
+           cast
+       with
+       | Error e -> Error e
+       | Ok (outcome, ms) ->
+         let match_s = Obs.now_mono () -. t1 in
+         trace_stage t shard ~name:`Pipeline ~t0:t1 ~dur:match_s;
+         Lru_cache.put shard.cache key.Canonical.text outcome;
+         reply t shard ~seq ~key ~cast ~canonicalize_s Flight_recorder.Miss
+           outcome ~match_s
+           ~ept_nodes:ms.Core.Matcher.ept_nodes
+           ~frontier_peak:ms.Core.Matcher.frontier_peak
+           ~het_hits:
+             (ms.Core.Matcher.het_joint_overrides
+             + ms.Core.Matcher.het_single_overrides))
 
 (* Retire a chunk exactly once: decrement the parent batch by the chunk's
-   slot count and, for a chunk of a queued batch, the pool's in-flight
-   chunk count. Both the chunk body and [recover_crash] cleaning up after
-   it call this; [c_done] makes the second call a no-op. For a queued
-   batch the batch mutex guards the latch and publishes the result-array
-   writes. *)
+   slot count. Both the chunk body and [recover_crash] cleaning up after it
+   call this; [c_done] makes the second call a no-op. A chunk of a queued
+   batch retires under the completion monitor, which publishes the
+   result-array writes and counts it out of [inflight]; the batch's last
+   chunk wakes its submitter and any drain with one broadcast. *)
 let complete_chunk t (c : chunk) =
   let b = c.c_parent in
   let retire () =
-    if c.c_done then false
-    else begin
+    if not c.c_done then begin
       c.c_done <- true;
       b.remaining <- b.remaining - (c.c_hi - c.c_base);
-      true
+      if b.queued then begin
+        t.inflight <- t.inflight - 1;
+        if b.remaining = 0 then Condition.broadcast t.retired
+      end
     end
   in
-  match b.sync with
-  | None -> ignore (retire () : bool)
-  | Some (m, cond) ->
-    let first =
-      with_lock m (fun () ->
-          let first = retire () in
-          if b.remaining = 0 then Condition.broadcast cond;
-          first)
-    in
-    if first then begin
-      let before = Atomic.fetch_and_add t.inflight (-1) in
-      if before = 1 then
-        with_lock t.drain_lock (fun () -> Condition.broadcast t.drain_cond)
-    end
+  if b.queued then Mutex.protect t.monitor retire else retire ()
 
 (* Taking a chunk: drop a cache made stale by a refining feedback and
    close the chunk's queue-wait span. *)
 let begin_chunk t shard (c : chunk) t_deq =
   let epoch = Atomic.get t.epoch in
-  if epoch <> shard.hot.epoch_seen then begin
+  if epoch <> shard.epoch_seen then begin
     (* Feedback refined the synopsis since this shard last served: every
        cached outcome may be stale. *)
     Lru_cache.clear shard.cache;
-    shard.hot.epoch_seen <- epoch
+    shard.epoch_seen <- epoch
   end;
   if t.telemetry then
-    Obs.hobserve shard.queue_wait_us (1e6 *. (t_deq -. c.c_enqueued_at));
+    Obs.hobserve shard.queue_wait_us
+      (1e6 *. (t_deq -. c.c_parent.admitted_at));
   match (t.tracing, shard.tbuf) with
   | Some tg, Some tb ->
     (* Close the queue-wait async span the submitter opened for this
@@ -493,7 +434,7 @@ let gc_sample () =
    the per-query guard) — [recover_crash] then answers the chunk's
    unserved slots. *)
 let serve_chunk t shard (c : chunk) t_deq =
-  shard.hot.current <- Some c;
+  shard.current <- Some c;
   let gc0 =
     if t.telemetry || Option.is_some t.tracing then Some (gc_sample ())
     else None
@@ -510,7 +451,7 @@ let serve_chunk t shard (c : chunk) t_deq =
         (* Refused before any execution: a query that has already
            crashed two workers never runs again. *)
         Error (quarantined_error ())
-      else if past_deadline t ~enqueued_at:c.c_enqueued_at ~now:t_slot
+      else if past_deadline t ~admitted_at:c.c_parent.admitted_at ~now:t_slot
       then begin
         (* First deadline checkpoint, per slot: the budget runs from the
            batch's admission, so a deadline can expire mid-chunk — earlier
@@ -527,7 +468,7 @@ let serve_chunk t shard (c : chunk) t_deq =
         (match t.chaos with
          | Some kill when kill query -> failwith "chaos: worker killed"
          | Some _ | None -> ());
-        try serve_query t shard ~seq ~enqueued_at:c.c_enqueued_at query
+        try serve_query t shard ~seq ~admitted_at:c.c_parent.admitted_at query
         with exn ->
           Error
             (match Core.Error.of_exn exn with
@@ -537,15 +478,15 @@ let serve_chunk t shard (c : chunk) t_deq =
       end
     in
     (* Lock-free reply write, straight into the submission-order slot;
-       the batch mutex inside [complete_chunk] publishes it. *)
+       for a queued batch the monitor in [complete_chunk] publishes it. *)
     c.c_results.(slot) <- Some result;
     clock := Obs.now_mono ();
     c.c_fin.(slot) <- !clock;
     c.c_cursor <- slot + 1
   done;
   let t_fin = !clock in
-  shard.hot.busy_s <- shard.hot.busy_s +. (t_fin -. t_deq);
-  shard.hot.last_served_at <- t_fin;
+  shard.busy_s <- shard.busy_s +. (t_fin -. t_deq);
+  shard.last_served_at <- t_fin;
   (match gc0 with
    | None -> ()
    | Some gc0 ->
@@ -578,7 +519,7 @@ let serve_chunk t shard (c : chunk) t_deq =
        ~ts:(ts +. (dur /. 2.0)) ~id:(c.c_seq_base + c.c_base)
    | _ -> ());
   complete_chunk t c;
-  shard.hot.current <- None;
+  shard.current <- None;
   t_fin
 
 let run_chunk t shard c ~t_deq =
@@ -592,7 +533,7 @@ let run_chunk t shard c ~t_deq =
    (caches, rings, registries) carries on unchanged. *)
 let recover_crash t shard exn =
   Atomic.incr t.worker_restarts;
-  (match shard.hot.current with
+  (match shard.current with
    | Some c ->
      if c.c_cursor < c.c_hi then note_crash t c.c_queries.(c.c_cursor);
      let err =
@@ -612,7 +553,7 @@ let recover_crash t shard exn =
      c.c_cursor <- c.c_hi;
      complete_chunk t c
    | None -> ());
-  shard.hot.current <- None
+  shard.current <- None
 
 (* A worker domain: dequeue and serve whole chunks until the queue closes.
    Supervision restarts the loop in place — same domain, same shard — after
@@ -644,8 +585,7 @@ let serve_inline t c ~t_deq =
     Obs.now_mono ()
 
 let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
-    ?(telemetry = true) ?(recorder_capacity = 256) ?(drift_slots = 6)
-    ?(drift_per_slot = 64) ?(drift_p90_threshold = 8.0) ?(queue_capacity = 256)
+    ?(telemetry = true) ?(drift_p90_threshold = 8.0) ?(queue_capacity = 256)
     ?trace ?deadline_s ?(shed_policy = `Block) ?chaos ?auditor estimator =
   if workers < 1 then
     invalid_arg (Printf.sprintf "Pool.create: workers %d < 1" workers);
@@ -656,10 +596,7 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
      invalid_arg "Pool.create: deadline_s must not be NaN"
    | _ -> ());
   let drift =
-    if telemetry then
-      Some
-        (Drift.create ~slots:drift_slots ~per_slot:drift_per_slot
-           ~p90_threshold:drift_p90_threshold ())
+    if telemetry then Some (Drift.create ~p90_threshold:drift_p90_threshold ())
     else None
   in
   let tracing =
@@ -700,9 +637,7 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
           obs;
           cache = Lru_cache.create ~capacity:cache_capacity;
           recorder =
-            (if telemetry then
-               Some (Flight_recorder.create ~capacity:recorder_capacity ())
-             else None);
+            (if telemetry then Some (Flight_recorder.create ()) else None);
           drift_shard = Option.map Drift.register_shard drift;
           tbuf =
             Option.map
@@ -710,23 +645,10 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
                 Obs.Trace.register tr ~tid:(id + 1)
                   ~name:(Printf.sprintf "shard-%d" id))
               trace;
-          hot =
-            { epoch_seen = 0;
-              busy_s = 0.0;
-              last_served_at = 0.0;
-              current = None;
-              pad0 = 0;
-              pad1 = 0;
-              pad2 = 0;
-              pad3 = 0;
-              pad4 = 0;
-              pad5 = 0;
-              pad6 = 0;
-              pad7 = 0;
-              pad8 = 0;
-              pad9 = 0;
-              pad10 = 0;
-              pad11 = 0 };
+          epoch_seen = 0;
+          busy_s = 0.0;
+          last_served_at = 0.0;
+          current = None;
           queue_wait_us = Obs.histogram obs "engine.pool.queue_wait_us";
           gc_minor_words = Obs.counter_with obs "engine.gc.minor_words" shard_labels;
           gc_major_words = Obs.counter_with obs "engine.gc.major_words" shard_labels;
@@ -743,7 +665,9 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
       queue = Work_queue.create ~capacity:queue_capacity;
       domains = [||];
       epoch = Atomic.make 0;
-      inflight = Atomic.make 0;
+      monitor = Mutex.create ();
+      retired = Condition.create ();
+      inflight = 0;
       deadline_s;
       shed_policy;
       shed_total = Atomic.make 0;
@@ -754,18 +678,13 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
       crash_counts = Hashtbl.create 16;
       quarantined_queries = Hashtbl.create 16;
       quarantine_active = Atomic.make false;
-      drain_lock = Mutex.create ();
-      drain_cond = Condition.create ();
       submit_lock = Mutex.create ();
       ept = materialize_ept estimator;
       feedback_memo = Lru_cache.create ~capacity:cache_capacity;
       memo_epoch = 0;
       next_seq = 0;
       drift;
-      recorder =
-        (if telemetry then
-           Some (Flight_recorder.create ~capacity:recorder_capacity ())
-         else None);
+      recorder = (if telemetry then Some (Flight_recorder.create ()) else None);
       record_lock = Mutex.create ();
       on_record = None;
       feedback_seen = 0;
@@ -804,7 +723,7 @@ let closed_error () =
 let with_coord tracing f =
   match tracing with
   | None -> ()
-  | Some tg -> with_lock tg.coord_lock (fun () -> f tg)
+  | Some tg -> Mutex.protect tg.coord_lock (fun () -> f tg)
 
 (* Worker domains start with the first batch that queues a chunk, one per
    shard 1..N-1, and run until [shutdown]. Until then a pool of any width
@@ -853,7 +772,8 @@ let refuse t (c : chunk) refusal =
    [submit_lock]; returns the admitted chunks' flow ids. *)
 let submit_queued t (chunks : chunk array) =
   start_domains t;
-  ignore (Atomic.fetch_and_add t.inflight (Array.length chunks) : int);
+  Mutex.protect t.monitor (fun () ->
+      t.inflight <- t.inflight + Array.length chunks);
   let flows = ref [ chunks.(0).c_seq_base + chunks.(0).c_base ] in
   for i = 1 to Array.length chunks - 1 do
     let c = chunks.(i) in
@@ -876,8 +796,9 @@ let submit_queued t (chunks : chunk array) =
 
 (* Submit a batch and wait for all of it; replies land in the preallocated
    submission-order result array regardless of which shard served which
-   slot. Returns the raw results and the per-slot enqueue/dequeue/finish
-   stamp arrays (for PROFILE; refused slots keep zero stamps).
+   slot. Returns the raw results, the batch's admission instant and the
+   per-slot dequeue/finish stamp arrays (for PROFILE; refused slots keep
+   zero stamps).
 
    When tracing, the coordinator track shows a [batch_submit] slice with,
    per chunk, a [chunk_dispatch] instant, a flow start and a queue-wait
@@ -886,25 +807,19 @@ let submit_queued t (chunks : chunk array) =
 let run_batch t queries =
   let queries = Array.of_list queries in
   let n = Array.length queries in
-  if n = 0 then ([||], [||], [||], [||])
+  if n = 0 then ([||], 0.0, [||], [||])
   else begin
     (* Only a batch of several chunks on a pool of several workers queues
        anything; every other request is served whole on the submitter. *)
     let queued = workers t > 1 && n > chunk_target in
     let results = Array.make n None in
-    let enq = Array.make n 0.0 in
     let deq = Array.make n 0.0 in
     let fin = Array.make n 0.0 in
-    let parent =
-      { remaining = n;
-        sync =
-          (if queued then Some (Mutex.create (), Condition.create ()) else None)
-      }
-    in
+    let parent = { remaining = n; queued; admitted_at = 0.0 } in
     let flows = ref [] in  (* admitted chunk flow ids, ended at gather *)
     let traced = Option.is_some t.tracing in
     let t_sub0 = if traced then Obs.now_mono () else 0.0 in
-    with_lock t.submit_lock (fun () ->
+    Mutex.protect t.submit_lock (fun () ->
         if t.telemetry then Obs.hobserve t.batch_chunk (float_of_int n);
         let seq_base = t.next_seq in
         t.next_seq <- seq_base + n;
@@ -916,12 +831,8 @@ let run_batch t queries =
           parent.remaining <- 0
         end
         else begin
-          (* Every chunk carries the batch's admission instant: its deadline
-             and queue-wait run from there, also for a chunk that waits
-             behind earlier ones — in the queue, or served on the submitter
-             after them. *)
           let c_enq = Obs.now_mono () in
-          Array.fill enq 0 n c_enq;
+          parent.admitted_at <- c_enq;
           let chunks =
             Array.map
               (fun (lo, hi) ->
@@ -940,7 +851,6 @@ let run_batch t queries =
                   c_fin = fin;
                   c_seq_base = seq_base;
                   c_parent = parent;
-                  c_enqueued_at = c_enq;
                   c_base = lo;
                   c_hi = hi;
                   c_cursor = lo;
@@ -961,13 +871,11 @@ let run_batch t queries =
             Obs.Trace.complete tg.coord ~name:tg.names.n_batch_submit
               ~ts:(Obs.Trace.rel tg.tr t_sub0)
               ~dur:(Obs.now_mono () -. t_sub0)));
-    (match parent.sync with
-     | None -> ()
-     | Some (m, cond) ->
-       with_lock m (fun () ->
-           while parent.remaining > 0 do
-             Condition.wait cond m
-           done));
+    if queued then
+      Mutex.protect t.monitor (fun () ->
+          while parent.remaining > 0 do
+            Condition.wait t.retired t.monitor
+          done);
     let t_gather0 = if traced then Obs.now_mono () else 0.0 in
     let out =
       Array.map
@@ -987,7 +895,7 @@ let run_batch t queries =
           !flows;
         Obs.Trace.complete tg.coord ~name:tg.names.n_batch_gather ~ts:ts0
           ~dur);
-    (out, enq, deq, fin)
+    (out, parent.admitted_at, deq, fin)
   end
 
 (* [affinity] is accepted and ignored (see the interface). *)
@@ -1008,7 +916,7 @@ let estimate ?affinity:_ t query =
    until the whole batch can be answered). Refused or unserved slots
    carry zero stamps and are skipped. *)
 let profile t queries =
-  let out, enq, deq, fin = run_batch t queries in
+  let out, admitted_at, deq, fin = run_batch t queries in
   let t_done = Obs.now_mono () in
   let count kind =
     Array.fold_left
@@ -1028,7 +936,7 @@ let profile t queries =
     { Serve.profiled = List.length served;
       queue_wait_us =
         Serve.percentiles
-          (stage (fun i -> 1e6 *. Float.max 0.0 (deq.(i) -. enq.(i))));
+          (stage (fun i -> 1e6 *. Float.max 0.0 (deq.(i) -. admitted_at)));
       execute_us =
         Serve.percentiles
           (stage (fun i -> 1e6 *. Float.max 0.0 (fin.(i) -. deq.(i))));
@@ -1042,9 +950,9 @@ let profile t queries =
 (* Wait until no chunk is being served or queued. Callers hold
    [submit_lock], so no new submission can race the drain. *)
 let wait_drained t =
-  with_lock t.drain_lock (fun () ->
-      while Atomic.get t.inflight > 0 do
-        Condition.wait t.drain_cond t.drain_lock
+  Mutex.protect t.monitor (fun () ->
+      while t.inflight > 0 do
+        Condition.wait t.retired t.monitor
       done)
 
 let next_seq_locked t =
@@ -1077,6 +985,23 @@ let emit_audit_record t ~seq (r : Auditor.audited) =
     in
     deliver t fr
 
+(* The one refine step of client and audit feedback: judge [estimate]
+   against [actual] and, at the threshold, refine the HET, then rebuild
+   the EPT while drained and bump the epoch; shards drop their caches when
+   they observe it at their next chunk. *)
+let refine t ast ~estimate ~actual =
+  let fb =
+    Feedback.apply
+      ?ept:(Result.to_option t.ept)
+      ~threshold:t.threshold t.base ast ~estimate ~actual
+  in
+  if fb.Feedback.refined then begin
+    t.feedback_rounds <- t.feedback_rounds + 1;
+    t.ept <- materialize_ept t.base;
+    Atomic.incr t.epoch
+  end;
+  fb
+
 (* Fold completed shadow audits into the coordinator's telemetry. Callers
    hold [submit_lock] with the shards drained — the single-writer state the
    feedback path already establishes — so [Drift.observe] cannot race a
@@ -1095,20 +1020,12 @@ let drain_audits_locked t =
                : float)
          | None -> ());
         emit_audit_record t ~seq:(next_seq_locked t) r;
-        if Auditor.feedback_enabled a then begin
-          let fb =
-            Feedback.apply
-              ?ept:(Result.to_option t.ept)
-              ~threshold:t.threshold t.base r.Auditor.ast
-              ~estimate:r.Auditor.estimate ~actual:r.Auditor.actual
-          in
-          if fb.Feedback.refined then begin
-            t.feedback_rounds <- t.feedback_rounds + 1;
-            Auditor.note_refined a;
-            t.ept <- materialize_ept t.base;
-            Atomic.incr t.epoch
-          end
-        end)
+        if
+          Auditor.feedback_enabled a
+          && (refine t r.Auditor.ast ~estimate:r.Auditor.estimate
+                ~actual:r.Auditor.actual)
+               .Feedback.refined
+        then Auditor.note_refined a)
 
 (* One coordinator-track slice for a drained verb (feedback/explain). *)
 let trace_coord_verb t which t0 =
@@ -1123,7 +1040,7 @@ let trace_coord_verb t which t0 =
    submission lock, every in-flight chunk drained. [verb] names the
    coordinator trace slice covering the call. *)
 let with_drained ?verb t f =
-  with_lock t.submit_lock (fun () ->
+  Mutex.protect t.submit_lock (fun () ->
       if t.stopped then Error (closed_error ())
       else begin
         let t0 = Obs.now_mono () in
@@ -1153,7 +1070,7 @@ let feedback_estimate t (key : Canonical.key) cast =
     Array.fold_left
       (fun acc (s : shard) ->
         match acc with
-        | None when s.hot.epoch_seen = epoch -> Lru_cache.peek s.cache text
+        | None when s.epoch_seen = epoch -> Lru_cache.peek s.cache text
         | acc -> acc)
       (Lru_cache.find t.feedback_memo text)
       t.shards
@@ -1161,13 +1078,9 @@ let feedback_estimate t (key : Canonical.key) cast =
   match known with
   | Some outcome -> Ok (outcome, None)
   | None ->
-    let ept =
-      lazy
-        (match t.ept with
-         | Ok e -> e
-         | Error err -> raise (Core.Error.Xseed err))
-    in
-    (match Core.Estimator.estimate_result_stats_on t.base ept cast with
+    (match
+       Core.Estimator.estimate_result_stats_on t.base (ept_handle t) cast
+     with
      | Ok (outcome, ms) ->
        Lru_cache.put t.feedback_memo text outcome;
        Ok (outcome, Some ms)
@@ -1189,34 +1102,25 @@ let feedback t query ~actual =
     let cast = Canonical.canonicalize ast in
     let key = Canonical.of_ast cast in
     let canonicalize_s = Obs.now_mono () -. t0 in
-    let ept_or_err = t.ept in
     let t1 = Obs.now_mono () in
     match feedback_estimate t key cast with
     | Error e -> Error e
     | Ok (outcome, ms) ->
       let match_s = Obs.now_mono () -. t1 in
       t.feedback_seen <- t.feedback_seen + 1;
+      (* Estimate volume lands on shard 0, which the submission lock held
+         here already owns. *)
+      Option.iter
+        (fun s -> Drift.note_shard s ~cache_hit:false)
+        t.shards.(0).drift_shard;
       (match t.drift with
        | Some d ->
-         Drift.note_estimate d ~cache_hit:false;
          ignore
            (Drift.observe ?obs:(Core.Estimator.obs t.base) d
               ~estimate:outcome.Core.Estimator.value ~actual
              : float)
        | None -> ());
-      let fb =
-        Feedback.apply
-          ?ept:(Result.to_option ept_or_err)
-          ~threshold:t.threshold t.base cast
-          ~estimate:outcome.Core.Estimator.value ~actual
-      in
-      if fb.Feedback.refined then begin
-        t.feedback_rounds <- t.feedback_rounds + 1;
-        (* Rebuild eagerly while drained; shards drop their caches when
-           they observe the new epoch at their next chunk. *)
-        t.ept <- materialize_ept t.base;
-        Atomic.incr t.epoch
-      end;
+      let fb = refine t cast ~estimate:outcome.Core.Estimator.value ~actual in
       let ept_nodes, frontier_peak =
         match ms with
         | Some ms -> (ms.Core.Matcher.ept_nodes, ms.Core.Matcher.frontier_peak)
@@ -1241,7 +1145,6 @@ let explain t query =
         (fun (s : shard) -> Lru_cache.mem s.cache key.Canonical.text)
         t.shards
     in
-    let het_before = het_counters t in
     match Core.Estimator.guarded cast (fun _ -> Core.Explain.run t.base cast) with
     | Error e -> Error e
     | Ok r ->
@@ -1256,7 +1159,10 @@ let explain t query =
         ~match_s:r.Core.Explain.match_seconds
         ~ept_nodes:r.Core.Explain.ept_nodes
         ~frontier_peak:r.Core.Explain.matcher.Core.Matcher.frontier_peak
-        ~het_hits:(het_hits_since t het_before);
+        ~het_hits:
+          (match r.Core.Explain.het_usage with
+           | Some u -> u.Core.Het.simple_hits + u.Core.Het.branching_hits
+           | None -> 0);
       Ok
         { r with
           Core.Explain.cache = status;
@@ -1458,10 +1364,9 @@ let publish_totals t obs =
   Array.iter
     (fun (sh : shard) ->
       let fraction =
-        if sh.hot.last_served_at <= t.created_at then 0.0
+        if sh.last_served_at <= t.created_at then 0.0
         else
-          Float.min 1.0
-            (sh.hot.busy_s /. (sh.hot.last_served_at -. t.created_at))
+          Float.min 1.0 (sh.busy_s /. (sh.last_served_at -. t.created_at))
       in
       Obs.gset
         (Obs.gauge_with obs "engine.pool.busy_fraction"
@@ -1546,13 +1451,13 @@ let server ?affinity:_ t =
    next chunk), without touching the synopsis. Used by benchmarks to force
    cold-cache passes. *)
 let invalidate t =
-  with_lock t.submit_lock (fun () ->
+  Mutex.protect t.submit_lock (fun () ->
       wait_drained t;
       Atomic.incr t.epoch)
 
 let shutdown t =
   let started =
-    with_lock t.submit_lock (fun () ->
+    Mutex.protect t.submit_lock (fun () ->
         if t.stopped then [||]
         else begin
           t.stopped <- true;

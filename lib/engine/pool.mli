@@ -28,10 +28,12 @@
     domains popped, so a straggler holds up only its own chunk. Every
     thread runs the same chunk body, deadline checks, flight records and
     crash cleanup. Shards write replies lock-free into the batch's
-    preallocated submission-order result array; the only synchronization
-    per chunk is one idempotent completion latch. Per-shard mutable hot
-    state is padded past two cache lines to kill false sharing between
-    serving threads.
+    preallocated submission-order result array. One pool-wide completion
+    monitor (a mutex, a condition and the in-flight chunk count) retires
+    each queued chunk once, publishes its replies, and wakes both the
+    batch's submitter and a drain with one broadcast when a batch's last
+    chunk retires; a batch served whole on the submitter never touches
+    the monitor.
 
     {b Single-writer feedback.} [feedback] (and [explain]) take the
     submission lock, wait for in-flight chunks to drain, and only then
@@ -54,9 +56,6 @@ val create :
   ?qerror_threshold:float ->
   ?cache_capacity:int ->
   ?telemetry:bool ->
-  ?recorder_capacity:int ->
-  ?drift_slots:int ->
-  ?drift_per_slot:int ->
   ?drift_p90_threshold:float ->
   ?queue_capacity:int ->
   ?trace:Obs.Trace.t ->
@@ -70,14 +69,15 @@ val create :
     [workers - 1] worker domains, which the first batch that queues a chunk
     spawns; [create] itself spawns none. Call {!shutdown} when done.
     [qerror_threshold] (default 2.0) is the minimum q-error at which
-    feedback refines the HET. [cache_capacity] (default 1024) and
-    [recorder_capacity] (default 256) are {e per shard}; [queue_capacity]
+    feedback refines the HET. [cache_capacity] (default 1024) is {e per
+    shard}, as is each shard's 256-record flight ring; [queue_capacity]
     (default 256) is the chunk slots of the one shared queue. The EPT
-    is materialized eagerly (a failure surfaces as [Limit_exceeded] on the
+    is materialized eagerly, here and on every refinement, so no served
+    query pays for it (a failure surfaces as [Limit_exceeded] on the
     first estimate). [telemetry] (default [true]) enables the flight
-    recorders and the {!Drift} monitor ([drift_slots] x [drift_per_slot]
-    feedback observations, default 6 x 64, alerting at window-p90 q-error
-    [drift_p90_threshold], default 8.0); [~telemetry:false] turns them off
+    recorders and the {!Drift} monitor (6 x 64 feedback observations,
+    alerting at window-p90 q-error [drift_p90_threshold], default 8.0);
+    [~telemetry:false] turns them off
     for baseline benchmarking. Pipeline metrics of cache misses land in
     per-shard registries; FEEDBACK and EXPLAIN run on [estimator] itself,
     so its own registry (if any) sees theirs, plus the drift monitor's

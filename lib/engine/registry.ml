@@ -8,10 +8,6 @@
    thread and spawns no domain, so residency is not capped by the
    runtime's domain limit. *)
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 (* A resident tenant: its engine plus everything eviction must release. *)
 type resident = {
   engine : Pool.t;
@@ -44,7 +40,6 @@ type t = {
   het_budget : int option;
   qerror_threshold : float;
   cache_capacity : int;
-  telemetry : bool;
   drift_p90_threshold : float;
   journal_dir : string option;
   journal_fsync : Journal.fsync;
@@ -56,7 +51,7 @@ type t = {
 }
 
 let create ?memory_budget ?het_budget ?(qerror_threshold = 2.0)
-    ?(cache_capacity = 1024) ?(telemetry = true) ?(drift_p90_threshold = 8.0)
+    ?(cache_capacity = 1024) ?(drift_p90_threshold = 8.0)
     ?journal_dir ?(journal_fsync = `Always) ?(audit_rate = 0.0) ?audit_seed
     ?(audit_feedback = false) () =
   (match memory_budget with
@@ -80,7 +75,6 @@ let create ?memory_budget ?het_budget ?(qerror_threshold = 2.0)
     het_budget;
     qerror_threshold;
     cache_capacity;
-    telemetry;
     drift_p90_threshold;
     journal_dir;
     journal_fsync;
@@ -126,7 +120,7 @@ let register_locked ?doc t ~name ~path =
   end
 
 let register ?doc t ~name ~path =
-  with_lock t.mutex (fun () -> register_locked ?doc t ~name ~path)
+  Mutex.protect t.mutex (fun () -> register_locked ?doc t ~name ~path)
 
 let read_file path =
   if not (Sys.file_exists path) then
@@ -189,7 +183,7 @@ let load_manifest t manifest_path =
                 (p, if d = "" then None else Some d)
             in
             (match
-               with_lock t.mutex (fun () ->
+               Mutex.protect t.mutex (fun () ->
                    register_locked
                      ?doc:(Option.map resolve doc)
                      t ~name ~path:(resolve path))
@@ -314,33 +308,23 @@ let page_in_locked t tenant =
           in
           let engine =
             Pool.create ~workers:1 ~qerror_threshold:t.qerror_threshold
-              ~cache_capacity:t.cache_capacity ~telemetry:t.telemetry
+              ~cache_capacity:t.cache_capacity
               ~drift_p90_threshold:t.drift_p90_threshold ?auditor estimator
           in
           Pool.set_tenant engine tenant.name;
           let base = Pool.server engine in
+          (* The journal replays through the live feedback path, so the
+             learned HET/feedback state of the evicted (or crashed) tenant
+             is reproduced before the first request. *)
           let journal_result =
             match journal_path t tenant with
             | None -> Ok None
             | Some path ->
-              (match Journal.recover path with
-               | Error e -> Error e
-               | Ok scan ->
-                 (* Replay the journal through the live feedback path: the
-                    learned HET/feedback state of the evicted (or crashed)
-                    tenant is reproduced before the first request. *)
-                 List.iter
-                   (fun (e : Journal.entry) ->
-                     match
-                       base.Serve.feedback e.Journal.query ~actual:e.Journal.actual
-                     with
-                     | Ok _ | Error _ -> ())
-                   scan.Journal.entries;
-                 t.journal_replayed <-
-                   t.journal_replayed + scan.Journal.frames;
-                 (match Journal.open_append ~fsync:t.journal_fsync path with
-                  | Ok w -> Ok (Some w)
-                  | Error e -> Error e))
+              Result.map
+                (fun ((scan : Journal.scan), _failed, w) ->
+                  t.journal_replayed <- t.journal_replayed + scan.frames;
+                  Some w)
+                (Journal.resume ~fsync:t.journal_fsync path base)
           in
           (match journal_result with
            | Error e ->
@@ -374,38 +358,38 @@ let ensure_resident_locked t tenant =
      | Error e -> Error e)
 
 let use t name =
-  with_lock t.mutex (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match find_locked t name with
       | Error e -> Error e
       | Ok tenant -> ensure_resident_locked t tenant)
 
 let evict t name =
-  with_lock t.mutex (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.table name with
       | None -> false
       | Some tenant -> evict_locked t tenant)
 
 let tenants t =
-  with_lock t.mutex (fun () ->
+  Mutex.protect t.mutex (fun () ->
       Hashtbl.fold
         (fun name tenant acc ->
           (name, Option.map (fun r -> r.syn_bytes) tenant.state) :: acc)
         t.table [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let registered_count t = with_lock t.mutex (fun () -> Hashtbl.length t.table)
+let registered_count t =
+  Mutex.protect t.mutex (fun () -> Hashtbl.length t.table)
 
 let resident_count t =
-  with_lock t.mutex (fun () ->
+  Mutex.protect t.mutex (fun () ->
       Hashtbl.fold
         (fun _ tenant n -> if tenant.state = None then n else n + 1)
         t.table 0)
 
-let resident_bytes t = with_lock t.mutex (fun () -> t.resident_bytes)
-let memory_budget t = t.memory_budget
-let evictions t = with_lock t.mutex (fun () -> t.evictions)
-let page_ins t = with_lock t.mutex (fun () -> t.page_ins_total)
-let journal_replayed t = with_lock t.mutex (fun () -> t.journal_replayed)
+let resident_bytes t = Mutex.protect t.mutex (fun () -> t.resident_bytes)
+let evictions t = Mutex.protect t.mutex (fun () -> t.evictions)
+let page_ins t = Mutex.protect t.mutex (fun () -> t.page_ins_total)
+let journal_replayed t = Mutex.protect t.mutex (fun () -> t.journal_replayed)
 
 (* Registry-level series, republished idempotently before every scrape so
    quiet re-scrapes render byte-identical. *)
@@ -428,7 +412,7 @@ let publish_locked t =
   Obs.set_max (Obs.counter t.obs "registry.journal.replayed") t.journal_replayed
 
 let metrics_text t =
-  with_lock t.mutex (fun () ->
+  Mutex.protect t.mutex (fun () ->
       let t0 = Obs.now_mono () in
       (* The registry tick advances on every serving touch and never on a
          scrape, so it is the meter's served-traffic anchor. *)
@@ -477,10 +461,8 @@ let stats_locked t =
       ("journal_replayed", Obs.Json.Int t.journal_replayed);
       ("tenants", Obs.Json.Obj tenants) ]
 
-let stats_json t = with_lock t.mutex (fun () -> stats_locked t)
-
 let close t =
-  with_lock t.mutex (fun () ->
+  Mutex.protect t.mutex (fun () ->
       Hashtbl.iter
         (fun _ tenant -> ignore (evict_locked t tenant : bool))
         t.table)
@@ -500,7 +482,7 @@ let with_active s f =
   match s.current with
   | None -> Error (no_tenant ())
   | Some name ->
-    with_lock s.registry.mutex (fun () ->
+    Mutex.protect s.registry.mutex (fun () ->
         match find_locked s.registry name with
         | Error e -> Error e
         | Ok tenant ->
@@ -532,7 +514,7 @@ let server s =
       (fun () ->
         (* Tenant-less STATS still answers: the registry object alone. *)
         let registry_stats =
-          with_lock s.registry.mutex (fun () -> stats_locked s.registry)
+          Mutex.protect s.registry.mutex (fun () -> stats_locked s.registry)
         in
         match with_active s (fun srv -> srv.Serve.stats_json ()) with
         | Ok tenant_stats ->
@@ -590,7 +572,7 @@ let extra s verb rest =
              | Error e -> err e
              | Ok _ ->
                let bytes =
-                 with_lock s.registry.mutex (fun () ->
+                 Mutex.protect s.registry.mutex (fun () ->
                      match Hashtbl.find_opt s.registry.table name with
                      | Some { state = Some r; _ } -> r.syn_bytes
                      | _ -> 0)

@@ -51,7 +51,6 @@ val create :
   ?het_budget:int ->
   ?qerror_threshold:float ->
   ?cache_capacity:int ->
-  ?telemetry:bool ->
   ?drift_p90_threshold:float ->
   ?journal_dir:string ->
   ?journal_fsync:Journal.fsync ->
@@ -115,7 +114,6 @@ val resident_count : t -> int
 val resident_bytes : t -> int
 (** Sum of resident synopses' sizes — the quantity the budget bounds. *)
 
-val memory_budget : t -> int option
 val evictions : t -> int
 val page_ins : t -> int
 
@@ -129,10 +127,6 @@ val metrics_text : t -> string
     [.budget] gauges ([budget] reads 0 when unlimited), and the
     [registry.evictions]/[registry.page_ins]/[registry.journal.replayed]
     counters. Deterministic: series sorted by key, idempotent publishes. *)
-
-val stats_json : t -> Obs.Json.t
-(** One object: the gauge/counter values above plus a ["tenants"] object
-    mapping each name to its resident size or [null]. *)
 
 val close : t -> unit
 (** Evict every resident tenant (flushing all journals). Idempotent. *)
@@ -152,7 +146,9 @@ val server : session -> Serve.server
 (** Routes estimate/batch/feedback/explain/recent/drift/profile to the
     active tenant (paging it back in if it was evicted since the [USE]),
     answering [ERR malformed-query] without one. [stats_json] reports the
-    active tenant's stats nested with the registry's; [metrics_text] is
+    active tenant's stats nested with the registry's (the gauge/counter
+    values above plus a ["tenants"] object mapping each name to its
+    resident size or [null]); [metrics_text] is
     always the registry-wide tenant-labeled scrape. [profile] stamps the
     reply's [tenant=] field; flight records carry the tenant name. *)
 

@@ -36,21 +36,22 @@ type server = {
   audit : unit -> (Obs.Json.t, Core.Error.t) result;
 }
 
-(* Exact rank percentiles over raw samples (PROFILE runs are bounded by
-   [max_batch], so sorting a copy is fine); zeros for an empty run — the
-   protocol never emits a non-finite number. *)
-let percentiles samples =
-  let n = Array.length samples in
-  if n = 0 then { p50 = 0.0; p90 = 0.0; p99 = 0.0 }
-  else begin
-    let s = Array.copy samples in
-    Array.sort Float.compare s;
-    let at p =
+(* Nearest-rank selection over a sorted copy of raw samples (PROFILE runs
+   are bounded by [max_batch], so sorting a copy is fine); zero for an
+   empty run — the protocol never emits a non-finite number. *)
+let nearest_rank samples =
+  let s = Array.copy samples in
+  Array.sort Float.compare s;
+  let n = Array.length s in
+  fun p ->
+    if n = 0 then 0.0
+    else
       let i = int_of_float (Float.round (p *. float_of_int (n - 1))) in
       s.(max 0 (min (n - 1) i))
-    in
-    { p50 = at 0.5; p90 = at 0.9; p99 = at 0.99 }
-  end
+
+let percentiles samples =
+  let at = nearest_rank samples in
+  { p50 = at 0.5; p90 = at 0.9; p99 = at 0.99 }
 
 (* A BATCH larger than the configured cap is rejected before reading any
    payload lines: the reply buffers one line per query, so the count bounds

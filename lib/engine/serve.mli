@@ -113,9 +113,15 @@ val max_batch : int
     [?max_batch] on {!handle_request}/{!run} overrides it per server and
     the rejection message always names the live limit. *)
 
+val nearest_rank : float array -> float -> float
+(** [nearest_rank samples p] is the sample of rank [round (p * (n-1))]
+    in a sorted copy of [samples] (sorted once per [nearest_rank
+    samples]); [0.0] when empty. PROFILE's stages and the AUDIT window
+    both read it. *)
+
 val percentiles : float array -> stage_percentiles
-(** Exact rank selection over a copy of [samples] (all zeros when empty).
-    Exposed for {!Pool.profile} and the bench. *)
+(** p50/p90/p99 by {!nearest_rank} (all zeros when empty). Exposed for
+    {!Pool.profile} and the bench. *)
 
 val handle_request :
   ?max_batch:int ->

@@ -325,19 +325,11 @@ type t = {
 
 (* Bumping a resolved handle stays a plain mutable-field update (memory-safe
    under the OCaml 5 model; concurrent bumps may lose increments, which the
-   engine avoids by giving each domain its own registry). The mutex only
-   serializes registry *shape* changes against iteration, so one domain can
-   keep registering new series while another renders a scrape without either
-   tripping over a resizing Hashtbl. *)
-let with_lock t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-    Mutex.unlock t.lock;
-    v
-  | exception e ->
-    Mutex.unlock t.lock;
-    raise e
+   engine avoids by giving each domain its own registry). The mutex ([lock],
+   taken with [Mutex.protect]) only serializes registry *shape* changes
+   against iteration, so one domain can keep registering new series while
+   another renders a scrape without either tripping over a resizing
+   Hashtbl. *)
 
 let create ?(sink = Noop) () =
   { sink;
@@ -372,7 +364,7 @@ let wrong_kind what key m =
 
 let counter_with t name labels =
   let key = series_key name labels in
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.registry key with
       | Some (Counter c) -> c
       | Some m -> wrong_kind "counter" key m
@@ -395,7 +387,7 @@ let value c = c.n
 
 let gauge_with t name labels =
   let key = series_key name labels in
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.registry key with
       | Some (Gauge g) -> g
       | Some m -> wrong_kind "gauge" key m
@@ -411,7 +403,7 @@ let gvalue g = g.g
 
 let histogram_with t name labels =
   let key = series_key name labels in
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.registry key with
       | Some (Histogram h) -> h
       | Some m -> wrong_kind "histogram" key m
@@ -477,8 +469,8 @@ let hpercentile h p =
   percentile_over ~count:h.count ~maxv:h.max (Array.get h.buckets) p
 
 (* ------------------------------------------------------------------ *)
-(* Sliding windows: a ring of sub-histograms rotated on a count (and
-   optionally wall-time) budget; reads merge the live slots. *)
+(* Sliding windows: a ring of sub-histograms rotated on a count budget;
+   reads merge the live slots. *)
 
 module Window = struct
   type slot = {
@@ -491,10 +483,7 @@ module Window = struct
   type t = {
     slots : slot array;
     per_slot : int;
-    rotate_every_s : float option;
     mutable idx : int;  (* slot receiving observations *)
-    mutable opened_at : float;
-        (* monotonic clock, only read with rotate_every_s *)
     mutable wtotal : int;  (* lifetime observations *)
   }
 
@@ -502,19 +491,14 @@ module Window = struct
     { scount = 0; ssum = 0.0; smax = neg_infinity;
       sbuckets = Array.make hbuckets 0 }
 
-  let create ?(slots = 6) ?(per_slot = 128) ?rotate_every_s () =
+  let create ?(slots = 6) ?(per_slot = 128) () =
     if slots < 1 then
       invalid_arg (Printf.sprintf "Obs.Window.create: slots %d < 1" slots);
     if per_slot < 1 then
       invalid_arg (Printf.sprintf "Obs.Window.create: per_slot %d < 1" per_slot);
     { slots = Array.init slots (fun _ -> fresh_slot ());
       per_slot;
-      rotate_every_s;
       idx = 0;
-      opened_at =
-        (match rotate_every_s with
-         | Some _ -> now_mono ()
-         | None -> 0.0);
       wtotal = 0 }
 
   let clear_slot s =
@@ -525,18 +509,10 @@ module Window = struct
 
   let rotate t =
     t.idx <- (t.idx + 1) mod Array.length t.slots;
-    clear_slot t.slots.(t.idx);
-    match t.rotate_every_s with
-    | Some _ -> t.opened_at <- now_mono ()
-    | None -> ()
+    clear_slot t.slots.(t.idx)
 
   let observe t v =
-    let due_by_time =
-      match t.rotate_every_s with
-      | Some s -> now_mono () -. t.opened_at >= s
-      | None -> false
-    in
-    if t.slots.(t.idx).scount >= t.per_slot || due_by_time then rotate t;
+    if t.slots.(t.idx).scount >= t.per_slot then rotate t;
     let v = if Float.is_nan v || v < 0.0 then 0.0 else v in
     let s = t.slots.(t.idx) in
     s.scount <- s.scount + 1;
@@ -659,7 +635,7 @@ let histogram_json h =
 
 let snapshot t =
   let fields =
-    with_lock t (fun () ->
+    Mutex.protect t.lock (fun () ->
         List.rev_map
           (fun key ->
             match Hashtbl.find t.registry key with
@@ -709,7 +685,7 @@ let escape_help s =
   Buffer.contents b
 
 let prometheus ?(prefix = "") t =
-  with_lock t @@ fun () ->
+  Mutex.protect t.lock @@ fun () ->
   let buf = Buffer.create 1024 in
   (* Group series into families (by exported name) so each family gets
      exactly one HELP/TYPE pair with all its samples beneath — grouping by
@@ -788,7 +764,7 @@ let prometheus ?(prefix = "") t =
   Buffer.contents buf
 
 let reset t =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.iter
         (fun _ metric ->
           match metric with
@@ -819,7 +795,7 @@ let merged_labeled lts =
            set, so the rendered order is canonical either way); the serving
            registry uses this to stamp tenant="…" on a whole registry. *)
         let widen labels = labels @ extra in
-        with_lock t (fun () ->
+        Mutex.protect t.lock (fun () ->
             List.rev_map
               (fun key ->
                 match Hashtbl.find t.registry key with
@@ -868,7 +844,7 @@ let merged ts = merged_labeled (List.map (fun t -> ([], t)) ts)
    state. *)
 let mirror ~into src =
   let copies =
-    with_lock src (fun () ->
+    Mutex.protect src.lock (fun () ->
         List.rev_map
           (fun key ->
             match Hashtbl.find src.registry key with

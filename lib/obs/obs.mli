@@ -167,23 +167,21 @@ val hpercentile : histogram -> float -> float
 (** {1 Sliding windows}
 
     A {!Window.t} is a ring of [slots] sub-histograms. Observations land in
-    the current slot; after [per_slot] observations (or [rotate_every_s]
-    seconds, when given) the ring advances and the oldest slot is cleared,
-    so reads always cover the last [slots × per_slot] observations at
-    most — a sliding window with slot-granular expiry. Reads merge the
-    live slots, so percentiles are computed over the whole window at the
-    same factor-of-two accuracy as plain histograms. Windows are not
+    the current slot; after [per_slot] observations the ring advances and
+    the oldest slot is cleared, so reads always cover the last
+    [slots × per_slot] observations at most — a sliding window with
+    slot-granular expiry. Reads merge the live slots, so percentiles are
+    computed over the whole window at the same factor-of-two accuracy as
+    plain histograms. Windows are not
     registered in a context; callers own them (the drift monitor publishes
     derived gauges instead). *)
 
 module Window : sig
   type t
 
-  val create : ?slots:int -> ?per_slot:int -> ?rotate_every_s:float -> unit -> t
+  val create : ?slots:int -> ?per_slot:int -> unit -> t
   (** [slots] (default 6) sub-histograms of [per_slot] (default 128)
-      observations each. [rotate_every_s] additionally rotates on wall-time
-      whenever the current slot has been open at least that long (checked
-      on observe; absent by default so no clock is read).
+      observations each.
       @raise Invalid_argument when [slots] or [per_slot] < 1. *)
 
   val observe : t -> float -> unit

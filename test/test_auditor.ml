@@ -112,9 +112,9 @@ let test_audit_one_attribution () =
     let last = List.nth a.Engine.Auditor.steps (List.length ast - 1) in
     checki "full query's actual is the last prefix's"
       last.Engine.Auditor.actual a.Engine.Auditor.actual;
-    checkb "headline q-error is Drift.qerror of the served estimate" true
+    checkb "headline q-error is Feedback.q_error of the served estimate" true
       (a.Engine.Auditor.qerror
-      = Engine.Drift.qerror ~estimate ~actual:a.Engine.Auditor.actual);
+      = Engine.Feedback.q_error ~estimate ~actual:a.Engine.Auditor.actual);
     (match a.Engine.Auditor.worst with
      | None -> Alcotest.fail "no worst step"
      | Some w ->

@@ -868,8 +868,8 @@ let test_flight_recorder_ring () =
 let test_drift_monitor () =
   let d = Engine.Drift.create ~slots:2 ~per_slot:4 ~p90_threshold:4.0 () in
   checkb "qerror symmetric" true
-    (Engine.Drift.qerror ~estimate:3.0 ~actual:15
-    = Engine.Drift.qerror ~estimate:15.0 ~actual:3);
+    (Engine.Feedback.q_error ~estimate:3.0 ~actual:15
+    = Engine.Feedback.q_error ~estimate:15.0 ~actual:3);
   checkb "empty p90 nan" true (Float.is_nan (Engine.Drift.p90 d));
   (* Accurate feedback: no alert. *)
   for _ = 1 to 3 do
@@ -893,8 +893,9 @@ let test_drift_monitor () =
   done;
   checki "second edge counted" 2 (Engine.Drift.alerts d);
   (* Estimate-volume / hit-rate ride the same window. *)
-  Engine.Drift.note_estimate d ~cache_hit:true;
-  Engine.Drift.note_estimate d ~cache_hit:false;
+  let s = Engine.Drift.register_shard d in
+  Engine.Drift.note_shard s ~cache_hit:true;
+  Engine.Drift.note_shard s ~cache_hit:false;
   checki "window estimates" 2 (Engine.Drift.window_estimates d);
   Alcotest.(check (float 1e-9)) "hit rate" 0.5 (Engine.Drift.hit_rate d);
   let j = Engine.Drift.to_json d in

@@ -119,13 +119,14 @@ let test_queue_blocked_consumers () =
 
 let test_drift_shards_sum () =
   let d = Engine.Drift.create ~slots:3 ~per_slot:2 () in
+  let s0 = Engine.Drift.register_shard d in
   let s1 = Engine.Drift.register_shard d in
   let s2 = Engine.Drift.register_shard d in
-  Engine.Drift.note_estimate d ~cache_hit:false;
+  Engine.Drift.note_shard s0 ~cache_hit:false;
   for _ = 1 to 5 do Engine.Drift.note_shard s1 ~cache_hit:true done;
   for _ = 1 to 3 do Engine.Drift.note_shard s2 ~cache_hit:false done;
   checki "shard volumes" 5 (Engine.Drift.shard_estimates s1);
-  checki "window = own + shards" (1 + 5 + 3) (Engine.Drift.window_estimates d);
+  checki "window = all shards" (1 + 5 + 3) (Engine.Drift.window_estimates d);
   checki "hits = shard hits" 5 (Engine.Drift.window_hits d);
   (* 2 observations fill a slot; 6 roll the 3-slot window over entirely,
      expiring the volumes above with the slots they were counted in. *)
@@ -136,7 +137,8 @@ let test_drift_shards_sum () =
     ignore (Engine.Drift.observe d ~estimate:1.0 ~actual:1 : float)
   done;
   checki "old shard volumes expired with their slots" 0
-    (Engine.Drift.shard_estimates s1 + Engine.Drift.shard_estimates s2);
+    (Engine.Drift.shard_estimates s0 + Engine.Drift.shard_estimates s1
+    + Engine.Drift.shard_estimates s2);
   Engine.Drift.note_shard s1 ~cache_hit:false;
   checki "fresh shard counts land in the live window" 1
     (Engine.Drift.shard_estimates s1);
@@ -1358,6 +1360,76 @@ let test_pool_supervision_mid_chunk () =
   supervision_mid_chunk ~workers:1;
   supervision_mid_chunk ~workers:2
 
+(* Flight records take a served miss's HET hits from the matcher's own
+   overrides. On a synopsis with branching HET entries, each miss records
+   the joint plus single overrides EXPLAIN reports for its query, and a hit
+   records 0. At two workers the 16-slot batch's chunk 1 is pinned on the
+   domain (its barrier chunk 0 holds the submitter until the domain popped
+   it), so a domain-served miss is among those checked. *)
+let het_hits ~workers =
+  let doc = Datagen.Xmark.generate ~items:60 () in
+  let syn = Core.Synopsis.build ~mbp:3 ~bsel_threshold:0.9 doc in
+  let g = gate () in
+  let pool =
+    gated_pool g (fun ~chaos ->
+        Engine.Pool.create ~workers ~chaos (Core.Synopsis.estimator syn))
+  in
+  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
+  let queries =
+    [ "//open_auction[bidder][seller][initial]/current";
+      "//open_auction[bidder]/current"; "//item[mailbox]/name";
+      "//item[location][quantity]/name"; "//person[name][emailaddress]/phone";
+      "//closed_auction[seller][buyer]/price";
+      "//open_auction[seller][initial]/current"; "/site/regions" ]
+  in
+  let ok replies =
+    List.iter
+      (function
+        | Ok (_ : Engine.Serve.estimate_reply) -> ()
+        | Error e -> Alcotest.failf "estimate: %s" (Core.Error.to_string e))
+      replies
+  in
+  ok
+    (submit_pinned pool g ~pops:(workers - 1)
+       (List.init 8 (fun _ -> barrier) @ queries));
+  checki "domains started" (workers - 1) (Engine.Pool.domains pool);
+  (* Served twice on the submitter: the second pass is all hits. *)
+  ok (Engine.Pool.estimate_batch pool queries);
+  ok (Engine.Pool.estimate_batch pool queries);
+  let records = Engine.Pool.recent pool in
+  let overrides q =
+    match Engine.Pool.explain pool q with
+    | Ok r ->
+      r.Core.Explain.matcher.Core.Matcher.het_joint_overrides
+      + r.Core.Explain.matcher.Core.Matcher.het_single_overrides
+    | Error e -> Alcotest.failf "explain %s: %s" q (Core.Error.to_string e)
+  in
+  let hits = ref 0 and misses = ref 0 and overridden = ref 0 in
+  List.iter
+    (fun (r : Engine.Flight_recorder.record) ->
+      let q = r.Engine.Flight_recorder.query in
+      match r.Engine.Flight_recorder.cache with
+      | Engine.Flight_recorder.Hit ->
+        incr hits;
+        checki ("hit records no HET hits: " ^ q) 0
+          r.Engine.Flight_recorder.het_hits
+      | Engine.Flight_recorder.Miss ->
+        incr misses;
+        let n = overrides q in
+        if n > 0 then incr overridden;
+        checki ("miss records EXPLAIN's overrides: " ^ q) n
+          r.Engine.Flight_recorder.het_hits
+      | _ -> Alcotest.failf "unexpected flight record for %s" q)
+    records;
+  checkb "every query hit at least once" true (!hits >= List.length queries);
+  checkb "every query missed at least once" true
+    (!misses >= List.length queries);
+  checkb "some misses used branching HET entries" true (!overridden > 0)
+
+let test_pool_het_hits () =
+  het_hits ~workers:1;
+  het_hits ~workers:2
+
 let () =
   Alcotest.run "pool"
     [ ( "work-queue",
@@ -1405,6 +1477,8 @@ let () =
           Alcotest.test_case "telemetry metrics" `Quick
             test_pool_telemetry_metrics;
           Alcotest.test_case "high-water metrics merge by max" `Quick
-            test_pool_metrics_high_water ] );
+            test_pool_metrics_high_water;
+          Alcotest.test_case "flight HET hits = matcher overrides" `Quick
+            test_pool_het_hits ] );
       ("stress", [ Alcotest.test_case "4-domain mixed ops" `Slow test_pool_stress ])
     ]
