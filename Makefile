@@ -206,11 +206,11 @@ stress: build
 	@grep -q '^xseed_engine_pool_workers $(WORKERS)' $(SMOKE_DIR)/stress.out
 	@echo "stress: OK (WORKERS=$(WORKERS))"
 
-# Line totals of the library sources (.ml + .mli): the net lib/ line count
-# each change records in CHANGES.md.
+# Line totals of the library sources (.ml + .mli), for lib/ and each
+# library under it: the net line counts each change records in CHANGES.md.
 loc:
-	@for d in lib lib/engine; do \
-	  printf '%-12s %6d\n' "$$d/" \
+	@for d in lib lib/*; do \
+	  printf '%-16s %6d\n' "$$d/" \
 	    "$$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"; \
 	done
 

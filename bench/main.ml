@@ -630,26 +630,70 @@ let parallel () =
        >= 2.5x gate skipped\n"
       speedup4 host_cores
 
-(* One timed pass for the overhead gates: drop every cached estimate, then
-   time each estimate of [queries] on the inline pool into [sink]. *)
-let timed_pass pool queries sink =
-  Engine.Pool.invalidate pool;
-  List.iter
-    (fun q ->
-      let t0 = Unix.gettimeofday () in
-      (match Engine.Pool.estimate pool q with
-       | Ok _ -> ()
-       | Error e -> raise (Core.Error.Xseed e));
-      sink := (Unix.gettimeofday () -. t0) :: !sink)
-    queries
+(* The one overhead gate (telemetry, audit tap, tracing): the median
+   estimate latency of [on] must stay within 5% of [off]'s. A warm-up pass
+   (first allocations) is followed by [passes] timed ones, each over a
+   cold cache on both engines, so every timed estimate is a real pipeline
+   run. Each query is timed on both engines back to back on the monotonic
+   clock, the engine that goes first alternating per query and pass, so
+   clock drift, GC pressure and cache state hit both sides alike. Exits 1
+   past the bound, naming the gate [what]. *)
+let overhead_gate ~what ~off_label ~on_label ~passes ~off ~on queries =
+  let time pool q =
+    let t0 = Obs.now_mono () in
+    (match Engine.Pool.estimate pool q with
+     | Ok _ -> ()
+     | Error e -> raise (Core.Error.Xseed e));
+    Obs.now_mono () -. t0
+  in
+  let lat_off = ref [] and lat_on = ref [] in
+  for pass = 0 to passes do
+    Engine.Pool.invalidate off;
+    Engine.Pool.invalidate on;
+    List.iteri
+      (fun i q ->
+        let d_off, d_on =
+          if (pass + i) mod 2 = 0 then
+            let d_off = time off q in
+            (d_off, time on q)
+          else
+            let d_on = time on q in
+            (time off q, d_on)
+        in
+        if pass > 0 then begin
+          lat_off := d_off :: !lat_off;
+          lat_on := d_on :: !lat_on
+        end)
+      queries
+  done;
+  let median samples =
+    let a = Array.of_list samples in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let m_on = median !lat_on and m_off = median !lat_off in
+  let overhead = (m_on -. m_off) /. m_off in
+  pf "%d queries x %d passes (cache invalidated per pass; XMark; each query \
+      timed on both engines back to back)\n\n"
+    (List.length queries) passes;
+  pf "%-24s %14s\n" "mode" "median/query";
+  pf "%-24s %11.1f us\n" off_label (1e6 *. m_off);
+  pf "%-24s %11.1f us\n" on_label (1e6 *. m_on);
+  pf "%-24s %+13.2f%%\n" "overhead" (100.0 *. overhead);
+  if overhead >= 0.05 then begin
+    Printf.eprintf
+      "%s median overhead %.2f%% >= 5%% budget (on %.1f us, off %.1f us)\n"
+      what (100.0 *. overhead) (1e6 *. m_on) (1e6 *. m_off);
+    exit 1
+  end;
+  pf "within the 5%% budget\n"
 
 (* ------------------------------------------------------------------ *)
 (* Causal profile: the serving path's per-stage breakdown (queue-wait /
    execute / reassemble percentiles from Pool.profile's per-job monotonic
    stamps) at 1 and 4 domains, and the tracing-overhead gate — recording
    trace events on the estimate path must cost < 5% median latency vs. an
-   untraced engine, measured the same alternating-pass way as the
-   telemetry guard. *)
+   untraced engine ([overhead_gate]). *)
 
 let profile_worker_counts = [ 1; 4 ]
 
@@ -700,44 +744,17 @@ let profile_section () =
         (stage_cells p.Engine.Serve.execute_us)
         (stage_cells p.Engine.Serve.reassemble_us))
     profile_worker_counts;
-  (* Tracing-overhead gate, alternating passes as in [telemetry ()]. *)
-  let passes = scale 10 16 in
   let engine_with ~trace =
     Engine.Pool.create ~workers:1 ~telemetry:false ~cache_capacity:4096 ?trace
       (Core.Estimator.create ~card_threshold:ds.card_threshold
          (Lazy.force ds.kernel))
   in
-  let texts = List.map Xpath.Ast.to_string (bp_queries ds @ cp_queries ds) in
-  let traced = engine_with ~trace:(Some (Obs.Trace.create ())) in
-  let plain = engine_with ~trace:None in
-  let lat_traced = ref [] and lat_plain = ref [] in
-  let run_pass engine = timed_pass engine texts in
-  run_pass traced (ref []);
-  run_pass plain (ref []);
-  for _ = 1 to passes do
-    run_pass plain lat_plain;
-    run_pass traced lat_traced
-  done;
-  let median samples =
-    let a = Array.of_list samples in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let m_traced = median !lat_traced and m_plain = median !lat_plain in
-  let overhead = (m_traced -. m_plain) /. m_plain in
-  pf "\ntracing overhead: %d queries x %d passes (cache invalidated per pass)\n"
-    (List.length texts) passes;
-  pf "%-24s %11.1f us\n" "tracing off" (1e6 *. m_plain);
-  pf "%-24s %11.1f us\n" "tracing on" (1e6 *. m_traced);
-  pf "%-24s %+12.2f%%\n" "overhead" (100.0 *. overhead);
-  if overhead >= 0.05 then begin
-    Printf.eprintf
-      "profile: tracing median overhead %.2f%% >= 5%% budget (on %.1f us, \
-       off %.1f us)\n"
-      (100.0 *. overhead) (1e6 *. m_traced) (1e6 *. m_plain);
-    exit 1
-  end;
-  pf "within the 5%% budget\n"
+  pf "\ntracing overhead:\n";
+  overhead_gate ~what:"profile: tracing" ~off_label:"tracing off"
+    ~on_label:"tracing on" ~passes:(scale 10 16)
+    ~off:(engine_with ~trace:None)
+    ~on:(engine_with ~trace:(Some (Obs.Trace.create ())))
+    (List.map Xpath.Ast.to_string (bp_queries ds @ cp_queries ds))
 
 (* Machine-readable dumps: per-dataset BENCH_<name>.json with exact
    per-query estimation-latency percentiles and the accuracy summary.
@@ -926,57 +943,22 @@ let feedback () =
 (* ------------------------------------------------------------------ *)
 (* Telemetry-overhead guard: serving with the flight recorder + drift
    monitor on must not cost more than 5% median estimate latency over
-   cache misses vs. a telemetry-free engine. Passes alternate between the
-   two engines so clock drift and GC pressure hit both sides equally, and
-   the cache is invalidated between passes so every timed estimate is a
-   real pipeline run (the shared EPT is rebuilt by the first query of a
-   pass, which the median ignores). *)
+   cache misses vs. a telemetry-free engine ([overhead_gate]). *)
 
 let telemetry () =
   header "Telemetry overhead: estimate latency, recorder+drift vs. off";
   let ds = xmark10 in
-  let passes = scale 10 16 in
-  let queries =
-    List.map Xpath.Ast.to_string (bp_queries ds @ cp_queries ds)
-  in
   let engine_with ~telemetry =
     Engine.Pool.create ~workers:1 ~telemetry ~cache_capacity:4096
       (Core.Estimator.create ~card_threshold:ds.card_threshold
          (Lazy.force ds.kernel))
   in
   let on = engine_with ~telemetry:true in
-  let off = engine_with ~telemetry:false in
-  let lat_on = ref [] and lat_off = ref [] in
-  let run_pass engine = timed_pass engine queries in
-  (* Warm both (first EPT build, allocator) outside the measurement. *)
-  run_pass on (ref []);
-  run_pass off (ref []);
-  for _ = 1 to passes do
-    run_pass off lat_off;
-    run_pass on lat_on
-  done;
-  let median samples =
-    let a = Array.of_list samples in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let m_on = median !lat_on and m_off = median !lat_off in
-  let overhead = (m_on -. m_off) /. m_off in
-  pf "%d queries x %d passes (cache invalidated per pass; XMark)\n\n"
-    (List.length queries) passes;
-  pf "%-24s %14s\n" "mode" "median/query";
-  pf "%-24s %11.1f us\n" "telemetry off (Noop)" (1e6 *. m_off);
-  pf "%-24s %11.1f us\n" "recorder + drift" (1e6 *. m_on);
-  pf "%-24s %+13.2f%%\n" "overhead" (100.0 *. overhead);
-  pf "\nflight records kept: %d\n" (List.length (Engine.Pool.recent on));
-  if overhead >= 0.05 then begin
-    Printf.eprintf
-      "telemetry: median overhead %.2f%% >= 5%% budget (on %.1f us, off %.1f \
-       us)\n"
-      (100.0 *. overhead) (1e6 *. m_on) (1e6 *. m_off);
-    exit 1
-  end;
-  pf "within the 5%% budget\n"
+  overhead_gate ~what:"telemetry:" ~off_label:"telemetry off (Noop)"
+    ~on_label:"recorder + drift" ~passes:(scale 10 16)
+    ~off:(engine_with ~telemetry:false) ~on
+    (List.map Xpath.Ast.to_string (bp_queries ds @ cp_queries ds));
+  pf "flight records kept: %d\n" (List.length (Engine.Pool.recent on))
 
 (* ------------------------------------------------------------------ *)
 (* Shadow-audit guard (DESIGN.md §15), two halves. Overhead: serving with
@@ -992,14 +974,13 @@ let telemetry () =
 let audit_bench () =
   header "Shadow audit: tap overhead + served-vs-offline agreement";
   let ds = xmark10 in
-  let passes = scale 10 16 in
   let queries = bp_queries ds @ cp_queries ds in
   let mk_estimator () =
     Core.Estimator.create ~card_threshold:ds.card_threshold
       (Lazy.force ds.kernel)
   in
   let storage = Lazy.force ds.storage in
-  (* Overhead: alternating passes over a cold cache, as in [telemetry]. *)
+  (* Overhead: [overhead_gate], as for telemetry. *)
   let auditor =
     Engine.Auditor.create ~rate:0.01
       (Engine.Auditor.Loaded { estimator = mk_estimator (); storage })
@@ -1012,39 +993,14 @@ let audit_bench () =
     Engine.Pool.create ~workers:1 ~telemetry:false ~cache_capacity:4096
       (mk_estimator ())
   in
-  let lat_on = ref [] and lat_off = ref [] in
-  let texts = List.map Xpath.Ast.to_string queries in
-  let run_pass engine = timed_pass engine texts in
-  run_pass audited_engine (ref []);
-  run_pass bare_engine (ref []);
-  for _ = 1 to passes do
-    run_pass bare_engine lat_off;
-    run_pass audited_engine lat_on
-  done;
+  overhead_gate ~what:"audit: tap" ~off_label:"auditor off"
+    ~on_label:"auditor at 1%" ~passes:(scale 10 16) ~off:bare_engine
+    ~on:audited_engine
+    (List.map Xpath.Ast.to_string queries);
   ignore (Engine.Auditor.settle auditor : bool);
   Engine.Pool.drain_audits audited_engine;
   Engine.Auditor.shutdown auditor;
-  let median samples =
-    let a = Array.of_list samples in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let m_on = median !lat_on and m_off = median !lat_off in
-  let overhead = (m_on -. m_off) /. m_off in
-  pf "%d queries x %d passes (cache invalidated per pass; XMark)\n\n"
-    (List.length queries) passes;
-  pf "%-24s %14s\n" "mode" "median/query";
-  pf "%-24s %11.1f us\n" "auditor off" (1e6 *. m_off);
-  pf "%-24s %11.1f us\n" "auditor at 1%" (1e6 *. m_on);
-  pf "%-24s %+13.2f%%\n" "overhead" (100.0 *. overhead);
-  if overhead >= 0.05 then begin
-    Printf.eprintf
-      "audit: median tap overhead %.2f%% >= 5%% budget (on %.1f us, off \
-       %.1f us)\n"
-      (100.0 *. overhead) (1e6 *. m_on) (1e6 *. m_off);
-    exit 1
-  end;
-  pf "within the 5%% budget\n\n";
+  pf "\n";
   (* Agreement: rate 1.0 through the background pipeline vs. synchronous
      offline audits of the same served estimates. *)
   let serve_est = mk_estimator () in

@@ -19,24 +19,15 @@ let protect f =
     Format.eprintf "xseed: internal error: %s@." (Printexc.to_string e);
     exit 70
 
-let read_file path =
-  if not (Sys.file_exists path) then
-    Core.Error.raisef Core.Error.Missing_file "no such file: %s" path;
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let ok_or_raise = function Ok v -> v | Error e -> raise (Core.Error.Xseed e)
+let read_file path = ok_or_raise (Core.Error.read_file path)
 
 let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
 let load_synopsis path =
-  match Core.Synopsis.of_string_result (read_file path) with
-  | Ok syn -> syn
-  | Error e -> raise (Core.Error.Xseed e)
-
-let ok_or_raise = function Ok v -> v | Error e -> raise (Core.Error.Xseed e)
+  ok_or_raise (Core.Synopsis.of_string_result (read_file path))
 
 (* Graceful drain: SIGTERM/SIGINT raise this on the main (serving) domain,
    unwinding the serve loop so the normal shutdown path runs — stop

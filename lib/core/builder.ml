@@ -38,8 +38,9 @@ let publish ?obs kernel mrl =
   Obs.add_to ?obs "builder.edges" (Kernel.edge_count kernel);
   Obs.max_to ?obs "builder.max_recursion_level" mrl
 
-(* Construction into [kernel], one event at a time. *)
-let sink_into ?obs kernel =
+(* Construction into a fresh kernel, one event at a time. *)
+let sink ?obs ?table () =
+  let kernel = Kernel.create ?table () in
   let rl = Counter_stacks.create () in
   let stack = ref [] and mrl = ref 0 in
   { Xml.Event.push = feed kernel ~sign:1 ~rl ~stack ~mrl;
@@ -49,24 +50,11 @@ let sink_into ?obs kernel =
         publish ?obs kernel !mrl;
         kernel) }
 
-let sink ?obs ?table () = sink_into ?obs (Kernel.create ?table ())
-
 let of_string ?obs ?table input =
   Obs.span ?obs "builder.of_string" (fun () ->
       Xml.Sax.into ?obs input (sink ?obs ?table ()))
 
 let of_events ?obs ?table events = Xml.Event.push_all (sink ?obs ?table ()) events
-
-let fold_into kernel next =
-  let sink = sink_into kernel in
-  let rec loop () =
-    match next () with
-    | None -> ignore (sink.finish () : Kernel.t)
-    | Some event ->
-      sink.push event;
-      loop ()
-  in
-  loop ()
 
 let check_single_element events =
   let depth = ref 0 and roots = ref 0 in

@@ -25,10 +25,6 @@ val of_string : ?obs:Obs.t -> ?table:Xml.Label.table -> string -> Kernel.t
 
 val of_events : ?obs:Obs.t -> ?table:Xml.Label.table -> Xml.Event.t list -> Kernel.t
 
-val fold_into : Kernel.t -> (unit -> Xml.Event.t option) -> unit
-(** Feed a pull stream of events into an existing kernel (streaming
-    construction for documents that never fit in memory). *)
-
 val add_subtree :
   ?parent_gains_label:bool -> Kernel.t -> at:Xml.Label.t list -> Xml.Event.t list -> unit
 (** [add_subtree k ~at events] updates [k] as if the subtree given by

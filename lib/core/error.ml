@@ -100,3 +100,17 @@ let guard f =
   match f () with
   | v -> Ok v
   | exception e -> (match of_exn e with Some t -> Error t | None -> raise e)
+
+let read_file path =
+  if not (Sys.file_exists path) then
+    Error (make Missing_file ("no such file: " ^ path))
+  else
+    match
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    with
+    | contents -> Ok contents
+    | exception Sys_error msg -> Error (make Io_error msg)
+    | exception End_of_file -> Error (make Io_error (path ^ ": file shrank"))

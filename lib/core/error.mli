@@ -74,3 +74,7 @@ val of_exn : exn -> t option
 val guard : (unit -> 'a) -> ('a, t) result
 (** Run [f], converting any {!of_exn}-known exception to [Error]. Unknown
     exceptions propagate. *)
+
+val read_file : string -> (string, t) result
+(** The whole file: {!Missing_file} when [path] does not exist, {!Io_error}
+    when the OS refuses the read. *)

@@ -19,6 +19,7 @@ let card_threshold t = t.card_threshold
 let max_ept_nodes t = t.max_ept_nodes
 let recursion_aware t = t.recursion_aware
 let obs t = t.obs
+let with_obs t obs = { t with obs = Some obs }
 
 let ept t =
   let traveler =

@@ -36,6 +36,9 @@ val recursion_aware : t -> bool
 val obs : t -> Obs.t option
 (** The registry given to {!create}, if any. *)
 
+val with_obs : t -> Obs.t -> t
+(** The same estimator (kernel, HET, values, knobs) counting into [obs]. *)
+
 val estimate : t -> Xpath.Ast.t -> float
 (** Estimated cardinality |p|. The EPT is regenerated per call, matching the
     paper's per-query estimation cost; use {!ept}+{!estimate_on} to amortize
@@ -115,4 +118,7 @@ val record_feedback : ?ept:Matcher.ept -> t -> Xpath.Ast.t -> actual:int -> bool
     the error computation instead of re-materializing one per call. *)
 
 val size_in_bytes : t -> int
-(** Kernel plus active HET footprint — the paper's memory-budget number. *)
+(** Kernel plus active HET plus value-synopsis footprint (STATS'
+    [synopsis_bytes]). {!Synopsis.size_in_bytes}, which the registry's
+    memory budget and [xseed build] report, leaves the value synopsis
+    out. *)

@@ -104,8 +104,6 @@ let total_children t label ~level =
     (fun acc e -> acc + snd (edge_counts e level))
     base (in_edges t label)
 
-let has_vertex t label = Hashtbl.mem t.vertices label
-
 let size_in_bytes t =
   let edges_bytes =
     Hashtbl.fold (fun _ e acc -> acc + 8 + (8 * e.levels)) t.edges 0

@@ -53,8 +53,6 @@ val total_children : t -> Xml.Label.t -> level:int -> int
     level over all in-edges of [v] — plus one for the kernel root at level 0,
     which has no in-edge but one document instance. *)
 
-val has_vertex : t -> Xml.Label.t -> bool
-
 val size_in_bytes : t -> int
 (** Memory a compact C layout would need: 8 bytes per vertex plus, per edge,
     8 bytes of header and 8 bytes per recursion-level pair. This is the

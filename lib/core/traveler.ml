@@ -193,8 +193,6 @@ let iter t ~f =
   in
   go ()
 
-let events_generated t = t.emitted
-
 let ept_to_xml ?card_threshold ?het kernel =
   let t = create ?card_threshold ?het kernel in
   let buf = Buffer.create 1024 in

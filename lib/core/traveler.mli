@@ -64,8 +64,6 @@ val next : t -> event
 val iter : t -> f:(event -> unit) -> unit
 (** Drain the remaining events (excluding the final [Eos]). *)
 
-val events_generated : t -> int
-
 val stats : t -> stats
 (** Counters so far (complete once {!next} has returned [Eos]). *)
 

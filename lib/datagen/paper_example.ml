@@ -22,5 +22,3 @@ let document =
    </a>"
 
 let tree () = Xml.Tree.of_string document
-
-let example3_query = "/a/c/s/s/t"

@@ -9,6 +9,3 @@ val document : string
 (** The XML text of the Figure 2(a) tree (structure only). *)
 
 val tree : unit -> Xml.Tree.t
-
-val example3_query : string
-(** ["/a/c/s/s/t"] — the query estimated in Example 3. *)

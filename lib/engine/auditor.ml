@@ -1,8 +1,8 @@
-(* Shadow accuracy auditor. One dedicated audit domain drains a bounded
-   sample queue and replays each query against a private estimator plus the
-   NoK exact evaluator; everything the serving side touches is either a
-   pure function (the sampler), a bounded try-push (the tap), or runs on
-   the serving thread itself (drain). *)
+(* Shadow accuracy auditor. One dedicated audit domain pops a bounded
+   {!Work_queue} of samples and replays each query against a private
+   estimator plus the NoK exact evaluator; everything the serving side
+   touches is either a pure function (the sampler), a bounded try-push
+   (the tap), or runs on the serving thread itself (drain). *)
 
 type source =
   | Paths of { synopsis : string; doc : string }
@@ -210,17 +210,14 @@ type t = {
   rate : float;
   seed : int;
   feedback : bool;
-  queue_capacity : int;
   source : source;
+  queue : sample_job Work_queue.t;  (* the tap; closed by [shutdown] *)
   m : Mutex.t;
-  work_cv : Condition.t;  (* a sample arrived, or stop *)
-  idle_cv : Condition.t;  (* queue empty and nothing in flight *)
-  queue : sample_job Queue.t;  (* under [m] *)
-  mutable in_flight : bool;  (* the domain is auditing one sample *)
-  mutable stopped : bool;
   mutable results : audited list;  (* completed, newest first, under [m] *)
   results_pending : int Atomic.t;  (* = List.length results *)
-  (* Counters and the exact q-error ring, all under [m]. *)
+  (* Counters and the exact q-error ring, all under [m]. A sample is
+     counted in [sampled] under [m] with its push, and in [completed] or
+     [errors] under [m] once audited, so the backlog is exact. *)
   mutable sampled : int;
   mutable completed : int;
   mutable shed : int;
@@ -235,20 +232,6 @@ type t = {
   tracing : (Obs.Trace.t * Obs.Trace.buf * int) option;
 }
 
-let read_file path =
-  if not (Sys.file_exists path) then
-    Error (Core.Error.make Core.Error.Missing_file ("no such file: " ^ path))
-  else
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | contents -> Ok contents
-    | exception Sys_error msg ->
-      Error (Core.Error.make Core.Error.Io_error msg)
-
 (* Private resources, loaded once on the audit domain. The synopsis file is
    re-read rather than sharing the serving estimator, so serving-side HET
    refinement never races a shadow evaluation; the storage collects values
@@ -261,20 +244,14 @@ let load_resources source =
         r_ept = lazy (Core.Estimator.ept estimator);
         r_storage = storage }
   | Paths { synopsis; doc } ->
-    (match read_file synopsis with
+    (match Core.Error.read_file synopsis with
      | Error e -> Error (Core.Error.to_string e)
      | Ok contents ->
        (match Core.Synopsis.of_string_result contents with
         | Error e -> Error (Core.Error.to_string e)
         | Ok syn ->
-          let estimator =
-            Core.Estimator.create
-              ~card_threshold:(Core.Synopsis.card_threshold syn)
-              ?het:(Core.Synopsis.het syn)
-              ?values:(Core.Synopsis.values syn)
-              (Core.Synopsis.kernel syn)
-          in
-          (match read_file doc with
+          let estimator = Core.Synopsis.estimator syn in
+          (match Core.Error.read_file doc with
            | Error e -> Error (Core.Error.to_string e)
            | Ok xml ->
              (match
@@ -290,41 +267,40 @@ let load_resources source =
 
 let record_result t outcome =
   Mutex.protect t.m (fun () ->
-      t.in_flight <- false;
-      (match outcome with
-       | Error _msg -> t.errors <- t.errors + 1
-       | Ok a ->
-         t.completed <- t.completed + 1;
-         t.ring.(t.ring_pos) <- a.qerror;
-         t.ring_pos <- (t.ring_pos + 1) mod Array.length t.ring;
-         if t.ring_len < Array.length t.ring then t.ring_len <- t.ring_len + 1;
-         (match a.worst with
-          | None -> ()
-          | Some w ->
-            let key = (w.label, w.axis, w.clamped) in
-            let b =
-              match Hashtbl.find_opt t.buckets key with
-              | Some b -> b
-              | None ->
-                let b =
-                  { b_label = w.label;
-                    b_axis = w.axis;
-                    b_clamped = w.clamped;
-                    b_count = 0;
-                    b_max_contribution = 0.0 }
-                in
-                Hashtbl.replace t.buckets key b;
-                b
-            in
-            b.b_count <- b.b_count + 1;
-            if w.contribution > b.b_max_contribution then
-              b.b_max_contribution <- w.contribution);
-         t.results <- a :: t.results;
-         Atomic.incr t.results_pending);
-      if Queue.is_empty t.queue then Condition.broadcast t.idle_cv)
+      match outcome with
+      | Error _msg -> t.errors <- t.errors + 1
+      | Ok a ->
+        t.completed <- t.completed + 1;
+        t.ring.(t.ring_pos) <- a.qerror;
+        t.ring_pos <- (t.ring_pos + 1) mod Array.length t.ring;
+        if t.ring_len < Array.length t.ring then t.ring_len <- t.ring_len + 1;
+        (match a.worst with
+         | None -> ()
+         | Some w ->
+           let key = (w.label, w.axis, w.clamped) in
+           let b =
+             match Hashtbl.find_opt t.buckets key with
+             | Some b -> b
+             | None ->
+               let b =
+                 { b_label = w.label;
+                   b_axis = w.axis;
+                   b_clamped = w.clamped;
+                   b_count = 0;
+                   b_max_contribution = 0.0 }
+               in
+               Hashtbl.replace t.buckets key b;
+               b
+           in
+           b.b_count <- b.b_count + 1;
+           if w.contribution > b.b_max_contribution then
+             b.b_max_contribution <- w.contribution);
+        t.results <- a :: t.results;
+        Atomic.incr t.results_pending)
 
-(* The audit domain body: load resources once, then serve the queue until
-   shutdown. Every failure is data (a counter, a status field) — the domain
+(* The audit domain body: load resources once, then audit popped samples
+   until [shutdown] closes the queue; samples still queued then are
+   skipped. Every failure is data (a counter, a status field) — the domain
    never lets an exception escape into Domain.join. *)
 let audit_loop t =
   let resources = ref None in
@@ -340,22 +316,9 @@ let audit_loop t =
       r
   in
   let rec loop () =
-    let job =
-      Mutex.protect t.m (fun () ->
-          while Queue.is_empty t.queue && not t.stopped do
-            Condition.wait t.work_cv t.m
-          done;
-          if Queue.is_empty t.queue then None
-          else begin
-            let j = Queue.pop t.queue in
-            t.in_flight <- true;
-            Some j
-          end)
-    in
-    match job with
-    | None ->
-      (* Stopped with an empty queue: wake any settler and exit. *)
-      Mutex.protect t.m (fun () -> Condition.broadcast t.idle_cv)
+    match Work_queue.pop t.queue with
+    | None -> ()
+    | Some _ when Work_queue.closed t.queue -> loop ()
     | Some job ->
       let outcome =
         match get_resources () with
@@ -409,14 +372,9 @@ let create ?(seed = 0x5eed) ?(feedback = false) ?(queue_capacity = 256) ?trace
     { rate;
       seed;
       feedback;
-      queue_capacity;
       source;
+      queue = Work_queue.create ~capacity:queue_capacity;
       m = Mutex.create ();
-      work_cv = Condition.create ();
-      idle_cv = Condition.create ();
-      queue = Queue.create ();
-      in_flight = false;
-      stopped = false;
       results = [];
       results_pending = Atomic.make 0;
       sampled = 0;
@@ -440,22 +398,19 @@ let feedback_enabled t = t.feedback
 let sample t ~query ~hash ~ast ~estimate =
   if in_sample ~seed:t.seed ~rate:t.rate hash then
     Mutex.protect t.m (fun () ->
-        if t.stopped then ()
-        else begin
+        match
+          Work_queue.try_push t.queue
+            { j_query = query; j_hash = hash; j_ast = ast;
+              j_estimate = estimate }
+        with
+        | `Closed -> ()
+        | `Ok -> t.sampled <- t.sampled + 1
+        | `Full ->
+          (* Backlog shed: silent by design — the client answer is
+             already decided, and a shed audit sample must never become
+             an ERR. The drop is visible in AUDIT and the scrape. *)
           t.sampled <- t.sampled + 1;
-          if Queue.length t.queue >= t.queue_capacity then
-            (* Backlog shed: silent by design — the client answer is
-               already decided, and a shed audit sample must never become
-               an ERR. The drop is visible in AUDIT and the scrape. *)
-            t.shed <- t.shed + 1
-          else begin
-            Queue.push
-              { j_query = query; j_hash = hash; j_ast = ast;
-                j_estimate = estimate }
-              t.queue;
-            Condition.signal t.work_cv
-          end
-        end)
+          t.shed <- t.shed + 1)
 
 let drain t f =
   if Atomic.get t.results_pending > 0 then begin
@@ -471,13 +426,15 @@ let drain t f =
 
 let note_refined t = Mutex.protect t.m (fun () -> t.refined <- t.refined + 1)
 
-let idle_locked t = Queue.is_empty t.queue && not t.in_flight
+(* Accepted samples not yet audited: queued, or on the audit domain. *)
+let backlog_locked t = t.sampled - t.shed - t.completed - t.errors
 
 let settle ?(timeout_s = 5.0) t =
   let deadline = Obs.now_mono () +. timeout_s in
   let rec wait () =
     let idle =
-      Mutex.protect t.m (fun () -> idle_locked t || t.stopped)
+      Mutex.protect t.m (fun () -> backlog_locked t = 0)
+      || Work_queue.closed t.queue
     in
     if idle then true
     else if Obs.now_mono () >= deadline then false
@@ -521,7 +478,7 @@ let status_json t =
           ("completed", Int t.completed);
           ("shed", Int t.shed);
           ("errors", Int t.errors);
-          ("backlog", Int (Queue.length t.queue + if t.in_flight then 1 else 0));
+          ("backlog", Int (backlog_locked t));
           ("refined", Int t.refined);
           ("window", window_json (ring_snapshot_locked t));
           ( "worst_steps",
@@ -547,7 +504,7 @@ let publish t obs =
       Obs.set_max (Obs.counter obs "engine.audit.refined") t.refined;
       Obs.gset
         (Obs.gauge obs "engine.audit.backlog")
-        (float_of_int (Queue.length t.queue + if t.in_flight then 1 else 0));
+        (float_of_int (backlog_locked t));
       let at = Serve.nearest_rank (ring_snapshot_locked t) in
       Obs.gset (Obs.gauge obs "engine.audit.qerror_p50") (at 0.5);
       Obs.gset (Obs.gauge obs "engine.audit.qerror_p90") (at 0.9);
@@ -568,12 +525,11 @@ let publish t obs =
         t.buckets)
 
 let shutdown t =
+  Work_queue.close t.queue;
   let d =
     Mutex.protect t.m (fun () ->
-        t.stopped <- true;
-        Condition.broadcast t.work_cv;
         let d = t.domain in
         t.domain <- None;
         d)
   in
-  match d with None -> () | Some d -> Domain.join d
+  Option.iter Domain.join d

@@ -5,10 +5,10 @@
     metrics, replay's [--assert-improving]) only sees truth when a client
     volunteers [FEEDBACK <actual>]. The auditor closes the paper's Figure 1
     loop with zero client cooperation: a deterministic hash-based sampler
-    taps served estimates from the hot path into a bounded queue, and a
-    dedicated low-priority audit domain replays each sampled query against
-    a resident {!Nok.Storage} of the source document (the paper's Section
-    6.4 exact evaluator), computing the {e true} q-error.
+    taps served estimates from the hot path into a bounded {!Work_queue},
+    and a dedicated low-priority audit domain replays each sampled query
+    against a resident {!Nok.Storage} of the source document (the paper's
+    Section 6.4 exact evaluator), computing the {e true} q-error.
 
     Design constraints, in priority order:
 
@@ -121,7 +121,8 @@ val create :
     never fires but the AUDIT surface still answers). [seed] (default
     [0x5eed]) keys the sampler. [feedback] (default false) marks drained
     audits for the q-error-gated HET refinement path ([--audit-feedback]).
-    [queue_capacity] (default 256) bounds the tap queue — overflow sheds.
+    [queue_capacity] (default 256) bounds the tap's {!Work_queue} — a
+    sample it refuses as full is shed.
     The exact q-error window keeps the last 4096 completed audits.
     [trace] adds an [audit] track recording one slice per shadow
     evaluation.
@@ -131,9 +132,10 @@ val feedback_enabled : t -> bool
 
 val sample :
   t -> query:string -> hash:int -> ast:Xpath.Ast.t -> estimate:float -> unit
-(** The hot-path tap. Applies {!in_sample}; enqueues at most one bounded
-    push. Never blocks, never raises, never touches the reply — a full
-    queue increments the shed counter and drops the sample. Safe from any
+(** The hot-path tap. Applies {!in_sample}; offers the sample with one
+    {!Work_queue.try_push}. Never blocks, never raises, never touches the
+    reply — a full queue increments the shed counter and drops the
+    sample; after {!shutdown} nothing is counted. Safe from any
     domain. *)
 
 val drain : t -> (audited -> unit) -> unit
@@ -147,9 +149,11 @@ val note_refined : t -> unit
     back; the auditor itself never touches the serving estimator). *)
 
 val settle : ?timeout_s:float -> t -> bool
-(** Block until the audit backlog is empty and the domain idle, or
-    [timeout_s] (default 5.0) elapses; [true] on idle. The [AUDIT] verb
-    settles first so its report covers everything already sampled. *)
+(** Block until every accepted sample has been audited — [sampled]
+    equals [completed + errors + shed], so the backlog is 0 — or the
+    auditor is shut down, or [timeout_s] (default 5.0) elapses; [true]
+    unless it timed out. The [AUDIT] verb settles first so its report
+    covers everything already sampled. *)
 
 val status_json : t -> Obs.Json.t
 (** The [AUDIT] reply: rate, sampled/completed/shed/error counts, backlog,
@@ -164,5 +168,5 @@ val publish : t -> Obs.t -> unit
     re-scrapes stay byte-identical. *)
 
 val shutdown : t -> unit
-(** Stop the audit domain (abandoning any backlog) and join it.
-    Idempotent. *)
+(** Close the tap queue and join the audit domain, which skips the
+    samples still queued (the backlog stays as counted). Idempotent. *)

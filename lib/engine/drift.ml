@@ -5,8 +5,8 @@
    int rings rotated in lockstep with the q-error window, so DRIFT
    summaries and the published gauges all describe the same "last slots x
    per_slot feedback observations" span. Rotation is managed here (the
-   Obs.Window is created with an effectively-infinite per_slot and rotated
-   explicitly) so the rings can never drift apart.
+   Obs.Window rotates only when told to) so the rings can never drift
+   apart.
 
    Alerts are edge-triggered on the window's p90 q-error: crossing the
    threshold bumps [engine.drift.alerts] once and emits one Obs event; the
@@ -40,7 +40,7 @@ let create ?(slots = 6) ?(per_slot = 64) ?(p90_threshold = 8.0) () =
     invalid_arg (Printf.sprintf "Drift.create: per_slot %d < 1" per_slot);
   if not (p90_threshold >= 1.0) then
     invalid_arg "Drift.create: p90_threshold must be >= 1.0";
-  { window = Obs.Window.create ~slots ~per_slot:max_int ();
+  { window = Obs.Window.create ~slots ();
     slots;
     per_slot;
     p90_threshold;

@@ -1,8 +1,9 @@
 (* Append-only CRC-framed write-ahead log for feedback observations. The
-   format is deliberately dumb — length + CRC + text payload per frame —
-   because the recovery rule has to be decidable on arbitrary bytes: stop
-   at the first frame that is torn (runs past EOF) or corrupt (present but
-   CRC/parse-invalid), and truncate there. *)
+   format is deliberately dumb — one {!Core.Frame} (length + CRC + text
+   payload, the TCP wire codec) per entry — because the recovery rule has
+   to be decidable on arbitrary bytes: stop at the first frame that is
+   torn (runs past EOF) or corrupt (present but CRC/parse-invalid), and
+   truncate there. *)
 
 type entry = { query : string; actual : int }
 
@@ -18,19 +19,7 @@ type scan = {
 let magic = "XSEEDJ1\n"
 
 (* ------------------------------------------------------------------ *)
-(* Encoding *)
-
-let put_u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (v land 0xff))
-
-let get_u32 s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
+(* Encoding: one {!Core.Frame} per entry *)
 
 let payload_of_entry e = Printf.sprintf "F %d %s" e.actual e.query
 
@@ -46,18 +35,12 @@ let entry_of_payload p =
          Some { query = String.sub p (i + 1) (n - i - 1); actual }
        | _ -> None)
 
-let frame e =
-  let payload = payload_of_entry e in
-  let b = Buffer.create (String.length payload + 8) in
-  put_u32 b (String.length payload);
-  put_u32 b (Core.Crc32.digest payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+let frame e = Core.Frame.encode_string (payload_of_entry e)
 
 let to_string entries =
   let b = Buffer.create 256 in
   Buffer.add_string b magic;
-  List.iter (fun e -> Buffer.add_string b (frame e)) entries;
+  List.iter (fun e -> Core.Frame.encode b (payload_of_entry e)) entries;
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -69,66 +52,42 @@ let not_a_journal path_hint =
        (match path_hint with None -> "" | Some p -> p ^ ": ")
        (String.trim magic))
 
-let scan_string ?path s =
+let scan_string s =
   let total = String.length s in
+  let mlen = String.length magic in
   if total = 0 then
     Ok { entries = []; frames = 0; valid_bytes = 0; tail = Clean }
-  else if total < String.length magic || String.sub s 0 (String.length magic) <> magic
-  then Error (not_a_journal path)
+  else if total < mlen || String.sub s 0 mlen <> magic then
+    Error (not_a_journal None)
   else begin
-    let entries = ref [] in
-    let frames = ref 0 in
-    let rec go off =
-      if off = total then { entries = List.rev !entries; frames = !frames;
-                            valid_bytes = off; tail = Clean }
-      else if total - off < 8 then
-        { entries = List.rev !entries; frames = !frames; valid_bytes = off;
-          tail = Torn off }
-      else begin
-        let len = get_u32 s off in
-        let crc = get_u32 s (off + 4) in
-        if total - off - 8 < len then
-          (* The declared payload runs past EOF: the crash-mid-append
-             residue the format is designed to shrug off. *)
-          { entries = List.rev !entries; frames = !frames; valid_bytes = off;
-            tail = Torn off }
-        else begin
-          let payload = String.sub s (off + 8) len in
-          if Core.Crc32.digest payload <> crc then
-            { entries = List.rev !entries; frames = !frames;
-              valid_bytes = off; tail = Corrupt off }
-          else
-            match entry_of_payload payload with
-            | None ->
-              { entries = List.rev !entries; frames = !frames;
-                valid_bytes = off; tail = Corrupt off }
-            | Some e ->
-              entries := e :: !entries;
-              incr frames;
-              go (off + 8 + len)
-        end
-      end
+    let b = Bytes.unsafe_of_string s in
+    let rec go entries off =
+      let stop tail =
+        { entries = List.rev entries; frames = List.length entries;
+          valid_bytes = off; tail }
+      in
+      if off = total then stop Clean
+      else
+        (* A journal is local and trusted for size: no payload cap. *)
+        match
+          Core.Frame.decode ~max_payload:max_int b ~off ~len:(total - off)
+        with
+        | Core.Frame.Need_more ->
+          (* The frame runs past EOF: the crash-mid-append residue the
+             format is designed to shrug off. *)
+          stop (Torn off)
+        | Core.Frame.Too_large _ | Core.Frame.Crc_mismatch ->
+          stop (Corrupt off)
+        | Core.Frame.Frame { payload; consumed } ->
+          (match entry_of_payload payload with
+           | Some e -> go (e :: entries) (off + consumed)
+           | None -> stop (Corrupt off))
     in
-    Ok (go (String.length magic))
+    Ok (go [] mlen)
   end
 
-let scan_string s = scan_string ?path:None s
-
-let read_file path =
-  if not (Sys.file_exists path) then
-    Error (Core.Error.make Core.Error.Missing_file ("no such file: " ^ path))
-  else
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | s -> Ok s
-    | exception Sys_error m -> Error (Core.Error.make Core.Error.Io_error m)
-
 let scan_file path =
-  match read_file path with
+  match Core.Error.read_file path with
   | Error _ as e -> e
   | Ok s ->
     (match scan_string s with
@@ -172,28 +131,28 @@ let open_append ?(fsync = `Always) path =
    | `Every n when n < 1 ->
      invalid_arg "Journal.open_append: `Every n requires n >= 1"
    | _ -> ());
-  let existing =
-    if Sys.file_exists path then
-      match read_file path with Ok s -> Some s | Error _ -> None
-    else None
+  (* Only the magic decides: an empty (or absent) file gets one written,
+     a non-empty one must start with it. *)
+  let head =
+    match open_in_bin path with
+    | exception Sys_error _ -> ""
+    | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          really_input_string ic
+            (min (String.length magic) (in_channel_length ic)))
   in
-  match existing with
-  | Some s
-    when String.length s > 0
-         && (String.length s < String.length magic
-            || String.sub s 0 (String.length magic) <> magic) ->
-    Error (not_a_journal (Some path))
-  | _ ->
-    (match open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path with
-     | oc ->
-       let w = { oc; fsync; appended = 0; closed = false } in
-       (match existing with
-        | Some s when String.length s > 0 -> ()
-        | _ ->
-          output_string oc magic;
-          flush oc);
-       Ok w
-     | exception Sys_error m -> Error (io_error "%s" m))
+  if head <> "" && head <> magic then Error (not_a_journal (Some path))
+  else
+    match open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path with
+    | oc ->
+      if head = "" then begin
+        output_string oc magic;
+        flush oc
+      end;
+      Ok { oc; fsync; appended = 0; closed = false }
+    | exception Sys_error m -> Error (io_error "%s" m)
 
 let appended w = w.appended
 

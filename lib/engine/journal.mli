@@ -4,16 +4,9 @@
     process lifetime.
 
     {b File format} (DESIGN.md §13). A journal is the 8-byte magic
-    ["XSEEDJ1\n"] followed by frames. Each frame is
-
-    {v
-    +----------------+----------------+------------------+
-    | length (u32 BE)| CRC-32 (u32 BE)| payload (length) |
-    +----------------+----------------+------------------+
-    v}
-
-    where the CRC (IEEE 802.3, {!Core.Crc32}) covers the payload bytes and
-    the payload is the text ["F <actual> <query>"]. The writer appends a
+    ["XSEEDJ1\n"] followed by one {!Core.Frame} per entry — the TCP wire
+    codec: u32-BE length, u32-BE CRC-32 of the payload, payload — whose
+    payload is the text ["F <actual> <query>"]. The writer appends a
     complete frame per feedback and (per {!fsync} policy) fsyncs, so after
     a crash the file is a valid prefix plus at most one torn frame.
 
@@ -87,7 +80,8 @@ type writer
 
 val open_append : ?fsync:fsync -> string -> (writer, Core.Error.t) result
 (** Open (creating if absent) for appending, writing the magic when the
-    file is empty. Refuses a non-empty file whose magic is wrong. Run
+    file is empty. Reads only the file's first 8 bytes: refuses a
+    non-empty file whose magic is wrong. Run
     {!recover} first if the file may carry a torn or corrupt tail —
     [open_append] itself never truncates. [fsync] defaults to [`Always]. *)
 

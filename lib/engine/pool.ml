@@ -13,20 +13,21 @@
    acquire/release pairs give the happens-before edge that makes the new
    EPT pointer and HET contents visible to them.
 
-   The unit of dispatch is a chunk: BATCH n is split into contiguous
-   slices (DESIGN.md §16). Shard 0 belongs to the submitting thread: only
-   code holding the submission lock touches it. A request that fits in one
-   chunk (every ESTIMATE, a BATCH of up to [chunk_target]) or any request
-   to a one-worker pool is served whole there, with no queue, latch or
-   wake-up. Shards 1..N-1 each run on a worker domain, started by the
-   first batch that queues a chunk, and pop chunks from one shared FIFO. A
-   multi-chunk batch queues every chunk but its first; the submitter serves
-   the first, takes back queued chunks until none is left, and waits for
-   the domains to finish the rest. Both ways run the same chunk body and
-   crash cleanup. Replies are written lock-free into the batch's
-   preallocated submission-order result array; a chunk of a queued batch
-   retires once under the pool's completion monitor, which publishes
-   those writes to the waiting submitter. *)
+   The unit of dispatch is a chunk: BATCH n is split into contiguous slices
+   (DESIGN.md §16). Shard 0 belongs to the submitting thread: only code
+   holding the submission lock touches it, so it also takes the
+   coordinator's writes (batch sizes; FEEDBACK, EXPLAIN, shed and audit
+   flight records). A request that fits in one chunk (every ESTIMATE, a
+   BATCH of up to [chunk_target]) or any request to a one-worker pool is
+   served whole there, with no queue, latch or wake-up. Shards 1..N-1 each
+   run on a worker domain, started by the first batch that queues a chunk,
+   and pop chunks from one shared FIFO. A multi-chunk batch queues every
+   chunk but its first; the submitter serves the first, takes back queued
+   chunks until none is left, and waits for the domains to finish the rest.
+   Both ways run the same chunk body and crash cleanup. Replies are written
+   lock-free into the batch's preallocated submission-order result array; a
+   chunk of a queued batch retires once under the pool's completion
+   monitor, which publishes those writes to the waiting submitter. *)
 
 (* Interned trace-event names, resolved once at create so worker hot loops
    record integer ids only. *)
@@ -143,7 +144,6 @@ type t = {
   mutable memo_epoch : int;
   mutable next_seq : int;  (* under submit_lock *)
   drift : Drift.t option;  (* q-error window; volume rides the shards *)
-  recorder : Flight_recorder.t option;  (* coordinator ring: feedback/explain *)
   record_lock : Mutex.t;
   mutable on_record : (Flight_recorder.record -> unit) option;
   mutable feedback_seen : int;
@@ -151,8 +151,7 @@ type t = {
   mutable stopped : bool;
   telemetry : bool;
   created_at : float;  (* monotonic; busy fractions divide by uptime *)
-  coord_obs : Obs.t;  (* persistent coordinator registry (batch sizes) *)
-  batch_chunk : Obs.histogram;  (* in [coord_obs] *)
+  batch_chunk : Obs.histogram;  (* in shard 0's registry *)
   tracing : tracing option;
   auditor : Auditor.t option;
       (* shadow auditor; workers call its thread-safe [sample], results are
@@ -201,10 +200,10 @@ let deliver t r =
   | None -> ()
   | Some f -> Mutex.protect t.record_lock (fun () -> f r)
 
-let emit_record t recorder ~seq ~(key : Canonical.key) ~status
+let emit_record t shard ~seq ~(key : Canonical.key) ~status
     ~(outcome : Core.Estimator.outcome) ~canonicalize_s ~ept_s ~match_s
     ~ept_nodes ~frontier_peak ~het_hits =
-  match recorder with
+  match shard.recorder with
   | None -> ()
   | Some rec_ ->
     let r =
@@ -233,9 +232,9 @@ let overloaded_error ~capacity () =
 (* A refusal (deadline exceeded, load shed) still leaves a flight record —
    zero estimate, zero stage times — so drops are visible in RECENT and the
    telemetry stream. Timeouts land on the refusing shard's ring; sheds on
-   the coordinator's (the refusal happens under [submit_lock]). *)
-let emit_refusal t recorder ~seq ~query ~hash ~cache =
-  match recorder with
+   shard 0's (the refusal happens under [submit_lock]). *)
+let emit_refusal t shard ~seq ~query ~hash ~cache =
+  match shard.recorder with
   | None -> ()
   | Some rec_ ->
     let r =
@@ -312,7 +311,7 @@ let reply t shard ~seq ~(key : Canonical.key) ~cast ~canonicalize_s status
   (match shard.drift_shard with
    | Some s -> Drift.note_shard s ~cache_hit:hit
    | None -> ());
-  emit_record t shard.recorder ~seq ~key ~status ~outcome ~canonicalize_s
+  emit_record t shard ~seq ~key ~status ~outcome ~canonicalize_s
     ~ept_s:0.0 ~match_s ~ept_nodes ~frontier_peak ~het_hits;
   (match t.auditor with
    | Some a ->
@@ -346,7 +345,7 @@ let serve_query t shard ~seq ~admitted_at query =
          A cache hit above always answers: serving it is cheaper than
          refusing. *)
       Atomic.incr t.timeout_total;
-      emit_refusal t shard.recorder ~seq ~query:key.Canonical.text
+      emit_refusal t shard ~seq ~query:key.Canonical.text
         ~hash:key.Canonical.hash ~cache:Flight_recorder.Timed_out;
       Error (timeout_error ())
     | None ->
@@ -457,7 +456,7 @@ let serve_chunk t shard (c : chunk) t_deq =
            batch's admission, so a deadline can expire mid-chunk — earlier
            slots answered, later ones refused. *)
         Atomic.incr t.timeout_total;
-        emit_refusal t shard.recorder ~seq ~query ~hash:0
+        emit_refusal t shard ~seq ~query ~hash:0
           ~cache:Flight_recorder.Timed_out;
         Error (timeout_error ())
       end
@@ -625,15 +624,7 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
         let obs = Obs.create () in
         let shard_labels = [ ("shard", string_of_int id) ] in
         { id;
-          estimator =
-            Core.Estimator.create
-              ~card_threshold:(Core.Estimator.card_threshold estimator)
-              ~max_ept_nodes:(Core.Estimator.max_ept_nodes estimator)
-              ~recursion_aware:(Core.Estimator.recursion_aware estimator)
-              ?het:(Core.Estimator.het estimator)
-              ?values:(Core.Estimator.values estimator)
-              ~obs
-              (Core.Estimator.kernel estimator);
+          estimator = Core.Estimator.with_obs estimator obs;
           obs;
           cache = Lru_cache.create ~capacity:cache_capacity;
           recorder =
@@ -657,7 +648,6 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
           gc_major_collections =
             Obs.counter_with obs "engine.gc.major_collections" shard_labels })
   in
-  let coord_obs = Obs.create () in
   let t =
     { base = estimator;
       threshold = qerror_threshold;
@@ -684,7 +674,6 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
       memo_epoch = 0;
       next_seq = 0;
       drift;
-      recorder = (if telemetry then Some (Flight_recorder.create ()) else None);
       record_lock = Mutex.create ();
       on_record = None;
       feedback_seen = 0;
@@ -692,8 +681,7 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
       stopped = false;
       telemetry;
       created_at = Obs.now_mono ();
-      coord_obs;
-      batch_chunk = Obs.histogram coord_obs "engine.pool.batch_chunk";
+      batch_chunk = Obs.histogram shards.(0).obs "engine.pool.batch_chunk";
       tracing;
       auditor;
       scrape = Scrape_meter.create () }
@@ -749,7 +737,7 @@ let refuse t (c : chunk) refusal =
         (* Bounded admission under shed-newest: the queue is full, so this
            newest chunk is the one dropped — every slot it carries. *)
         Atomic.incr t.shed_total;
-        emit_refusal t t.recorder ~seq:(c.c_seq_base + slot)
+        emit_refusal t t.shards.(0) ~seq:(c.c_seq_base + slot)
           ~query:c.c_queries.(slot) ~hash:0 ~cache:Flight_recorder.Shed;
         overloaded_error ~capacity:(Work_queue.capacity t.queue) ()
     in
@@ -961,7 +949,7 @@ let next_seq_locked t =
   seq
 
 let emit_audit_record t ~seq (r : Auditor.audited) =
-  match t.recorder with
+  match t.shards.(0).recorder with
   | None -> ()
   | Some rec_ ->
     let worst_step, worst_axis, contribution =
@@ -1002,11 +990,12 @@ let refine t ast ~estimate ~actual =
   end;
   fb
 
-(* Fold completed shadow audits into the coordinator's telemetry. Callers
-   hold [submit_lock] with the shards drained — the single-writer state the
-   feedback path already establishes — so [Drift.observe] cannot race a
-   shard's [note_shard] and the audit-feedback EPT rebuild below follows
-   the same epoch protocol as client feedback. *)
+(* Fold completed shadow audits into the drift window and shard 0's flight
+   ring. Callers hold [submit_lock] with the shards drained — the
+   single-writer state the feedback path already establishes — so
+   [Drift.observe] cannot race a shard's [note_shard] and the
+   audit-feedback EPT rebuild below follows the same epoch protocol as
+   client feedback. *)
 let drain_audits_locked t =
   match t.auditor with
   | None -> ()
@@ -1088,7 +1077,7 @@ let feedback_estimate t (key : Canonical.key) cast =
 
 (* Single-writer feedback: only the drained state touches the shared
    HET/EPT. The estimate judged by the q-error comes from the base
-   estimator (recorded as a cache Bypass on the coordinator ring — it
+   estimator (recorded as a cache Bypass on shard 0's ring — it
    deliberately skips the shard caches); every shard estimator computes
    the same float, so the q-error does not depend on who served the
    query. *)
@@ -1126,7 +1115,7 @@ let feedback t query ~actual =
         | Some ms -> (ms.Core.Matcher.ept_nodes, ms.Core.Matcher.frontier_peak)
         | None -> (0, 0)
       in
-      emit_record t t.recorder ~seq:(next_seq_locked t) ~key
+      emit_record t t.shards.(0) ~seq:(next_seq_locked t) ~key
         ~status:Flight_recorder.Bypass ~outcome ~canonicalize_s ~ept_s:0.0
         ~match_s ~ept_nodes ~frontier_peak ~het_hits:0;
       Ok fb
@@ -1149,7 +1138,7 @@ let explain t query =
     | Error e -> Error e
     | Ok r ->
       let status = if cached then Core.Explain.Hit else Core.Explain.Miss in
-      emit_record t t.recorder ~seq:(next_seq_locked t) ~key
+      emit_record t t.shards.(0) ~seq:(next_seq_locked t) ~key
         ~status:(if cached then Flight_recorder.Hit else Flight_recorder.Miss)
         ~outcome:
           { Core.Estimator.value = r.Core.Explain.estimate;
@@ -1244,7 +1233,7 @@ let totals t =
             usage = Core.Het.counters h })
         (Core.Estimator.het t.base);
     synopsis_bytes = Core.Estimator.size_in_bytes t.base;
-    flight_records = records t.recorder + sum (fun s -> records s.recorder);
+    flight_records = sum (fun s -> records s.recorder);
     pool_epoch = epoch t;
     queue_depth = Work_queue.length t.queue;
     queue = Work_queue.stats t.queue;
@@ -1375,15 +1364,15 @@ let publish_totals t obs =
     t.shards
 
 (* One scrape: pool-level totals published into a scratch registry, merged
-   with the coordinator's registry, every shard's pipeline registry and the
-   base estimator's (FEEDBACK/EXPLAIN). The merge orders series by key, so
+   with every shard's registry (shard 0's also holds the batch sizes) and
+   the base estimator's (FEEDBACK/EXPLAIN). The merge orders series by key, so
    the exposition is deterministic no matter how work was scheduled; it is
    rebuilt per scrape, so repeated scrapes without traffic are identical. *)
 let merged_metrics t =
   let obs = Obs.create () in
   publish_totals t obs;
   Obs.merged
-    (obs :: t.coord_obs
+    (obs
     :: (Option.to_list (Core.Estimator.obs t.base)
        @ Array.to_list (Array.map (fun (s : shard) -> s.obs) t.shards)))
 
@@ -1397,8 +1386,8 @@ let metrics_text t =
   Scrape_meter.note t.scrape (Obs.now_mono () -. t0);
   text
 
-(* Flight records from every shard ring plus the coordinator ring, merged
-   newest-submission-first on the global sequence number. *)
+(* Flight records from every shard ring, merged newest-submission-first
+   on the global sequence number. *)
 let recent ?n t =
   let all =
     Array.fold_left
@@ -1406,10 +1395,7 @@ let recent ?n t =
         match s.recorder with
         | None -> acc
         | Some r -> List.rev_append (Flight_recorder.recent r) acc)
-      (match t.recorder with
-       | None -> []
-       | Some r -> Flight_recorder.recent r)
-      t.shards
+      [] t.shards
   in
   let sorted =
     List.sort
@@ -1422,9 +1408,10 @@ let recent ?n t =
   | Some n -> List.filteri (fun i _ -> i < n) sorted
 
 let set_tenant t name =
-  let stamp = Option.iter (fun r -> Flight_recorder.set_tenant r name) in
-  stamp t.recorder;
-  Array.iter (fun (s : shard) -> stamp s.recorder) t.shards
+  Array.iter
+    (fun (s : shard) ->
+      Option.iter (fun r -> Flight_recorder.set_tenant r name) s.recorder)
+    t.shards
 
 let telemetry_disabled () =
   Core.Error.make Core.Error.Internal "telemetry is disabled on this pool"

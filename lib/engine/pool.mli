@@ -9,10 +9,13 @@
     {b The submitter is worker 0.} [create ~workers:n] counts serving
     threads: the submitting thread, which owns shard 0 (only code holding
     the submission lock touches it), plus [n - 1] worker domains owning
-    shards 1..n-1. A request that fits in one chunk — every ESTIMATE, any
-    BATCH of up to 8 — and any request to a one-worker pool is served
-    whole on the submitter, under the submission lock, with no queue,
-    latch or wake-up. This is the single-threaded engine of
+    shards 1..n-1. The coordinator's writes also happen under that lock,
+    so shard 0 holds them: the [engine.pool.batch_chunk] histogram, and
+    the FEEDBACK, EXPLAIN, shed and audit flight records; there is no
+    separate coordinator registry or ring. A request that fits in one
+    chunk — every ESTIMATE, any BATCH of up to 8 — and any request to a
+    one-worker pool is served whole on the submitter, under the
+    submission lock, with no queue, latch or wake-up. This is the single-threaded engine of
     [xseed serve --workers 1], [xseed replay] and every {!Registry}
     tenant; it is domain-safe (concurrent callers take turns on the
     submission lock). The worker domains start with the first batch that
@@ -123,7 +126,7 @@ val create :
     [auditor] attaches a shadow auditor: every estimate a shard serves is
     offered to {!Auditor.sample} (thread-safe, lock-then-drop — never
     blocks the reply), and completed audits are folded back into the
-    coordinator's drift window and flight ring only under the drained
+    drift window and shard 0's flight ring only under the drained
     single-writer state (on the feedback path, the [AUDIT] verb and
     {!drain_audits}), so audit feedback follows the same epoch protocol as
     client feedback.
@@ -275,8 +278,9 @@ val merged_metrics : t -> Obs.t
     best-effort reads of per-domain accumulators). *)
 
 val recent : ?n:int -> t -> Flight_recorder.record list
-(** Flight records merged across all shard rings plus the coordinator's
-    (feedback/explain) ring, newest submission first ([seq] descending). *)
+(** Flight records merged across all shard rings (shard 0's also holds
+    the FEEDBACK, EXPLAIN, shed and audit records), newest submission
+    first ([seq] descending). *)
 
 val cache_counters : t -> Lru_cache.counters
 (** Per-shard counters summed. *)

@@ -122,22 +122,8 @@ let register_locked ?doc t ~name ~path =
 let register ?doc t ~name ~path =
   Mutex.protect t.mutex (fun () -> register_locked ?doc t ~name ~path)
 
-let read_file path =
-  if not (Sys.file_exists path) then
-    Error (Core.Error.make Core.Error.Missing_file ("no such file: " ^ path))
-  else
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | contents -> Ok contents
-    | exception Sys_error msg ->
-      Error (Core.Error.make Core.Error.Io_error msg)
-
 let load_manifest t manifest_path =
-  match read_file manifest_path with
+  match Core.Error.read_file manifest_path with
   | Error e -> Error e
   | Ok contents ->
     let dir = Filename.dirname manifest_path in
@@ -259,7 +245,7 @@ let tenant_server_of tenant ~journal base =
         | Error e -> Error e) }
 
 let page_in_locked t tenant =
-  match read_file tenant.path with
+  match Core.Error.read_file tenant.path with
   | Error e -> Error e
   | Ok contents ->
     (match Core.Synopsis.of_string_result contents with
@@ -286,12 +272,7 @@ let page_in_locked t tenant =
              into a registry of its own, which the pool's merged metrics
              (the tenant's labeled METRICS series) include. *)
           let estimator =
-            Core.Estimator.create
-              ~card_threshold:(Core.Synopsis.card_threshold syn)
-              ?het:(Core.Synopsis.het syn)
-              ?values:(Core.Synopsis.values syn)
-              ~obs:(Obs.create ())
-              (Core.Synopsis.kernel syn)
+            Core.Estimator.with_obs (Core.Synopsis.estimator syn) (Obs.create ())
           in
           (* Shadow auditing arms only for tenants that declared a source
              document, and only when the registry was given a sample rate.
@@ -532,44 +513,33 @@ let server s =
       (fun qs -> join (with_active s (fun srv -> srv.Serve.profile qs)));
     audit = (fun () -> join (with_active s (fun srv -> srv.Serve.audit ()))) }
 
-let sanitize s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
-
-let err e =
-  Printf.sprintf "ERR %s %s"
-    (Core.Error.kind_name (Core.Error.kind e))
-    (sanitize (Core.Error.message e))
-
 let extra s verb rest =
   match verb with
   | "USE" ->
     Some
       (let name = String.trim rest in
        if name = "" || String.contains name ' ' then
-         err
-           (Core.Error.make Core.Error.Malformed_query
-              "USE expects exactly one tenant name")
+         Serve.malformed "USE expects exactly one tenant name"
        else
          match use s.registry name with
          | Ok how ->
            s.current <- Some name;
            Printf.sprintf "OK %s %s" name
              (match how with `Resident -> "resident" | `Loaded -> "loaded")
-         | Error e -> err e)
+         | Error e -> Serve.err e)
   | "LOAD" ->
     Some
       (match String.index_opt rest ' ' with
        | None ->
-         err
-           (Core.Error.make Core.Error.Malformed_query
-              "LOAD expects '<tenant> <path>'")
+         Serve.malformed "LOAD expects '<tenant> <path>'"
        | Some i ->
          let name = String.sub rest 0 i in
          let path = String.trim (String.sub rest i (String.length rest - i)) in
          (match register s.registry ~name ~path with
-          | Error e -> err e
+          | Error e -> Serve.err e
           | Ok () ->
             (match use s.registry name with
-             | Error e -> err e
+             | Error e -> Serve.err e
              | Ok _ ->
                let bytes =
                  Mutex.protect s.registry.mutex (fun () ->
@@ -581,9 +551,7 @@ let extra s verb rest =
   | "TENANTS" ->
     Some
       (if String.trim rest <> "" then
-         err
-           (Core.Error.make Core.Error.Malformed_query
-              "TENANTS takes no argument")
+         Serve.malformed "TENANTS takes no argument"
        else
          let listing = tenants s.registry in
          String.concat "\n"

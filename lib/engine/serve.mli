@@ -113,6 +113,15 @@ val max_batch : int
     [?max_batch] on {!handle_request}/{!run} overrides it per server and
     the rejection message always names the live limit. *)
 
+val err : Core.Error.t -> string
+(** The one [ERR] line: [ERR <kind> <message>], newlines in the message
+    turned to spaces, plus [" (at N)"] when the error carries a
+    position. Every verb, the registry's USE/LOAD/TENANTS and the TCP
+    server render errors with it. *)
+
+val malformed : ('a, Format.formatter, unit, string) format4 -> 'a
+(** {!err} of a [Malformed_query] error with a formatted message. *)
+
 val nearest_rank : float array -> float -> float
 (** [nearest_rank samples p] is the sample of rank [round (p * (n-1))]
     in a sorted copy of [samples] (sorted once per [nearest_rank

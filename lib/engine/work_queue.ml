@@ -1,12 +1,12 @@
-(* One bounded FIFO of chunks — the only blocking structure on the pool's
-   request path. The unit of transfer is a chunk (a contiguous slice of a
-   batch), so operations are rare enough that one mutex covers the ring:
-   its acquire/release pairs order memory between producers and
-   consumers, which the pool relies on for publishing its shared EPT and
-   each chunk to the worker that pops it. The ring never allocates after
-   creation. A push or pop makes room for, or work for, exactly one
-   waiter, so it signals one; only [close] changes what every waiter may
-   do, so only it broadcasts. *)
+(* One bounded FIFO — of chunks, the only blocking structure on the
+   pool's request path, and of the auditor's samples. The unit of
+   transfer is a chunk (a contiguous slice of a batch), so operations
+   are rare enough that one mutex covers the ring: its acquire/release
+   pairs order memory between producers and consumers, which the pool
+   relies on for publishing its shared EPT and each chunk to the worker
+   that pops it. The ring never allocates after creation. A push or pop
+   makes room for, or work for, exactly one waiter, so it signals one;
+   only [close] changes what every waiter may do, so only it broadcasts. *)
 
 type stats = {
   pushes : int;

@@ -1,7 +1,11 @@
-(** One bounded FIFO of chunks, shared by every worker domain.
+(** One bounded FIFO under one mutex: the pool's queue of chunks,
+    shared by every worker domain, and the shadow auditor's queue of
+    audit samples ({!Auditor}).
 
     The pool dispatches {e chunks} (contiguous slices of a batch), one
-    queue operation per chunk, so a single mutex covers the ring.
+    queue operation per chunk, so a single mutex covers the ring. The
+    auditor's serving threads [try_push] samples (a [`Full] ring sheds
+    one) and its audit domain [pop]s them.
     Producers push at the tail (blocking while the ring is full, which
     backpressures clients instead of growing memory); any worker domain
     pops the head, and the producer itself may take it back without

@@ -1,18 +1,11 @@
-(** The TCP wire format: length-prefixed, checksummed binary frames.
-
-    {v
-    +-----------------+------------------+------------------+
-    | length (u32 BE) | CRC-32 (u32 BE)  | payload (length) |
-    +-----------------+------------------+------------------+
-    v}
-
-    [length] counts payload bytes only; the CRC (IEEE 802.3,
-    {!Core.Crc32} — the same polynomial as the synopsis v2 format and the
-    feedback journal) covers the payload. A frame's payload is serve-
-    protocol text: the request line, plus — for [BATCH n]/[PROFILE n] —
-    the [n] payload lines, newline-separated, all in one frame. One
-    request frame yields exactly one response frame (whose payload may be
-    multi-line, e.g. a METRICS scrape).
+(** The TCP wire format: {!Core.Frame}'s length-prefixed, checksummed
+    frames (the feedback journal frames with the same codec). A frame's
+    payload is serve-protocol text: the request line, plus — for
+    [BATCH n]/[PROFILE n] — the [n] payload lines, newline-separated, all
+    in one frame. One request frame yields exactly one response frame
+    (whose payload may be multi-line, e.g. a METRICS scrape). On the wire
+    the length field is attacker-controlled, so the server decodes with a
+    [max_payload] cap.
 
     {b Handshake.} The first frame a client sends must carry
     [HELLO xseed <protocol>] ({!hello}); the server answers
@@ -21,34 +14,9 @@
     answered with one [ERR] frame and the connection is closed — the
     version gate runs before any synopsis is touched. *)
 
-val header_bytes : int
-(** 8: the two big-endian u32 fields. *)
-
-val default_max_payload : int
-(** 1 MiB. A frame claiming more is refused before its payload is read —
-    the length field is attacker-controlled, so it must never size an
-    allocation unchecked. *)
-
-val encode : Buffer.t -> string -> unit
-(** Append one complete frame ([payload] under header) to the buffer. *)
-
-val encode_string : string -> string
-(** One frame as a string (the test/fault-injection spelling). *)
-
-type decode_result =
-  | Frame of { payload : string; consumed : int }
-      (** a complete, CRC-valid frame; [consumed] bytes were used *)
-  | Need_more  (** incomplete header or payload — read more bytes *)
-  | Too_large of int
-      (** the header claims this payload length, over [max_payload];
-          unrecoverable (the stream cannot be resynced) *)
-  | Crc_mismatch
-      (** the payload is fully present but fails its checksum;
-          unrecoverable *)
-
-val decode : ?max_payload:int -> Bytes.t -> off:int -> len:int -> decode_result
-(** Decode the first frame of [len] bytes starting at [off]. Never raises
-    on arbitrary bytes; [max_payload] defaults to {!default_max_payload}. *)
+include module type of struct
+  include Core.Frame
+end
 
 val hello : string
 (** The client's first payload: [HELLO xseed <protocol_version>]. *)

@@ -53,9 +53,7 @@ let drain_grace_s = 2.0
 let select_interval_s = 0.05
 
 let err kind fmt =
-  Format.kasprintf
-    (fun m -> Printf.sprintf "ERR %s %s" (Core.Error.kind_name kind) m)
-    fmt
+  Format.kasprintf (fun m -> Engine.Serve.err (Core.Error.make kind m)) fmt
 
 (* A peer that disappears mid-write must surface as EPIPE (handled per
    connection), not kill the process: both endpoints of this transport

@@ -338,9 +338,7 @@ let create ?(sink = Noop) () =
     depth = Atomic.make 0;
     lock = Mutex.create () }
 
-let set_sink t sink = t.sink <- sink
 let sink t = t.sink
-let enabled t = t.sink <> Noop
 
 let jsonl_file path = Jsonl (open_out path)
 
@@ -469,41 +467,31 @@ let hpercentile h p =
   percentile_over ~count:h.count ~maxv:h.max (Array.get h.buckets) p
 
 (* ------------------------------------------------------------------ *)
-(* Sliding windows: a ring of sub-histograms rotated on a count budget;
-   reads merge the live slots. *)
+(* Sliding windows: a ring of sub-histograms the owner rotates; reads
+   merge the live slots. *)
 
 module Window = struct
   type slot = {
     mutable scount : int;
-    mutable ssum : float;
     mutable smax : float;
     sbuckets : int array;
   }
 
   type t = {
     slots : slot array;
-    per_slot : int;
     mutable idx : int;  (* slot receiving observations *)
-    mutable wtotal : int;  (* lifetime observations *)
   }
 
   let fresh_slot () =
-    { scount = 0; ssum = 0.0; smax = neg_infinity;
-      sbuckets = Array.make hbuckets 0 }
+    { scount = 0; smax = neg_infinity; sbuckets = Array.make hbuckets 0 }
 
-  let create ?(slots = 6) ?(per_slot = 128) () =
+  let create ?(slots = 6) () =
     if slots < 1 then
       invalid_arg (Printf.sprintf "Obs.Window.create: slots %d < 1" slots);
-    if per_slot < 1 then
-      invalid_arg (Printf.sprintf "Obs.Window.create: per_slot %d < 1" per_slot);
-    { slots = Array.init slots (fun _ -> fresh_slot ());
-      per_slot;
-      idx = 0;
-      wtotal = 0 }
+    { slots = Array.init slots (fun _ -> fresh_slot ()); idx = 0 }
 
   let clear_slot s =
     s.scount <- 0;
-    s.ssum <- 0.0;
     s.smax <- neg_infinity;
     Array.fill s.sbuckets 0 hbuckets 0
 
@@ -512,24 +500,13 @@ module Window = struct
     clear_slot t.slots.(t.idx)
 
   let observe t v =
-    if t.slots.(t.idx).scount >= t.per_slot then rotate t;
     let v = if Float.is_nan v || v < 0.0 then 0.0 else v in
     let s = t.slots.(t.idx) in
     s.scount <- s.scount + 1;
-    s.ssum <- s.ssum +. v;
     if v > s.smax then s.smax <- v;
-    s.sbuckets.(bucket_of v) <- s.sbuckets.(bucket_of v) + 1;
-    t.wtotal <- t.wtotal + 1
+    s.sbuckets.(bucket_of v) <- s.sbuckets.(bucket_of v) + 1
 
   let count t = Array.fold_left (fun acc s -> acc + s.scount) 0 t.slots
-  let total t = t.wtotal
-
-  let mean t =
-    let c = count t in
-    if c = 0 then Float.nan
-    else
-      Array.fold_left (fun acc s -> acc +. s.ssum) 0.0 t.slots
-      /. float_of_int c
 
   let max t =
     if count t = 0 then Float.nan

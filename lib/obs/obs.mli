@@ -22,7 +22,7 @@
     for a scrape endpoint such as [xseed serve]'s [METRICS] command).
 
     {!module-Window} is a sliding-window histogram — a ring of
-    sub-histograms rotated on a count (or time) budget and merged on read —
+    sub-histograms its owner rotates, merged on read —
     for "over the last N observations" percentiles (the serving engine's
     accuracy-drift monitor). Windows live outside the registry.
 
@@ -85,11 +85,7 @@ type t
 val create : ?sink:sink -> unit -> t
 (** Default sink is [Noop]. *)
 
-val set_sink : t -> sink -> unit
 val sink : t -> sink
-
-val enabled : t -> bool
-(** [true] when the sink is not [Noop]. *)
 
 val jsonl_file : string -> sink
 (** Open [path] for writing and return a JSON-lines sink on it. The channel
@@ -167,10 +163,11 @@ val hpercentile : histogram -> float -> float
 (** {1 Sliding windows}
 
     A {!Window.t} is a ring of [slots] sub-histograms. Observations land in
-    the current slot; after [per_slot] observations the ring advances and
-    the oldest slot is cleared, so reads always cover the last
-    [slots × per_slot] observations at most — a sliding window with
-    slot-granular expiry. Reads merge the live slots, so percentiles are
+    the current slot; when the window's owner calls {!Window.rotate} the
+    ring advances and the oldest slot is cleared, so reads always cover the
+    last [slots] rotation periods — a sliding window with slot-granular
+    expiry, rotated when its owner says so (the drift monitor rotates per
+    feedback count). Reads merge the live slots, so percentiles are
     computed over the whole window at the same factor-of-two accuracy as
     plain histograms. Windows are not
     registered in a context; callers own them (the drift monitor publishes
@@ -179,10 +176,9 @@ val hpercentile : histogram -> float -> float
 module Window : sig
   type t
 
-  val create : ?slots:int -> ?per_slot:int -> unit -> t
-  (** [slots] (default 6) sub-histograms of [per_slot] (default 128)
-      observations each.
-      @raise Invalid_argument when [slots] or [per_slot] < 1. *)
+  val create : ?slots:int -> unit -> t
+  (** [slots] (default 6) sub-histograms.
+      @raise Invalid_argument when [slots] < 1. *)
 
   val observe : t -> float -> unit
   val rotate : t -> unit
@@ -191,14 +187,9 @@ module Window : sig
   val count : t -> int
   (** Observations currently inside the window. *)
 
-  val total : t -> int
-  (** Lifetime observations, including expired ones. *)
-
-  val mean : t -> float
   val max : t -> float
   val percentile : t -> float -> float
-  (** All three are merged-window statistics; [nan] when the window is
-      empty. *)
+  (** Both are merged-window statistics; [nan] when the window is empty. *)
 end
 
 (** {1 Optional-context publishing}

@@ -111,6 +111,3 @@ let pp ppf s =
      mean|a|=%.4g maxerr=%.4g"
     s.count s.rmse (100.0 *. s.nrmse) s.r_squared s.opd s.q_error_median
     s.q_error_p90 s.q_error_max s.mean_actual s.max_abs_error
-
-let pp_row ppf s =
-  Format.fprintf ppf "%10.2f %9.2f%%" s.rmse (100.0 *. s.nrmse)

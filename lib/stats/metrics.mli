@@ -39,5 +39,3 @@ val rmse : (float * float) list -> float
 val nrmse : (float * float) list -> float
 
 val pp : Format.formatter -> summary -> unit
-val pp_row : Format.formatter -> summary -> unit
-(** Compact "RMSE x / NRMSE y%" rendering used by the bench tables. *)

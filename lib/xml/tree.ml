@@ -32,8 +32,6 @@ let of_events ?table events =
 
 let of_string ?table input = of_events ?table (Sax.events input)
 
-let fold_events input ~init ~f = Sax.fold input ~init ~f
-
 let node_count t = t.size
 
 let rec depth_node node =
@@ -70,13 +68,6 @@ let recursion_levels t =
   in
   go t.root 0;
   (float_of_int !total /. float_of_int !nodes, !maximum)
-
-let iter_preorder t ~f =
-  let rec go node depth =
-    f node ~depth;
-    Array.iter (fun child -> go child (depth + 1)) node.children
-  in
-  go t.root 0
 
 let to_events t =
   let acc = ref [] in

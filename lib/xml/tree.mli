@@ -21,9 +21,6 @@ val of_events : ?table:Label.table -> Event.t list -> t
 val of_string : ?table:Label.table -> string -> t
 (** Parse and build. @raise Sax.Malformed on bad input. *)
 
-val fold_events : string -> init:'a -> f:('a -> Event.t -> 'a) -> 'a
-(** Re-export of {!Sax.fold}: summarize a document without materializing it. *)
-
 val node_count : t -> int
 
 val depth : t -> int
@@ -36,8 +33,6 @@ val recursion_levels : t -> float * int
 (** Average (over all nodes) and maximum node recursion level, as defined in
     the paper (Definition 1): the max count of any repeated label on the
     node's rooted path, minus 1. Matches Table 2's "avg/max rec. level". *)
-
-val iter_preorder : t -> f:(node -> depth:int -> unit) -> unit
 
 val to_events : t -> Event.t list
 (** Structure-only event stream (no attributes or text). *)

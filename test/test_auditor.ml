@@ -279,6 +279,32 @@ let test_audit_feedback_off_never_refines () =
   checki "observation only, no refinement" 0
     (Engine.Pool.feedback_rounds engine)
 
+(* Shedding: one queue slot and 200 samples pushed back to back force
+   sheds; every accepted sample is still audited, so once settled the
+   counts balance with nothing left in the backlog, and shutdown returns. *)
+let test_shed_accounting () =
+  let auditor =
+    Engine.Auditor.create ~rate:1.0 ~queue_capacity:1
+      (Engine.Auditor.Loaded
+         { estimator = fresh_estimator (); storage = storage () })
+  in
+  Fun.protect ~finally:(fun () -> Engine.Auditor.shutdown auditor)
+  @@ fun () ->
+  let samples = Array.of_list (List.map canon queries) in
+  for i = 0 to 199 do
+    let ast, key = samples.(i mod Array.length samples) in
+    Engine.Auditor.sample auditor ~query:key.Engine.Canonical.text
+      ~hash:key.Engine.Canonical.hash ~ast ~estimate:1.0
+  done;
+  checkb "settles" true (Engine.Auditor.settle auditor);
+  let status = Engine.Auditor.status_json auditor in
+  let sampled = jint "sampled" status and shed = jint "shed" status in
+  checki "every sample counted" 200 sampled;
+  checkb "a one-slot queue sheds" true (shed > 0);
+  checki "sampled = completed + errors + shed" sampled
+    (jint "completed" status + jint "errors" status + shed);
+  checki "backlog drained" 0 (jint "backlog" status)
+
 (* ------------------------------------------------------------------ *)
 (* Served vs offline agreement (what the audit smoke diffs). *)
 
@@ -409,7 +435,9 @@ let () =
           Alcotest.test_case "audit feedback refines" `Quick
             test_audit_feedback_refines;
           Alcotest.test_case "no feedback without the flag" `Quick
-            test_audit_feedback_off_never_refines ] );
+            test_audit_feedback_off_never_refines;
+          Alcotest.test_case "shedding accounting" `Quick
+            test_shed_accounting ] );
       ( "agreement",
         [ Alcotest.test_case "background = offline (float)" `Quick
             test_background_equals_offline ] );

@@ -51,6 +51,18 @@ let test_roundtrip () =
     ^ String.concat "" (List.map Engine.Journal.frame entries))
     image
 
+(* On-disk bytes recorded before the journal shared the wire codec: a
+   journal written by any earlier build must stay readable. *)
+let test_golden_bytes () =
+  let golden =
+    "XSEEDJ1\n"
+    ^ "\000\000\000\017\029\211\007\192F 6 /site/regions"
+    ^ "\000\000\000\022p\t\251oF 217 //item[quantity]"
+    ^ "\000\000\000\027\241\251\136\224F 25500 /site/people/person"
+  in
+  checks "to_string golden" golden (Engine.Journal.to_string entries);
+  checkb "golden scans back" true ((scan_ok golden).Engine.Journal.entries = entries)
+
 let test_empty_and_bad_magic () =
   let s = scan_ok "" in
   checki "empty journal has no frames" 0 s.Engine.Journal.frames;
@@ -377,6 +389,7 @@ let () =
   Alcotest.run "journal"
     [ ( "format",
         [ Alcotest.test_case "frame round-trip" `Quick test_roundtrip;
+          Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
           Alcotest.test_case "empty and bad magic" `Quick
             test_empty_and_bad_magic;
           Alcotest.test_case "torn-tail sweep" `Quick test_torn_tail_sweep;

@@ -432,6 +432,25 @@ let test_session_protocol () =
      String.length r >= 3 && String.sub r 0 3 = "ERR");
   Engine.Registry.close reg
 
+(* A LOAD whose synopsis header does not parse answers the serve layer's
+   ERR line, position included. *)
+let test_load_corrupt_synopsis () =
+  let dir, tenants = fixture_dir () in
+  let _, _, syn = List.hd tenants in
+  let lines = String.split_on_char '\n' (Core.Synopsis.to_string syn) in
+  let path = Filename.concat dir "corrupt.syn" in
+  write_file path
+    (String.concat "\n"
+       (List.mapi
+          (fun i l -> if i = 1 then "card_threshold bogus" else l)
+          lines));
+  let reg = registry_of tenants in
+  let session = Engine.Registry.session reg in
+  checks "LOAD of a corrupt v2 header"
+    "ERR corrupt-synopsis bad card_threshold \"bogus\" (at 2)"
+    (req session (Printf.sprintf "LOAD broken %s" path));
+  Engine.Registry.close reg
+
 (* ------------------------------------------------------------------ *)
 (* Tenant-labeled metrics: deterministic scrapes *)
 
@@ -559,7 +578,9 @@ let () =
             test_concurrent_use_during_evict ] );
       ( "protocol",
         [ Alcotest.test_case "USE/LOAD/TENANTS session" `Quick
-            test_session_protocol ] );
+            test_session_protocol;
+          Alcotest.test_case "LOAD of a corrupt synopsis" `Quick
+            test_load_corrupt_synopsis ] );
       ( "metrics",
         [ Alcotest.test_case "tenant labels, deterministic scrape" `Quick
             test_metrics_tenant_labels ] );
