@@ -1032,8 +1032,7 @@ let audit_cmd =
                  Error
                    (Printf.sprintf "parse error at %d: %s" position message)
                | Ok ast ->
-                 let ast = Engine.Canonical.canonicalize ast in
-                 let key = Engine.Canonical.of_ast ast in
+                 let ast, key = Engine.Canonical.normal_form ast in
                  if not (Engine.Auditor.in_sample ~seed ~rate
                            key.Engine.Canonical.hash)
                  then Ok None

@@ -11,7 +11,9 @@
 
 val canonicalize : Xpath.Ast.t -> Xpath.Ast.t
 (** Normal form; idempotent and estimate-preserving (predicates are
-    conjunctive, so order and multiplicity do not matter). *)
+    conjunctive, so order and multiplicity do not matter). A step already
+    in normal form is returned as it is, so a query spelled canonically
+    allocates nothing here. *)
 
 type key = {
   hash : int;  (** 32-bit incremental hash of [text] *)
@@ -19,7 +21,13 @@ type key = {
                       canonical AST; the authoritative cache key *)
 }
 
+val normal_form : Xpath.Ast.t -> Xpath.Ast.t * key
+(** {!canonicalize}, and the key of its result, in one pass: the serving
+    path's canonicalization, whose normal form also feeds the matcher. *)
+
 val of_ast : Xpath.Ast.t -> key
+(** The key of {!canonicalize}[ ast]. *)
+
 val of_string : string -> (key, Core.Error.t) result
 (** Parse then {!of_ast}; a syntax error is [Malformed_query]. *)
 

@@ -331,8 +331,7 @@ let serve_query t shard ~seq ~admitted_at query =
   | Error e -> Error e
   | Ok ast ->
     let t0 = Obs.now_mono () in
-    let cast = Canonical.canonicalize ast in
-    let key = Canonical.of_ast cast in
+    let cast, key = Canonical.normal_form ast in
     let canonicalize_s = Obs.now_mono () -. t0 in
     trace_stage t shard ~name:`Canonicalize ~t0 ~dur:canonicalize_s;
     match Lru_cache.find shard.cache key.Canonical.text with
@@ -409,23 +408,6 @@ let begin_chunk t shard (c : chunk) t_deq =
       ~ts:(Obs.Trace.rel tg.tr t_deq) ~id:(c.c_seq_base + c.c_base)
   | _ -> ()
 
-(* The GC figures a chunk is bracketed with: the serving domain's own
-   allocation (major words include promotions) and the process-wide
-   collection counts — allocation-free reads cheap enough for every
-   request, unlike [Gc.quick_stat]. *)
-type gc_sample = {
-  minor_words : float;
-  major_words : float;
-  minor_collections : int;
-  major_collections : int;
-}
-
-let gc_sample () =
-  { minor_words = Gc.minor_words ();
-    major_words = Obs.major_words ();
-    minor_collections = Obs.minor_collections ();
-    major_collections = Obs.major_collections () }
-
 (* The chunk body: serve every remaining slot in order, then retire the
    chunk, returning the instant it finished. Slots run back to back, so a
    slot starts at its predecessor's finish stamp (the first at [t_deq]).
@@ -434,16 +416,20 @@ let gc_sample () =
    unserved slots. *)
 let serve_chunk t shard (c : chunk) t_deq =
   shard.current <- Some c;
-  let gc0 =
-    if t.telemetry || Option.is_some t.tracing then Some (gc_sample ())
-    else None
-  in
-  let clock = ref t_deq in
+  (* The GC figures the chunk is bracketed with: the serving domain's own
+     allocation (major words include promotions) and the process-wide
+     collection counts — allocation-free reads cheap enough for every
+     request, unlike [Gc.quick_stat], kept in unboxed locals. *)
+  let gc_on = t.telemetry || Option.is_some t.tracing in
+  let minor0 = if gc_on then Gc.minor_words () else 0.0 in
+  let major0 = if gc_on then Obs.major_words () else 0.0 in
+  let minor_c0 = if gc_on then Obs.minor_collections () else 0 in
+  let major_c0 = if gc_on then Obs.major_collections () else 0 in
   while c.c_cursor < c.c_hi do
     let slot = c.c_cursor in
     let seq = c.c_seq_base + slot in
     let query = c.c_queries.(slot) in
-    let t_slot = !clock in
+    let t_slot = if slot = c.c_base then t_deq else c.c_fin.(slot - 1) in
     c.c_deq.(slot) <- t_slot;
     let result =
       if is_quarantined t query then
@@ -479,33 +465,27 @@ let serve_chunk t shard (c : chunk) t_deq =
     (* Lock-free reply write, straight into the submission-order slot;
        for a queued batch the monitor in [complete_chunk] publishes it. *)
     c.c_results.(slot) <- Some result;
-    clock := Obs.now_mono ();
-    c.c_fin.(slot) <- !clock;
+    c.c_fin.(slot) <- Obs.now_mono ();
     c.c_cursor <- slot + 1
   done;
-  let t_fin = !clock in
+  let t_fin = c.c_fin.(c.c_hi - 1) in
   shard.busy_s <- shard.busy_s +. (t_fin -. t_deq);
   shard.last_served_at <- t_fin;
-  (match gc0 with
-   | None -> ()
-   | Some gc0 ->
-     let gc1 = gc_sample () in
-     Obs.add shard.gc_minor_words
-       (int_of_float (gc1.minor_words -. gc0.minor_words));
-     Obs.add shard.gc_major_words
-       (int_of_float (gc1.major_words -. gc0.major_words));
-     Obs.add shard.gc_minor_collections
-       (gc1.minor_collections - gc0.minor_collections);
-     Obs.add shard.gc_major_collections
-       (gc1.major_collections - gc0.major_collections);
-     match (t.tracing, shard.tbuf) with
-     | Some tg, Some tb ->
-       let ts = Obs.Trace.rel tg.tr t_fin in
-       Obs.Trace.counter tb ~name:tg.names.n_gc_minor_words ~ts
-         ~value:gc1.minor_words;
-       Obs.Trace.counter tb ~name:tg.names.n_gc_major_words ~ts
-         ~value:gc1.major_words
-     | _ -> ());
+  if gc_on then begin
+    let minor1 = Gc.minor_words () and major1 = Obs.major_words () in
+    Obs.add shard.gc_minor_words (int_of_float (minor1 -. minor0));
+    Obs.add shard.gc_major_words (int_of_float (major1 -. major0));
+    Obs.add shard.gc_minor_collections
+      (Obs.minor_collections () - minor_c0);
+    Obs.add shard.gc_major_collections
+      (Obs.major_collections () - major_c0);
+    match (t.tracing, shard.tbuf) with
+    | Some tg, Some tb ->
+      let ts = Obs.Trace.rel tg.tr t_fin in
+      Obs.Trace.counter tb ~name:tg.names.n_gc_minor_words ~ts ~value:minor1;
+      Obs.Trace.counter tb ~name:tg.names.n_gc_major_words ~ts ~value:major1
+    | _ -> ()
+  end;
   (match (t.tracing, shard.tbuf) with
    | Some tg, Some tb ->
      let ts = Obs.Trace.rel tg.tr t_deq in
@@ -708,6 +688,8 @@ let shard_cache_counters t =
 let closed_error () =
   Core.Error.make Core.Error.Internal "the pool has been shut down"
 
+(* The closure a caller passes is allocated even when tracing is off, so
+   the per-request callers in [run_batch] test [traced] first. *)
 let with_coord tracing f =
   match tracing with
   | None -> ()
@@ -825,14 +807,15 @@ let run_batch t queries =
             Array.map
               (fun (lo, hi) ->
                 let id = seq_base + lo in
-                with_coord t.tracing (fun tg ->
-                    let ts = Obs.Trace.rel tg.tr c_enq in
-                    Obs.Trace.instant tg.coord ~name:tg.names.n_chunk_dispatch
-                      ~ts;
-                    Obs.Trace.flow_start tg.coord ~name:tg.names.n_query ~ts
-                      ~id;
-                    Obs.Trace.async_begin tg.coord ~name:tg.names.n_queue_wait
-                      ~ts ~id);
+                if traced then
+                  with_coord t.tracing (fun tg ->
+                      let ts = Obs.Trace.rel tg.tr c_enq in
+                      Obs.Trace.instant tg.coord
+                        ~name:tg.names.n_chunk_dispatch ~ts;
+                      Obs.Trace.flow_start tg.coord ~name:tg.names.n_query ~ts
+                        ~id;
+                      Obs.Trace.async_begin tg.coord
+                        ~name:tg.names.n_queue_wait ~ts ~id);
                 { c_queries = queries;
                   c_results = results;
                   c_deq = deq;
@@ -847,18 +830,22 @@ let run_batch t queries =
           in
           if queued then flows := submit_queued t chunks
           else
-            ignore
-              (Array.fold_left
-                 (fun clock c ->
-                   flows := (seq_base + c.c_base) :: !flows;
-                   serve_inline t c ~t_deq:clock)
-                 c_enq chunks
-                : float)
+            (* Back to back: each chunk starts when its predecessor's last
+               slot finished. *)
+            for i = 0 to Array.length chunks - 1 do
+              let c = chunks.(i) in
+              if traced then flows := (seq_base + c.c_base) :: !flows;
+              ignore
+                (serve_inline t c
+                   ~t_deq:(if i = 0 then c_enq else fin.(c.c_base - 1))
+                  : float)
+            done
         end;
-        with_coord t.tracing (fun tg ->
-            Obs.Trace.complete tg.coord ~name:tg.names.n_batch_submit
-              ~ts:(Obs.Trace.rel tg.tr t_sub0)
-              ~dur:(Obs.now_mono () -. t_sub0)));
+        if traced then
+          with_coord t.tracing (fun tg ->
+              Obs.Trace.complete tg.coord ~name:tg.names.n_batch_submit
+                ~ts:(Obs.Trace.rel tg.tr t_sub0)
+                ~dur:(Obs.now_mono () -. t_sub0)));
     if queued then
       Mutex.protect t.monitor (fun () ->
           while parent.remaining > 0 do
@@ -872,17 +859,18 @@ let run_batch t queries =
           | None -> Error (closed_error ()))
         results
     in
-    with_coord t.tracing (fun tg ->
-        let t_done = Obs.now_mono () in
-        let ts0 = Obs.Trace.rel tg.tr t_gather0 in
-        let dur = Float.max 1e-9 (t_done -. t_gather0) in
-        List.iter
-          (fun id ->
-            Obs.Trace.flow_end tg.coord ~name:tg.names.n_query
-              ~ts:(ts0 +. (dur /. 2.0)) ~id)
-          !flows;
-        Obs.Trace.complete tg.coord ~name:tg.names.n_batch_gather ~ts:ts0
-          ~dur);
+    if traced then
+      with_coord t.tracing (fun tg ->
+          let t_done = Obs.now_mono () in
+          let ts0 = Obs.Trace.rel tg.tr t_gather0 in
+          let dur = Float.max 1e-9 (t_done -. t_gather0) in
+          List.iter
+            (fun id ->
+              Obs.Trace.flow_end tg.coord ~name:tg.names.n_query
+                ~ts:(ts0 +. (dur /. 2.0)) ~id)
+            !flows;
+          Obs.Trace.complete tg.coord ~name:tg.names.n_batch_gather ~ts:ts0
+            ~dur);
     (out, parent.admitted_at, deq, fin)
   end
 
@@ -1088,8 +1076,7 @@ let feedback t query ~actual =
     with_drained ~verb:`Feedback t @@ fun () ->
     drain_audits_locked t;
     let t0 = Obs.now_mono () in
-    let cast = Canonical.canonicalize ast in
-    let key = Canonical.of_ast cast in
+    let cast, key = Canonical.normal_form ast in
     let canonicalize_s = Obs.now_mono () -. t0 in
     let t1 = Obs.now_mono () in
     match feedback_estimate t key cast with
@@ -1127,8 +1114,7 @@ let explain t query =
   | Error e -> Error e
   | Ok ast ->
     with_drained ~verb:`Explain t @@ fun () ->
-    let cast = Canonical.canonicalize ast in
-    let key = Canonical.of_ast cast in
+    let cast, key = Canonical.normal_form ast in
     let cached =
       Array.exists
         (fun (s : shard) -> Lru_cache.mem s.cache key.Canonical.text)

@@ -344,6 +344,21 @@ let use t name =
       | Error e -> Error e
       | Ok tenant -> ensure_resident_locked t tenant)
 
+(* LOAD: register and page in under one hold of the mutex. A tenant whose
+   first page-in fails is unregistered again, so the name stays free. *)
+let load t ~name ~path =
+  Mutex.protect t.mutex (fun () ->
+      match register_locked t ~name ~path with
+      | Error e -> Error e
+      | Ok () ->
+        let tenant = Hashtbl.find t.table name in
+        (match ensure_resident_locked t tenant with
+         | Error e ->
+           Hashtbl.remove t.table name;
+           Error e
+         | Ok _ ->
+           Ok (match tenant.state with Some r -> r.syn_bytes | None -> 0)))
+
 let evict t name =
   Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.table name with
@@ -535,19 +550,9 @@ let extra s verb rest =
        | Some i ->
          let name = String.sub rest 0 i in
          let path = String.trim (String.sub rest i (String.length rest - i)) in
-         (match register s.registry ~name ~path with
+         (match load s.registry ~name ~path with
           | Error e -> Serve.err e
-          | Ok () ->
-            (match use s.registry name with
-             | Error e -> Serve.err e
-             | Ok _ ->
-               let bytes =
-                 Mutex.protect s.registry.mutex (fun () ->
-                     match Hashtbl.find_opt s.registry.table name with
-                     | Some { state = Some r; _ } -> r.syn_bytes
-                     | _ -> 0)
-               in
-               Printf.sprintf "OK %s loaded %d" name bytes)))
+          | Ok bytes -> Printf.sprintf "OK %s loaded %d" name bytes))
   | "TENANTS" ->
     Some
       (if String.trim rest <> "" then

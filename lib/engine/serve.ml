@@ -88,9 +88,14 @@ let chop_trailing_newline s =
   let n = String.length s in
   if n > 0 && s.[n - 1] = '\n' then String.sub s 0 (n - 1) else s
 
+(* Printf's [%.2f] is this primitive; calling it directly skips the
+   format interpreter and prints the same bytes. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let estimate_line = function
   | Ok { value; status } ->
-    Printf.sprintf "OK %.2f %s" value (Core.Explain.cache_status_name status)
+    String.concat " "
+      [ "OK"; format_float "%.2f" value; Core.Explain.cache_status_name status ]
   | Error e -> err e
 
 (* A BATCH payload line is an ESTIMATE request; the verb itself is optional

@@ -122,6 +122,10 @@ val err : Core.Error.t -> string
 val malformed : ('a, Format.formatter, unit, string) format4 -> 'a
 (** {!err} of a [Malformed_query] error with a formatted message. *)
 
+val estimate_line : (estimate_reply, Core.Error.t) result -> string
+(** One [ESTIMATE] reply (or [BATCH] slot): [OK <value> <hit|miss>], the
+    value printed as [Printf]'s [%.2f] prints it, or {!err}. *)
+
 val nearest_rank : float array -> float -> float
 (** [nearest_rank samples p] is the sample of rank [round (p * (n-1))]
     in a sorted copy of [samples] (sorted once per [nearest_rank

@@ -25,11 +25,13 @@ type conn = {
   fd : Unix.file_descr;
   mutable rbuf : Bytes.t;
   mutable rlen : int;
-  wbuf : Buffer.t;  (* encoded response frames awaiting the socket *)
+  mutable wbuf : Bytes.t;  (* encoded response frames awaiting the socket *)
   mutable woff : int;  (* bytes of [wbuf] already written *)
+  mutable wlen : int;  (* bytes of [wbuf] filled *)
   mutable last_activity : float;
   mutable greeted : bool;  (* HELLO accepted; requests allowed *)
   mutable closing : bool;  (* drain [wbuf], then close *)
+  mutable closed : bool;  (* fd closed, dropped from [conns] *)
   mutable close_deadline : float;  (* give up draining after this *)
   server : Engine.Serve.server;
   extra : string -> string -> string option;
@@ -44,6 +46,7 @@ type t = {
   accepted : int Atomic.t;
   refused : int Atomic.t;
   served : int Atomic.t;
+  frame : Buffer.t;  (* scratch: one response frame being encoded *)
 }
 
 (* How long a closing connection gets to drain its final ERR/response
@@ -88,6 +91,7 @@ let create config =
       accepted = Atomic.make 0;
       refused = Atomic.make 0;
       served = Atomic.make 0;
+      frame = Buffer.create 4096;
     }
   with
   | t -> Ok t
@@ -107,8 +111,34 @@ let connections_accepted t = Atomic.get t.accepted
 let connections_refused t = Atomic.get t.refused
 let frames_served t = Atomic.get t.served
 
+let pending_bytes conn = conn.wlen - conn.woff
+
+(* Reading pauses while more than a frame's worth of replies waits for the
+   socket: a client that sends and never reads cannot grow the server. *)
+let paused t conn = pending_bytes conn > t.config.max_frame_bytes
+
+(* Append one encoded frame to the write buffer. Room comes first from
+   moving the unwritten tail to the front, when at least half the buffer
+   is already written, else from doubling, so each byte is moved a bounded
+   number of times. *)
 let enqueue t conn payload =
-  Frame.encode conn.wbuf payload;
+  Buffer.clear t.frame;
+  Frame.encode t.frame payload;
+  let n = Buffer.length t.frame in
+  let cap = Bytes.length conn.wbuf in
+  if conn.wlen + n > cap then begin
+    let pending = pending_bytes conn in
+    let dst =
+      if pending + n <= cap && conn.woff >= cap / 2 then conn.wbuf
+      else Bytes.create (max (2 * cap) (pending + n))
+    in
+    Bytes.blit conn.wbuf conn.woff dst 0 pending;
+    conn.wbuf <- dst;
+    conn.woff <- 0;
+    conn.wlen <- pending
+  end;
+  Buffer.blit t.frame 0 conn.wbuf conn.wlen n;
+  conn.wlen <- conn.wlen + n;
   Atomic.incr t.served
 
 let begin_close conn now =
@@ -118,8 +148,31 @@ let begin_close conn now =
   end
 
 let close_conn t conn =
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  t.conns <- List.filter (fun c -> c != conn) t.conns
+  if not conn.closed then begin
+    conn.closed <- true;
+    (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+    t.conns <- List.filter (fun c -> c != conn) t.conns
+  end
+
+(* Write what the socket takes now, straight from the write buffer. Write
+   progress counts as activity: a paused connection whose client is
+   reading is not idle. *)
+let flush t conn now =
+  let n = pending_bytes conn in
+  if n > 0 && not conn.closed then
+    match Unix.write conn.fd conn.wbuf conn.woff n with
+    | written ->
+      if written > 0 then conn.last_activity <- now;
+      conn.woff <- conn.woff + written;
+      if conn.woff = conn.wlen then begin
+        conn.woff <- 0;
+        conn.wlen <- 0
+      end
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      ->
+      ()
+    | exception Unix.Unix_error (_, _, _) -> close_conn t conn
 
 (* One request frame -> one response payload. The frame's own lines feed
    BATCH/PROFILE payload pulls; anything left after the request answered is
@@ -158,17 +211,21 @@ let respond ?max_batch conn payload =
        | Some r -> r
        | None -> err Core.Error.Internal "request line vanished")
 
-(* Drain every complete frame out of the connection's read buffer. Framing
-   violations (oversized length field, CRC failure) poison the byte stream
-   — there is no resync point — so they answer once and close. *)
-let process_read_buffer ?max_batch ?on_request t conn now =
-  let continue = ref true in
-  while !continue && not conn.closing do
+(* Answer the complete frames in the read buffer, then write the replies
+   in the same turn. Framing violations (oversized length field, CRC
+   failure) poison the byte stream — there is no resync point — so they
+   answer once and close. Frames stop being answered while more than
+   [max_frame_bytes] of replies are unwritten; they wait in the read buffer
+   until the socket takes enough, in this turn or a later writable one. *)
+let rec serve_buffered ?max_batch ?on_request t conn now =
+  let off = ref 0 in
+  let more = ref true in  (* the buffer may still hold a complete frame *)
+  while !more && not (conn.closing || paused t conn) do
     match
-      Frame.decode ~max_payload:t.config.max_frame_bytes conn.rbuf ~off:0
-        ~len:conn.rlen
+      Frame.decode ~max_payload:t.config.max_frame_bytes conn.rbuf ~off:!off
+        ~len:(conn.rlen - !off)
     with
-    | Frame.Need_more -> continue := false
+    | Frame.Need_more -> more := false
     | Frame.Too_large n ->
       enqueue t conn
         (err Core.Error.Limit_exceeded
@@ -181,9 +238,7 @@ let process_read_buffer ?max_batch ?on_request t conn now =
            "frame CRC-32 mismatch; closing connection");
       begin_close conn now
     | Frame.Frame { payload; consumed } ->
-      let rest = conn.rlen - consumed in
-      Bytes.blit conn.rbuf consumed conn.rbuf 0 rest;
-      conn.rlen <- rest;
+      off := !off + consumed;
       if not conn.greeted then
         (match Frame.parse_hello payload with
          | Ok _ ->
@@ -196,7 +251,14 @@ let process_read_buffer ?max_batch ?on_request t conn now =
         enqueue t conn (respond ?max_batch conn payload);
         match on_request with None -> () | Some f -> f ()
       end
-  done
+  done;
+  if !off > 0 then begin
+    Bytes.blit conn.rbuf !off conn.rbuf 0 (conn.rlen - !off);
+    conn.rlen <- conn.rlen - !off
+  end;
+  flush t conn now;
+  if !more && not (conn.closed || conn.closing || paused t conn) then
+    serve_buffered ?max_batch ?on_request t conn now
 
 let handle_readable ?max_batch ?on_request t conn now =
   (* Grow the read buffer as needed; [decode] rejects oversized length
@@ -213,31 +275,11 @@ let handle_readable ?max_batch ?on_request t conn now =
   | n ->
     conn.rlen <- conn.rlen + n;
     conn.last_activity <- now;
-    process_read_buffer ?max_batch ?on_request t conn now
+    serve_buffered ?max_batch ?on_request t conn now
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
     ()
   | exception Unix.Unix_error (_, _, _) -> close_conn t conn
-
-let pending_bytes conn = Buffer.length conn.wbuf - conn.woff
-
-let handle_writable t conn =
-  let n = pending_bytes conn in
-  if n > 0 then
-    match
-      Unix.write_substring conn.fd (Buffer.sub conn.wbuf conn.woff n) 0 n
-    with
-    | written ->
-      conn.woff <- conn.woff + written;
-      if conn.woff = Buffer.length conn.wbuf then begin
-        Buffer.clear conn.wbuf;
-        conn.woff <- 0
-      end
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-      ()
-    | exception Unix.Unix_error (_, _, _) -> close_conn t conn
 
 let accept_pending t ~make_session now =
   let continue = ref true in
@@ -272,11 +314,13 @@ let accept_pending t ~make_session now =
             fd;
             rbuf = Bytes.create 65536;
             rlen = 0;
-            wbuf = Buffer.create 4096;
+            wbuf = Bytes.create 4096;
             woff = 0;
+            wlen = 0;
             last_activity = now;
             greeted = false;
             closing = false;
+            closed = false;
             close_deadline = 0.0;
             server;
             extra;
@@ -301,7 +345,8 @@ let sweep_timeouts t now =
             (err Core.Error.Timeout
                "connection idle past limit=%d ms (server --idle-timeout-ms)"
                (int_of_float (limit *. 1000.0)));
-          begin_close conn now
+          begin_close conn now;
+          flush t conn now
         end)
       t.conns
 
@@ -315,9 +360,10 @@ let sweep_closing t now =
 let shutdown t =
   (* Best-effort final flush so a drain signal still delivers queued
      responses, then close everything: no leaked fds across restarts. *)
+  let now = Unix.gettimeofday () in
   List.iter
     (fun conn ->
-      (try handle_writable t conn with _ -> ());
+      (try flush t conn now with _ -> ());
       try Unix.close conn.fd with Unix.Unix_error _ -> ())
     t.conns;
   t.conns <- [];
@@ -326,7 +372,15 @@ let shutdown t =
 let run ?on_request ?max_batch t ~make_session () =
   Fun.protect ~finally:(fun () -> shutdown t) @@ fun () ->
   while not (Atomic.get t.stop_flag) do
-    let reads = t.listen_fd :: List.map (fun c -> c.fd) t.conns in
+    (* Replies are written in the turn that made them, so the write set
+       holds only connections the socket left bytes on; a paused or
+       closing connection is not read. *)
+    let reads =
+      t.listen_fd
+      :: List.filter_map
+           (fun c -> if c.closing || paused t c then None else Some c.fd)
+           t.conns
+    in
     let writes =
       List.filter_map
         (fun c -> if pending_bytes c > 0 then Some c.fd else None)
@@ -340,17 +394,18 @@ let run ?on_request ?max_batch t ~make_session () =
         accept_pending t ~make_session now;
       (* Snapshot: handlers mutate [t.conns] as they close peers. *)
       let snapshot = t.conns in
+      (* The socket takes bytes again: write more, and once the backlog is
+         back under the bound answer the frames that waited. *)
       List.iter
         (fun conn ->
-          if List.memq conn.fd writable && List.memq conn t.conns then
-            handle_writable t conn)
+          if List.memq conn.fd writable && not conn.closed then
+            serve_buffered ?max_batch ?on_request t conn now)
         snapshot;
       List.iter
         (fun conn ->
           if
             List.memq conn.fd readable
-            && List.memq conn t.conns
-            && not conn.closing
+            && not (conn.closed || conn.closing || paused t conn)
           then handle_readable ?max_batch ?on_request t conn now)
         snapshot;
       sweep_timeouts t now;

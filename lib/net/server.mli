@@ -21,7 +21,13 @@
     (slow-loris clients) never block the loop: per-connection read/write
     buffers carry the incomplete bytes across select rounds, and a closing
     connection that cannot drain its write buffer within a grace period is
-    dropped. The loop itself never raises on client misbehaviour —
+    dropped. Replies are written in the select round that answered them;
+    only bytes the socket refused wait for a writable round. A client that
+    sends without reading cannot grow the server: while more than
+    [max_frame_bytes] of its replies are unwritten, its connection is
+    neither read nor answered, and it resumes once the socket takes them
+    (write progress also counts as activity for the idle timeout). The
+    loop itself never raises on client misbehaviour —
     malformed payload text is the {!Engine.Serve} layer's [ERR] line,
     malformed framing is this module's. *)
 
@@ -30,7 +36,9 @@ type config = {
   port : int;  (** 0 = ephemeral; read the bound port with {!port} *)
   max_connections : int;
   idle_timeout_s : float option;  (** [None] = never time out *)
-  max_frame_bytes : int;  (** per-frame payload cap *)
+  max_frame_bytes : int;
+      (** per-frame payload cap; also the unwritten-reply bytes past which
+          a connection is paused *)
 }
 
 val default_config : config
@@ -70,4 +78,5 @@ val connections_refused : t -> int
 (** Accept-time refusals under the connection cap. *)
 
 val frames_served : t -> int
-(** Response frames written (handshakes included). *)
+(** Response frames produced (handshakes included), written or still
+    waiting for the socket. *)

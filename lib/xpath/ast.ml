@@ -33,10 +33,6 @@ and compare a b = List.compare compare_step a b
 
 let equal a b = compare a b = 0
 
-let pp_test ppf = function
-  | Name n -> Format.pp_print_string ppf n
-  | Wildcard -> Format.pp_print_char ppf '*'
-
 let cmp_to_string = function
   | Eq -> "="
   | Ne -> "!="
@@ -45,46 +41,76 @@ let cmp_to_string = function
   | Gt -> ">"
   | Ge -> ">="
 
-let pp_literal ppf = function
+(* The float primitive behind Printf's [%g], without the format
+   interpreter: the same bytes. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* The one printer: concrete syntax into a buffer. [to_string] is the
+   serving engine's cache-key text, so it prints without [Format]. *)
+let add_test b = function
+  | Name n -> Buffer.add_string b n
+  | Wildcard -> Buffer.add_char b '*'
+
+let add_literal b = function
   | Number x ->
     if Float.is_integer x && Float.abs x < 1e15 then
-      Format.pp_print_int ppf (int_of_float x)
-    else Format.fprintf ppf "%g" x
-  | Text s -> Format.fprintf ppf "'%s'" s
+      Buffer.add_string b (string_of_int (int_of_float x))
+    else Buffer.add_string b (format_float "%g" x)
+  | Text s ->
+    Buffer.add_char b '\'';
+    Buffer.add_string b s;
+    Buffer.add_char b '\''
 
-let pp_value_predicate ppf { target; cmp; literal } =
+let add_value_predicate b { target; cmp; literal } =
   (match target with
-   | Child_text n -> Format.pp_print_string ppf n
-   | Attribute a -> Format.fprintf ppf "@%s" a);
-  Format.pp_print_string ppf (cmp_to_string cmp);
-  pp_literal ppf literal
+   | Child_text n -> Buffer.add_string b n
+   | Attribute a ->
+     Buffer.add_char b '@';
+     Buffer.add_string b a);
+  Buffer.add_string b (cmp_to_string cmp);
+  add_literal b literal
 
-let rec pp_step ppf { axis; test; predicates; value_predicates } =
-  (match axis with
-   | Child -> Format.pp_print_string ppf "/"
-   | Descendant -> Format.pp_print_string ppf "//");
-  pp_test ppf test;
-  pp_qualifiers ppf predicates value_predicates
+let rec add_path b = function
+  | [] -> ()
+  | { axis; test; predicates; value_predicates } :: rest ->
+    Buffer.add_string b (match axis with Child -> "/" | Descendant -> "//");
+    add_test b test;
+    add_qualifiers b predicates value_predicates;
+    add_path b rest
 
-and pp_qualifiers ppf predicates value_predicates =
-  List.iter (fun p -> Format.fprintf ppf "[%a]" pp_relative p) predicates;
-  List.iter (fun v -> Format.fprintf ppf "[%a]" pp_value_predicate v) value_predicates
+(* Structural predicates, then value predicates, each in brackets. *)
+and add_qualifiers b predicates value_predicates =
+  match (predicates, value_predicates) with
+  | [], [] -> ()
+  | p :: ps, vs ->
+    Buffer.add_char b '[';
+    add_relative b p;
+    Buffer.add_char b ']';
+    add_qualifiers b ps vs
+  | [], v :: vs ->
+    Buffer.add_char b '[';
+    add_value_predicate b v;
+    Buffer.add_char b ']';
+    add_qualifiers b [] vs
 
-and pp ppf path = List.iter (pp_step ppf) path
-
-and pp_relative ppf = function
+and add_relative b = function
   | [] -> ()
   | first :: rest ->
     (* Inside a predicate a leading child axis is implicit; a leading
        descendant axis is written [.//], XPath style. *)
     (match first.axis with
      | Child -> ()
-     | Descendant -> Format.pp_print_string ppf ".//");
-    pp_test ppf first.test;
-    pp_qualifiers ppf first.predicates first.value_predicates;
-    pp ppf rest
+     | Descendant -> Buffer.add_string b ".//");
+    add_test b first.test;
+    add_qualifiers b first.predicates first.value_predicates;
+    add_path b rest
 
-let to_string path = Format.asprintf "%a" pp path
+let to_string path =
+  let b = Buffer.create 64 in
+  add_path b path;
+  Buffer.contents b
+
+let pp ppf path = Format.pp_print_string ppf (to_string path)
 
 let rec steps path =
   List.fold_left

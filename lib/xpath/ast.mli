@@ -38,10 +38,15 @@ and t = step list
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val pp : Format.formatter -> t -> unit
-(** Prints in XPath concrete syntax, e.g. [//regions/australia/item[shipping]/location]. *)
-
 val to_string : t -> string
+(** XPath concrete syntax, e.g. [//regions/australia/item[shipping]/location]:
+    name and wildcard tests, structural predicates before value predicates,
+    an integral literal below 1e15 as an integer and any other number as
+    [%g]. Printed into a [Buffer], without [Format]; it is the serving
+    engine's cache-key text. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}'s text. *)
 
 val steps : t -> int
 (** Number of location steps, including steps inside predicates. *)

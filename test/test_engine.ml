@@ -71,10 +71,12 @@ let gen_ast : Xpath.Ast.t QCheck.arbitrary =
   make ~print:Xpath.Ast.to_string (fun rand ->
       gen_path 0 (1 + Gen.int_bound 3 rand) rand)
 
+(* Idempotent, and a normal form comes back as the very same value (the
+   serving path relies on it not being copied). *)
 let prop_canonical_idempotent =
   QCheck.Test.make ~count:500 ~name:"canonicalize idempotent" gen_ast (fun q ->
       let c = Engine.Canonical.canonicalize q in
-      Xpath.Ast.equal (Engine.Canonical.canonicalize c) c)
+      Engine.Canonical.canonicalize c == c)
 
 (* pp/parse round trips land on the same key as the original AST. *)
 let prop_canonical_round_trip =
@@ -98,6 +100,53 @@ let prop_canonical_predicate_order =
     (fun q ->
       Engine.Canonical.equal (Engine.Canonical.of_ast q)
         (Engine.Canonical.of_ast (rev_preds q)))
+
+(* The cache key's bytes and hash, pinned: a digest of every key over
+   generated XMark and Treebank BP/CP queries, XMark value queries, and
+   hand-written value predicates whose literals are non-integer, negative,
+   or too large to print as integers. Any change to the canonical form,
+   the printer or the hash moves the digest (and every warm cache, journal
+   replay and flight record with it). *)
+let canonical_golden_queries () =
+  let draw doc =
+    let pt = Pathtree.Path_tree.of_string doc in
+    let rng = Datagen.Rng.create ~seed:11 in
+    Datagen.Workload.branching pt ~rng ~count:150 ~mbp:2 ()
+    @ Datagen.Workload.complex pt ~rng ~count:150 ~mbp:2 ()
+  in
+  let xmark = Datagen.Xmark.generate ~seed:3 ~items:40 () in
+  let valued =
+    Datagen.Workload.valued
+      (Pathtree.Path_tree.of_string xmark)
+      ~storage:(Nok.Storage.of_string ~with_values:true xmark)
+      ~rng:(Datagen.Rng.create ~seed:13) ~count:60 ()
+  in
+  let literals =
+    List.map Xpath.Parser.parse
+      [ "//item[price>2.675]";
+        "//open_auction[initial<=0.5][bidder]/current";
+        "//person[@income>=-12.25]/name";
+        "/site//item[quantity!=1][location='United States']";
+        "//a[b>1000000000000000][c<999999999999999]";
+        "//a[b<123456.789][@x=0.1][@y=\"q\"]";
+        "//a[b=-0][c>-3]" ]
+  in
+  draw xmark
+  @ draw (Datagen.Treebank.generate ~seed:5 ~sentences:120 ())
+  @ valued @ literals
+
+let test_canonical_golden () =
+  let queries = canonical_golden_queries () in
+  let lines =
+    List.map
+      (fun q ->
+        let k = Engine.Canonical.of_ast q in
+        Printf.sprintf "%s\t%d\n" k.Engine.Canonical.text k.Engine.Canonical.hash)
+      queries
+  in
+  checki "query count" 667 (List.length queries);
+  checks "canonical keys digest" "86ec5f31d6c085e4c5fc12c0afc86aa3"
+    (Digest.to_hex (Digest.string (String.concat "" lines)))
 
 (* ------------------------------------------------------------------ *)
 (* LRU cache *)
@@ -750,6 +799,56 @@ let test_engine_tracing () =
              evs))
    | _ -> Alcotest.fail "traceEvents missing")
 
+(* Allocation per served cache hit, in the style of test_estimator's
+   per-estimate budget. An ESTIMATE that hits the shard cache parses the
+   query, prints and hashes its canonical key once, records its flight
+   record and renders the reply; a hit whose key went through [Format]
+   cost ~1,400 words. XMark BP/CP queries through a one-worker pool with
+   telemetry on, as [xseed serve] runs it. *)
+let hit_words_budget = 700.0
+
+let test_protocol_hit_allocation () =
+  let doc = Datagen.Xmark.generate ~seed:5 ~items:40 () in
+  let pool =
+    Engine.Pool.create ~workers:1
+      (Core.Synopsis.estimator (Core.Synopsis.build doc))
+  in
+  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
+  let server = Engine.Pool.server pool in
+  let pt = Pathtree.Path_tree.of_string doc in
+  let rng = Datagen.Rng.create ~seed:9 in
+  let lines =
+    List.map
+      (fun q -> "ESTIMATE " ^ Xpath.Ast.to_string q)
+      (Datagen.Workload.branching pt ~rng ~count:40 ~mbp:2 ()
+      @ Datagen.Workload.complex pt ~rng ~count:40 ~mbp:2 ())
+  in
+  let read_line () = None in
+  let serve_all () =
+    List.iter
+      (fun l -> ignore (Engine.Serve.handle_request server ~read_line l))
+      lines
+  in
+  serve_all ();  (* warm: every query is cached from here on *)
+  List.iter
+    (fun l ->
+      match Engine.Serve.handle_request server ~read_line l with
+      | Some r when String.ends_with ~suffix:" hit" r -> ()
+      | r -> Alcotest.failf "%s: expected a hit, got %s" l (Option.value r ~default:"nothing"))
+    lines;
+  let rounds = 10 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    serve_all ()
+  done;
+  let words =
+    (Gc.minor_words () -. w0) /. float_of_int (rounds * List.length lines)
+  in
+  checkb
+    (Printf.sprintf "%.0f words per served hit, budget %.0f" words
+       hit_words_budget)
+    true (words < hit_words_budget)
+
 (* ------------------------------------------------------------------ *)
 (* The pool behind the same protocol (--workers N). Exact estimate values
    are deterministic across workers; cache statuses are not (they depend on
@@ -1050,6 +1149,30 @@ let test_protocol_recent_and_drift () =
 
 (* ------------------------------------------------------------------ *)
 
+(* The ESTIMATE reply renderer prints what [Printf]'s "%.2f" prints, byte
+   for byte: random finite non-negative floats over the whole exponent
+   range, and the values where rounding or width could differ. *)
+let prop_estimate_line_bytes =
+  let open QCheck in
+  let gen_value =
+    Gen.(
+      frequency
+        [ (1, oneofl [ 0.0; -0.0; 2.675; 1e15; max_float ]);
+          ( 6,
+            map2
+              (fun m e -> Float.ldexp m e)
+              (float_range 0.0 1.0) (int_range (-1074) 1023) );
+          (3, float_range 0.0 1e6) ])
+  in
+  let gen_status = Gen.oneofl [ Core.Explain.Hit; Core.Explain.Miss ] in
+  Test.make ~count:2000 ~name:"estimate reply bytes = Printf %.2f"
+    (make ~print:(fun (v, _) -> Printf.sprintf "%h" v) (Gen.pair gen_value gen_status))
+    (fun (value, status) ->
+      String.equal
+        (Engine.Serve.estimate_line (Ok { Engine.Serve.value; status }))
+        (Printf.sprintf "OK %.2f %s" value
+           (Core.Explain.cache_status_name status)))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_canonical_idempotent; prop_canonical_round_trip;
@@ -1061,6 +1184,7 @@ let () =
         Alcotest.test_case "equivalent spellings" `Quick
           test_canonical_equivalent
         :: Alcotest.test_case "distinct queries" `Quick test_canonical_distinct
+        :: Alcotest.test_case "key golden" `Quick test_canonical_golden
         :: props );
       ( "lru",
         [ Alcotest.test_case "capacity + eviction order" `Quick
@@ -1096,7 +1220,10 @@ let () =
           Alcotest.test_case "PROFILE framing" `Quick test_protocol_profile;
           Alcotest.test_case "engine tracing" `Quick test_engine_tracing;
           Alcotest.test_case "pool server (--workers)" `Quick
-            test_protocol_pool ] );
+            test_protocol_pool;
+          Alcotest.test_case "cache-hit allocation budget" `Quick
+            test_protocol_hit_allocation;
+          QCheck_alcotest.to_alcotest prop_estimate_line_bytes ] );
       ( "telemetry",
         [ Alcotest.test_case "flight recorder ring" `Quick
             test_flight_recorder_ring;

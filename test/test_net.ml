@@ -241,6 +241,88 @@ let test_framing_violations_close () =
   checkb "CRC violation answered then closed" true
     (contains ~needle:"CRC-32 mismatch" replies)
 
+(* A client that sends and never reads cannot grow the server. Past
+   max_frame_bytes of unwritten replies the server stops answering that
+   connection, so frames_served stalls below the frames sent, and it goes
+   on serving others; once the client reads, every reply arrives, in
+   order. Each large reply (METRICS) is followed by a numbered marker, an
+   unknown verb that its ERR line echoes. *)
+let test_unread_replies_bounded () =
+  let config =
+    { Net.Server.default_config with Net.Server.max_frame_bytes = 4096 }
+  in
+  with_server ~config @@ fun srv port ->
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let pairs = 2000 in
+  let requests =
+    Net.Frame.hello
+    :: List.concat
+         (List.init pairs (fun i -> [ "METRICS"; Printf.sprintf "MARK%d" i ]))
+  in
+  let sent = List.length requests in
+  let stream = String.concat "" (List.map Net.Frame.encode_string requests) in
+  let rec send off =
+    if off < String.length stream then
+      send (off + Unix.write_substring fd stream off (String.length stream - off))
+  in
+  send 0;
+  (* Wait until the count stops moving. *)
+  let rec settle last stable =
+    Unix.sleepf 0.05;
+    let served = Net.Server.frames_served srv in
+    if served <> last then settle served 0
+    else if stable < 5 then settle served (stable + 1)
+    else served
+  in
+  let served = settle (-1) 0 in
+  checkb
+    (Printf.sprintf "answering paused: %d of %d frames served" served sent)
+    true (served < sent);
+  (let c = connect_ok port in
+   Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+   checks "another connection is served" "OK pong" (request_ok c "PING"));
+  (* Read every reply; a stalled server fails the read after 10 s. *)
+  let buf = ref (Bytes.create 65536) and len = ref 0 and off = ref 0 in
+  let replies = ref [] and count = ref 0 in
+  while !count < sent do
+    match Net.Frame.decode !buf ~off:!off ~len:(!len - !off) with
+    | Net.Frame.Frame { payload; consumed } ->
+      replies := payload :: !replies;
+      incr count;
+      off := !off + consumed
+    | Net.Frame.Need_more ->
+      if Bytes.length !buf - !len < 65536 then begin
+        let bigger = Bytes.create ((2 * Bytes.length !buf) + 65536) in
+        Bytes.blit !buf 0 bigger 0 !len;
+        buf := bigger
+      end;
+      let n = Unix.read fd !buf !len 65536 in
+      if n = 0 then Alcotest.failf "server closed after %d replies" !count;
+      len := !len + n
+    | Net.Frame.Too_large _ | Net.Frame.Crc_mismatch ->
+      Alcotest.fail "undecodable reply"
+  done;
+  match List.rev !replies with
+  | hello :: rest ->
+    checks "handshake first" Net.Frame.hello_ok hello;
+    List.iteri
+      (fun i reply ->
+        if i mod 2 = 0 then
+          checkb (Printf.sprintf "reply %d is METRICS" (i + 1)) true
+            (contains ~needle:"xseed_" reply)
+        else
+          checkb
+            (Printf.sprintf "reply %d answers MARK%d" (i + 1) (i / 2))
+            true
+            (contains ~needle:(Printf.sprintf "\"MARK%d\"" (i / 2)) reply))
+      rest
+  | [] -> Alcotest.fail "no replies"
+
 let () =
   Alcotest.run "net"
     [ ( "frame",
@@ -255,5 +337,7 @@ let () =
           Alcotest.test_case "connection cap" `Quick test_connection_cap;
           Alcotest.test_case "idle timeout" `Quick test_idle_timeout;
           Alcotest.test_case "framing violations close" `Quick
-            test_framing_violations_close ] )
+            test_framing_violations_close;
+          Alcotest.test_case "unread replies bounded" `Quick
+            test_unread_replies_bounded ] )
     ]

@@ -451,6 +451,26 @@ let test_load_corrupt_synopsis () =
     (req session (Printf.sprintf "LOAD broken %s" path));
   Engine.Registry.close reg
 
+(* A LOAD whose page-in fails leaves no tenant behind: the name is free
+   for a LOAD of a good synopsis. *)
+let test_failed_load_unregisters () =
+  let dir, tenants = fixture_dir () in
+  let _, good, _ = List.hd tenants in
+  let corrupt = Filename.concat dir "corrupt.syn" in
+  write_file corrupt "not a synopsis\n";
+  let reg = registry_of tenants in
+  let session = Engine.Registry.session reg in
+  checkb "LOAD of a corrupt synopsis fails" true
+    (String.starts_with ~prefix:"ERR corrupt-synopsis "
+       (req session (Printf.sprintf "LOAD broken %s" corrupt)));
+  checks "TENANTS does not list it"
+    "OK 3\ndblp paged-out\npaper paged-out\nxmark paged-out"
+    (req session "TENANTS");
+  checks "the name loads a good synopsis"
+    (Printf.sprintf "OK broken loaded %d" (size_of tenants "paper"))
+    (req session (Printf.sprintf "LOAD broken %s" good));
+  Engine.Registry.close reg
+
 (* ------------------------------------------------------------------ *)
 (* Tenant-labeled metrics: deterministic scrapes *)
 
@@ -580,7 +600,9 @@ let () =
         [ Alcotest.test_case "USE/LOAD/TENANTS session" `Quick
             test_session_protocol;
           Alcotest.test_case "LOAD of a corrupt synopsis" `Quick
-            test_load_corrupt_synopsis ] );
+            test_load_corrupt_synopsis;
+          Alcotest.test_case "failed LOAD leaves no tenant" `Quick
+            test_failed_load_unregisters ] );
       ( "metrics",
         [ Alcotest.test_case "tenant labels, deterministic scrape" `Quick
             test_metrics_tenant_labels ] );
