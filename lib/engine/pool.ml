@@ -17,44 +17,32 @@
    (DESIGN.md §16). Shard 0 belongs to the submitting thread: only code
    holding the submission lock touches it, so it also takes the
    coordinator's writes (batch sizes; FEEDBACK, EXPLAIN, shed and audit
-   flight records). A request that fits in one chunk (every ESTIMATE, a
-   BATCH of up to [chunk_target]) or any request to a one-worker pool is
-   served whole there, with no queue, latch or wake-up. Shards 1..N-1 each
-   run on a worker domain, started by the first batch that queues a chunk,
-   and pop chunks from one shared FIFO. A multi-chunk batch queues every
-   chunk but its first; the submitter serves the first, takes back queued
-   chunks until none is left, and waits for the domains to finish the rest.
+   flight records; trace events recorded outside a chunk). A request that
+   fits in one chunk (every ESTIMATE, a BATCH of up to [chunk_target]) or
+   any request to a one-worker pool is served whole there, with no queue,
+   latch or wake-up. Shards 1..N-1 each run on a worker domain, started by
+   the first batch that queues a chunk, and pop chunks from one shared
+   FIFO. A multi-chunk batch queues every chunk but its first; the
+   submitter serves the first, takes back queued chunks until none is
+   left, and waits for the domains to finish the rest.
    Both ways run the same chunk body and crash cleanup. Replies are written
    lock-free into the batch's preallocated submission-order result array; a
    chunk of a queued batch retires once under the pool's completion
    monitor, which publishes those writes to the waiting submitter. *)
 
-(* Interned trace-event names, resolved once at create so worker hot loops
-   record integer ids only. *)
-type trace_names = {
+(* The trace session and its event names, interned once at create so the
+   serving loops record integer ids only. Each shard has its own buffer,
+   written only by the thread serving the shard, so tracing takes no
+   lock. *)
+type tracing = {
+  tr : Obs.Trace.t;
   n_execute : int;
   n_canonicalize : int;
   n_pipeline : int;
   n_queue_wait : int;
-  n_batch_submit : int;
-  n_batch_gather : int;
-  n_chunk_dispatch : int;
   n_feedback : int;
   n_explain : int;
-  n_query : int;  (* flow arrow: submit -> execute -> reassemble *)
-  n_gc_minor_words : int;
-  n_gc_major_words : int;
-}
-
-(* The coordinator buffer is written by whichever client thread is
-   submitting, gathering, or running feedback/explain, so unlike the
-   per-shard buffers it needs its own lock. Lock order: [coord_lock] is
-   only ever taken innermost (inside [submit_lock] or alone). *)
-type tracing = {
-  tr : Obs.Trace.t;
-  coord : Obs.Trace.buf;
-  coord_lock : Mutex.t;
-  names : trace_names;
+  n_query : int;  (* flow arrow: a queued chunk's admission -> its execute *)
 }
 
 type shard = {
@@ -295,10 +283,7 @@ let ept_handle t =
 let trace_stage t shard ~name ~t0 ~dur =
   match (t.tracing, shard.tbuf) with
   | Some tg, Some tb ->
-    let name =
-      if name = `Canonicalize then tg.names.n_canonicalize
-      else tg.names.n_pipeline
-    in
+    let name = if name = `Canonicalize then tg.n_canonicalize else tg.n_pipeline in
     Obs.Trace.complete tb ~name ~ts:(Obs.Trace.rel tg.tr t0) ~dur
   | _ -> ()
 
@@ -386,8 +371,7 @@ let complete_chunk t (c : chunk) =
   in
   if b.queued then Mutex.protect t.monitor retire else retire ()
 
-(* Taking a chunk: drop a cache made stale by a refining feedback and
-   close the chunk's queue-wait span. *)
+(* Taking a chunk: drop a cache made stale by a refining feedback. *)
 let begin_chunk t shard (c : chunk) t_deq =
   let epoch = Atomic.get t.epoch in
   if epoch <> shard.epoch_seen then begin
@@ -398,15 +382,7 @@ let begin_chunk t shard (c : chunk) t_deq =
   end;
   if t.telemetry then
     Obs.hobserve shard.queue_wait_us
-      (1e6 *. (t_deq -. c.c_parent.admitted_at));
-  match (t.tracing, shard.tbuf) with
-  | Some tg, Some tb ->
-    (* Close the queue-wait async span the submitter opened for this
-       chunk; async spans may overlap, which B/E slices on this track
-       could not. *)
-    Obs.Trace.async_end tb ~name:tg.names.n_queue_wait
-      ~ts:(Obs.Trace.rel tg.tr t_deq) ~id:(c.c_seq_base + c.c_base)
-  | _ -> ()
+      (1e6 *. (t_deq -. c.c_parent.admitted_at))
 
 (* The chunk body: serve every remaining slot in order, then retire the
    chunk, returning the instant it finished. Slots run back to back, so a
@@ -420,7 +396,7 @@ let serve_chunk t shard (c : chunk) t_deq =
      allocation (major words include promotions) and the process-wide
      collection counts — allocation-free reads cheap enough for every
      request, unlike [Gc.quick_stat], kept in unboxed locals. *)
-  let gc_on = t.telemetry || Option.is_some t.tracing in
+  let gc_on = t.telemetry in
   let minor0 = if gc_on then Gc.minor_words () else 0.0 in
   let major0 = if gc_on then Obs.major_words () else 0.0 in
   let minor_c0 = if gc_on then Obs.minor_collections () else 0 in
@@ -472,30 +448,29 @@ let serve_chunk t shard (c : chunk) t_deq =
   shard.busy_s <- shard.busy_s +. (t_fin -. t_deq);
   shard.last_served_at <- t_fin;
   if gc_on then begin
-    let minor1 = Gc.minor_words () and major1 = Obs.major_words () in
-    Obs.add shard.gc_minor_words (int_of_float (minor1 -. minor0));
-    Obs.add shard.gc_major_words (int_of_float (major1 -. major0));
+    Obs.add shard.gc_minor_words
+      (int_of_float (Gc.minor_words () -. minor0));
+    Obs.add shard.gc_major_words
+      (int_of_float (Obs.major_words () -. major0));
     Obs.add shard.gc_minor_collections
       (Obs.minor_collections () - minor_c0);
     Obs.add shard.gc_major_collections
-      (Obs.major_collections () - major_c0);
-    match (t.tracing, shard.tbuf) with
-    | Some tg, Some tb ->
-      let ts = Obs.Trace.rel tg.tr t_fin in
-      Obs.Trace.counter tb ~name:tg.names.n_gc_minor_words ~ts ~value:minor1;
-      Obs.Trace.counter tb ~name:tg.names.n_gc_major_words ~ts ~value:major1
-    | _ -> ()
+      (Obs.major_collections () - major_c0)
   end;
   (match (t.tracing, shard.tbuf) with
    | Some tg, Some tb ->
      let ts = Obs.Trace.rel tg.tr t_deq in
      let dur = t_fin -. t_deq in
-     Obs.Trace.complete_seq tb ~name:tg.names.n_execute ~ts ~dur
-       ~seq:(c.c_seq_base + c.c_base);
-     (* The flow arrow touches down mid-slice so Perfetto anchors it
-        inside the execute slice rather than on its edge. *)
-     Obs.Trace.flow_step tb ~name:tg.names.n_query
-       ~ts:(ts +. (dur /. 2.0)) ~id:(c.c_seq_base + c.c_base)
+     let id = c.c_seq_base + c.c_base in
+     Obs.Trace.complete_seq tb ~name:tg.n_execute ~ts ~dur ~seq:id;
+     (* Every chunk of a queued batch but the first went through the
+        queue: close the queue-wait span the submitter opened at
+        admission, and land the flow arrow mid-slice so Perfetto binds it
+        to this execute slice rather than its edge. *)
+     if c.c_parent.queued && c.c_base > 0 then begin
+       Obs.Trace.async_end tb ~name:tg.n_queue_wait ~ts ~id;
+       Obs.Trace.flow_end tb ~name:tg.n_query ~ts:(ts +. (dur /. 2.0)) ~id
+     end
    | _ -> ());
   complete_chunk t c;
   shard.current <- None;
@@ -582,21 +557,13 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
     Option.map
       (fun tr ->
         { tr;
-          coord = Obs.Trace.register tr ~tid:0 ~name:"coordinator";
-          coord_lock = Mutex.create ();
-          names =
-            { n_execute = Obs.Trace.intern tr "execute";
-              n_canonicalize = Obs.Trace.intern tr "canonicalize";
-              n_pipeline = Obs.Trace.intern tr "pipeline";
-              n_queue_wait = Obs.Trace.intern tr "queue_wait";
-              n_batch_submit = Obs.Trace.intern tr "batch_submit";
-              n_batch_gather = Obs.Trace.intern tr "batch_gather";
-              n_chunk_dispatch = Obs.Trace.intern tr "chunk_dispatch";
-              n_feedback = Obs.Trace.intern tr "feedback";
-              n_explain = Obs.Trace.intern tr "explain";
-              n_query = Obs.Trace.intern tr "query";
-              n_gc_minor_words = Obs.Trace.intern tr "gc.minor_words";
-              n_gc_major_words = Obs.Trace.intern tr "gc.major_words" } })
+          n_execute = Obs.Trace.intern tr "execute";
+          n_canonicalize = Obs.Trace.intern tr "canonicalize";
+          n_pipeline = Obs.Trace.intern tr "pipeline";
+          n_queue_wait = Obs.Trace.intern tr "queue_wait";
+          n_feedback = Obs.Trace.intern tr "feedback";
+          n_explain = Obs.Trace.intern tr "explain";
+          n_query = Obs.Trace.intern tr "query" })
       trace
   in
   let shards =
@@ -688,13 +655,6 @@ let shard_cache_counters t =
 let closed_error () =
   Core.Error.make Core.Error.Internal "the pool has been shut down"
 
-(* The closure a caller passes is allocated even when tracing is off, so
-   the per-request callers in [run_batch] test [traced] first. *)
-let with_coord tracing f =
-  match tracing with
-  | None -> ()
-  | Some tg -> Mutex.protect tg.coord_lock (fun () -> f tg)
-
 (* Worker domains start with the first batch that queues a chunk, one per
    shard 1..N-1, and run until [shutdown]. Until then a pool of any width
    runs no domain beside its callers: every OCaml 5 minor collection stops
@@ -725,13 +685,6 @@ let refuse t (c : chunk) refusal =
     in
     c.c_results.(slot) <- Some (Error error)
   done;
-  (* Nobody will ever dequeue it: close its queue-wait span and terminate
-     its flow so the trace still lints. *)
-  let id = c.c_seq_base + c.c_base in
-  with_coord t.tracing (fun tg ->
-      let ts = Obs.Trace.now tg.tr in
-      Obs.Trace.async_end tg.coord ~name:tg.names.n_queue_wait ~ts ~id;
-      Obs.Trace.flow_end tg.coord ~name:tg.names.n_query ~ts ~id);
   complete_chunk t c
 
 (* A multi-chunk batch at N >= 2: queue every chunk but the first, serve the
@@ -739,12 +692,14 @@ let refuse t (c : chunk) refusal =
    queue is empty; the domains serve what they popped. Only queued chunks
    can be shed. Every chunk of the batch counts as in flight until it
    completes, so a drain also waits for the domains' share. Callers hold
-   [submit_lock]; returns the admitted chunks' flow ids. *)
+   [submit_lock], which owns shard 0's trace buffer: an admitted chunk's
+   [query] flow and [queue_wait] span start there, at admission, and end
+   in the [execute] slice that serves it. A refused chunk never entered
+   the queue and records nothing. *)
 let submit_queued t (chunks : chunk array) =
   start_domains t;
   Mutex.protect t.monitor (fun () ->
       t.inflight <- t.inflight + Array.length chunks);
-  let flows = ref [ chunks.(0).c_seq_base + chunks.(0).c_base ] in
   for i = 1 to Array.length chunks - 1 do
     let c = chunks.(i) in
     let admitted =
@@ -752,28 +707,27 @@ let submit_queued t (chunks : chunk array) =
       | `Block -> if Work_queue.push t.queue c then `Ok else `Closed
       | `Shed_newest -> Work_queue.try_push t.queue c
     in
-    match admitted with
-    | `Ok -> flows := (c.c_seq_base + c.c_base) :: !flows
-    | (`Closed | `Full) as refusal -> refuse t c refusal
+    match (admitted, t.tracing, t.shards.(0).tbuf) with
+    | `Ok, Some tg, Some tb ->
+      let ts = Obs.Trace.rel tg.tr c.c_parent.admitted_at
+      and id = c.c_seq_base + c.c_base in
+      Obs.Trace.flow_start tb ~name:tg.n_query ~ts ~id;
+      Obs.Trace.async_begin tb ~name:tg.n_queue_wait ~ts ~id
+    | `Ok, _, _ -> ()
+    | ((`Closed | `Full) as refusal), _, _ -> refuse t c refusal
   done;
   let rec take_back clock =
     match Work_queue.try_pop t.queue with
     | Some c -> take_back (serve_inline t c ~t_deq:clock)
     | None -> ()
   in
-  take_back (serve_inline t chunks.(0) ~t_deq:(Obs.now_mono ()));
-  !flows
+  take_back (serve_inline t chunks.(0) ~t_deq:(Obs.now_mono ()))
 
 (* Submit a batch and wait for all of it; replies land in the preallocated
    submission-order result array regardless of which shard served which
    slot. Returns the raw results, the batch's admission instant and the
    per-slot dequeue/finish stamp arrays (for PROFILE; refused slots keep
-   zero stamps).
-
-   When tracing, the coordinator track shows a [batch_submit] slice with,
-   per chunk, a [chunk_dispatch] instant, a flow start and a queue-wait
-   async-begin, and a [batch_gather] slice where every chunk's flow arrow
-   lands. *)
+   zero stamps). *)
 let run_batch t queries =
   let queries = Array.of_list queries in
   let n = Array.length queries in
@@ -786,9 +740,6 @@ let run_batch t queries =
     let deq = Array.make n 0.0 in
     let fin = Array.make n 0.0 in
     let parent = { remaining = n; queued; admitted_at = 0.0 } in
-    let flows = ref [] in  (* admitted chunk flow ids, ended at gather *)
-    let traced = Option.is_some t.tracing in
-    let t_sub0 = if traced then Obs.now_mono () else 0.0 in
     Mutex.protect t.submit_lock (fun () ->
         if t.telemetry then Obs.hobserve t.batch_chunk (float_of_int n);
         let seq_base = t.next_seq in
@@ -806,16 +757,6 @@ let run_batch t queries =
           let chunks =
             Array.map
               (fun (lo, hi) ->
-                let id = seq_base + lo in
-                if traced then
-                  with_coord t.tracing (fun tg ->
-                      let ts = Obs.Trace.rel tg.tr c_enq in
-                      Obs.Trace.instant tg.coord
-                        ~name:tg.names.n_chunk_dispatch ~ts;
-                      Obs.Trace.flow_start tg.coord ~name:tg.names.n_query ~ts
-                        ~id;
-                      Obs.Trace.async_begin tg.coord
-                        ~name:tg.names.n_queue_wait ~ts ~id);
                 { c_queries = queries;
                   c_results = results;
                   c_deq = deq;
@@ -828,30 +769,23 @@ let run_batch t queries =
                   c_done = false })
               (plan_chunks ~n ~workers:(if queued then workers t else 1))
           in
-          if queued then flows := submit_queued t chunks
+          if queued then submit_queued t chunks
           else
             (* Back to back: each chunk starts when its predecessor's last
                slot finished. *)
             for i = 0 to Array.length chunks - 1 do
               let c = chunks.(i) in
-              if traced then flows := (seq_base + c.c_base) :: !flows;
               ignore
                 (serve_inline t c
                    ~t_deq:(if i = 0 then c_enq else fin.(c.c_base - 1))
                   : float)
             done
-        end;
-        if traced then
-          with_coord t.tracing (fun tg ->
-              Obs.Trace.complete tg.coord ~name:tg.names.n_batch_submit
-                ~ts:(Obs.Trace.rel tg.tr t_sub0)
-                ~dur:(Obs.now_mono () -. t_sub0)));
+        end);
     if queued then
       Mutex.protect t.monitor (fun () ->
           while parent.remaining > 0 do
             Condition.wait t.retired t.monitor
           done);
-    let t_gather0 = if traced then Obs.now_mono () else 0.0 in
     let out =
       Array.map
         (function
@@ -859,18 +793,6 @@ let run_batch t queries =
           | None -> Error (closed_error ()))
         results
     in
-    if traced then
-      with_coord t.tracing (fun tg ->
-          let t_done = Obs.now_mono () in
-          let ts0 = Obs.Trace.rel tg.tr t_gather0 in
-          let dur = Float.max 1e-9 (t_done -. t_gather0) in
-          List.iter
-            (fun id ->
-              Obs.Trace.flow_end tg.coord ~name:tg.names.n_query
-                ~ts:(ts0 +. (dur /. 2.0)) ~id)
-            !flows;
-          Obs.Trace.complete tg.coord ~name:tg.names.n_batch_gather ~ts:ts0
-            ~dur);
     (out, parent.admitted_at, deq, fin)
   end
 
@@ -1004,25 +926,26 @@ let drain_audits_locked t =
                .Feedback.refined
         then Auditor.note_refined a)
 
-(* One coordinator-track slice for a drained verb (feedback/explain). *)
-let trace_coord_verb t which t0 =
-  with_coord t.tracing (fun tg ->
-      let name =
-        if which = `Feedback then tg.names.n_feedback else tg.names.n_explain
-      in
-      Obs.Trace.complete tg.coord ~name ~ts:(Obs.Trace.rel tg.tr t0)
-        ~dur:(Obs.now_mono () -. t0))
+(* A drained verb's (feedback/explain) slice on shard 0's track, which the
+   submission lock owns. *)
+let trace_verb t which t0 =
+  match (t.tracing, t.shards.(0).tbuf) with
+  | Some tg, Some tb ->
+    let name = if which = `Feedback then tg.n_feedback else tg.n_explain in
+    Obs.Trace.complete tb ~name ~ts:(Obs.Trace.rel tg.tr t0)
+      ~dur:(Obs.now_mono () -. t0)
+  | _ -> ()
 
 (* Run [f] in the single-writer state: submissions stopped by the
-   submission lock, every in-flight chunk drained. [verb] names the
-   coordinator trace slice covering the call. *)
+   submission lock, every in-flight chunk drained. [verb] names the trace
+   slice covering the call. *)
 let with_drained ?verb t f =
   Mutex.protect t.submit_lock (fun () ->
       if t.stopped then Error (closed_error ())
       else begin
         let t0 = Obs.now_mono () in
         Fun.protect
-          ~finally:(fun () -> Option.iter (fun v -> trace_coord_verb t v t0) verb)
+          ~finally:(fun () -> Option.iter (fun v -> trace_verb t v t0) verb)
         @@ fun () ->
         wait_drained t;
         f ()

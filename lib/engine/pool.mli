@@ -12,10 +12,10 @@
     shards 1..n-1. The coordinator's writes also happen under that lock,
     so shard 0 holds them: the [engine.pool.batch_chunk] histogram, and
     the FEEDBACK, EXPLAIN, shed and audit flight records; there is no
-    separate coordinator registry or ring. A request that fits in one
-    chunk — every ESTIMATE, any BATCH of up to 8 — and any request to a
-    one-worker pool is served whole on the submitter, under the
-    submission lock, with no queue, latch or wake-up. This is the single-threaded engine of
+    separate coordinator registry, ring or trace track. A request that
+    fits in one chunk — every ESTIMATE, any BATCH of up to 8 — and any
+    request to a one-worker pool is served whole on the submitter, under
+    the submission lock, with no queue, latch or wake-up. This is the single-threaded engine of
     [xseed serve --workers 1], [xseed replay] and every {!Registry}
     tenant; it is domain-safe (concurrent callers take turns on the
     submission lock). The worker domains start with the first batch that
@@ -108,20 +108,19 @@ val create :
     query executes; returning [true] kills the chunk body there,
     exercising the supervisor.
 
-    [trace] attaches the pool to an {!Obs.Trace} session: the coordinator
-    registers tid 0 and each shard tid [id+1] (shard 0, tid 1, is the
-    submitter's). Per chunk the trace carries
-    a [chunk_dispatch] instant at submit, a [queue_wait] async span (begun
-    at submit on the coordinator, ended at dequeue on the serving shard),
-    an [execute] slice with per-query [canonicalize] / [pipeline]
-    sub-slices on the shard track, and a [query] flow arrow linking
-    submit -> execute -> gather; [batch_submit] / [batch_gather] slices
-    frame the coordinator's work ([feedback] / [explain] slices
-    frame the drained verbs). Shard buffers are written only by the
-    thread serving the shard (its domain, or for shard 0 the submitter
-    holding the submission lock); the coordinator buffer is guarded by an
-    internal innermost lock. Without [trace] the hot path never touches a
-    ring.
+    [trace] attaches the pool to an {!Obs.Trace} session: each shard
+    registers tid [id+1], named [shard-<id>] (shard 0, tid 1, is the
+    submitter's). Every chunk records an [execute] slice on the track of
+    the shard that served it, with per-query [canonicalize] and (on a
+    cache miss) [pipeline] sub-slices. A queued chunk — one of a
+    multi-chunk batch's chunks after the first — also opens a [query]
+    flow arrow and a [queue_wait] async span on shard 0's track at
+    admission, and both end inside its [execute] slice; a chunk that never
+    enters the queue records nothing more. [feedback] / [explain] slices
+    on shard 0's track frame the drained verbs. A buffer is written only
+    by the thread serving its shard (a worker domain, or for shard 0 the
+    submitter holding the submission lock), so tracing takes no lock.
+    Without [trace] the hot path never touches a ring.
 
     [auditor] attaches a shadow auditor: every estimate a shard serves is
     offered to {!Auditor.sample} (thread-safe, lock-then-drop — never

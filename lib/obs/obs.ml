@@ -865,15 +865,10 @@ let mirror ~into src =
 module Trace = struct
   (* Slot op codes; each maps to one Chrome trace-event phase. *)
   let op_complete = 0 (* X *)
-  let op_begin = 1 (* B *)
-  let op_end = 2 (* E *)
-  let op_instant = 3 (* i *)
-  let op_counter = 4 (* C *)
-  let op_flow_start = 5 (* s *)
-  let op_flow_step = 6 (* t *)
-  let op_flow_end = 7 (* f *)
-  let op_async_begin = 8 (* b *)
-  let op_async_end = 9 (* e *)
+  let op_flow_start = 1 (* s *)
+  let op_flow_end = 2 (* f *)
+  let op_async_begin = 3 (* b *)
+  let op_async_end = 4 (* e *)
 
   type buf = {
     btrace : trace;
@@ -886,7 +881,6 @@ module Trace = struct
     tss : float array;  (* seconds since t0 *)
     durs : float array;  (* X only *)
     ids : int array;  (* flow/async/seq id; -1 = none *)
-    args : float array;  (* C only *)
   }
 
   and trace = {
@@ -956,41 +950,31 @@ module Trace = struct
         names = Array.make cap 0;
         tss = Array.make cap 0.0;
         durs = Array.make cap 0.0;
-        ids = Array.make cap (-1);
-        args = Array.make cap 0.0 }
+        ids = Array.make cap (-1) }
     in
     with_tlock t (fun () -> t.bufs <- b :: t.bufs);
     b
 
-  let now t = now_mono () -. t.t0
   let rel t mono = mono -. t.t0
   let total b = b.total
   let trace b = b.btrace
 
   (* The record path: one slot write, no lock (a buf has one writer). *)
-  let record b op name ts dur id arg =
+  let record b op name ts dur id =
     let i = b.total mod b.bcap in
     b.total <- b.total + 1;
     b.ops.(i) <- op;
     b.names.(i) <- name;
     b.tss.(i) <- ts;
     b.durs.(i) <- dur;
-    b.ids.(i) <- id;
-    b.args.(i) <- arg
+    b.ids.(i) <- id
 
-  let complete b ~name ~ts ~dur = record b op_complete name ts dur (-1) 0.0
-
-  let complete_seq b ~name ~ts ~dur ~seq = record b op_complete name ts dur seq 0.0
-
-  let begin_span b ~name ~ts = record b op_begin name ts 0.0 (-1) 0.0
-  let end_span b ~name ~ts = record b op_end name ts 0.0 (-1) 0.0
-  let instant b ~name ~ts = record b op_instant name ts 0.0 (-1) 0.0
-  let counter b ~name ~ts ~value = record b op_counter name ts 0.0 (-1) value
-  let flow_start b ~name ~ts ~id = record b op_flow_start name ts 0.0 id 0.0
-  let flow_step b ~name ~ts ~id = record b op_flow_step name ts 0.0 id 0.0
-  let flow_end b ~name ~ts ~id = record b op_flow_end name ts 0.0 id 0.0
-  let async_begin b ~name ~ts ~id = record b op_async_begin name ts 0.0 id 0.0
-  let async_end b ~name ~ts ~id = record b op_async_end name ts 0.0 id 0.0
+  let complete b ~name ~ts ~dur = record b op_complete name ts dur (-1)
+  let complete_seq b ~name ~ts ~dur ~seq = record b op_complete name ts dur seq
+  let flow_start b ~name ~ts ~id = record b op_flow_start name ts 0.0 id
+  let flow_end b ~name ~ts ~id = record b op_flow_end name ts 0.0 id
+  let async_begin b ~name ~ts ~id = record b op_async_begin name ts 0.0 id
+  let async_end b ~name ~ts ~id = record b op_async_end name ts 0.0 id
 
   (* ---------------- export ---------------- *)
 
@@ -1001,7 +985,7 @@ module Trace = struct
      timestamp order (an X slice is recorded when it *ends*, stamped with
      its start time), so the exporter stable-sorts each thread's events by
      [ts] — Perfetto requires per-track monotonicity, and stability keeps
-     same-stamp events (a B and its nested sibling) in record order. *)
+     same-stamp events in record order. *)
   let live_slots b =
     let n = min b.total b.bcap in
     let start = if b.total <= b.bcap then 0 else b.total mod b.bcap in
@@ -1026,18 +1010,8 @@ module Trace = struct
         if b.ids.(i) >= 0 then
           [ ("args", Json.Obj [ ("seq", Json.Int b.ids.(i)) ]) ]
         else [])
-    else if op = op_begin then Json.Obj (ph "B" :: base)
-    else if op = op_end then Json.Obj (ph "E" :: base)
-    else if op = op_instant then
-      Json.Obj ((ph "i" :: base) @ [ ("s", Json.String "t") ])
-    else if op = op_counter then
-      Json.Obj
-        ((ph "C" :: base)
-        @ [ ("args", Json.Obj [ ("value", Json.Float b.args.(i)) ]) ])
     else if op = op_flow_start then
       Json.Obj ((ph "s" :: base) @ [ ("cat", Json.String "flow"); id () ])
-    else if op = op_flow_step then
-      Json.Obj ((ph "t" :: base) @ [ ("cat", Json.String "flow"); id () ])
     else if op = op_flow_end then
       Json.Obj
         ((ph "f" :: base)
@@ -1054,8 +1028,32 @@ module Trace = struct
         ("tid", Json.Int b.tid);
         ("args", Json.Obj [ ("name", Json.String b.tid_name) ]) ]
 
+  (* The other half of a flow (s/f) or async span (b/e). *)
+  let partner op =
+    if op = op_flow_start then op_flow_end
+    else if op = op_flow_end then op_flow_start
+    else if op = op_async_begin then op_async_end
+    else op_async_begin
+
+  (* A ring keeps only its newest events, so a wrap can overwrite one half
+     of a flow or async span and keep the other. A half is exported only
+     when its partner is still in some ring, so a wrapped trace lints. *)
   let to_json t =
     let bufs = with_tlock t (fun () -> List.rev t.bufs) in
+    let live = List.map (fun b -> (b, live_slots b)) bufs in
+    let halves = Hashtbl.create 64 in
+    List.iter
+      (fun (b, slots) ->
+        List.iter
+          (fun i ->
+            if b.ops.(i) <> op_complete then
+              Hashtbl.replace halves (b.ops.(i), b.ids.(i)) ())
+          slots)
+      live;
+    let paired b i =
+      b.ops.(i) = op_complete
+      || Hashtbl.mem halves (partner b.ops.(i), b.ids.(i))
+    in
     let process_meta =
       Json.Obj
         [ ("name", Json.String "process_name");
@@ -1064,15 +1062,16 @@ module Trace = struct
           ("tid", Json.Int 0);
           ("args", Json.Obj [ ("name", Json.String "xseed") ]) ]
     in
-    let per_buf b =
-      let slots = live_slots b in
+    let per_buf (b, slots) =
       let sorted =
-        List.stable_sort (fun i j -> Float.compare b.tss.(i) b.tss.(j)) slots
+        List.stable_sort
+          (fun i j -> Float.compare b.tss.(i) b.tss.(j))
+          (List.filter (paired b) slots)
       in
       metadata_json t b :: List.map (event_json t b) sorted
     in
     Json.Obj
-      [ ("traceEvents", Json.List (process_meta :: List.concat_map per_buf bufs));
+      [ ("traceEvents", Json.List (process_meta :: List.concat_map per_buf live));
         ("displayTimeUnit", Json.String "ms");
         ("otherData", Json.Obj [ ("wall_origin_s", Json.Float t.wall0) ]) ]
 

@@ -315,21 +315,25 @@ val mirror : into:t -> t -> unit
     {{:https://ui.perfetto.dev}ui.perfetto.dev}).
 
     A {!Trace.t} owns a string-intern table and a set of per-thread ring
-    {!Trace.buf}s. Each buffer belongs to exactly one writer (a worker
-    domain, or a coordinator serialized by its own lock), so the record
-    path takes no lock and touches only preallocated arrays — safe inside
-    the estimate hot loop. Event names are interned once at setup
+    {!Trace.buf}s. Each buffer belongs to exactly one writer at a time (a
+    worker domain, or whichever thread holds the lock that owns the
+    buffer), so the record path takes no lock and touches only
+    preallocated arrays — safe inside the estimate hot loop. Event names are interned once at setup
     ({!Trace.intern}); recording passes integer ids and monotonic
-    timestamps relative to the trace origin ({!Trace.now}). When a ring
+    timestamps relative to the trace origin ({!Trace.rel}). When a ring
     wraps, the oldest events are overwritten — a trace keeps the newest
     [capacity] events per thread.
 
-    {!Trace.to_json} merges all buffers into one [traceEvents] array:
+    Five event kinds are recorded: complete slices ([X]), flow arrows
+    ([s]/[f]) and async spans ([b]/[e]). {!Trace.to_json} merges all
+    buffers into one [traceEvents] array:
     [pid] is the process, [tid] the registered thread id, timestamps are
     microseconds since the trace origin (the wall clock at the origin is
     carried in [otherData.wall_origin_s]), and each thread's events are
     sorted by timestamp, which Perfetto requires per track. {!Trace.lint}
-    validates that contract and is what [xseed trace-lint] runs. *)
+    validates that contract and is what [xseed trace-lint] runs; it also
+    checks phases this module does not record ([B]/[E], [t], [i], [C]),
+    because it reads trace files from elsewhere too. *)
 
 module Trace : sig
   type t
@@ -353,13 +357,9 @@ module Trace : sig
       the Perfetto track list. Domain-safe; the returned buffer must only
       ever be written by one domain at a time. *)
 
-  val now : t -> float
-  (** Monotonic seconds since the trace origin — the [ts] every record
-      operation expects. *)
-
   val rel : t -> float -> float
-  (** Convert an absolute {!now_mono} reading to trace-relative seconds,
-      for call sites that already read the clock for other purposes. *)
+  (** Convert an absolute {!now_mono} reading to trace-relative seconds —
+      the [ts] every record operation expects. *)
 
   val total : buf -> int
   (** Lifetime events recorded into [buf] (not capped by the ring size —
@@ -370,7 +370,7 @@ module Trace : sig
   (** {2 Recording}
 
       All operations write one ring slot; [ts] is trace-relative seconds
-      ({!now}/{!rel}). None of them lock or allocate beyond the boxing of
+      ({!rel}). None of them lock or allocate beyond the boxing of
       their float arguments. *)
 
   val complete : buf -> name:int -> ts:float -> dur:float -> unit
@@ -381,27 +381,18 @@ module Trace : sig
   (** {!complete} carrying the query's submission sequence number as a
       slice argument, so a Perfetto slice links back to flight records. *)
 
-  val begin_span : buf -> name:int -> ts:float -> unit
-  val end_span : buf -> name:int -> ts:float -> unit
-  (** Chrome [B]/[E] pairs; must nest per buffer ({!lint} checks). Prefer
-      {!complete} — one slot instead of two, and it cannot dangle. *)
-
-  val instant : buf -> name:int -> ts:float -> unit
-  val counter : buf -> name:int -> ts:float -> value:float -> unit
-  (** A Chrome [C] sample — per-shard GC counters use these. *)
-
   val flow_start : buf -> name:int -> ts:float -> id:int -> unit
-  val flow_step : buf -> name:int -> ts:float -> id:int -> unit
   val flow_end : buf -> name:int -> ts:float -> id:int -> unit
-  (** Flow arrows ([s]/[t]/[f]) under one [id] — the pool threads a query's
-      submission sequence number through submit → execute → reassemble.
-      Flow events should sit inside slices so Perfetto can anchor them. *)
+  (** A flow arrow ([s] to [f]) under one [id], possibly across buffers —
+      the pool links a queued chunk's admission to the [execute] slice
+      that serves it. Flow events should sit inside slices so Perfetto can
+      anchor them. *)
 
   val async_begin : buf -> name:int -> ts:float -> id:int -> unit
   val async_end : buf -> name:int -> ts:float -> id:int -> unit
-  (** Async ([b]/[e]) spans under one [id]: unlike [B]/[E] they may overlap
-      freely and may end on a different buffer than they began — the pool's
-      queue-wait spans (begin at enqueue on the coordinator, end at dequeue
+  (** Async ([b]/[e]) spans under one [id]: they may overlap freely and may
+      end on a different buffer than they began — the pool's queue-wait
+      spans (begun at admission on the submitter's shard, ended at dequeue
       on the serving shard). *)
 
   (** {2 Export} *)
@@ -410,9 +401,11 @@ module Trace : sig
   (** The merged trace:
       [{"traceEvents": [...], "displayTimeUnit": "ms", "otherData": ...}],
       with per-thread [thread_name] metadata and every thread's events in
-      timestamp order. Safe to call while writers are still recording
-      (slots are copied as-is; a torn in-progress slot can at worst
-      misplace one event, never corrupt the structure). *)
+      timestamp order. A flow or async half whose partner is in no ring
+      (overwritten by a wrap, or not recorded yet) is left out, so a
+      wrapped trace still lints. Safe to call while writers are still
+      recording (slots are copied as-is; a torn in-progress slot can at
+      worst misplace one event, never corrupt the structure). *)
 
   val write : t -> string -> unit
   (** {!to_json} serialized to [path], newline-terminated. *)

@@ -45,21 +45,36 @@ let cmp_to_string = function
    interpreter: the same bytes. *)
 external format_float : string -> float -> string = "caml_format_float"
 
+(* The shortest [%g] text that reads back as [x]. A double whose shortest
+   decimal has at most 15 digits prints as exactly those digits under
+   [%.15g]; every other one needs 16 or 17. *)
+let shortest_g x =
+  let s = format_float "%.15g" x in
+  if float_of_string s = x then s
+  else
+    let s = format_float "%.16g" x in
+    if float_of_string s = x then s else format_float "%.17g" x
+
 (* The one printer: concrete syntax into a buffer. [to_string] is the
    serving engine's cache-key text, so it prints without [Format]. *)
 let add_test b = function
   | Name n -> Buffer.add_string b n
   | Wildcard -> Buffer.add_char b '*'
 
+(* Literals print so that the parser reads back the same value: a number
+   in its shortest exact form; a text between single quotes, or between
+   double quotes when it holds a single one (a parsed literal never holds
+   both kinds). *)
 let add_literal b = function
   | Number x ->
     if Float.is_integer x && Float.abs x < 1e15 then
       Buffer.add_string b (string_of_int (int_of_float x))
-    else Buffer.add_string b (format_float "%g" x)
+    else Buffer.add_string b (shortest_g x)
   | Text s ->
-    Buffer.add_char b '\'';
+    let q = if String.contains s '\'' then '"' else '\'' in
+    Buffer.add_char b q;
     Buffer.add_string b s;
-    Buffer.add_char b '\''
+    Buffer.add_char b q
 
 let add_value_predicate b { target; cmp; literal } =
   (match target with

@@ -41,9 +41,12 @@ val compare : t -> t -> int
 val to_string : t -> string
 (** XPath concrete syntax, e.g. [//regions/australia/item[shipping]/location]:
     name and wildcard tests, structural predicates before value predicates,
-    an integral literal below 1e15 as an integer and any other number as
-    [%g]. Printed into a [Buffer], without [Format]; it is the serving
-    engine's cache-key text. *)
+    an integral literal below 1e15 as an integer and any other number in
+    the shortest [%g] form that reads back as the same float, a text
+    literal between single quotes, or double quotes when it holds a single
+    one. The text of any query {!Parser.parse} accepts parses back to an
+    equal query. Printed into a [Buffer], without [Format]; it is the
+    serving engine's cache-key text. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints {!to_string}'s text. *)

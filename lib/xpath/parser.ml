@@ -78,14 +78,19 @@ let read_literal st =
   | Some c when c = '-' || (c >= '0' && c <= '9') ->
     let start = st.pos in
     if c = '-' then st.pos <- st.pos + 1;
+    (* Digits, a point and an exponent as the printer writes one ([1e+15],
+       [2.5e-07]); [float_of_string] rejects any other mix. *)
     while
       st.pos < st.len
-      && (match st.input.[st.pos] with '0' .. '9' | '.' -> true | _ -> false)
+      && (match st.input.[st.pos] with
+          | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true
+          | _ -> false)
     do
       st.pos <- st.pos + 1
     done;
     (match float_of_string_opt (String.sub st.input start (st.pos - start)) with
-     | Some x -> Ast.Number x
+     | Some x when Float.is_finite x -> Ast.Number x
+     | Some _ -> fail start "numeric literal out of range"
      | None -> fail start "malformed numeric literal")
   | Some c -> fail st.pos "expected a literal, found %C" c
   | None -> fail st.pos "expected a literal, found end of input"

@@ -9,7 +9,9 @@
     relative  ::= first (("/" | "//") step)*
     first     ::= step | ".//" step
     v}
-    A predicate's leading step uses the child axis unless written [.//]. *)
+    A predicate's leading step uses the child axis unless written [.//].
+    A numeric literal in a value predicate may carry an exponent
+    ([1e+15]); one beyond the finite floats is an error. *)
 
 exception Error of { position : int; message : string }
 

@@ -48,14 +48,52 @@ let test_canonical_distinct () =
 
 let gen_ast : Xpath.Ast.t QCheck.arbitrary =
   let open QCheck in
+  let gen_name rand =
+    String.make 1 (Char.chr (Char.code 'a' + Gen.int_bound 4 rand))
+  in
   let gen_test rand =
     if Gen.int_bound 5 rand = 0 then Xpath.Ast.Wildcard
-    else
-      Xpath.Ast.Name
-        (String.make 1 (Char.chr (Char.code 'a' + Gen.int_bound 4 rand)))
+    else Xpath.Ast.Name (gen_name rand)
   in
   let gen_axis rand =
     if Gen.int_bound 3 rand = 0 then Xpath.Ast.Descendant else Xpath.Ast.Child
+  in
+  (* Literals the parser can produce: texts holding either quote kind but
+     never both, integers, and non-integer, negative, tiny and >= 1e15
+     numbers — any finite double in the last case. *)
+  let gen_literal rand =
+    let open Xpath.Ast in
+    match Gen.int_bound 5 rand with
+    | 0 ->
+      let quote = if Gen.bool rand then '\'' else '"' in
+      let chars = [| 'x'; ' '; '-'; '1'; quote |] in
+      Text
+        (String.init (Gen.int_bound 4 rand) (fun _ ->
+             chars.(Gen.int_bound 4 rand)))
+    | 1 -> Number (float_of_int (Gen.int_range (-1000) 1000 rand))
+    | 2 -> Number (Gen.float_range (-1e6) 1e6 rand)
+    | 3 ->
+      Number
+        (ldexp (Gen.float_range (-2.0) 2.0 rand)
+           (Gen.int_range (-1074) (-10) rand))
+    | 4 -> Number (Gen.float_range 1e15 1e22 rand)
+    | _ ->
+      let x = Int64.float_of_bits (Gen.ui64 rand) in
+      Number (if Float.is_finite x then x else 0.5)
+  in
+  (* Only a number takes an ordered comparison. *)
+  let gen_value_predicate rand =
+    let literal = gen_literal rand in
+    { Xpath.Ast.target =
+        (if Gen.bool rand then Xpath.Ast.Child_text (gen_name rand)
+         else Xpath.Ast.Attribute (gen_name rand));
+      cmp =
+        Gen.oneofl
+          (match literal with
+           | Xpath.Ast.Text _ -> Xpath.Ast.[ Eq; Ne ]
+           | Xpath.Ast.Number _ -> Xpath.Ast.[ Eq; Ne; Lt; Le; Gt; Ge ])
+          rand;
+      literal }
   in
   let rec gen_path depth len rand =
     List.init len (fun _ ->
@@ -66,7 +104,10 @@ let gen_ast : Xpath.Ast.t QCheck.arbitrary =
                 gen_path (depth + 1) (1 + Gen.int_bound 1 rand) rand)
         in
         { Xpath.Ast.axis = gen_axis rand; test = gen_test rand; predicates;
-          value_predicates = [] })
+          value_predicates =
+            List.init
+              (if Gen.int_bound 2 rand = 0 then 1 + Gen.int_bound 1 rand else 0)
+              (fun _ -> gen_value_predicate rand) })
   in
   make ~print:Xpath.Ast.to_string (fun rand ->
       gen_path 0 (1 + Gen.int_bound 3 rand) rand)
@@ -78,15 +119,20 @@ let prop_canonical_idempotent =
       let c = Engine.Canonical.canonicalize q in
       Engine.Canonical.canonicalize c == c)
 
-(* pp/parse round trips land on the same key as the original AST. *)
+(* Printing then parsing lands on the same key as the original AST, and
+   that key names the very same query: every literal reads back as the
+   value it printed. *)
 let prop_canonical_round_trip =
   QCheck.Test.make ~count:500 ~name:"parse (to_string q) same key" gen_ast
     (fun q ->
-      let k = Engine.Canonical.of_ast q in
-      let k' =
-        Engine.Canonical.of_ast (Xpath.Parser.parse (Xpath.Ast.to_string q))
+      let c, k = Engine.Canonical.normal_form q in
+      let c', k' =
+        Engine.Canonical.normal_form
+          (Xpath.Parser.parse (Xpath.Ast.to_string q))
       in
-      Engine.Canonical.equal k k' && k.Engine.Canonical.hash = k'.Engine.Canonical.hash)
+      Xpath.Ast.equal c c'
+      && Engine.Canonical.equal k k'
+      && k.Engine.Canonical.hash = k'.Engine.Canonical.hash)
 
 (* Reordering predicates anywhere in the tree never changes the key. *)
 let prop_canonical_predicate_order =
@@ -145,7 +191,7 @@ let test_canonical_golden () =
       queries
   in
   checki "query count" 667 (List.length queries);
-  checks "canonical keys digest" "86ec5f31d6c085e4c5fc12c0afc86aa3"
+  checks "canonical keys digest" "9f1dc3e48440b5aa740c88138833aa76"
     (Digest.to_hex (Digest.string (String.concat "" lines)))
 
 (* ------------------------------------------------------------------ *)
@@ -749,9 +795,11 @@ let test_protocol_profile () =
       Printf.sprintf "PROFILE %d" (Engine.Serve.max_batch + 1) ]
 
 (* ------------------------------------------------------------------ *)
-(* Inline-pool tracing: with ?trace the request path records the same
-   coordinator and shard slices a worker domain does; without it the trace
-   session never sees a single ring write. *)
+(* One-worker tracing: the submitter serves every request on shard 0, so
+   a traced ESTIMATE writes exactly its [execute] slice and per-query
+   [canonicalize] sub-slice (plus [pipeline] on a miss) — no flow, no
+   span, no other track; the drained verbs land on the same track. Without
+   ?trace the trace session never sees a single ring write. *)
 
 let test_engine_tracing () =
   let kernel = Core.Builder.of_string correlated_doc in
@@ -761,29 +809,43 @@ let test_engine_tracing () =
   in
   let tr = Obs.Trace.create () in
   let traced = mk (Some tr) in
-  ignore (Engine.Pool.estimate traced "/r/a" : _ result);
-  ignore (Engine.Pool.estimate traced "/r/a" : _ result);
-  ignore (Engine.Pool.feedback traced "/r/a" ~actual:8 : _ result);
-  ignore (Engine.Pool.explain traced "/r/a/b" : _ result);
-  let json = Obs.Trace.to_json tr in
-  let names =
-    match Obs.Json.member "traceEvents" json with
+  let events () =
+    match Obs.Json.member "traceEvents" (Obs.Trace.to_json tr) with
     | Some (Obs.Json.List evs) ->
-      List.filter_map
-        (fun e ->
-          match (Obs.Json.member "ph" e, Obs.Json.member "name" e) with
-          | Some (Obs.Json.String "X"), Some (Obs.Json.String n) -> Some n
-          | _ -> None)
+      List.filter
+        (fun e -> Obs.Json.member "ph" e <> Some (Obs.Json.String "M"))
         evs
     | _ -> Alcotest.fail "traceEvents missing"
   in
+  let slices () =
+    List.sort compare
+      (List.map
+         (fun e ->
+           match (Obs.Json.member "ph" e, Obs.Json.member "name" e) with
+           | Some (Obs.Json.String "X"), Some (Obs.Json.String n) -> n
+           | _ -> Alcotest.fail "a one-worker trace holds only X slices")
+         (events ()))
+  in
+  ignore (Engine.Pool.estimate traced "/r/a" : _ result);
+  Alcotest.(check (list string)) "a miss: execute, canonicalize, pipeline"
+    [ "canonicalize"; "execute"; "pipeline" ] (slices ());
+  ignore (Engine.Pool.estimate traced "/r/a" : _ result);
+  Alcotest.(check (list string)) "a hit adds execute and canonicalize"
+    [ "canonicalize"; "canonicalize"; "execute"; "execute"; "pipeline" ]
+    (slices ());
+  ignore (Engine.Pool.feedback traced "/r/a" ~actual:8 : _ result);
+  ignore (Engine.Pool.explain traced "/r/a/b" : _ result);
+  let names = slices () in
   List.iter
     (fun expected ->
       checkb (Printf.sprintf "%s slice recorded" expected) true
         (List.mem expected names))
-    [ "batch_submit"; "batch_gather"; "execute"; "canonicalize"; "pipeline";
-      "feedback"; "explain" ];
-  checkb "trace lints clean" true (Obs.Trace.lint json = []);
+    [ "feedback"; "explain" ];
+  checkb "every event on shard 0's track" true
+    (List.for_all
+       (fun e -> Obs.Json.member "tid" e = Some (Obs.Json.Int 1))
+       (events ()));
+  checkb "trace lints clean" true (Obs.Trace.lint (Obs.Trace.to_json tr) = []);
   (* An untraced engine sharing the session would be a bug; a fresh session
      next to an untraced engine stays completely empty. *)
   let tr2 = Obs.Trace.create () in
@@ -848,6 +910,37 @@ let test_protocol_hit_allocation () =
     (Printf.sprintf "%.0f words per served hit, budget %.0f" words
        hit_words_budget)
     true (words < hit_words_budget)
+
+(* A cache key's text re-parses to the query it names: a number prints in
+   its shortest exact form, so no two values share a slot, and a text
+   holding a single quote prints between double quotes, so a key sent back
+   is served from its own slot. XMark, one worker. *)
+let test_protocol_literal_keys () =
+  let doc = Datagen.Xmark.generate ~seed:5 ~items:40 () in
+  let pool =
+    Engine.Pool.create ~workers:1
+      (Core.Synopsis.estimator (Core.Synopsis.build doc))
+  in
+  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
+  let status q =
+    let r = handle pool ("ESTIMATE " ^ q) in
+    match String.rindex_opt r ' ' with
+    | Some i when starts_with "OK " r ->
+      String.sub r (i + 1) (String.length r - i - 1)
+    | _ -> Alcotest.failf "ESTIMATE %s: %s" q r
+  in
+  List.iter
+    (fun q -> checks (q ^ " has its own slot") "miss" (status q))
+    [ "//open_auction[current>10.0000001]";
+      "//open_auction[current>10]";
+      "//open_auction[current>10.0000004]" ];
+  List.iter
+    (fun q ->
+      checks (q ^ " answered") "miss" (status q);
+      checks (key_text q ^ " is its key") "hit" (status (key_text q)))
+    [ "//item[location=\"x'y\"]";
+      "//open_auction[current>1000000000000000]";
+      "//open_auction[current>0.000000123]" ]
 
 (* ------------------------------------------------------------------ *)
 (* The pool behind the same protocol (--workers N). Exact estimate values
@@ -1223,6 +1316,8 @@ let () =
             test_protocol_pool;
           Alcotest.test_case "cache-hit allocation budget" `Quick
             test_protocol_hit_allocation;
+          Alcotest.test_case "literal keys re-parse" `Quick
+            test_protocol_literal_keys;
           QCheck_alcotest.to_alcotest prop_estimate_line_bytes ] );
       ( "telemetry",
         [ Alcotest.test_case "flight recorder ring" `Quick

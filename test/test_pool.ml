@@ -460,7 +460,8 @@ let test_pool_profile () =
 
 (* ------------------------------------------------------------------ *)
 (* Causal trace: a traced 4-worker pool exports a lint-clean Perfetto
-   trace whose slices land on the right tracks and whose flows resolve. *)
+   trace whose slices land on the right tracks and whose flows resolve.
+   Shard 0 is the submitter's track; there is no other. *)
 
 let trace_events json =
   match Obs.Json.member "traceEvents" json with
@@ -476,6 +477,12 @@ let ev_int field ev =
   match Obs.Json.member field ev with
   | Some (Obs.Json.Int n) -> Some n
   | Some (Obs.Json.Float f) -> Some (int_of_float f)
+  | _ -> None
+
+let ev_num field ev =
+  match Obs.Json.member field ev with
+  | Some (Obs.Json.Int n) -> Some (float_of_int n)
+  | Some (Obs.Json.Float f) -> Some f
   | _ -> None
 
 let count pred evs = List.length (List.filter pred evs)
@@ -515,8 +522,6 @@ let test_pool_trace () =
   let named ph name ev =
     ev_str "ph" ev = Some ph && ev_str "name" ev = Some name
   in
-  checki "one dispatch instant per planned chunk" 4
-    (count (named "i" "chunk_dispatch") evs);
   let executes = List.filter (named "X" "execute") evs in
   checki "one execute slice per chunk" 4 (List.length executes);
   checkb "execute slices live on shard tracks" true
@@ -526,25 +531,60 @@ let test_pool_trace () =
          | Some tid -> tid >= 1 && tid <= 4
          | None -> false)
        executes);
-  checkb "coordinator frames the batch" true
-    (count (named "X" "batch_submit") evs >= 1
-    && count (named "X" "batch_gather") evs >= 1);
-  let flows_started = count (fun ev -> ev_str "ph" ev = Some "s") evs in
-  checki "one flow per planned chunk" 4 flows_started;
-  checki "every flow lands" flows_started
-    (count (fun ev -> ev_str "ph" ev = Some "f") evs);
-  checki "queue-wait spans balance"
-    (count (fun ev -> ev_str "ph" ev = Some "b") evs)
-    (count (fun ev -> ev_str "ph" ev = Some "e") evs);
-  checkb "gc counters sampled" true
-    (count (fun ev -> ev_str "ph" ev = Some "C") evs > 0);
+  (* Chunk k's id is its first slot's seq: 0, 4, 8, 12. Chunk 0 is served
+     on the submitter without queueing, so it opens no flow or span; each
+     queued chunk opens both on shard 0's track (tid 1) at admission and
+     closes both on the track of the execute slice that served it, the
+     flow landing inside that slice. *)
+  let one ph id =
+    match
+      List.filter
+        (fun ev -> ev_str "ph" ev = Some ph && ev_int "id" ev = Some id)
+        evs
+    with
+    | [ ev ] -> ev
+    | evs -> Alcotest.failf "%d %S events for id %d" (List.length evs) ph id
+  in
+  let of_id ph id =
+    count (fun ev -> ev_str "ph" ev = Some ph && ev_int "id" ev = Some id) evs
+  in
+  let seq_of ev = Option.bind (Obs.Json.member "args" ev) (ev_int "seq") in
+  checki "chunk 0 opens no flow or span" 0
+    (of_id "s" 0 + of_id "f" 0 + of_id "b" 0 + of_id "e" 0);
+  List.iter
+    (fun id ->
+      let exec =
+        match List.filter (fun ev -> seq_of ev = Some id) executes with
+        | [ ev ] -> ev
+        | _ -> Alcotest.failf "no single execute slice for chunk %d" id
+      in
+      checkb (Printf.sprintf "chunk %d: flow starts on shard 0" id) true
+        (ev_int "tid" (one "s" id) = Some 1);
+      checkb (Printf.sprintf "chunk %d: queue_wait begins on shard 0" id) true
+        (ev_int "tid" (one "b" id) = Some 1);
+      let tid = ev_int "tid" exec in
+      checkb (Printf.sprintf "chunk %d: flow ends where it ran" id) true
+        (ev_int "tid" (one "f" id) = tid);
+      checkb (Printf.sprintf "chunk %d: queue_wait ends where it ran" id) true
+        (ev_int "tid" (one "e" id) = tid);
+      match (ev_num "ts" exec, ev_num "dur" exec, ev_num "ts" (one "f" id)) with
+      | Some ts, Some dur, Some f ->
+        checkb (Printf.sprintf "chunk %d: flow lands inside execute" id) true
+          (ts <= f && f <= ts +. dur)
+      | _ -> Alcotest.failf "chunk %d: execute or flow end without ts" id)
+    [ 4; 8; 12 ];
   checki "drained feedback traced" 1 (count (named "X" "feedback") evs);
   checki "drained explain traced" 1 (count (named "X" "explain") evs);
-  checki "coordinator + 4 shard name rows" 5
-    (count
-       (fun ev ->
-         ev_str "ph" ev = Some "M" && ev_str "name" ev = Some "thread_name")
-       evs)
+  let tracks =
+    List.filter_map
+      (fun ev ->
+        if ev_str "ph" ev = Some "M" && ev_str "name" ev = Some "thread_name"
+        then Option.bind (Obs.Json.member "args" ev) (ev_str "name")
+        else None)
+      evs
+  in
+  Alcotest.(check (list string)) "one track per shard, no coordinator"
+    [ "shard-0"; "shard-1"; "shard-2"; "shard-3" ] tracks
 
 (* ------------------------------------------------------------------ *)
 (* The chaos gate. A thread serving the gate's query blocks inside the
@@ -1186,10 +1226,11 @@ let test_pool_deadline () =
    a worker domain (a one-worker pool serves inline and never queues). *)
 let test_pool_shed_newest () =
   let g = gate () in
+  let tr = Obs.Trace.create () in
   let pool =
     gated_pool g (fun ~chaos ->
         Engine.Pool.create ~workers:2 ~queue_capacity:1
-          ~shed_policy:`Shed_newest ~chaos (paper_estimator ()))
+          ~shed_policy:`Shed_newest ~chaos ~trace:tr (paper_estimator ()))
   in
   Fun.protect
     ~finally:(fun () ->
@@ -1229,7 +1270,26 @@ let test_pool_shed_newest () =
     (List.exists
        (fun (r : Engine.Flight_recorder.record) ->
          r.Engine.Flight_recorder.cache = Engine.Flight_recorder.Shed)
-       (Engine.Pool.recent pool))
+       (Engine.Pool.recent pool));
+  (* A shed chunk never entered the queue, so it opens no flow: every flow
+     start belongs to a chunk a shard executed, and the trace lints. *)
+  let json = Obs.Trace.to_json tr in
+  checkb "shed trace lints clean" true (Obs.Trace.lint json = []);
+  let evs = trace_events json in
+  let executed =
+    List.filter_map
+      (fun ev ->
+        if ev_str "ph" ev = Some "X" && ev_str "name" ev = Some "execute" then
+          Option.bind (Obs.Json.member "args" ev) (ev_int "seq")
+        else None)
+      evs
+  in
+  checkb "only executed chunks open flows" true
+    (List.for_all
+       (fun ev ->
+         ev_str "ph" ev <> Some "s"
+         || List.exists (fun seq -> ev_int "id" ev = Some seq) executed)
+       evs)
 
 (* Run [f] on a pool for the supervision tests, at one worker (a chunk is
    served on the submitter, so the crash cleanup runs there) or two. [f]

@@ -1,6 +1,7 @@
-(* Obs.Trace: interning, ring-wrap semantics, the bounded-allocation record
-   path, the Perfetto JSON exporter (golden shape + round-trip through the
-   linter) and the linter's negative cases. *)
+(* Obs.Trace: interning, ring-wrap semantics (a wrapped trace still
+   lints), the bounded-allocation record path, the Perfetto JSON exporter
+   (golden shape + round-trip through the linter) and the linter's
+   negative cases. *)
 
 let mem name j = Obs.Json.member name j
 
@@ -60,7 +61,36 @@ let test_ring_wrap () =
       infinity slices
   in
   Alcotest.(check bool) "oldest surviving slice is record 12" true
-    (Float.abs (min_ts -. 12_000.0) < 1.0)
+    (Float.abs (min_ts -. 12_000.0) < 1.0);
+  (* Pairs split across a wrap: the ring [a] opens ten flows and async
+     spans beside its slices and keeps only its newest 8 events; [b] holds
+     every pair's end inside its own slice. The export keeps a half only
+     when its partner survived, so the trace lints and no slice is lost. *)
+  let tr = Obs.Trace.create () in
+  let a = Obs.Trace.register ~capacity:8 tr ~tid:1 ~name:"a" in
+  let b = Obs.Trace.register tr ~tid:2 ~name:"b" in
+  let n_flow = Obs.Trace.intern tr "query" in
+  let n_wait = Obs.Trace.intern tr "queue_wait" in
+  for i = 0 to 9 do
+    let ts = float_of_int (2 * i) *. 1e-3 in
+    Obs.Trace.flow_start a ~name:n_flow ~ts ~id:i;
+    Obs.Trace.async_begin a ~name:n_wait ~ts ~id:i;
+    Obs.Trace.complete a ~name:n ~ts ~dur:1e-4;
+    Obs.Trace.complete_seq b ~name:n ~ts:(ts +. 1e-3) ~dur:5e-4 ~seq:i;
+    Obs.Trace.async_end b ~name:n_wait ~ts:(ts +. 1e-3) ~id:i;
+    Obs.Trace.flow_end b ~name:n_flow ~ts:(ts +. 1.25e-3) ~id:i
+  done;
+  (* [a] keeps async_begin 7 and everything of pairs 8 and 9. *)
+  let json = Obs.Trace.to_json tr in
+  Alcotest.(check (list string)) "wrapped trace lints clean" []
+    (Obs.Trace.lint (Obs.Json.of_string (Obs.Json.to_string json)));
+  let evs = events json in
+  let count p = List.length (List.filter (fun e -> ph e = p) evs) in
+  Alcotest.(check int) "every surviving slice exported" 13 (count "X");
+  Alcotest.(check (list int)) "flow halves: 8 and 9 survive" [ 2; 2 ]
+    [ count "s"; count "f" ];
+  Alcotest.(check (list int)) "async halves: 7, 8 and 9 survive" [ 3; 3 ]
+    [ count "b"; count "e" ]
 
 (* ------------------------------------------------------------------ *)
 (* Record-path allocation: a ring write stores scalars into preallocated
@@ -91,28 +121,24 @@ let test_record_path_allocation () =
 
 let rich_trace () =
   let tr = Obs.Trace.create () in
-  let a = Obs.Trace.register tr ~tid:0 ~name:"coordinator" in
-  let b = Obs.Trace.register tr ~tid:1 ~name:"shard-0" in
-  let n_sub = Obs.Trace.intern tr "submit" in
+  let a = Obs.Trace.register tr ~tid:1 ~name:"shard-0" in
+  let b = Obs.Trace.register tr ~tid:2 ~name:"shard-1" in
   let n_exec = Obs.Trace.intern tr "execute" in
+  let n_canon = Obs.Trace.intern tr "canonicalize" in
   let n_flow = Obs.Trace.intern tr "query" in
   let n_wait = Obs.Trace.intern tr "queue_wait" in
-  let n_gc = Obs.Trace.intern tr "gc.minor_words" in
-  let n_mark = Obs.Trace.intern tr "mark" in
-  (* Coordinator: a submit slice wrapping a flow start + async begin. *)
+  (* Submitter: admits chunk 7 to the queue (flow start + async begin),
+     then serves chunk 0 itself, a sub-slice recorded before the slice
+     that encloses it. *)
   Obs.Trace.flow_start a ~name:n_flow ~ts:1e-3 ~id:7;
   Obs.Trace.async_begin a ~name:n_wait ~ts:1e-3 ~id:7;
-  Obs.Trace.complete a ~name:n_sub ~ts:5e-4 ~dur:1e-3;
-  Obs.Trace.begin_span a ~name:n_sub ~ts:3e-3;
-  Obs.Trace.end_span a ~name:n_sub ~ts:4e-3;
-  Obs.Trace.instant a ~name:n_mark ~ts:5e-3;
-  (* Shard: ends the async span, runs the execute slice, steps the flow. *)
-  Obs.Trace.async_end b ~name:n_wait ~ts:2e-3 ~id:7;
+  Obs.Trace.complete a ~name:n_canon ~ts:1.2e-3 ~dur:1e-4;
+  Obs.Trace.complete_seq a ~name:n_exec ~ts:1e-3 ~dur:1e-3 ~seq:0;
+  (* Another shard serves chunk 7: the execute slice, and inside it the
+     async span's end and the flow's landing. *)
   Obs.Trace.complete_seq b ~name:n_exec ~ts:2e-3 ~dur:1e-3 ~seq:7;
-  Obs.Trace.flow_step b ~name:n_flow ~ts:2.5e-3 ~id:7;
-  Obs.Trace.counter b ~name:n_gc ~ts:3e-3 ~value:42.0;
-  (* Coordinator gathers: the flow lands. *)
-  Obs.Trace.flow_end a ~name:n_flow ~ts:6e-3 ~id:7;
+  Obs.Trace.async_end b ~name:n_wait ~ts:2e-3 ~id:7;
+  Obs.Trace.flow_end b ~name:n_flow ~ts:2.5e-3 ~id:7;
   tr
 
 let test_export_shape () =
@@ -124,17 +150,12 @@ let test_export_shape () =
   let phase p = List.filter (fun e -> ph e = p) evs in
   Alcotest.(check int) "two thread_name + one process_name records" 3
     (List.length (phase "M"));
-  Alcotest.(check int) "complete slices" 2 (List.length (phase "X"));
-  Alcotest.(check int) "begin/end pair" 2
-    (List.length (phase "B") + List.length (phase "E"));
-  Alcotest.(check int) "flow s/t/f" 3
-    (List.length (phase "s") + List.length (phase "t")
-    + List.length (phase "f"));
+  Alcotest.(check int) "complete slices" 3 (List.length (phase "X"));
+  Alcotest.(check int) "flow s/f" 2
+    (List.length (phase "s") + List.length (phase "f"));
   Alcotest.(check int) "async b/e" 2
     (List.length (phase "b") + List.length (phase "e"));
-  Alcotest.(check int) "counter sample" 1 (List.length (phase "C"));
-  Alcotest.(check int) "instant" 1 (List.length (phase "i"));
-  (* The execute slice carries its submission seq as an argument. *)
+  (* An execute slice carries its submission seq as an argument. *)
   let seq_args =
     List.filter_map
       (fun e ->
@@ -143,7 +164,7 @@ let test_export_shape () =
         | None -> None)
       (phase "X")
   in
-  Alcotest.(check (list (float 1e-9))) "execute slice links seq" [ 7.0 ]
+  Alcotest.(check (list (float 1e-9))) "execute slices link seq" [ 0.0; 7.0 ]
     seq_args;
   (* Per-track timestamps are exported in non-decreasing order even though
      X slices are recorded at their end instant. *)

@@ -30,7 +30,8 @@ let test_parse_value_round_trips () =
     (fun q -> Alcotest.(check string) q q (Ast.to_string (parse q)))
     [ "/shop/item[price>9.5]/name"; "/a[@id='x42']/b"; "//item[quantity<=3]";
       "/a/b[c!=7]"; "/a/b[c=-4]"; "//r[v>=10][w<20]"; "/a/b[t='hi there']";
-      "/a[b[c=1]/d]/e" ]
+      "/a[b[c=1]/d]/e"; "/a[b>1e+15]"; "/a[b=2.5e-07]"; "/a[b<10.0000001]";
+      "/a[t=\"x'y\"]" ]
 
 let test_parse_mixed_qualifiers () =
   (* Structural and value predicates on the same step. *)
@@ -45,7 +46,9 @@ let test_parse_value_errors () =
   List.iter check_parse_error
     [ "/a[@id]"; (* attribute without comparison *)
       "/a[b<'x']"; (* ordered comparison on a string *)
-      "/a[b=]"; "/a[b='unterminated]"; "/a[@='v']" ]
+      "/a[b=]"; "/a[b='unterminated]"; "/a[@='v']";
+      "/a[b>1e]"; "/a[b>1e999]"; (* malformed; not a finite number *)
+      "/a[b>1-2]" ]
 
 (* ------------------------------------------------------------------ *)
 (* NoK storage and evaluation with values *)
