@@ -110,7 +110,7 @@ bench-smoke: build
 	  | $(XSEED) serve $(SMOKE_DIR)/bench.syn --snapshot-every 1 \
 	      --metrics-out $(SMOKE_DIR)/snapshots-w1.jsonl > /dev/null
 	@grep -q '"matcher.match_steps":' $(SMOKE_DIR)/snapshots-w1.jsonl
-	$(DUNE) exec --no-build bench/main.exe -- --quick telemetry audit profile
+	$(DUNE) exec --no-build bench/main.exe -- --quick telemetry audit tracing
 	@echo "bench-smoke: OK"
 
 bench-json: build
@@ -126,7 +126,8 @@ perf-smoke: build
 # Causal-trace smoke: serve a mixed request script through a WORKERS-worker
 # pool with --trace-out, then re-validate the written Perfetto JSON with
 # the trace linter (per-track monotone timestamps, balanced spans, every
-# flow arrow resolving) and check the PROFILE verb's one-line breakdown.
+# flow arrow resolving) and check that the closing METRICS scrape counts
+# the served chunks' queue-wait samples (engine.pool.queue_wait_us).
 # Requests of up to 8 queries never leave the submitting thread, so eight
 # BATCH 64s of distinct queries queue chunks for the worker domains; at
 # WORKERS >= 2 a worker-domain track (shard-N, N >= 1) must carry an
@@ -143,12 +144,12 @@ trace-smoke: build
 	{ printf 'BATCH 3\n//item\n//person\n//open_auction[bidder]/price\n'; \
 	  awk 'NR % 64 == 1 { print "BATCH 64" } { print }' \
 	    $(SMOKE_DIR)/trace.workload; \
-	  printf 'PROFILE 2\n//item\n//person\nFEEDBACK //item 12\nESTIMATE //item\n'; } \
+	  printf 'FEEDBACK //item 12\nESTIMATE //item\nMETRICS\n'; } \
 	  | $(XSEED) serve $(SMOKE_DIR)/trace.syn --workers $(WORKERS) \
 	      --trace-out $(SMOKE_DIR)/trace.json \
 	      > $(SMOKE_DIR)/trace.out
 	@grep -q '^OK 64$$' $(SMOKE_DIR)/trace.out
-	@grep -q '^OK 2 queue_wait_us ' $(SMOKE_DIR)/trace.out
+	@grep -q '^xseed_engine_pool_queue_wait_us_count [1-9]' $(SMOKE_DIR)/trace.out
 	$(XSEED) trace-lint $(SMOKE_DIR)/trace.json
 	@if [ $(WORKERS) -gt 1 ]; then \
 	  python3 -c 'import json, sys; \

@@ -6,7 +6,7 @@
      dune exec bench/main.exe -- --quick all  -- reduced scales
 
    Sections: table2 table3 fig5 fig6 sec64 ablation values feedback
-   telemetry parallel json micro.
+   telemetry audit parallel tracing json micro.
    Absolute numbers differ from the paper (different hardware, generated
    corpora); the shapes under test are listed in DESIGN.md §7 and the
    measured-vs-paper comparison is recorded in EXPERIMENTS.md. *)
@@ -689,68 +689,18 @@ let overhead_gate ~what ~off_label ~on_label ~passes ~off ~on queries =
   pf "within the 5%% budget\n"
 
 (* ------------------------------------------------------------------ *)
-(* Causal profile: the serving path's per-stage breakdown (queue-wait /
-   execute / reassemble percentiles from Pool.profile's per-job monotonic
-   stamps) at 1 and 4 domains, and the tracing-overhead gate — recording
-   trace events on the estimate path must cost < 5% median latency vs. an
-   untraced engine ([overhead_gate]). *)
+(* Tracing overhead: recording trace events on the estimate path must cost
+   < 5% median latency vs. an untraced engine ([overhead_gate]). *)
 
-let profile_worker_counts = [ 1; 4 ]
-
-let pool_profile estimator queries ~workers =
-  let pool = Engine.Pool.create ~workers ~telemetry:false estimator in
-  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
-  (* Warm-up pass materializes the shared EPT; the profiled pass then runs
-     cold-cache so execute times are real pipeline runs. *)
-  ignore
-    (Engine.Pool.estimate_batch pool queries
-      : (Engine.Serve.estimate_reply, Core.Error.t) result list);
-  Engine.Pool.invalidate pool;
-  match Engine.Pool.profile pool queries with
-  | Ok p -> p
-  | Error e -> raise (Core.Error.Xseed e)
-
-let stage_json (s : Engine.Serve.stage_percentiles) =
-  Obs.Json.Obj
-    [ ("p50", Obs.Json.Float s.p50);
-      ("p90", Obs.Json.Float s.p90);
-      ("p99", Obs.Json.Float s.p99) ]
-
-let profile_reply_json (p : Engine.Serve.profile_reply) =
-  Obs.Json.Obj
-    [ ("profiled", Obs.Json.Int p.profiled);
-      ("queue_wait_us", stage_json p.queue_wait_us);
-      ("execute_us", stage_json p.execute_us);
-      ("reassemble_us", stage_json p.reassemble_us) ]
-
-let profile_section () =
-  header "Causal profile: stage breakdown + tracing overhead (XMark)";
+let tracing () =
+  header "Tracing overhead: estimate latency, traced vs. untraced";
   let ds = xmark10 in
-  let estimator = xseed_estimator ~budget:(25 * 1024) ds in
-  let queries = List.map Xpath.Ast.to_string (combined ds) in
-  pf "workload: %d queries, cold shard caches, per-stage percentiles in us\n\n"
-    (List.length queries);
-  pf "%8s %9s %29s %29s %29s\n" "workers" "profiled" "queue-wait (us)"
-    "execute (us)" "reassemble (us)";
-  let stage_cells (s : Engine.Serve.stage_percentiles) =
-    Printf.sprintf "p50 %7.1f p90 %7.1f p99 %7.1f" s.p50 s.p90 s.p99
-  in
-  List.iter
-    (fun w ->
-      let p = pool_profile estimator queries ~workers:w in
-      assert (p.Engine.Serve.profiled = List.length queries);
-      pf "%8d %9d %29s %29s %29s\n" w p.Engine.Serve.profiled
-        (stage_cells p.Engine.Serve.queue_wait_us)
-        (stage_cells p.Engine.Serve.execute_us)
-        (stage_cells p.Engine.Serve.reassemble_us))
-    profile_worker_counts;
   let engine_with ~trace =
     Engine.Pool.create ~workers:1 ~telemetry:false ~cache_capacity:4096 ?trace
       (Core.Estimator.create ~card_threshold:ds.card_threshold
          (Lazy.force ds.kernel))
   in
-  pf "\ntracing overhead:\n";
-  overhead_gate ~what:"profile: tracing" ~off_label:"tracing off"
+  overhead_gate ~what:"tracing:" ~off_label:"tracing off"
     ~on_label:"tracing on" ~passes:(scale 10 16)
     ~off:(engine_with ~trace:None)
     ~on:(engine_with ~trace:(Some (Obs.Trace.create ())))
@@ -856,16 +806,7 @@ let bench_json () =
                      (Printf.sprintf "workers_%d" w, Obs.Json.Float qps))
                    pqps
                 @ [ ("speedup_4v1", Obs.Json.Float speedup);
-                    ("gate", Obs.Json.String gate) ]) );
-            ( "profile",
-              let qstrings = List.map Xpath.Ast.to_string queries in
-              Obs.Json.Obj
-                (List.map
-                   (fun w ->
-                     ( Printf.sprintf "workers_%d" w,
-                       profile_reply_json
-                         (pool_profile estimator qstrings ~workers:w) ))
-                   profile_worker_counts) ) ]
+                    ("gate", Obs.Json.String gate) ]) ) ]
       in
       let path = Printf.sprintf "BENCH_%s.json" file_key in
       let oc = open_out path in
@@ -1142,7 +1083,7 @@ let sections =
   [ ("table2", table2); ("table3", table3); ("fig5", fig5); ("fig6", fig6);
     ("sec64", sec64); ("ablation", ablation); ("values", values);
     ("feedback", feedback); ("telemetry", telemetry); ("audit", audit_bench);
-    ("parallel", parallel); ("profile", profile_section);
+    ("parallel", parallel); ("tracing", tracing);
     ("json", bench_json); ("micro", micro) ]
 
 let () =

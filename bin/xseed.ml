@@ -478,9 +478,9 @@ let shed_policy_arg =
 let max_batch_arg =
   Arg.(value & opt int Engine.Serve.max_batch
        & info [ "max-batch" ] ~docv:"N"
-           ~doc:"Upper bound on a single BATCH/PROFILE count; larger frames \
-                 are rejected with an ERR naming the limit before any \
-                 payload line is read")
+           ~doc:"Upper bound on a single BATCH count; larger frames are \
+                 rejected with an ERR naming the limit before any payload \
+                 line is read")
 
 let journal_arg =
   Arg.(value & opt (some string) None
@@ -1088,8 +1088,8 @@ let audit_cmd =
           $ out_arg $ rate_arg $ seed_arg $ override_threshold_arg)
 
 (* A line-protocol shell over the TCP transport: stdin lines become request
-   frames (BATCH/PROFILE pull their payload lines into the same frame),
-   response payloads print to stdout. What the tests and smokes drive. *)
+   frames (BATCH pulls its payload lines into the same frame), response
+   payloads print to stdout. What the tests and smokes drive. *)
 let client_cmd =
   let client_port_arg =
     Arg.(required & opt (some int) None
@@ -1108,22 +1108,17 @@ let client_cmd =
       | Some line when String.trim line = "" -> loop ()
       | Some line ->
         let payload =
-          (* BATCH n / PROFILE n frame their n payload lines with the
-             request — the frame is the unit of transport. *)
-          let framed_count verb =
-            let vl = String.length verb in
+          (* BATCH n frames its n payload lines with the request — the
+             frame is the unit of transport. *)
+          let batch_count =
             let line = String.trim line in
-            if
-              String.length line > vl
-              && String.sub line 0 vl = verb
-              && line.[vl] = ' '
-            then
+            if String.starts_with ~prefix:"BATCH " line then
               int_of_string_opt
-                (String.trim (String.sub line vl (String.length line - vl)))
+                (String.trim (String.sub line 6 (String.length line - 6)))
             else None
           in
-          match (framed_count "BATCH", framed_count "PROFILE") with
-          | Some n, _ | None, Some n when n >= 0 && n <= 1_000_000 ->
+          match batch_count with
+          | Some n when n >= 0 && n <= 1_000_000 ->
             let extra = List.filter_map (fun _ -> read_line ()) (List.init n Fun.id) in
             String.concat "\n" (line :: extra)
           | _ -> line
@@ -1140,9 +1135,9 @@ let client_cmd =
   Cmd.v
     (Cmd.info "client"
        ~doc:"Connect to 'xseed serve --port' and speak the line protocol \
-             from stdin: each line (with BATCH/PROFILE payload lines \
-             attached) is sent as one frame, each response payload printed \
-             to stdout. Exits 74 when the connection drops mid-frame")
+             from stdin: each line (with a BATCH's payload lines attached) \
+             is sent as one frame, each response payload printed to \
+             stdout. Exits 74 when the connection drops mid-frame")
     Term.(const run $ host_arg $ client_port_arg)
 
 (* Replay: drive a workload through estimate -> execute -> feedback rounds

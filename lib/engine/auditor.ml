@@ -61,9 +61,22 @@ let in_sample ~seed ~rate hash =
 (* ------------------------------------------------------------------ *)
 (* Shared arithmetic: the q-error window, shadow evaluation *)
 
+(* Nearest-rank selection: [nearest_rank samples p] is the sample of rank
+   [round (p * (n-1))] in a copy of [samples] sorted once per call; zero
+   when empty, so no reply carries a non-finite number. *)
+let nearest_rank samples =
+  let s = Array.copy samples in
+  Array.sort Float.compare s;
+  let n = Array.length s in
+  fun p ->
+    if n = 0 then 0.0
+    else
+      let i = int_of_float (Float.round (p *. float_of_int (n - 1))) in
+      s.(max 0 (min (n - 1) i))
+
 let window_json samples =
   let open Obs.Json in
-  let at = Serve.nearest_rank samples in
+  let at = nearest_rank samples in
   Obj
     [ ("count", Int (Array.length samples));
       ("p50", Float (at 0.5));
@@ -505,7 +518,7 @@ let publish t obs =
       Obs.gset
         (Obs.gauge obs "engine.audit.backlog")
         (float_of_int (backlog_locked t));
-      let at = Serve.nearest_rank (ring_snapshot_locked t) in
+      let at = nearest_rank (ring_snapshot_locked t) in
       Obs.gset (Obs.gauge obs "engine.audit.qerror_p50") (at 0.5);
       Obs.gset (Obs.gauge obs "engine.audit.qerror_p90") (at 0.9);
       Obs.gset (Obs.gauge obs "engine.audit.qerror_max") (at 1.0);

@@ -83,10 +83,10 @@ val in_sample : seed:int -> rate:float -> int -> bool
     order. *)
 
 val window_json : float array -> Obs.Json.t
-(** [{"count", "p50", "p90", "max"}] over raw q-errors by
-    {!Serve.nearest_rank} (the max is rank [p = 1]; all zeros when empty)
-    — rendered identically by the [AUDIT] verb and [xseed audit]'s
-    summary line, so the two agree to float equality. *)
+(** [{"count", "p50", "p90", "max"}] over raw q-errors, each the sample
+    of nearest rank [round (p * (n-1))] (the max is rank [p = 1]; all
+    zeros when empty) — rendered identically by the [AUDIT] verb and
+    [xseed audit]'s summary line, so the two agree to float equality. *)
 
 val audit_one :
   estimator:Core.Estimator.t ->

@@ -84,14 +84,12 @@ and batch = {
 }
 
 (* A contiguous slice [c_base, c_hi) of one batch, the unit of dispatch.
-   All chunks of a batch share the query/result/stamp arrays; slot [i]
+   All chunks of a batch share the query and result arrays; slot [i]
    carries global sequence number [c_seq_base + i]. Once popped, only the
    serving worker touches [c_cursor]. *)
 and chunk = {
   c_queries : string array;
   c_results : (Serve.estimate_reply, Core.Error.t) result option array;
-  c_deq : float array;  (* per-slot execution-start stamps (0 = never) *)
-  c_fin : float array;  (* per-slot finish stamps (0 = never) *)
   c_seq_base : int;  (* global seq of batch slot 0 *)
   c_parent : batch;
   c_base : int;  (* first slot *)
@@ -386,7 +384,7 @@ let begin_chunk t shard (c : chunk) t_deq =
 
 (* The chunk body: serve every remaining slot in order, then retire the
    chunk, returning the instant it finished. Slots run back to back, so a
-   slot starts at its predecessor's finish stamp (the first at [t_deq]).
+   slot starts when its predecessor finished (the first at [t_deq]).
    Raises only if the body itself dies (chaos injection, or a bug outside
    the per-query guard) — [recover_crash] then answers the chunk's
    unserved slots. *)
@@ -401,18 +399,17 @@ let serve_chunk t shard (c : chunk) t_deq =
   let major0 = if gc_on then Obs.major_words () else 0.0 in
   let minor_c0 = if gc_on then Obs.minor_collections () else 0 in
   let major_c0 = if gc_on then Obs.major_collections () else 0 in
+  let t_slot = ref t_deq in
   while c.c_cursor < c.c_hi do
     let slot = c.c_cursor in
     let seq = c.c_seq_base + slot in
     let query = c.c_queries.(slot) in
-    let t_slot = if slot = c.c_base then t_deq else c.c_fin.(slot - 1) in
-    c.c_deq.(slot) <- t_slot;
     let result =
       if is_quarantined t query then
         (* Refused before any execution: a query that has already
            crashed two workers never runs again. *)
         Error (quarantined_error ())
-      else if past_deadline t ~admitted_at:c.c_parent.admitted_at ~now:t_slot
+      else if past_deadline t ~admitted_at:c.c_parent.admitted_at ~now:!t_slot
       then begin
         (* First deadline checkpoint, per slot: the budget runs from the
            batch's admission, so a deadline can expire mid-chunk — earlier
@@ -441,10 +438,10 @@ let serve_chunk t shard (c : chunk) t_deq =
     (* Lock-free reply write, straight into the submission-order slot;
        for a queued batch the monitor in [complete_chunk] publishes it. *)
     c.c_results.(slot) <- Some result;
-    c.c_fin.(slot) <- Obs.now_mono ();
+    t_slot := Obs.now_mono ();
     c.c_cursor <- slot + 1
   done;
-  let t_fin = c.c_fin.(c.c_hi - 1) in
+  let t_fin = !t_slot in
   shard.busy_s <- shard.busy_s +. (t_fin -. t_deq);
   shard.last_served_at <- t_fin;
   if gc_on then begin
@@ -496,13 +493,8 @@ let recover_crash t shard exn =
             "worker %d died serving this query: %s (worker restarted)"
             shard.id (Printexc.to_string exn))
      in
-     let now = Obs.now_mono () in
      for slot = c.c_cursor to c.c_hi - 1 do
-       if c.c_results.(slot) = None then begin
-         c.c_results.(slot) <- Some (Error err);
-         if c.c_deq.(slot) = 0.0 then c.c_deq.(slot) <- now;
-         c.c_fin.(slot) <- now
-       end
+       if c.c_results.(slot) = None then c.c_results.(slot) <- Some (Error err)
      done;
      c.c_cursor <- c.c_hi;
      complete_chunk t c
@@ -725,20 +717,16 @@ let submit_queued t (chunks : chunk array) =
 
 (* Submit a batch and wait for all of it; replies land in the preallocated
    submission-order result array regardless of which shard served which
-   slot. Returns the raw results, the batch's admission instant and the
-   per-slot dequeue/finish stamp arrays (for PROFILE; refused slots keep
-   zero stamps). *)
+   slot. *)
 let run_batch t queries =
   let queries = Array.of_list queries in
   let n = Array.length queries in
-  if n = 0 then ([||], 0.0, [||], [||])
+  if n = 0 then [||]
   else begin
     (* Only a batch of several chunks on a pool of several workers queues
        anything; every other request is served whole on the submitter. *)
     let queued = workers t > 1 && n > chunk_target in
     let results = Array.make n None in
-    let deq = Array.make n 0.0 in
-    let fin = Array.make n 0.0 in
     let parent = { remaining = n; queued; admitted_at = 0.0 } in
     Mutex.protect t.submit_lock (fun () ->
         if t.telemetry then Obs.hobserve t.batch_chunk (float_of_int n);
@@ -759,8 +747,6 @@ let run_batch t queries =
               (fun (lo, hi) ->
                 { c_queries = queries;
                   c_results = results;
-                  c_deq = deq;
-                  c_fin = fin;
                   c_seq_base = seq_base;
                   c_parent = parent;
                   c_base = lo;
@@ -770,80 +756,34 @@ let run_batch t queries =
               (plan_chunks ~n ~workers:(if queued then workers t else 1))
           in
           if queued then submit_queued t chunks
-          else
-            (* Back to back: each chunk starts when its predecessor's last
-               slot finished. *)
+          else begin
+            (* Back to back: each chunk starts when its predecessor
+               finished. *)
+            let clock = ref c_enq in
             for i = 0 to Array.length chunks - 1 do
-              let c = chunks.(i) in
-              ignore
-                (serve_inline t c
-                   ~t_deq:(if i = 0 then c_enq else fin.(c.c_base - 1))
-                  : float)
+              clock := serve_inline t chunks.(i) ~t_deq:!clock
             done
+          end
         end);
     if queued then
       Mutex.protect t.monitor (fun () ->
           while parent.remaining > 0 do
             Condition.wait t.retired t.monitor
           done);
-    let out =
-      Array.map
-        (function
-          | Some r -> r
-          | None -> Error (closed_error ()))
-        results
-    in
-    (out, parent.admitted_at, deq, fin)
+    Array.map
+      (function
+        | Some r -> r
+        | None -> Error (closed_error ()))
+      results
   end
 
 (* [affinity] is accepted and ignored (see the interface). *)
-let estimate_batch ?affinity:_ t queries =
-  let results, _, _, _ = run_batch t queries in
-  Array.to_list results
+let estimate_batch ?affinity:_ t queries = Array.to_list (run_batch t queries)
 
 let estimate ?affinity:_ t query =
   match estimate_batch t [ query ] with
   | [ r ] -> r
   | _ -> Error (closed_error ())
-
-(* The PROFILE verb: run the queries as one batch and compute exact
-   per-stage percentiles from the per-slot stamps. Stages partition each
-   query's life: queue-wait (submit to execution start — for a slot deep
-   in a chunk that includes its predecessors' execute time), execute
-   (start to result), reassemble (result to batch completion — the stall
-   until the whole batch can be answered). Refused or unserved slots
-   carry zero stamps and are skipped. *)
-let profile t queries =
-  let out, admitted_at, deq, fin = run_batch t queries in
-  let t_done = Obs.now_mono () in
-  let count kind =
-    Array.fold_left
-      (fun acc -> function
-        | Result.Error e when Core.Error.kind e = kind -> acc + 1
-        | _ -> acc)
-      0 out
-  in
-  let served = ref [] in
-  Array.iteri
-    (fun slot _ ->
-      if deq.(slot) > 0.0 && fin.(slot) > 0.0 then served := slot :: !served)
-    out;
-  let served = List.rev !served in
-  let stage f = Array.of_list (List.map f served) in
-  Ok
-    { Serve.profiled = List.length served;
-      queue_wait_us =
-        Serve.percentiles
-          (stage (fun i -> 1e6 *. Float.max 0.0 (deq.(i) -. admitted_at)));
-      execute_us =
-        Serve.percentiles
-          (stage (fun i -> 1e6 *. Float.max 0.0 (fin.(i) -. deq.(i))));
-      reassemble_us =
-        Serve.percentiles
-          (stage (fun i -> 1e6 *. Float.max 0.0 (t_done -. fin.(i))));
-      timed_out = count Core.Error.Timeout;
-      shed = count Core.Error.Overloaded;
-      tenant = None }
 
 (* Wait until no chunk is being served or queued. Callers hold
    [submit_lock], so no new submission can race the drain. *)
@@ -1340,7 +1280,6 @@ let server ?affinity:_ t =
         match t.drift with
         | None -> Error (telemetry_disabled ())
         | Some d -> Ok (Drift.to_json d));
-    profile = (fun qs -> profile t qs);
     audit = (fun () -> audit_reply t) }
 
 (* Drop every shard cache by bumping the epoch (applied at each shard's

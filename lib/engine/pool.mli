@@ -224,15 +224,6 @@ val explain : t -> string -> (Core.Explain.report, Core.Error.t) result
 (** Full-pipeline explain, run drained on the base estimator. The cache
     status reports whether {e any} shard holds the query. *)
 
-val profile : t -> string list -> (Serve.profile_reply, Core.Error.t) result
-(** The [PROFILE] verb: run the queries as one batch and report exact
-    per-stage percentiles from per-slot monotonic stamps. The stages
-    partition each query's life: queue-wait (submit to execution start —
-    for a slot deep in a chunk that includes its predecessors' execute
-    time, inline as well as on a domain), execute (start to result),
-    reassemble (result to batch completion). Refused slots (shed, pool
-    shut down mid-submit) are excluded from [profiled]. *)
-
 val invalidate : t -> unit
 (** Bump {!epoch} without touching the synopsis, dropping every shard's
     cache at its next dequeue — cold-cache benchmark passes. *)

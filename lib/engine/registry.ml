@@ -229,21 +229,6 @@ let journal_path t tenant =
     (fun dir -> Filename.concat dir (tenant.name ^ ".wal"))
     t.journal_dir
 
-(* Wrap the engine's serve vtable with the per-tenant concerns: journal
-   append-before-ack on feedback, the tenant= stamp on PROFILE replies,
-   and STATS nesting. METRICS is rewired by the session (it is a
-   registry-wide scrape, not a per-tenant one). *)
-let tenant_server_of tenant ~journal base =
-  let base =
-    match journal with None -> base | Some w -> Journal.wrap_server w base
-  in
-  { base with
-    Serve.profile =
-      (fun qs ->
-        match base.Serve.profile qs with
-        | Ok p -> Ok { p with Serve.tenant = Some tenant.name }
-        | Error e -> Error e) }
-
 let page_in_locked t tenant =
   match Core.Error.read_file tenant.path with
   | Error e -> Error e
@@ -313,7 +298,11 @@ let page_in_locked t tenant =
              Option.iter Auditor.shutdown auditor;
              Error e
            | Ok journal ->
-             let tenant_server = tenant_server_of tenant ~journal base in
+             let tenant_server =
+               match journal with
+               | None -> base
+               | Some w -> Journal.wrap_server w base
+             in
              tenant.state <-
                Some { engine; syn_bytes = bytes; auditor; journal; tenant_server };
              tenant.page_ins <- tenant.page_ins + 1;
@@ -524,8 +513,6 @@ let server s =
     recent = (fun n -> join (with_active s (fun srv -> srv.Serve.recent n)));
     drift_json =
       (fun () -> join (with_active s (fun srv -> srv.Serve.drift_json ())));
-    profile =
-      (fun qs -> join (with_active s (fun srv -> srv.Serve.profile qs)));
     audit = (fun () -> join (with_active s (fun srv -> srv.Serve.audit ()))) }
 
 let extra s verb rest =

@@ -143,14 +143,13 @@ val session : t -> session
 val active : session -> string option
 
 val server : session -> Serve.server
-(** Routes estimate/batch/feedback/explain/recent/drift/profile to the
+(** Routes estimate/batch/feedback/explain/recent/drift/audit to the
     active tenant (paging it back in if it was evicted since the [USE]),
     answering [ERR malformed-query] without one. [stats_json] reports the
     active tenant's stats nested with the registry's (the gauge/counter
     values above plus a ["tenants"] object mapping each name to its
-    resident size or [null]); [metrics_text] is
-    always the registry-wide tenant-labeled scrape. [profile] stamps the
-    reply's [tenant=] field; flight records carry the tenant name. *)
+    resident size or [null]); [metrics_text] is always the registry-wide
+    tenant-labeled scrape. Flight records carry the tenant name. *)
 
 val extra : session -> string -> string -> string option
 (** The [USE]/[LOAD]/[TENANTS] verb handler to pass as [?extra] to

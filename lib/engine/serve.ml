@@ -5,18 +5,6 @@
 
 type estimate_reply = { value : float; status : Core.Explain.cache_status }
 
-type stage_percentiles = { p50 : float; p90 : float; p99 : float }
-
-type profile_reply = {
-  profiled : int;
-  queue_wait_us : stage_percentiles;
-  execute_us : stage_percentiles;
-  reassemble_us : stage_percentiles;
-  timed_out : int;
-  shed : int;
-  tenant : string option;
-}
-
 (* One source of truth for what VERSION reports; the CLI reuses [version]
    for its own --version string so the two cannot drift. *)
 let version = "1.0.0"
@@ -32,26 +20,8 @@ type server = {
   metrics_text : unit -> string;
   recent : int option -> (Flight_recorder.record list, Core.Error.t) result;
   drift_json : unit -> (Obs.Json.t, Core.Error.t) result;
-  profile : string list -> (profile_reply, Core.Error.t) result;
   audit : unit -> (Obs.Json.t, Core.Error.t) result;
 }
-
-(* Nearest-rank selection over a sorted copy of raw samples (PROFILE runs
-   are bounded by [max_batch], so sorting a copy is fine); zero for an
-   empty run — the protocol never emits a non-finite number. *)
-let nearest_rank samples =
-  let s = Array.copy samples in
-  Array.sort Float.compare s;
-  let n = Array.length s in
-  fun p ->
-    if n = 0 then 0.0
-    else
-      let i = int_of_float (Float.round (p *. float_of_int (n - 1))) in
-      s.(max 0 (min (n - 1) i))
-
-let percentiles samples =
-  let at = nearest_rank samples in
-  { p50 = at 0.5; p90 = at 0.9; p99 = at 0.99 }
 
 (* A BATCH larger than the configured cap is rejected before reading any
    payload lines: the reply buffers one line per query, so the count bounds
@@ -147,51 +117,6 @@ let handle_batch server ~max_batch ~read_line rest =
     in
     String.concat "\n" (Printf.sprintf "OK %d" n :: lines)
 
-let stage_fields { p50; p90; p99 } =
-  Printf.sprintf "p50=%.1f p90=%.1f p99=%.1f" p50 p90 p99
-
-let profile_line = function
-  | Error e -> err e
-  | Ok p ->
-    Printf.sprintf
-      "OK %d queue_wait_us %s execute_us %s reassemble_us %s timeout=%d \
-       shed=%d%s"
-      p.profiled
-      (stage_fields p.queue_wait_us)
-      (stage_fields p.execute_us)
-      (stage_fields p.reassemble_us)
-      p.timed_out p.shed
-      (match p.tenant with
-       | None -> ""
-       | Some t -> Printf.sprintf " tenant=%s" t)
-
-(* PROFILE frames like BATCH — [n] further payload lines — but answers with
-   a single breakdown line, so a truncated frame is one ERR, not n. *)
-let handle_profile server ~max_batch ~read_line rest =
-  match int_of_string_opt rest with
-  | None -> malformed "PROFILE expects a non-negative integer count"
-  | Some n when n < 0 -> malformed "PROFILE expects a non-negative integer count"
-  | Some n when n > max_batch ->
-    malformed "PROFILE count %d exceeds limit=%d (server --max-batch)" n
-      max_batch
-  | Some n ->
-    let truncated = ref false in
-    let queries =
-      List.filter_map
-        (fun _ ->
-          match read_line () with
-          | Some l -> Some (batch_query l)
-          | None ->
-            truncated := true;
-            None)
-        (List.init n Fun.id)
-    in
-    if !truncated then
-      err
-        (Core.Error.make Core.Error.Io_error
-           "unexpected end of input inside PROFILE")
-    else profile_line (server.profile queries)
-
 let handle_request ?(max_batch = max_batch) ?extra server ~read_line raw =
   let line = String.trim raw in
   if line = "" then None
@@ -210,7 +135,6 @@ let handle_request ?(max_batch = max_batch) ?extra server ~read_line raw =
          match verb with
          | "ESTIMATE" -> estimate_line (server.estimate rest)
          | "BATCH" -> handle_batch server ~max_batch ~read_line rest
-         | "PROFILE" -> handle_profile server ~max_batch ~read_line rest
          | "FEEDBACK" ->
            (match String.rindex_opt rest ' ' with
             | None -> malformed "FEEDBACK expects '<xpath> <actual-count>'"
@@ -286,9 +210,9 @@ let handle_request ?(max_batch = max_batch) ?extra server ~read_line raw =
            else malformed "VERSION takes no argument"
          | _ ->
            malformed
-             "unknown command %S (expected ESTIMATE, BATCH, PROFILE, \
-              FEEDBACK, EXPLAIN, STATS, METRICS, RECENT, DRIFT, AUDIT, PING \
-              or VERSION)"
+             "unknown command %S (expected ESTIMATE, BATCH, FEEDBACK, \
+              EXPLAIN, STATS, METRICS, RECENT, DRIFT, AUDIT, PING or \
+              VERSION)"
              verb
        with exn ->
          err

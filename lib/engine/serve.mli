@@ -10,10 +10,6 @@
     BATCH <n>                   ->  OK <n>, then n per-query OK/ERR lines
                                     answering the n following request
                                     lines in submission order
-    PROFILE <n>                 ->  one-line per-stage latency breakdown of
-                                    the n following request lines:
-                                    OK <n> queue_wait_us p50=.. p90=.. p99=..
-                                    execute_us ... reassemble_us ...
     FEEDBACK <xpath> <actual>   ->  OK <q_error> <refined|kept>
     EXPLAIN <xpath>             ->  OK <explain report as one-line JSON>
     STATS                       ->  OK <stats as one-line JSON>
@@ -35,16 +31,6 @@
     transports, and they answer even on a registry session with no tenant
     selected.
 
-    [PROFILE n] frames exactly like [BATCH n] (the n following lines are
-    ESTIMATE requests, verb prefix optional) but runs them as one traced
-    batch and answers with a single line giving exact p50/p90/p99 of the
-    three serving stages in microseconds: queue-wait (submit to execution
-    start, which for a slot deep in a chunk includes its predecessors'
-    execute time), execute (start to result), reassemble (result to batch
-    completion). The stages mean the same with one worker, where the
-    submitter serves each chunk itself, as with many. Hitting end of input
-    inside the frame is one [ERR io-error] line.
-
     [BATCH n] consumes exactly [n] further input lines, each an ESTIMATE
     request (the [ESTIMATE ] verb prefix is optional on payload lines), and
     answers them in submission order behind an [OK n] header — under a pool
@@ -62,21 +48,6 @@
     still fail with a single [ERR] line. Blank lines are ignored. *)
 
 type estimate_reply = { value : float; status : Core.Explain.cache_status }
-
-type stage_percentiles = { p50 : float; p90 : float; p99 : float }
-(** Exact rank percentiles over one stage's samples, microseconds. *)
-
-type profile_reply = {
-  profiled : int;  (** queries measured *)
-  queue_wait_us : stage_percentiles;
-  execute_us : stage_percentiles;
-  reassemble_us : stage_percentiles;
-  timed_out : int;  (** queries refused with [ERR timeout] during the run *)
-  shed : int;  (** queries refused with [ERR overloaded] during the run *)
-  tenant : string option;
-      (** the tenant that served the run, rendered as a trailing
-          [tenant=<name>] field; [None] outside a registry session *)
-}
 
 val version : string
 (** The server version [VERSION] reports (also the CLI's [--version]). *)
@@ -97,10 +68,6 @@ type server = {
   recent : int option -> (Flight_recorder.record list, Core.Error.t) result;
       (** Newest first; [Error] when telemetry is disabled. *)
   drift_json : unit -> (Obs.Json.t, Core.Error.t) result;
-  profile : string list -> (profile_reply, Core.Error.t) result;
-      (** Run the queries as one measured batch and report the per-stage
-          breakdown. Per-query errors do not fail the run — the reply is a
-          timing summary. *)
   audit : unit -> (Obs.Json.t, Core.Error.t) result;
       (** Shadow-audit status: settle in-flight audits (bounded wait),
           drain results, and report the true q-error window and worst-step
@@ -109,7 +76,7 @@ type server = {
 }
 
 val max_batch : int
-(** Default upper bound on a single BATCH (and PROFILE) count (10,000);
+(** Default upper bound on a single BATCH count (10,000);
     [?max_batch] on {!handle_request}/{!run} overrides it per server and
     the rejection message always names the live limit. *)
 
@@ -126,16 +93,6 @@ val estimate_line : (estimate_reply, Core.Error.t) result -> string
 (** One [ESTIMATE] reply (or [BATCH] slot): [OK <value> <hit|miss>], the
     value printed as [Printf]'s [%.2f] prints it, or {!err}. *)
 
-val nearest_rank : float array -> float -> float
-(** [nearest_rank samples p] is the sample of rank [round (p * (n-1))]
-    in a sorted copy of [samples] (sorted once per [nearest_rank
-    samples]); [0.0] when empty. PROFILE's stages and the AUDIT window
-    both read it. *)
-
-val percentiles : float array -> stage_percentiles
-(** p50/p90/p99 by {!nearest_rank} (all zeros when empty). Exposed for
-    {!Pool.profile} and the bench. *)
-
 val handle_request :
   ?max_batch:int ->
   ?extra:(string -> string -> string option) ->
@@ -148,8 +105,8 @@ val handle_request :
     [METRICS]/[RECENT]/[BATCH]). [read_line] supplies the extra payload
     lines a [BATCH] needs ([None] = end of input); it is only called for a
     well-formed BATCH count. [max_batch] (default {!max_batch}) bounds the
-    BATCH/PROFILE count. [extra verb rest] is consulted before the core
-    verb table — a registry session adds USE/LOAD/TENANTS there; returning
+    BATCH count. [extra verb rest] is consulted before the core verb
+    table — a registry session adds USE/LOAD/TENANTS there; returning
     [None] falls through (and an unknown verb still answers one [ERR]). *)
 
 val run :

@@ -1,10 +1,10 @@
 (** The TCP wire format: {!Core.Frame}'s length-prefixed, checksummed
     frames (the feedback journal frames with the same codec). A frame's
     payload is serve-protocol text: the request line, plus — for
-    [BATCH n]/[PROFILE n] — the [n] payload lines, newline-separated, all
-    in one frame. One request frame yields exactly one response frame
-    (whose payload may be multi-line, e.g. a METRICS scrape). On the wire
-    the length field is attacker-controlled, so the server decodes with a
+    [BATCH n] — the [n] payload lines, newline-separated, all in one
+    frame. One request frame yields exactly one response frame (whose
+    payload may be multi-line, e.g. a METRICS scrape). On the wire the
+    length field is attacker-controlled, so the server decodes with a
     [max_payload] cap.
 
     {b Handshake.} The first frame a client sends must carry

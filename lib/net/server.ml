@@ -175,8 +175,10 @@ let flush t conn now =
     | exception Unix.Unix_error (_, _, _) -> close_conn t conn
 
 (* One request frame -> one response payload. The frame's own lines feed
-   BATCH/PROFILE payload pulls; anything left after the request answered is
-   a client framing bug and is named rather than silently dropped. *)
+   BATCH payload pulls; anything left after a request that succeeded is a
+   client framing bug and is named rather than silently dropped. A request
+   answered ERR keeps its own diagnostic: an over-limit BATCH is refused
+   before its payload is read, so its payload is always left over. *)
 let respond ?max_batch conn payload =
   let lines = ref (String.split_on_char '\n' payload) in
   let read_line () =
@@ -202,14 +204,13 @@ let respond ?max_batch conn payload =
     let leftover =
       List.length (List.filter (fun l -> String.trim l <> "") !lines)
     in
-    if leftover > 0 then
-      err Core.Error.Malformed_query
-        "frame carries %d line(s) after the request (one request per frame)"
-        leftover
-    else
-      (match response with
-       | Some r -> r
-       | None -> err Core.Error.Internal "request line vanished")
+    (match response with
+     | Some r when leftover = 0 || String.starts_with ~prefix:"ERR " r -> r
+     | Some _ ->
+       err Core.Error.Malformed_query
+         "frame carries %d line(s) after the request (one request per frame)"
+         leftover
+     | None -> err Core.Error.Internal "request line vanished")
 
 (* Answer the complete frames in the read buffer, then write the replies
    in the same turn. Framing violations (oversized length field, CRC

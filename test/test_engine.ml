@@ -567,7 +567,8 @@ let test_protocol_errors () =
       ("STATS now", "ERR malformed-query");
       ("EXPLAIN", "ERR malformed-query");
       ("BOGUS /r/a", "ERR malformed-query");
-      ("estimate /r/a", "ERR malformed-query") ];
+      ("estimate /r/a", "ERR malformed-query");
+      ("PROFILE 2", "ERR malformed-query unknown command \"PROFILE\"") ];
   (* Whatever arrives, the handler answers with one line and never raises. *)
   List.iter
     (fun line ->
@@ -692,10 +693,6 @@ let test_protocol_max_batch () =
        go 0
      in
      has "limit=2" r && has "--max-batch" r);
-  (* PROFILE shares the cap. *)
-  let r = handle_with ~max_batch:2 "PROFILE 3" in
-  checkb "PROFILE over the limit refused" true
-    (starts_with "ERR malformed-query" r);
   (* The default is the documented constant. *)
   checki "default max_batch" 10_000 Engine.Serve.max_batch
 
@@ -725,74 +722,6 @@ let test_engine_deadline () =
     checkb "stats_json has timeout_total" true
       (Obs.Json.member "timeout_total" pool = Some (Obs.Json.Int 1))
   | None -> Alcotest.fail "stats_json lacks a pool object"
-
-(* ------------------------------------------------------------------ *)
-(* PROFILE framing: BATCH-like payload, single breakdown line. *)
-
-(* The reply shape is fixed; the timing digits are not. Split the line into
-   its golden skeleton (labels and zero-valued stages) and check execute
-   fields are parseable non-negative numbers. *)
-let profile_fields line =
-  String.split_on_char ' ' line
-  |> List.filter_map (fun tok ->
-         match String.index_opt tok '=' with
-         | Some i ->
-           Some
-             ( String.sub tok 0 i,
-               String.sub tok (i + 1) (String.length tok - i - 1) )
-         | None -> None)
-
-let test_protocol_profile () =
-  let engine = engine_over correlated_doc in
-  let server = Engine.Pool.server engine in
-  let r, reads =
-    serve_handle server ~payload:[ "ESTIMATE /r/a"; "/r/a/b"; "/r/a" ]
-      "PROFILE 3"
-  in
-  checkb "single-line reply" true (not (String.contains r '\n'));
-  checkb "headline counts queries" true (starts_with "OK 3 queue_wait_us " r);
-  checki "exactly 3 payload lines read" 3 !reads;
-  (* The inline pool stamps the same stages a worker domain does: every
-     percentile is a non-negative number, each stage's are ordered, and
-     execute is measured. *)
-  let fields = profile_fields r in
-  checki "three stages x three percentiles plus refusals" 11
-    (List.length fields);
-  List.iter
-    (fun (k, v) ->
-      checkb (Printf.sprintf "%s parses non-negative" k) true
-        (float_of_string v >= 0.0))
-    fields;
-  (match List.map (fun (_, v) -> float_of_string v) fields with
-   | [ q50; q90; q99; e50; e90; e99; r50; r90; r99; _timeout; _shed ] ->
-     checkb "queue-wait percentiles ordered" true (q50 <= q90 && q90 <= q99);
-     checkb "execute percentiles ordered" true (e50 <= e90 && e90 <= e99);
-     checkb "reassemble percentiles ordered" true (r50 <= r90 && r90 <= r99);
-     checkb "execute measured" true (e99 > 0.0)
-   | _ -> Alcotest.fail "unexpected field count");
-  (* A bad query is timed like any other — the reply is a timing summary. *)
-  let r, _ = serve_handle server ~payload:[ "/r["; "/r/a" ] "PROFILE 2" in
-  checkb "errors do not fail the run" true (starts_with "OK 2 " r);
-  let r, _ = serve_handle server "PROFILE 0" in
-  checks "empty profile is all zeros"
-    "OK 0 queue_wait_us p50=0.0 p90=0.0 p99=0.0 execute_us p50=0.0 p90=0.0 \
-     p99=0.0 reassemble_us p50=0.0 p90=0.0 p99=0.0 timeout=0 shed=0"
-    r;
-  (* EOF inside the frame: one ERR line, not n. *)
-  let r, _ = serve_handle server ~payload:[ "/r/a" ] "PROFILE 3" in
-  checkb "truncated frame is one io-error" true
-    (starts_with "ERR io-error" r && not (String.contains r '\n'));
-  (* Malformed counts consume nothing. *)
-  List.iter
-    (fun line ->
-      let r, reads = serve_handle server ~payload:[ "/r/a" ] line in
-      checkb
-        (Printf.sprintf "%S -> one-line ERR (got %S)" line r)
-        true
-        (starts_with "ERR malformed-query" r && not (String.contains r '\n'));
-      checki (Printf.sprintf "%S consumed no payload" line) 0 !reads)
-    [ "PROFILE"; "PROFILE -2"; "PROFILE x";
-      Printf.sprintf "PROFILE %d" (Engine.Serve.max_batch + 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* One-worker tracing: the submitter serves every request on shard 0, so
@@ -1310,7 +1239,6 @@ let () =
           Alcotest.test_case "configurable max_batch" `Quick
             test_protocol_max_batch;
           Alcotest.test_case "engine deadline" `Quick test_engine_deadline;
-          Alcotest.test_case "PROFILE framing" `Quick test_protocol_profile;
           Alcotest.test_case "engine tracing" `Quick test_engine_tracing;
           Alcotest.test_case "pool server (--workers)" `Quick
             test_protocol_pool;

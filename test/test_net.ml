@@ -163,6 +163,17 @@ let test_live_roundtrip () =
     (contains ~needle:"ERR malformed-query" (request_ok c "NONSENSE"));
   checkb "trailing junk after request" true
     (contains ~needle:"one request per frame" (request_ok c "PING\ngarbage"));
+  (* An over-limit BATCH is refused before its payload is read, so the
+     payload is left over in the frame; the reply is still the limit
+     diagnostic, which names the limit so clients can adapt. *)
+  checks "over-limit BATCH keeps its diagnostic"
+    (Printf.sprintf
+       "ERR malformed-query BATCH count 10001 exceeds limit=%d (server \
+        --max-batch)"
+       Engine.Serve.max_batch)
+    (request_ok c
+       (String.concat "\n"
+          ("BATCH 10001" :: List.init 10_001 (fun _ -> "/A/B"))));
   checks "still serving" "OK pong" (request_ok c "PING");
   checki "accepted one connection" 1 (Net.Server.connections_accepted srv)
 

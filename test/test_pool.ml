@@ -394,71 +394,6 @@ let test_queue_stats () =
     (s3.Engine.Work_queue.pop_wait_s > 0.0)
 
 (* ------------------------------------------------------------------ *)
-(* PROFILE: per-stage percentiles over one measured batch, and the
-   protocol spelling of the same. *)
-
-let serve_handle server ?(payload = []) line =
-  let remaining = ref payload in
-  let read_line () =
-    match !remaining with
-    | [] -> None
-    | l :: rest ->
-      remaining := rest;
-      Some l
-  in
-  match Engine.Serve.handle_request server ~read_line line with
-  | Some r -> r
-  | None -> Alcotest.failf "no response to %S" line
-
-let test_pool_profile () =
-  let _, pool = build_pool ~workers:4 Datagen.Paper_example.document in
-  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
-  let queries =
-    List.init 12 (fun i -> if i mod 2 = 0 then "/site/regions" else "/site")
-  in
-  (match Engine.Pool.profile pool queries with
-   | Error e -> Alcotest.failf "profile: %s" (Core.Error.to_string e)
-   | Ok p ->
-     checki "every query measured" 12 p.Engine.Serve.profiled;
-     let ordered (s : Engine.Serve.stage_percentiles) =
-       0.0 <= s.p50 && s.p50 <= s.p90 && s.p90 <= s.p99
-     in
-     checkb "queue-wait percentiles ordered" true
-       (ordered p.Engine.Serve.queue_wait_us);
-     checkb "execute percentiles ordered" true
-       (ordered p.Engine.Serve.execute_us);
-     checkb "reassemble percentiles ordered" true
-       (ordered p.Engine.Serve.reassemble_us);
-     checkb "execute time is measured" true
-       (p.Engine.Serve.execute_us.Engine.Serve.p99 > 0.0));
-  (* The protocol verb frames like BATCH (count, then payload lines) and
-     answers in one line; a bad query is timed, not failed. *)
-  let server = Engine.Pool.server pool in
-  let r =
-    serve_handle server
-      ~payload:[ "/site/regions"; "/site"; "/site[" ]
-      "PROFILE 3"
-  in
-  checkb "single-line reply" true (not (String.contains r '\n'));
-  checkb "profile reply shape" true
-    (String.starts_with ~prefix:"OK 3 queue_wait_us " r);
-  match String.split_on_char ' ' r with
-  | "OK" :: "3" :: rest ->
-    let kvs = List.filter (fun tok -> String.contains tok '=') rest in
-    checki "eleven stage fields" 11 (List.length kvs);
-    List.iter
-      (fun tok ->
-        let i = String.index tok '=' in
-        let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-        match float_of_string_opt v with
-        | Some f ->
-          checkb (tok ^ " is a finite stage time") true
-            (Float.is_finite f && f >= 0.0)
-        | None -> Alcotest.failf "unparseable field %S" tok)
-      kvs
-  | _ -> Alcotest.failf "unexpected PROFILE reply %S" r
-
-(* ------------------------------------------------------------------ *)
 (* Causal trace: a traced 4-worker pool exports a lint-clean Perfetto
    trace whose slices land on the right tracks and whose flows resolve.
    Shard 0 is the submitter's track; there is no other. *)
@@ -1196,12 +1131,17 @@ let test_pool_deadline () =
     (Engine.Pool.estimate_batch pool queries);
   checki "timeout_total counts refused slots" 3
     (Engine.Pool.timeout_total pool);
-  (* The refusals are visible in PROFILE and in the flight records. *)
-  (match Engine.Pool.profile pool queries with
-   | Ok p ->
-     checki "profile reports timeouts" 3 p.Engine.Serve.timed_out;
-     checki "profile reports no sheds" 0 p.Engine.Serve.shed
-   | Error e -> Alcotest.failf "profile: %s" (Core.Error.to_string e));
+  (* A second batch is refused the same way; the counters add up, and
+     the refusals are visible in the flight records. *)
+  checkb "second batch refused" true
+    (List.for_all
+       (function
+         | Error e -> Core.Error.kind e = Core.Error.Timeout
+         | Ok _ -> false)
+       (Engine.Pool.estimate_batch pool queries));
+  checki "timeout_total counts both batches" 6
+    (Engine.Pool.timeout_total pool);
+  checki "nothing shed" 0 (Engine.Pool.shed_total pool);
   checkb "timeouts leave flight records" true
     (List.exists
        (fun (r : Engine.Flight_recorder.record) ->
@@ -1214,7 +1154,7 @@ let test_pool_deadline () =
      | Obs.Json.Obj pf ->
        checkb "stats has timeout_total" true
          (List.assoc "timeout_total" pf = Obs.Json.Int 6)
-       (* 3 from the batch + 3 from the profile run *)
+       (* 3 from each batch *)
      | _ -> Alcotest.fail "pool stats not an object")
   | _ -> Alcotest.fail "stats_json not an object"
 
@@ -1525,7 +1465,6 @@ let () =
             test_pool_shutdown_without_domains;
           Alcotest.test_case "huge batch through a one-slot queue" `Quick
             test_pool_huge_batch_tiny_queue;
-          Alcotest.test_case "profile stages" `Quick test_pool_profile;
           Alcotest.test_case "causal trace" `Quick test_pool_trace;
           Alcotest.test_case "deadline refusals" `Quick test_pool_deadline;
           Alcotest.test_case "shed-newest overload" `Quick
