@@ -450,15 +450,6 @@ let trace_out_arg =
                  Perfetto or chrome://tracing; validate with $(b,xseed \
                  trace-lint))")
 
-let queue_capacity_arg =
-  Arg.(value & opt int 256
-       & info [ "queue-capacity" ] ~docv:"N"
-           ~doc:"Capacity of the worker pool's one admission queue, in \
-                 chunks (slices of up to 8 queries of a BATCH). Only the \
-                 chunks of a BATCH of more than 8 queries beyond its first \
-                 are queued, so only those can be shed; only meaningful with \
-                 --workers >= 2")
-
 let deadline_ms_arg =
   Arg.(value & opt (some float) None
        & info [ "deadline-ms" ] ~docv:"MS"
@@ -466,14 +457,6 @@ let deadline_ms_arg =
                  monotonic clock from admission. A request that overruns it \
                  answers ERR timeout instead of executing. 0 or absent \
                  disables deadlines")
-
-let shed_policy_arg =
-  Arg.(value
-       & opt (enum [ ("block", `Block); ("shed-newest", `Shed_newest) ]) `Block
-       & info [ "shed-policy" ] ~docv:"POLICY"
-           ~doc:"What a full admission queue does to new requests: 'block' \
-                 (default) applies backpressure, 'shed-newest' answers ERR \
-                 overloaded immediately")
 
 let max_batch_arg =
   Arg.(value & opt int Engine.Serve.max_batch
@@ -626,10 +609,10 @@ let serve_synopsis_arg =
 
 let serve_cmd =
   let run synopsis_file threshold qerror_threshold cache_capacity telemetry_out
-      snapshot_every drift_p90 workers queue_capacity deadline_ms shed_policy
-      max_batch journal_path journal_fsync trace_out port host max_conns
-      idle_timeout_ms max_frame manifest memory_budget het_budget journal_dir
-      audit_rate audit_seed audit_feedback audit_doc obs_spec =
+      snapshot_every drift_p90 workers deadline_ms max_batch journal_path
+      journal_fsync trace_out port host max_conns idle_timeout_ms max_frame
+      manifest memory_budget het_budget journal_dir audit_rate audit_seed
+      audit_feedback audit_doc obs_spec =
     protect @@ fun () ->
     (match snapshot_every with
      | Some n when n < 1 ->
@@ -638,9 +621,6 @@ let serve_cmd =
      | _ -> ());
     if workers < 1 then
       Core.Error.raisef Core.Error.Malformed_query "--workers must be >= 1";
-    if queue_capacity < 1 then
-      Core.Error.raisef Core.Error.Malformed_query
-        "--queue-capacity must be >= 1";
     if max_batch < 1 then
       Core.Error.raisef Core.Error.Malformed_query "--max-batch must be >= 1";
     if max_conns < 1 then
@@ -881,8 +861,8 @@ let serve_cmd =
        in
        let pool =
          Engine.Pool.create ~workers ~qerror_threshold ~cache_capacity
-           ~drift_p90_threshold:drift_p90 ~queue_capacity ?trace ?deadline_s
-           ~shed_policy ?auditor estimator
+           ~drift_p90_threshold:drift_p90 ?trace ?deadline_s ?auditor
+           estimator
        in
        set_on_record (Engine.Pool.set_on_record pool);
        (* The snapshot hook mirrors the pool's METRICS view (serving
@@ -939,14 +919,13 @@ let serve_cmd =
              serves a registry of named synopses with USE <tenant> \
              selection, LRU paging under --memory-budget, and per-tenant \
              journals under --journal-dir. Failure handling: --deadline-ms \
-             bounds each request (ERR timeout), --shed-policy shed-newest \
-             refuses over a full --queue-capacity (ERR overloaded), \
-             --journal makes feedback crash-safe, and SIGTERM/SIGINT drain \
-             in-flight work then exit 0")
+             bounds each request (ERR timeout), --max-batch, --max-conns \
+             and --max-frame bound what clients may send, --journal makes \
+             feedback crash-safe, and SIGTERM/SIGINT drain in-flight work \
+             then exit 0")
     Term.(const run $ serve_synopsis_arg $ override_threshold_arg
           $ qerror_threshold_arg $ cache_capacity_arg $ telemetry_out_arg
-          $ snapshot_every_arg $ drift_p90_arg $ workers_arg
-          $ queue_capacity_arg $ deadline_ms_arg $ shed_policy_arg
+          $ snapshot_every_arg $ drift_p90_arg $ workers_arg $ deadline_ms_arg
           $ max_batch_arg $ journal_arg $ journal_fsync_arg $ trace_out_arg
           $ port_arg $ host_arg $ max_conns_arg $ idle_timeout_ms_arg
           $ max_frame_arg $ manifest_arg $ memory_budget_arg $ het_budget_arg

@@ -38,7 +38,7 @@ let kind_name = function
 
 (* sysexits.h: EX_DATAERR 65, EX_NOINPUT 66, EX_SOFTWARE 70, EX_IOERR 74,
    EX_TEMPFAIL 75 (the two transient serving failures: a request deadline
-   expired, or admission control shed the request under load). EX_USAGE 64
+   expired, or the server refused a connection at its cap). EX_USAGE 64
    is assigned by the CLI driver for command-line errors. *)
 let exit_code t =
   match t.kind with

@@ -18,7 +18,7 @@ type kind =
   | Internal  (** an invariant violation surfaced as an exception *)
   | Timeout  (** a per-request deadline expired before the answer was ready *)
   | Overloaded
-      (** admission control shed the request instead of queueing it *)
+      (** the server refused a connection beyond its connection cap *)
 
 type t = {
   kind : kind;

@@ -3,14 +3,13 @@
    the ring overwrites oldest-first and never allocates after creation
    beyond the records themselves. *)
 
-type cache_status = Hit | Miss | Bypass | Timed_out | Shed | Audited
+type cache_status = Hit | Miss | Bypass | Timed_out | Audited
 
 let cache_status_name = function
   | Hit -> "hit"
   | Miss -> "miss"
   | Bypass -> "bypass"
   | Timed_out -> "timeout"
-  | Shed -> "shed"
   | Audited -> "audit"
 
 type audit = {

@@ -9,17 +9,16 @@
     and {!to_json} renders one record as a JSON object (one line of the
     [--telemetry-out] JSON-lines sink). *)
 
-type cache_status = Hit | Miss | Bypass | Timed_out | Shed | Audited
-(** [Timed_out] and [Shed] mark requests the fault-tolerance layer
-    refused: the record carries the raw query, a zero estimate and zero
-    stage times — the point is that the refusal is visible in RECENT and
-    [--telemetry-out] streams, not that it was served. [Audited] marks a
-    shadow-audit attribution record appended when the background auditor
-    completes a sampled query — not a served request at all. *)
+type cache_status = Hit | Miss | Bypass | Timed_out | Audited
+(** [Timed_out] marks a request its deadline refused: the record carries
+    the raw query, a zero estimate and zero stage times — the point is
+    that the refusal is visible in RECENT and [--telemetry-out] streams,
+    not that it was served. [Audited] marks a shadow-audit attribution
+    record appended when the background auditor completes a sampled
+    query — not a served request at all. *)
 
 val cache_status_name : cache_status -> string
-(** ["hit"] / ["miss"] / ["bypass"] / ["timeout"] / ["shed"] /
-    ["audit"]. *)
+(** ["hit"] / ["miss"] / ["bypass"] / ["timeout"] / ["audit"]. *)
 
 type audit = {
   audit_actual : int;  (** exact cardinality from the NoK evaluator *)

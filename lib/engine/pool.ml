@@ -16,15 +16,17 @@
    The unit of dispatch is a chunk: BATCH n is split into contiguous slices
    (DESIGN.md §16). Shard 0 belongs to the submitting thread: only code
    holding the submission lock touches it, so it also takes the
-   coordinator's writes (batch sizes; FEEDBACK, EXPLAIN, shed and audit
-   flight records; trace events recorded outside a chunk). A request that
+   coordinator's writes (batch sizes; FEEDBACK, EXPLAIN and audit flight
+   records; trace events recorded outside a chunk). A request that
    fits in one chunk (every ESTIMATE, a BATCH of up to [chunk_target]) or
    any request to a one-worker pool is served whole there, with no queue,
    latch or wake-up. Shards 1..N-1 each run on a worker domain, started by
    the first batch that queues a chunk, and pop chunks from one shared
    FIFO. A multi-chunk batch queues every chunk but its first; the
    submitter serves the first, takes back queued chunks until none is
-   left, and waits for the domains to finish the rest.
+   left, and waits for the domains to finish the rest. So the queue is
+   empty at every submission, and it holds the largest plan's queued
+   chunks: it only hands chunks over, and admits or refuses nothing.
    Both ways run the same chunk body and crash cleanup. Replies are written
    lock-free into the batch's preallocated submission-order result array; a
    chunk of a queued batch retires once under the pool's completion
@@ -74,9 +76,9 @@ type shard = {
    monitor guards [remaining], and the submitter waits on it until
    [remaining] reaches zero. A batch served whole on the submitter
    completes on its thread and never touches the monitor. Every slot's
-   deadline and queue wait run from [admitted_at], also for a chunk that
-   waits behind earlier ones — in the queue, or served on the submitter
-   after them. *)
+   deadline runs from [admitted_at], also for a chunk that waits behind
+   earlier ones — in the queue, or served on the submitter after them;
+   so does a queued chunk's queue wait. *)
 and batch = {
   mutable remaining : int;
   queued : bool;
@@ -109,8 +111,6 @@ type t = {
   retired : Condition.t;  (* a queued batch's last chunk retired *)
   mutable inflight : int;  (* queued chunks not yet retired; under [monitor] *)
   deadline_s : float option;  (* per-request budget from admission, mono clock *)
-  shed_policy : [ `Block | `Shed_newest ];
-  shed_total : int Atomic.t;
   timeout_total : int Atomic.t;
   worker_restarts : int Atomic.t;
   chaos : (string -> bool) option;
@@ -163,16 +163,26 @@ let parse query =
    over the workers. *)
 let chunk_target = 8
 
+(* The most chunks a plan has: the submitter serves one and queues the
+   rest, so the queue has [max_chunks - 1] slots. Plans of up to
+   [max_chunks * chunk_target] slots never reach it. *)
+let max_chunks = 256
+
 (* The chunk plan, a pure function so the partition laws are directly
    QCheck-able (test_pool). [n] slots are cut into
-   min n (max workers (ceil n/chunk_target)) contiguous chunks — at least
-   one per worker for parallelism, near [chunk_target] slots each so the
-   dispatch cost amortizes, never more chunks than slots. Sizes differ by
-   at most one (long chunks first). *)
+   min n (min max_chunks (max workers (ceil n/chunk_target))) contiguous
+   chunks — at least one per worker for parallelism, near [chunk_target]
+   slots each so the dispatch cost amortizes, never more chunks than slots
+   or than the queue holds beside the submitter's. Sizes differ by at most
+   one (long chunks first). *)
 let plan_chunks ~n ~workers =
   if n <= 0 then [||]
   else begin
-    let count = min n (max workers ((n + chunk_target - 1) / chunk_target)) in
+    let count =
+      min n
+        (min max_chunks
+           (max workers ((n + chunk_target - 1) / chunk_target)))
+    in
     let base = n / count and rem = n mod count in
     Array.init count (fun i ->
         let lo = (i * base) + min i rem in
@@ -202,34 +212,20 @@ let emit_record t shard ~seq ~(key : Canonical.key) ~status
     in
     deliver t r
 
-let timeout_error () =
-  Core.Error.make Core.Error.Timeout "request deadline exceeded"
-
-(* Limit refusals name the live limit in the uniform limit=<n> form (the
-   same convention as the BATCH cap and the TCP frame/connection caps) so
-   clients can parse their budget out of any ERR. *)
-let overloaded_error ~capacity () =
-  Core.Error.make Core.Error.Overloaded
-    (Printf.sprintf
-       "admission queue full limit=%d (server --queue-capacity); request \
-        shed (policy shed-newest)"
-       capacity)
-
-(* A refusal (deadline exceeded, load shed) still leaves a flight record —
-   zero estimate, zero stage times — so drops are visible in RECENT and the
-   telemetry stream. Timeouts land on the refusing shard's ring; sheds on
-   shard 0's (the refusal happens under [submit_lock]). *)
-let emit_refusal t shard ~seq ~query ~hash ~cache =
-  match shard.recorder with
-  | None -> ()
-  | Some rec_ ->
-    let r =
-      Flight_recorder.record ~seq rec_ ~query ~hash ~cache ~estimate:0.0
-        ~canonicalize_s:0.0 ~ept_s:0.0 ~match_s:0.0 ~ept_nodes:0
-        ~frontier_peak:0 ~degenerate_clamps:0 ~het_hits:0
-        ~feedback_round:t.feedback_rounds
-    in
-    deliver t r
+(* A deadline refusal: counted, and still a flight record — zero
+   estimate, zero stage times — on the refusing shard's ring, so drops are
+   visible in RECENT and the telemetry stream. *)
+let time_out t shard ~seq ~query ~hash =
+  Atomic.incr t.timeout_total;
+  (match shard.recorder with
+   | None -> ()
+   | Some rec_ ->
+     deliver t
+       (Flight_recorder.record ~seq rec_ ~query ~hash
+          ~cache:Flight_recorder.Timed_out ~estimate:0.0 ~canonicalize_s:0.0
+          ~ept_s:0.0 ~match_s:0.0 ~ept_nodes:0 ~frontier_peak:0
+          ~degenerate_clamps:0 ~het_hits:0 ~feedback_round:t.feedback_rounds));
+  Error (Core.Error.make Core.Error.Timeout "request deadline exceeded")
 
 let past_deadline t ~admitted_at ~now =
   match t.deadline_s with None -> false | Some d -> now -. admitted_at > d
@@ -326,10 +322,7 @@ let serve_query t shard ~seq ~admitted_at query =
          spent) and the matcher (the expensive stage we refuse to start).
          A cache hit above always answers: serving it is cheaper than
          refusing. *)
-      Atomic.incr t.timeout_total;
-      emit_refusal t shard ~seq ~query:key.Canonical.text
-        ~hash:key.Canonical.hash ~cache:Flight_recorder.Timed_out;
-      Error (timeout_error ())
+      time_out t shard ~seq ~query:key.Canonical.text ~hash:key.Canonical.hash
     | None ->
       let t1 = Obs.now_mono () in
       (match
@@ -369,7 +362,14 @@ let complete_chunk t (c : chunk) =
   in
   if b.queued then Mutex.protect t.monitor retire else retire ()
 
-(* Taking a chunk: drop a cache made stale by a refining feedback. *)
+(* Every chunk of a queued batch but the first went through the queue. *)
+let went_through_queue (c : chunk) = c.c_parent.queued && c.c_base > 0
+
+(* Taking a chunk: drop a cache made stale by a refining feedback, and
+   observe how long a queued chunk spent in the queue — from its batch's
+   admission, when it was pushed, to [t_deq], when it was taken. A chunk
+   that never entered the queue observes nothing: its wait behind earlier
+   chunks of its batch is their execute time, counted where they run. *)
 let begin_chunk t shard (c : chunk) t_deq =
   let epoch = Atomic.get t.epoch in
   if epoch <> shard.epoch_seen then begin
@@ -378,7 +378,7 @@ let begin_chunk t shard (c : chunk) t_deq =
     Lru_cache.clear shard.cache;
     shard.epoch_seen <- epoch
   end;
-  if t.telemetry then
+  if t.telemetry && went_through_queue c then
     Obs.hobserve shard.queue_wait_us
       (1e6 *. (t_deq -. c.c_parent.admitted_at))
 
@@ -410,15 +410,11 @@ let serve_chunk t shard (c : chunk) t_deq =
            crashed two workers never runs again. *)
         Error (quarantined_error ())
       else if past_deadline t ~admitted_at:c.c_parent.admitted_at ~now:!t_slot
-      then begin
+      then
         (* First deadline checkpoint, per slot: the budget runs from the
            batch's admission, so a deadline can expire mid-chunk — earlier
            slots answered, later ones refused. *)
-        Atomic.incr t.timeout_total;
-        emit_refusal t shard ~seq ~query ~hash:0
-          ~cache:Flight_recorder.Timed_out;
-        Error (timeout_error ())
-      end
+        time_out t shard ~seq ~query ~hash:0
       else begin
         (* The chaos hook sits outside the per-query guard below on
            purpose: returning true kills the chunk body the way a real
@@ -460,11 +456,10 @@ let serve_chunk t shard (c : chunk) t_deq =
      let dur = t_fin -. t_deq in
      let id = c.c_seq_base + c.c_base in
      Obs.Trace.complete_seq tb ~name:tg.n_execute ~ts ~dur ~seq:id;
-     (* Every chunk of a queued batch but the first went through the
-        queue: close the queue-wait span the submitter opened at
-        admission, and land the flow arrow mid-slice so Perfetto binds it
+     (* A queued chunk closes the queue-wait span the submitter opened at
+        admission, and lands the flow arrow mid-slice so Perfetto binds it
         to this execute slice rather than its edge. *)
-     if c.c_parent.queued && c.c_base > 0 then begin
+     if went_through_queue c then begin
        Obs.Trace.async_end tb ~name:tg.n_queue_wait ~ts ~id;
        Obs.Trace.flow_end tb ~name:tg.n_query ~ts:(ts +. (dur /. 2.0)) ~id
      end
@@ -531,8 +526,8 @@ let serve_inline t c ~t_deq =
     Obs.now_mono ()
 
 let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
-    ?(telemetry = true) ?(drift_p90_threshold = 8.0) ?(queue_capacity = 256)
-    ?trace ?deadline_s ?(shed_policy = `Block) ?chaos ?auditor estimator =
+    ?(telemetry = true) ?(drift_p90_threshold = 8.0) ?trace ?deadline_s ?chaos
+    ?auditor estimator =
   if workers < 1 then
     invalid_arg (Printf.sprintf "Pool.create: workers %d < 1" workers);
   if not (Float.is_finite qerror_threshold) || qerror_threshold < 1.0 then
@@ -591,15 +586,13 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
     { base = estimator;
       threshold = qerror_threshold;
       shards;
-      queue = Work_queue.create ~capacity:queue_capacity;
+      queue = Work_queue.create ~capacity:(max_chunks - 1);
       domains = [||];
       epoch = Atomic.make 0;
       monitor = Mutex.create ();
       retired = Condition.create ();
       inflight = 0;
       deadline_s;
-      shed_policy;
-      shed_total = Atomic.make 0;
       timeout_total = Atomic.make 0;
       worker_restarts = Atomic.make 0;
       chaos;
@@ -632,7 +625,6 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
 let workers t = Array.length t.shards
 let domains t = Array.length t.domains
 let epoch t = Atomic.get t.epoch
-let shed_total t = Atomic.get t.shed_total
 let timeout_total t = Atomic.get t.timeout_total
 let worker_restarts t = Atomic.get t.worker_restarts
 let qerror_threshold t = t.threshold
@@ -660,53 +652,30 @@ let start_domains t =
         (Array.length t.shards - 1)
         (fun i -> Domain.spawn (fun () -> supervise t t.shards.(i + 1)))
 
-(* A queued chunk the queue would not take: answer every slot it carries
-   and retire it. *)
-let refuse t (c : chunk) refusal =
-  for slot = c.c_base to c.c_hi - 1 do
-    let error =
-      match refusal with
-      | `Closed -> closed_error ()
-      | `Full ->
-        (* Bounded admission under shed-newest: the queue is full, so this
-           newest chunk is the one dropped — every slot it carries. *)
-        Atomic.incr t.shed_total;
-        emit_refusal t t.shards.(0) ~seq:(c.c_seq_base + slot)
-          ~query:c.c_queries.(slot) ~hash:0 ~cache:Flight_recorder.Shed;
-        overloaded_error ~capacity:(Work_queue.capacity t.queue) ()
-    in
-    c.c_results.(slot) <- Some (Error error)
-  done;
-  complete_chunk t c
-
 (* A multi-chunk batch at N >= 2: queue every chunk but the first, serve the
    first on the submitter's shard, then take back queued chunks until the
-   queue is empty; the domains serve what they popped. Only queued chunks
-   can be shed. Every chunk of the batch counts as in flight until it
-   completes, so a drain also waits for the domains' share. Callers hold
-   [submit_lock], which owns shard 0's trace buffer: an admitted chunk's
-   [query] flow and [queue_wait] span start there, at admission, and end
-   in the [execute] slice that serves it. A refused chunk never entered
-   the queue and records nothing. *)
+   queue is empty; the domains serve what they popped. Every chunk of the
+   batch counts as in flight until it completes, so a drain also waits for
+   the domains' share. No push can fail: the queue is empty here and holds
+   every chunk of a plan but one, and [shutdown] closes it only under
+   [submit_lock], which callers hold and which [run_batch] checks
+   [stopped] under. That lock also owns shard 0's trace buffer: a queued
+   chunk's [query] flow and [queue_wait] span start there, at admission,
+   and end in the [execute] slice that serves it. *)
 let submit_queued t (chunks : chunk array) =
   start_domains t;
   Mutex.protect t.monitor (fun () ->
       t.inflight <- t.inflight + Array.length chunks);
   for i = 1 to Array.length chunks - 1 do
     let c = chunks.(i) in
-    let admitted =
-      match t.shed_policy with
-      | `Block -> if Work_queue.push t.queue c then `Ok else `Closed
-      | `Shed_newest -> Work_queue.try_push t.queue c
-    in
-    match (admitted, t.tracing, t.shards.(0).tbuf) with
-    | `Ok, Some tg, Some tb ->
+    Work_queue.push t.queue c;
+    match (t.tracing, t.shards.(0).tbuf) with
+    | Some tg, Some tb ->
       let ts = Obs.Trace.rel tg.tr c.c_parent.admitted_at
       and id = c.c_seq_base + c.c_base in
       Obs.Trace.flow_start tb ~name:tg.n_query ~ts ~id;
       Obs.Trace.async_begin tb ~name:tg.n_queue_wait ~ts ~id
-    | `Ok, _, _ -> ()
-    | ((`Closed | `Full) as refusal), _, _ -> refuse t c refusal
+    | _ -> ()
   done;
   let rec take_back clock =
     match Work_queue.try_pop t.queue with
@@ -1059,7 +1028,6 @@ type totals = {
   pool_epoch : int;
   queue_depth : int;
   queue : Work_queue.stats;
-  shed : int;
   timeouts : int;
   restarts : int;
   quarantined : int;
@@ -1086,7 +1054,6 @@ let totals t =
     pool_epoch = epoch t;
     queue_depth = Work_queue.length t.queue;
     queue = Work_queue.stats t.queue;
-    shed = shed_total t;
     timeouts = timeout_total t;
     restarts = worker_restarts t;
     quarantined = quarantined_count t }
@@ -1133,12 +1100,9 @@ let stats_json t =
             ("queue_depth", Int s.queue_depth);
             ("queue_pushes", Int q.Work_queue.pushes);
             ("queue_pops", Int q.Work_queue.pops);
-            ("queue_push_waits", Int q.Work_queue.push_waits);
             ("queue_pop_waits", Int q.Work_queue.pop_waits);
-            ("queue_push_wait_s", Float q.Work_queue.push_wait_s);
             ("queue_pop_wait_s", Float q.Work_queue.pop_wait_s);
             ("queue_max_occupancy", Int q.Work_queue.max_occupancy);
-            ("shed_total", Int s.shed);
             ("timeout_total", Int s.timeouts);
             ("worker_restarts", Int s.restarts);
             ("quarantined", Int s.quarantined) ] ) ]
@@ -1176,20 +1140,16 @@ let publish_totals t obs =
   counter "engine.flight.records" s.flight_records;
   (match t.auditor with None -> () | Some a -> Auditor.publish a obs);
   Scrape_meter.publish t.scrape ~obs
-    ~served:
-      (c.Lru_cache.hits + c.Lru_cache.misses + s.seen + s.timeouts + s.shed);
+    ~served:(c.Lru_cache.hits + c.Lru_cache.misses + s.seen + s.timeouts);
   (match t.drift with None -> () | Some d -> Drift.publish d obs);
   gauge "engine.pool.workers" (workers t);
   gauge "engine.pool.epoch" s.pool_epoch;
   gauge "engine.pool.queue_depth" s.queue_depth;
   counter "engine.pool.queue.pushes" q.Work_queue.pushes;
   counter "engine.pool.queue.pops" q.Work_queue.pops;
-  counter "engine.pool.queue.push_waits" q.Work_queue.push_waits;
   counter "engine.pool.queue.pop_waits" q.Work_queue.pop_waits;
-  Obs.set_to ~obs "engine.pool.queue.push_wait_s" q.Work_queue.push_wait_s;
   Obs.set_to ~obs "engine.pool.queue.pop_wait_s" q.Work_queue.pop_wait_s;
   counter "engine.pool.queue.max_occupancy" q.Work_queue.max_occupancy;
-  counter "engine.pool.shed_total" s.shed;
   counter "engine.pool.timeout_total" s.timeouts;
   counter "engine.pool.worker_restarts" s.restarts;
   gauge "engine.pool.quarantined" s.quarantined;
@@ -1266,8 +1226,7 @@ let telemetry_disabled () =
   Core.Error.make Core.Error.Internal "telemetry is disabled on this pool"
 
 let server ?affinity:_ t =
-  { Serve.estimate = (fun q -> estimate t q);
-    estimate_batch = (fun qs -> estimate_batch t qs);
+  { Serve.estimate_batch = (fun qs -> estimate_batch t qs);
     feedback = (fun q ~actual -> feedback t q ~actual);
     explain = (fun q -> explain t q);
     stats_json = (fun () -> stats_json t);

@@ -11,7 +11,7 @@
     the submission lock touches it), plus [n - 1] worker domains owning
     shards 1..n-1. The coordinator's writes also happen under that lock,
     so shard 0 holds them: the [engine.pool.batch_chunk] histogram, and
-    the FEEDBACK, EXPLAIN, shed and audit flight records; there is no
+    the FEEDBACK, EXPLAIN and audit flight records; there is no
     separate coordinator registry, ring or trace track. A request that
     fits in one chunk — every ESTIMATE, any BATCH of up to 8 — and any
     request to a one-worker pool is served whole on the submitter, under
@@ -28,10 +28,15 @@
     chunks queues every chunk but its first in one shared FIFO; the
     submitter serves the first chunk, takes back queued chunks
     ({!Work_queue.try_pop}) until none is left, and waits for the ones the
-    domains popped, so a straggler holds up only its own chunk. Every
-    thread runs the same chunk body, deadline checks, flight records and
-    crash cleanup. Shards write replies lock-free into the batch's
-    preallocated submission-order result array. One pool-wide completion
+    domains popped, so a straggler holds up only its own chunk. The queue
+    is therefore empty at every submission, and it has a slot for every
+    chunk of the largest plan but the submitter's, so a push never waits
+    or fails: the queue hands chunks over and admits or refuses nothing.
+    What bounds a request is its deadline and, above the pool, the
+    protocol's and the transport's limits. Every thread runs the same
+    chunk body, deadline checks, flight records and crash cleanup. Shards
+    write replies lock-free into the batch's preallocated
+    submission-order result array. One pool-wide completion
     monitor (a mutex, a condition and the in-flight chunk count) retires
     each queued chunk once, publishes its replies, and wakes both the
     batch's submitter and a drain with one broadcast when a batch's last
@@ -60,10 +65,8 @@ val create :
   ?cache_capacity:int ->
   ?telemetry:bool ->
   ?drift_p90_threshold:float ->
-  ?queue_capacity:int ->
   ?trace:Obs.Trace.t ->
   ?deadline_s:float ->
-  ?shed_policy:[ `Block | `Shed_newest ] ->
   ?chaos:(string -> bool) ->
   ?auditor:Auditor.t ->
   Core.Estimator.t ->
@@ -73,8 +76,7 @@ val create :
     spawns; [create] itself spawns none. Call {!shutdown} when done.
     [qerror_threshold] (default 2.0) is the minimum q-error at which
     feedback refines the HET. [cache_capacity] (default 1024) is {e per
-    shard}, as is each shard's 256-record flight ring; [queue_capacity]
-    (default 256) is the chunk slots of the one shared queue. The EPT
+    shard}, as is each shard's 256-record flight ring. The EPT
     is materialized eagerly, here and on every refinement, so no served
     query pays for it (a failure surfaces as [Limit_exceeded] on the
     first estimate). [telemetry] (default [true]) enables the flight
@@ -92,14 +94,8 @@ val create :
     slot executes (so a deadline can expire mid-chunk — earlier slots
     answered, later ones refused [ERR timeout]) and again between
     canonicalize and the pipeline on a cache miss. Cache hits always
-    answer. [shed_policy] (default [`Block]) governs a full queue:
-    [`Block] applies backpressure (the submitter waits), [`Shed_newest]
-    refuses the chunk being submitted — every slot it carries — with
-    [ERR overloaded] without blocking. Only queued chunks can be shed: a
-    one-chunk request, a batch's first chunk and anything sent to a
-    one-worker pool are served on the submitter and never queue. Serving
-    threads are supervised: an exception escaping a chunk body answers the
-    chunk's unserved slots with [ERR internal] and bumps
+    answer. Serving threads are supervised: an exception escaping a chunk
+    body answers the chunk's unserved slots with [ERR internal] and bumps
     {!worker_restarts}; a worker domain then restarts its loop in place,
     the submitter simply carries on — a batch never hangs on a dead
     worker. A query whose execution has killed workers twice is
@@ -153,11 +149,14 @@ val domains : t -> int
     chunk, then [workers - 1] until {!shutdown}. *)
 
 val plan_chunks : n:int -> workers:int -> (int * int) array
-(** The pure chunk plan: [n] slots cut into [min n (max workers (ceil
-    n/8))] contiguous [(lo, hi)] slices — [lo] inclusive, [hi] exclusive.
-    Laws (QCheck-pinned): the slices partition [0, n) exactly (cover every
-    index once, in order); sizes differ by at most one with longer chunks
-    first; [n = 0] plans no chunks. *)
+(** The pure chunk plan: [n] slots cut into [min n (min 256 (max workers
+    (ceil n/8)))] contiguous [(lo, hi)] slices — [lo] inclusive, [hi]
+    exclusive. The cap of 256 is the queue's capacity plus the chunk the
+    submitter serves, so a plan of up to 2,048 slots has chunks of at most
+    8 and only a larger batch gets larger chunks. Laws (QCheck-pinned):
+    the slices partition [0, n) exactly (cover every index once, in
+    order); sizes differ by at most one with longer chunks first; [n = 0]
+    plans no chunks. *)
 
 val epoch : t -> int
 (** Cache-invalidation epoch: starts at 0, incremented by every refining
@@ -167,9 +166,6 @@ val qerror_threshold : t -> float
 val feedback_seen : t -> int
 val feedback_rounds : t -> int
 val drift : t -> Drift.t option
-
-val shed_total : t -> int
-(** Query slots refused [ERR overloaded] by the [`Shed_newest] policy. *)
 
 val timeout_total : t -> int
 (** Query slots refused [ERR timeout] at either deadline checkpoint. *)
@@ -202,10 +198,8 @@ val estimate_batch :
   string list ->
   (Serve.estimate_reply, Core.Error.t) result list
 (** Submit a batch as chunks; replies return in submission order
-    regardless of which shard served each slot. While the queue is full,
-    [`Block] pools wait (backpressure) and [`Shed_newest] pools answer the
-    overflowing chunk's slots [ERR overloaded] immediately. [affinity] is
-    ignored, as on {!estimate}. *)
+    regardless of which shard served each slot. [affinity] is ignored, as
+    on {!estimate}. *)
 
 val feedback : t -> string -> actual:int -> (Feedback.outcome, Core.Error.t) result
 (** Drain the pool, fold in finished audits, take the query's estimate,
@@ -234,9 +228,9 @@ val stats_json : t -> Obs.Json.t
     the synopsis footprint, plus a
     ["pool"] object ([workers], [epoch], [queue_depth], the work queue's
     contention counters [queue_pushes] / [queue_pops] /
-    [queue_push_waits] / [queue_pop_waits] / [queue_push_wait_s] /
-    [queue_pop_wait_s] / [queue_max_occupancy], and the failure counters
-    [shed_total] / [timeout_total] / [worker_restarts] / [quarantined]). *)
+    [queue_pop_waits] / [queue_pop_wait_s] / [queue_max_occupancy], and
+    the failure counters [timeout_total] / [worker_restarts] /
+    [quarantined]). *)
 
 val publish_telemetry : t -> Obs.t -> unit
 (** Mirror {!merged_metrics} into a registry with {!Obs.mirror} — the
@@ -259,8 +253,11 @@ val merged_metrics : t -> Obs.t
     series; every shard's pipeline registry; and the base estimator's
     registry, if it was given one (the pipeline counters of [feedback] and
     [explain]). Includes, when telemetry is on: the pool-wide
-    [engine.pool.queue_wait_us] histogram (per-chunk dequeue waits; shard
-    observations merge by key), [engine.pool.batch_chunk],
+    [engine.pool.queue_wait_us] histogram (one observation per chunk that
+    went through the queue, its batch's admission to the moment it was
+    taken; a chunk served without entering the queue observes nothing,
+    so a one-worker pool's count stays 0; shard observations merge by
+    key), [engine.pool.batch_chunk],
     [engine.pool.queue.*] contention counters from {!Work_queue.stats},
     per-shard [engine.gc.*] counters (labelled [shard="N"]) and
     [engine.pool.busy_fraction] gauges (serving time over the shard's
@@ -269,7 +266,7 @@ val merged_metrics : t -> Obs.t
 
 val recent : ?n:int -> t -> Flight_recorder.record list
 (** Flight records merged across all shard rings (shard 0's also holds
-    the FEEDBACK, EXPLAIN, shed and audit records), newest submission
+    the FEEDBACK, EXPLAIN and audit records), newest submission
     first ([seq] descending). *)
 
 val cache_counters : t -> Lru_cache.counters

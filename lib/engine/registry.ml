@@ -484,9 +484,7 @@ let with_active s f =
 let join = function Ok (Ok v) -> Ok v | Ok (Error e) -> Error e | Error e -> Error e
 
 let server s =
-  { Serve.estimate =
-      (fun q -> join (with_active s (fun srv -> srv.Serve.estimate q)));
-    estimate_batch =
+  { Serve.estimate_batch =
       (fun qs ->
         match with_active s (fun srv -> srv.Serve.estimate_batch qs) with
         | Ok results -> results

@@ -11,7 +11,6 @@ let version = "1.0.0"
 let protocol_version = 1
 
 type server = {
-  estimate : string -> (estimate_reply, Core.Error.t) result;
   estimate_batch : string list -> (estimate_reply, Core.Error.t) result list;
   feedback :
     string -> actual:int -> (Feedback.outcome, Core.Error.t) result;
@@ -133,7 +132,13 @@ let handle_request ?(max_batch = max_batch) ?extra server ~read_line raw =
          | Some response -> response
          | None ->
          match verb with
-         | "ESTIMATE" -> estimate_line (server.estimate rest)
+         | "ESTIMATE" ->
+           (match server.estimate_batch [ rest ] with
+            | [ r ] -> estimate_line r
+            | _ ->
+              err
+                (Core.Error.make Core.Error.Internal
+                   "estimate reply is not one result"))
          | "BATCH" -> handle_batch server ~max_batch ~read_line rest
          | "FEEDBACK" ->
            (match String.rindex_opt rest ' ' with

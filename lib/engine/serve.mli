@@ -57,10 +57,9 @@ val protocol_version : int
     handshake negotiates. *)
 
 type server = {
-  estimate : string -> (estimate_reply, Core.Error.t) result;
   estimate_batch : string list -> (estimate_reply, Core.Error.t) result list;
       (** One result per query, in submission order; one bad query does not
-          fail the batch. *)
+          fail the batch. [ESTIMATE] is a batch of one. *)
   feedback : string -> actual:int -> (Feedback.outcome, Core.Error.t) result;
   explain : string -> (Core.Explain.report, Core.Error.t) result;
   stats_json : unit -> Obs.Json.t;

@@ -3,16 +3,17 @@
     audit samples ({!Auditor}).
 
     The pool dispatches {e chunks} (contiguous slices of a batch), one
-    queue operation per chunk, so a single mutex covers the ring. The
-    auditor's serving threads [try_push] samples (a [`Full] ring sheds
-    one) and its audit domain [pop]s them.
-    Producers push at the tail (blocking while the ring is full, which
-    backpressures clients instead of growing memory); any worker domain
-    pops the head, and the producer itself may take it back without
-    blocking ({!try_pop}). A push wakes one blocked consumer and a pop one
-    blocked producer ([Condition.signal]); {!close} wakes everyone: pending chunks
-    still drain, further pushes are refused, and poppers see [None] once
-    the ring is empty — the worker shutdown signal.
+    queue operation per chunk, so a single mutex covers the ring. Its
+    submitter {!push}es a batch's queued chunks into a ring sized to the
+    largest batch plan, which it has emptied before each submission, so
+    a push never finds it full; any worker domain pops the head, and the
+    submitter itself may take it back without blocking ({!try_pop}). The
+    auditor's serving threads {!try_push} samples (a [`Full] ring sheds
+    one) and its audit domain pops them. Producers never wait; a consumer
+    waits while the ring is empty. A push wakes one blocked consumer
+    ([Condition.signal]); {!close} wakes every one: pending items still
+    drain, further pushes are refused, and poppers see [None] once the
+    ring is empty — the worker shutdown signal.
 
     The mutex's acquire/release pairs also order memory between producers
     and consumers, which the pool relies on for publishing its shared EPT
@@ -24,20 +25,18 @@ val create : capacity:int -> 'a t
 (** A ring of [capacity] chunk slots; no allocation after creation.
     @raise Invalid_argument when [capacity] < 1. *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
 (** Occupied slots at the instant of the read. *)
 
-val push : 'a t -> 'a -> bool
-(** Enqueue at the tail, blocking while the ring is full. [false] when the
-    queue is (or becomes) closed — the item was not enqueued. *)
+val push : 'a t -> 'a -> unit
+(** Enqueue at the tail of a ring its caller has sized to have room.
+    @raise Invalid_argument when the ring is full or closed: the caller's
+    bound does not hold, and the item was not enqueued. *)
 
 val try_push : 'a t -> 'a -> [ `Ok | `Full | `Closed ]
-(** Non-blocking enqueue: [`Full] immediately when the ring has no free
-    slot (the item was not enqueued), [`Closed] after {!close}. The
-    admission primitive for shed-newest load shedding — a producer that
-    would have blocked can answer "overloaded" instead. *)
+(** Non-blocking enqueue for a producer that may find the ring full:
+    [`Full] when the ring has no free slot, [`Closed] after {!close}; in
+    both the item was not enqueued. *)
 
 val pop : 'a t -> 'a option
 (** Dequeue the head, blocking while the ring is empty. [None] only when
@@ -50,15 +49,12 @@ val try_pop : 'a t -> 'a option
     with it before it waits for the rest. *)
 
 val close : 'a t -> unit
-(** Refuse further pushes and wake all blocked producers and consumers.
-    Idempotent. Already-queued chunks still drain through {!pop}.
+(** Refuse further pushes and wake every blocked consumer. Idempotent.
+    Already-queued items still drain through {!pop}.
 
-    {b Close/blocked-operation race semantics} (pinned by tests): a
-    producer blocked in {!push} on a full ring is woken and returns
-    [false] — its item is {e never} enqueued, even though slots may later
-    free up; a {!try_push} after close returns [`Closed]. A consumer
+    {b Close/blocked-pop race semantics} (pinned by tests): a consumer
     blocked in {!pop} is woken and returns [None] if the ring is empty;
-    if chunks remain, blocked and subsequent consumers drain them and only
+    if items remain, blocked and subsequent consumers drain them and only
     then see [None]. The wait counters ({!stats}) still record the blocked
     interval that close cut short. *)
 
@@ -66,17 +62,15 @@ val closed : 'a t -> bool
 
 (** {1 Contention accounting}
 
-    The queue counts its own traffic and blocking time under its lock, so
-    the numbers are exact. The monotonic clock is read only when an
-    operation actually blocks — an uncontended push or pop costs nothing
-    beyond the mutex it already takes. *)
+    The queue counts its own traffic and its consumers' blocking time
+    under its lock, so the numbers are exact. The monotonic clock is read
+    only when a pop actually blocks — an uncontended push or pop costs
+    nothing beyond the mutex it already takes. *)
 
 type stats = {
-  pushes : int;  (** chunks successfully enqueued *)
-  pops : int;  (** chunks successfully dequeued *)
-  push_waits : int;  (** pushes that found the ring full and blocked *)
+  pushes : int;  (** items successfully enqueued *)
+  pops : int;  (** items successfully dequeued *)
   pop_waits : int;  (** pops that found the ring empty and blocked *)
-  push_wait_s : float;  (** total producer blocking time, seconds *)
   pop_wait_s : float;  (** total consumer blocking time, seconds *)
   max_occupancy : int;  (** high-water mark of occupied slots *)
 }

@@ -330,16 +330,12 @@ let journal_case rng ~seed ~case =
 let deadline_case rng ~seed ~case =
   incr total;
   let category = "deadline" in
-  (* A storm: a deadline that is usually already spent, a tiny admission
-     queue, a random shed policy and more clients than workers. *)
+  (* A storm: a deadline that is usually already spent and more clients
+     than workers. *)
   let expired = Datagen.Rng.int rng 4 < 3 in
   let deadline_s = if expired then -1e-9 else 60.0 in
-  let shed_policy =
-    if Datagen.Rng.int rng 2 = 0 then `Block else `Shed_newest
-  in
   match
-    Engine.Pool.create ~workers:2 ~queue_capacity:4 ~deadline_s ~shed_policy
-      (Lazy.force pool_estimator)
+    Engine.Pool.create ~workers:2 ~deadline_s (Lazy.force pool_estimator)
   with
   | exception e ->
     fail_case ~category ~seed ~case "Pool.create raised %s"
@@ -369,7 +365,7 @@ let deadline_case rng ~seed ~case =
                   fail_case ~category ~seed ~case "NaN under storm"
               | Error e -> (
                 match Core.Error.kind e with
-                | Core.Error.Timeout | Core.Error.Overloaded -> ()
+                | Core.Error.Timeout -> ()
                 | _ ->
                   fail_case ~category ~seed ~case "unexpected error: %s"
                     (Core.Error.to_string e)))
@@ -378,12 +374,9 @@ let deadline_case rng ~seed ~case =
           fail_case ~category ~seed ~case "client raised %s"
             (Printexc.to_string e))
       clients;
-    if expired
-       && Engine.Pool.timeout_total pool + Engine.Pool.shed_total pool < 36
-    then
-      fail_case ~category ~seed ~case "refusal counters undercount: %d+%d < 36"
+    if expired && Engine.Pool.timeout_total pool < 36 then
+      fail_case ~category ~seed ~case "timeout counter undercounts: %d < 36"
         (Engine.Pool.timeout_total pool)
-        (Engine.Pool.shed_total pool)
 
 (* ------------------------------------------------------------------ *)
 

@@ -271,9 +271,10 @@ let test_wrap_server () =
   | Ok w ->
     let server = Engine.Journal.wrap_server w (Engine.Pool.server engine) in
     (* Estimates pass through untouched and unjournalled. *)
-    (match server.Engine.Serve.estimate "/site/regions" with
-     | Ok _ -> ()
-     | Error e -> Alcotest.failf "estimate: %s" (Core.Error.to_string e));
+    (match server.Engine.Serve.estimate_batch [ "/site/regions" ] with
+     | [ Ok _ ] -> ()
+     | [ Error e ] -> Alcotest.failf "estimate: %s" (Core.Error.to_string e)
+     | _ -> Alcotest.fail "not one reply to one query");
     checki "estimate not journalled" 0 (Engine.Journal.appended w);
     (* A successful feedback is appended before the reply. *)
     (match server.Engine.Serve.feedback "/site/regions" ~actual:6 with

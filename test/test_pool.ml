@@ -24,34 +24,46 @@ let test_queue_fifo () =
     (Invalid_argument "Work_queue.create: capacity 0 < 1") (fun () ->
       ignore (Engine.Work_queue.create ~capacity:0 : int Engine.Work_queue.t));
   let q = Engine.Work_queue.create ~capacity:4 in
-  checki "capacity" 4 (Engine.Work_queue.capacity q);
   checki "empty" 0 (Engine.Work_queue.length q);
   for i = 1 to 4 do
-    checkb "push accepted" true (Engine.Work_queue.push q i)
+    Engine.Work_queue.push q i
   done;
   checki "full" 4 (Engine.Work_queue.length q);
+  (* A push never waits: a full ring means its caller's bound was wrong. *)
+  Alcotest.check_raises "push on a full ring"
+    (Invalid_argument "Work_queue.push: ring full") (fun () ->
+      Engine.Work_queue.push q 5);
+  checki "refused push not enqueued" 4 (Engine.Work_queue.length q);
   checkb "pop 1" true (Engine.Work_queue.pop q = Some 1);
-  checkb "push 5 after pop" true (Engine.Work_queue.push q 5);
+  Engine.Work_queue.push q 5;
   (* FIFO across the ring seam *)
   List.iter
     (fun expect ->
       checkb "fifo order" true (Engine.Work_queue.pop q = Some expect))
     [ 2; 3; 4; 5 ]
 
+(* Close refuses every later push without waiting — [push] raises,
+   [try_push] answers [`Closed], and neither enqueues — while what was
+   queued before it still drains. *)
 let test_queue_close_drains () =
   let q = Engine.Work_queue.create ~capacity:4 in
-  checkb "push a" true (Engine.Work_queue.push q "a");
-  checkb "push b" true (Engine.Work_queue.push q "b");
+  Engine.Work_queue.push q "a";
+  Engine.Work_queue.push q "b";
   Engine.Work_queue.close q;
   checkb "closed" true (Engine.Work_queue.closed q);
-  checkb "push refused" false (Engine.Work_queue.push q "c");
+  Alcotest.check_raises "push refused"
+    (Invalid_argument "Work_queue.push: queue closed") (fun () ->
+      Engine.Work_queue.push q "c");
+  checkb "try_push sees closed" true (Engine.Work_queue.try_push q "d" = `Closed);
   checkb "drains a" true (Engine.Work_queue.pop q = Some "a");
   checkb "drains b" true (Engine.Work_queue.pop q = Some "b");
   checkb "then None" true (Engine.Work_queue.pop q = None);
   checkb "still None" true (Engine.Work_queue.pop q = None)
 
-(* Producers block on a full ring until consumers make room; close wakes
-   everyone. Run to completion = no deadlock. *)
+(* Two producers and a consumer through a two-slot ring: a producer that
+   finds it full tries again, so items cross the ring seam under real
+   contention. Every item arrives exactly once, and close ends the
+   consumer. Run to completion = no deadlock. *)
 let test_queue_concurrent () =
   let q = Engine.Work_queue.create ~capacity:2 in
   let n = 500 in
@@ -59,7 +71,9 @@ let test_queue_concurrent () =
     List.init 2 (fun p ->
         Domain.spawn (fun () ->
             for i = 0 to n - 1 do
-              ignore (Engine.Work_queue.push q ((p * n) + i) : bool)
+              while Engine.Work_queue.try_push q ((p * n) + i) = `Full do
+                Domain.cpu_relax ()
+              done
             done))
   in
   let seen = Array.make (2 * n) false in
@@ -101,7 +115,7 @@ let test_queue_blocked_consumers () =
   in
   let consumers = block 3 in
   for i = 1 to 3 do
-    checkb "push" true (Engine.Work_queue.push q i)
+    Engine.Work_queue.push q i
   done;
   checkb "each blocked consumer takes one distinct item" true
     (List.sort compare (List.map Domain.join consumers)
@@ -155,14 +169,15 @@ let test_drift_shards_sum () =
 let prop_plan_partition =
   QCheck.Test.make ~count:500
     ~name:"plan_chunks partitions [0,n) exactly, in order"
-    QCheck.(pair (int_bound 200) (int_range 1 8))
+    QCheck.(pair (int_bound 20_000) (int_range 1 8))
     (fun (n, workers) ->
       let plan = Engine.Pool.plan_chunks ~n ~workers in
       let count = Array.length plan in
-      (* Count law: never more chunks than slots, at least one per worker
-         (for parallelism), near 8 slots each. *)
+      (* Count law: never more chunks than slots or than the queue holds
+         beside the submitter's (256), at least one per worker (for
+         parallelism), near 8 slots each. *)
       let expect_count =
-        if n <= 0 then 0 else min n (max workers ((n + 7) / 8))
+        if n <= 0 then 0 else min n (min 256 (max workers ((n + 7) / 8)))
       in
       if count <> expect_count then
         QCheck.Test.fail_reportf "n=%d workers=%d: %d chunks, not %d" n
@@ -210,7 +225,14 @@ let test_plan_chunks_edges () =
   (* Past 8 slots per worker the chunks stay at 8: 24 slots over 2
      workers are three chunks. *)
   checkb "sizes 8,8,8" true
-    (sizes (Engine.Pool.plan_chunks ~n:24 ~workers:2) = [| 8; 8; 8 |])
+    (sizes (Engine.Pool.plan_chunks ~n:24 ~workers:2) = [| 8; 8; 8 |]);
+  (* 2,048 slots are the largest plan of 8-slot chunks; one more slot
+     lengthens the first chunk instead of adding a 257th. *)
+  checkb "2,048 slots: 256 chunks of 8" true
+    (sizes (Engine.Pool.plan_chunks ~n:2048 ~workers:4) = Array.make 256 8);
+  let p = sizes (Engine.Pool.plan_chunks ~n:2049 ~workers:4) in
+  checki "2,049 slots: still 256 chunks" 256 (Array.length p);
+  checki "2,049 slots: the first has 9" 9 p.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Pool basics *)
@@ -348,10 +370,10 @@ let test_pool_batch_random_shapes () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Work-queue contention stats. The queue counts a wait (and starts its
-   clock) under the lock *before* sleeping, so polling [stats] until
-   [push_waits]/[pop_waits] ticks is a deterministic rendezvous with a
-   blocked domain — no sleeps, no flakes. *)
+(* Work-queue contention stats. The queue counts a consumer's wait (and
+   starts its clock) under the lock *before* sleeping, so polling [stats]
+   until [pop_waits] ticks is a deterministic rendezvous with a blocked
+   domain — no sleeps, no flakes. *)
 
 let test_queue_stats () =
   let q = Engine.Work_queue.create ~capacity:2 in
@@ -359,39 +381,27 @@ let test_queue_stats () =
   checki "fresh pushes" 0 s0.Engine.Work_queue.pushes;
   checki "fresh pops" 0 s0.Engine.Work_queue.pops;
   checki "fresh high-water" 0 s0.Engine.Work_queue.max_occupancy;
-  checkb "push 1" true (Engine.Work_queue.push q 1);
-  checkb "push 2" true (Engine.Work_queue.push q 2);
+  Engine.Work_queue.push q 1;
+  Engine.Work_queue.push q 2;
   let s1 = Engine.Work_queue.stats q in
   checki "two pushes" 2 s1.Engine.Work_queue.pushes;
   checki "high-water follows occupancy" 2 s1.Engine.Work_queue.max_occupancy;
-  checki "uncontended pushes never wait" 0 s1.Engine.Work_queue.push_waits;
-  let producer = Domain.spawn (fun () -> Engine.Work_queue.push q 3) in
-  while (Engine.Work_queue.stats q).Engine.Work_queue.push_waits = 0 do
-    Domain.cpu_relax ()
-  done;
-  checkb "pop releases the blocked producer" true
-    (Engine.Work_queue.pop q = Some 1);
-  checkb "blocked push lands" true (Domain.join producer);
-  let s2 = Engine.Work_queue.stats q in
-  checki "blocked push counted once" 1 s2.Engine.Work_queue.push_waits;
-  checkb "producer blocking time accumulates" true
-    (s2.Engine.Work_queue.push_wait_s > 0.0);
-  (* Symmetric consumer-side wait on an empty ring. *)
+  checkb "drain 1" true (Engine.Work_queue.pop q = Some 1);
   checkb "drain 2" true (Engine.Work_queue.pop q = Some 2);
-  checkb "drain 3" true (Engine.Work_queue.pop q = Some 3);
+  checki "pops of a non-empty ring never wait" 0
+    (Engine.Work_queue.stats q).Engine.Work_queue.pop_waits;
   let consumer = Domain.spawn (fun () -> Engine.Work_queue.pop q) in
   while (Engine.Work_queue.stats q).Engine.Work_queue.pop_waits = 0 do
     Domain.cpu_relax ()
   done;
-  checkb "push releases the blocked consumer" true
-    (Engine.Work_queue.push q 9);
+  Engine.Work_queue.push q 9;
   checkb "blocked pop sees the push" true (Domain.join consumer = Some 9);
-  let s3 = Engine.Work_queue.stats q in
-  checki "all pushes counted" 4 s3.Engine.Work_queue.pushes;
-  checki "all pops counted" 4 s3.Engine.Work_queue.pops;
-  checki "blocked pop counted once" 1 s3.Engine.Work_queue.pop_waits;
+  let s2 = Engine.Work_queue.stats q in
+  checki "all pushes counted" 3 s2.Engine.Work_queue.pushes;
+  checki "all pops counted" 3 s2.Engine.Work_queue.pops;
+  checki "blocked pop counted once" 1 s2.Engine.Work_queue.pop_waits;
   checkb "consumer blocking time accumulates" true
-    (s3.Engine.Work_queue.pop_wait_s > 0.0)
+    (s2.Engine.Work_queue.pop_wait_s > 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Causal trace: a traced 4-worker pool exports a lint-clean Perfetto
@@ -736,13 +746,14 @@ let test_pool_shutdown_without_domains () =
   | Error e ->
     checkb "shutdown error" true (Core.Error.kind e = Core.Error.Internal)
 
-(* A batch of 2,100 slots (263 chunks) through a one-slot queue. Under
-   [`Block] it completes at 1, 2 and 4 workers, bit-identical to singles:
-   the submitter may only block on a push while worker domains drain the
-   queue, never on a queue that only it drains. Under shed-newest only
-   queued chunks are shed — whole chunks, never the submitter's first —
-   and every served slot is still bit-identical. *)
-let test_pool_huge_batch_tiny_queue () =
+(* A batch of 2,100 slots, which at 8 slots a chunk would be 263 chunks,
+   plans 256: the submitter queues 255, exactly what the queue holds. It
+   completes at 1, 2 and 4 workers, every slot bit-identical to singles
+   and none refused, and a second such batch finds the queue empty again
+   (its submitter took back whatever the domains had not popped). The
+   case keeps the name it had when the queue's capacity was an argument
+   of [Pool.create] and this batch went through a one-slot queue. *)
+let test_pool_huge_batch () =
   let path_tree =
     Pathtree.Path_tree.of_string Datagen.Paper_example.document
   in
@@ -758,51 +769,34 @@ let test_pool_huge_batch_tiny_queue () =
     Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
     Array.of_list (expect_singles pool (Array.to_list queries))
   in
-  let expect slot = expected.(slot mod Array.length queries) in
   List.iter
     (fun workers ->
-      List.iter
-        (fun shed_policy ->
-          let label =
-            Printf.sprintf "%d workers, %s" workers
-              (if shed_policy = `Block then "block" else "shed-newest")
-          in
-          let pool =
-            Engine.Pool.create ~workers ~queue_capacity:1 ~shed_policy
-              (paper_estimator ())
-          in
-          Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool)
-          @@ fun () ->
-          let replies = Array.of_list (Engine.Pool.estimate_batch pool batch) in
-          checki (label ^ ": all slots answered") n (Array.length replies);
-          let plan = Engine.Pool.plan_chunks ~n ~workers in
-          if workers > 1 then
-            checki (label ^ ": 263 chunks") 263 (Array.length plan);
-          let shed = ref 0 in
-          Array.iteri
-            (fun k (lo, hi) ->
-              let served =
-                match replies.(lo) with Ok _ -> true | Error _ -> false
-              in
-              if k = 0 then checkb (label ^ ": first chunk served") true served;
-              for slot = lo to hi - 1 do
-                match replies.(slot) with
-                | Ok r when served ->
-                  Alcotest.(check int64)
-                    (Printf.sprintf "%s: slot %d bit-identical" label slot)
-                    (bits (expect slot)) (bits r.Engine.Serve.value)
-                | Error e when not served ->
-                  checkb (label ^ ": refused slots are shed") true
-                    (Core.Error.kind e = Core.Error.Overloaded);
-                  incr shed
-                | _ -> Alcotest.failf "%s: chunk %d split by a shed" label k
-              done)
-            plan;
-          checki (label ^ ": shed_total counts the shed slots") !shed
-            (Engine.Pool.shed_total pool);
-          if shed_policy = `Block then
-            checki (label ^ ": nothing shed") 0 !shed)
-        [ `Block; `Shed_newest ])
+      let label = Printf.sprintf "%d workers" workers in
+      checki (label ^ ": 256 chunks") 256
+        (Array.length (Engine.Pool.plan_chunks ~n ~workers));
+      let pool = Engine.Pool.create ~workers (paper_estimator ()) in
+      Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool)
+      @@ fun () ->
+      for round = 1 to 2 do
+        let replies = Engine.Pool.estimate_batch pool batch in
+        checki (label ^ ": all slots answered") n (List.length replies);
+        List.iteri
+          (fun slot reply ->
+            match reply with
+            | Ok r ->
+              Alcotest.(check int64)
+                (Printf.sprintf "%s, round %d: slot %d bit-identical" label
+                   round slot)
+                (bits expected.(slot mod Array.length queries))
+                (bits r.Engine.Serve.value)
+            | Error e ->
+              Alcotest.failf "%s, round %d: slot %d refused: %s" label round
+                slot (Core.Error.to_string e))
+          replies
+      done;
+      checki (label ^ ": queued chunks")
+        (if workers > 1 then 2 * 255 else 0)
+        (pool_stat pool "queue_pushes"))
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -932,9 +926,8 @@ let test_pool_telemetry_metrics () =
      | Some (Obs.Json.Obj pf) ->
        List.iter
          (fun k -> checkb ("pool stats has " ^ k) true (List.mem_assoc k pf))
-         [ "queue_pushes"; "queue_pops"; "queue_push_waits";
-           "queue_pop_waits"; "queue_push_wait_s"; "queue_pop_wait_s";
-           "queue_max_occupancy" ];
+         [ "queue_pushes"; "queue_pops"; "queue_pop_waits";
+           "queue_pop_wait_s"; "queue_max_occupancy" ];
        (match List.assoc "queue_pushes" pf with
         | Obs.Json.Int n ->
           (* Chunked dispatch: the 32-query batch planned four 8-slot
@@ -944,6 +937,40 @@ let test_pool_telemetry_metrics () =
         | _ -> Alcotest.fail "queue_pushes not an int")
      | _ -> Alcotest.fail "stats without pool object")
   | _ -> Alcotest.fail "stats_json not an object"
+
+(* [engine.pool.queue_wait_us] counts time spent in the queue, so only a
+   chunk that went through it observes: none at one worker, where nothing
+   queues, and at two one per queued chunk, taken by a domain or back by
+   the submitter. *)
+let test_pool_queue_wait_counts_queued () =
+  let count pool =
+    match
+      metric_value (Engine.Pool.metrics_text pool)
+        "xseed_engine_pool_queue_wait_us_count"
+    with
+    | Some v -> int_of_string v
+    | None -> Alcotest.fail "queue_wait_us_count missing"
+  in
+  let serve pool =
+    ignore
+      (Engine.Pool.estimate_batch pool
+         (List.init 40 (fun i ->
+              if i mod 2 = 0 then "/site/regions" else "/site"))
+        : (Engine.Serve.estimate_reply, Core.Error.t) result list);
+    ignore
+      (Engine.Pool.estimate pool "/site/people"
+        : (Engine.Serve.estimate_reply, Core.Error.t) result)
+  in
+  let _, one = build_pool ~workers:1 Datagen.Paper_example.document in
+  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown one) @@ fun () ->
+  serve one;
+  checki "one worker: nothing queued, nothing observed" 0 (count one);
+  let _, two = build_pool ~workers:2 Datagen.Paper_example.document in
+  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown two) @@ fun () ->
+  serve two;
+  checki "two workers: BATCH 40 queues four chunks" 4
+    (pool_stat two "queue_pushes");
+  checki "two workers: one observation per queued chunk" 4 (count two)
 
 (* ------------------------------------------------------------------ *)
 (* Stress: 4 client domains x STRESS_OPS mixed operations, fixed seed,
@@ -1069,25 +1096,10 @@ let test_pool_stress () =
    | _ -> Alcotest.fail "stats_json not an object")
 
 (* ------------------------------------------------------------------ *)
-(* Close racing blocked producers/consumers. The wait counters tick under
-   the queue lock before the domain sleeps, so spinning on them is a
-   deterministic rendezvous with a domain that is provably blocked inside
-   push/pop when close lands. *)
-
-let test_queue_close_vs_blocked_push () =
-  let q = Engine.Work_queue.create ~capacity:1 in
-  checkb "fill" true (Engine.Work_queue.push q 1);
-  let producer = Domain.spawn (fun () -> Engine.Work_queue.push q 2) in
-  while (Engine.Work_queue.stats q).Engine.Work_queue.push_waits = 0 do
-    Domain.cpu_relax ()
-  done;
-  (* The producer is asleep inside push; close must wake it and refuse. *)
-  Engine.Work_queue.close q;
-  checkb "blocked push returns false on close" false (Domain.join producer);
-  checkb "pre-close item drains" true (Engine.Work_queue.pop q = Some 1);
-  checkb "refused item was never enqueued" true (Engine.Work_queue.pop q = None);
-  (* try_push answers `Closed without blocking. *)
-  checkb "try_push sees closed" true (Engine.Work_queue.try_push q 3 = `Closed)
+(* Close racing a blocked consumer. The wait counter ticks under the queue
+   lock before the domain sleeps, so spinning on it is a deterministic
+   rendezvous with a domain that is provably blocked inside pop when close
+   lands. *)
 
 let test_queue_close_vs_blocked_pop () =
   let q = Engine.Work_queue.create ~capacity:1 in
@@ -1111,7 +1123,7 @@ let test_queue_try_push () =
   checkb "try_push after pop" true (Engine.Work_queue.try_push q 3 = `Ok)
 
 (* ------------------------------------------------------------------ *)
-(* Failure handling: deadlines, shedding, supervision, quarantine. *)
+(* Failure handling: deadlines, supervision, quarantine. *)
 
 (* A negative deadline is already exceeded at dequeue, so every request is
    refused deterministically — no sleeps, no clock races. *)
@@ -1141,7 +1153,6 @@ let test_pool_deadline () =
        (Engine.Pool.estimate_batch pool queries));
   checki "timeout_total counts both batches" 6
     (Engine.Pool.timeout_total pool);
-  checki "nothing shed" 0 (Engine.Pool.shed_total pool);
   checkb "timeouts leave flight records" true
     (List.exists
        (fun (r : Engine.Flight_recorder.record) ->
@@ -1157,79 +1168,6 @@ let test_pool_deadline () =
        (* 3 from each batch *)
      | _ -> Alcotest.fail "pool stats not an object")
   | _ -> Alcotest.fail "stats_json not an object"
-
-(* Shed-newest under chunked dispatch: with the 2-worker pool's one domain
-   parked in the gate, nothing but the submitter drains the capacity-1
-   queue. A 24-slot batch (three 8-slot chunks) queues chunk 1, sheds
-   chunk 2 — exactly eight slots — without blocking, and the submitter
-   serves chunks 0 and 1 itself. Shedding needs a queue, so the pool runs
-   a worker domain (a one-worker pool serves inline and never queues). *)
-let test_pool_shed_newest () =
-  let g = gate () in
-  let tr = Obs.Trace.create () in
-  let pool =
-    gated_pool g (fun ~chaos ->
-        Engine.Pool.create ~workers:2 ~queue_capacity:1
-          ~shed_policy:`Shed_newest ~chaos ~trace:tr (paper_estimator ()))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      gate_release g;
-      Engine.Pool.shutdown pool)
-  @@ fun () ->
-  let sleeper = park pool g ~workers:2 1 in
-  let batch =
-    Engine.Pool.estimate_batch pool (List.init 24 (fun _ -> "/site"))
-  in
-  checki "exactly eight sheds" 8 (Engine.Pool.shed_total pool);
-  unpark g sleeper;
-  checki "all slots answered" 24 (List.length batch);
-  List.iteri
-    (fun slot reply ->
-      match reply with
-      | Ok _ when slot < 16 -> ()
-      | Error e when slot < 16 ->
-        Alcotest.failf "admitted slot %d: %s" slot (Core.Error.to_string e)
-      | Ok _ -> Alcotest.fail "shed slot was served"
-      | Error e ->
-        checkb "ERR overloaded" true
-          (Core.Error.kind e = Core.Error.Overloaded);
-        checki "overloaded exits 75" 75 (Core.Error.exit_code e);
-        (* The shed diagnostic names the live queue capacity in the
-           unified limit= form. *)
-        checkb "names limit=1" true
-          (let msg = Core.Error.message e in
-           let needle = "limit=1" in
-           let nl = String.length needle and n = String.length msg in
-           let rec scan i =
-             i + nl <= n && (String.sub msg i nl = needle || scan (i + 1))
-           in
-           scan 0))
-    batch;
-  checkb "sheds leave flight records" true
-    (List.exists
-       (fun (r : Engine.Flight_recorder.record) ->
-         r.Engine.Flight_recorder.cache = Engine.Flight_recorder.Shed)
-       (Engine.Pool.recent pool));
-  (* A shed chunk never entered the queue, so it opens no flow: every flow
-     start belongs to a chunk a shard executed, and the trace lints. *)
-  let json = Obs.Trace.to_json tr in
-  checkb "shed trace lints clean" true (Obs.Trace.lint json = []);
-  let evs = trace_events json in
-  let executed =
-    List.filter_map
-      (fun ev ->
-        if ev_str "ph" ev = Some "X" && ev_str "name" ev = Some "execute" then
-          Option.bind (Obs.Json.member "args" ev) (ev_int "seq")
-        else None)
-      evs
-  in
-  checkb "only executed chunks open flows" true
-    (List.for_all
-       (fun ev ->
-         ev_str "ph" ev <> Some "s"
-         || List.exists (fun seq -> ev_int "id" ev = Some seq) executed)
-       evs)
 
 (* Run [f] on a pool for the supervision tests, at one worker (a chunk is
    served on the submitter, so the crash cleanup runs there) or two. [f]
@@ -1440,8 +1378,6 @@ let () =
             test_queue_blocked_consumers;
           Alcotest.test_case "contention stats" `Quick test_queue_stats;
           Alcotest.test_case "try_push never blocks" `Quick test_queue_try_push;
-          Alcotest.test_case "close vs blocked push" `Quick
-            test_queue_close_vs_blocked_push;
           Alcotest.test_case "close vs blocked pop" `Quick
             test_queue_close_vs_blocked_pop
         ] );
@@ -1464,17 +1400,17 @@ let () =
           Alcotest.test_case "shutdown without domains" `Quick
             test_pool_shutdown_without_domains;
           Alcotest.test_case "huge batch through a one-slot queue" `Quick
-            test_pool_huge_batch_tiny_queue;
+            test_pool_huge_batch;
           Alcotest.test_case "causal trace" `Quick test_pool_trace;
           Alcotest.test_case "deadline refusals" `Quick test_pool_deadline;
-          Alcotest.test_case "shed-newest overload" `Quick
-            test_pool_shed_newest;
           Alcotest.test_case "supervision and quarantine" `Quick
             test_pool_supervision;
           Alcotest.test_case "supervision mid-chunk" `Quick
             test_pool_supervision_mid_chunk;
           Alcotest.test_case "telemetry metrics" `Quick
             test_pool_telemetry_metrics;
+          Alcotest.test_case "queue wait counts queued chunks only" `Quick
+            test_pool_queue_wait_counts_queued;
           Alcotest.test_case "high-water metrics merge by max" `Quick
             test_pool_metrics_high_water;
           Alcotest.test_case "flight HET hits = matcher overrides" `Quick

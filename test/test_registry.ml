@@ -67,6 +67,13 @@ let resident_names reg =
     (fun (name, size) -> if size <> None then Some name else None)
     (Engine.Registry.tenants reg)
 
+(* One estimate through a session's vtable: a batch of one, as ESTIMATE
+   sends it. *)
+let estimate server q =
+  match server.Engine.Serve.estimate_batch [ q ] with
+  | [ r ] -> r
+  | rs -> Alcotest.failf "%d replies to one query" (List.length rs)
+
 (* One protocol request through a registry session (payload lines for
    BATCH-style verbs are not needed here). *)
 let req session line =
@@ -230,7 +237,7 @@ let test_journal_flush_and_replay () =
      the round trip has learned state to lose. *)
   let query = "/dblp/article/author" in
   let before =
-    match server.Engine.Serve.estimate query with
+    match estimate server query with
     | Ok r -> r.Engine.Serve.value
     | Error e -> Alcotest.failf "estimate: %s" (Core.Error.to_string e)
   in
@@ -238,7 +245,7 @@ let test_journal_flush_and_replay () =
    | Ok _ -> ()
    | Error e -> Alcotest.failf "feedback: %s" (Core.Error.to_string e));
   let after =
-    match server.Engine.Serve.estimate query with
+    match estimate server query with
     | Ok r -> r.Engine.Serve.value
     | Error e -> Alcotest.failf "estimate: %s" (Core.Error.to_string e)
   in
@@ -259,7 +266,7 @@ let test_journal_flush_and_replay () =
   checks "USE dblp reloads" "OK dblp loaded" (req session "USE dblp");
   checkb "journal replayed" true (Engine.Registry.journal_replayed reg >= 1);
   let reloaded =
-    match server.Engine.Serve.estimate query with
+    match estimate server query with
     | Ok r -> r.Engine.Serve.value
     | Error e -> Alcotest.failf "estimate: %s" (Core.Error.to_string e)
   in
@@ -311,7 +318,7 @@ let test_differential_vs_dedicated () =
         List.iter
           (fun q ->
             let via_registry =
-              match server.Engine.Serve.estimate q with
+              match estimate server q with
               | Ok r -> r.Engine.Serve.value
               | Error e ->
                 Alcotest.failf "registry %s %s: %s" name q
@@ -369,7 +376,7 @@ let test_concurrent_use_during_evict () =
                | Ok _ -> ()
                | Error _ -> Atomic.incr failures);
               ignore (req session ("USE " ^ name) : string);
-              match server.Engine.Serve.estimate q with
+              match estimate server q with
               | Ok r ->
                 (match !expected with
                  | None -> expected := Some r.Engine.Serve.value
